@@ -244,7 +244,3 @@ def second_order_corrections(
         state_sq += ratio * ratio
         energy += m_mn * m_mn / (e_n - e_m)
     return math.sqrt(state_sq), energy
-
-
-# operation name used in interface listings
-aa_correction_scalings = second_order_corrections

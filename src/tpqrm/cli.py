@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__, aa, analysis, collapse1d, ed, quench
 from .errors import CollapseMappingError, ConvergenceError
-from .model import ModelParams, SectorSpec, critical_params
+from .model import ModelParams, SectorSpec, critical_params, params_from_dict
 
 COMMANDS = (
     "spectrum",
@@ -94,25 +94,10 @@ def parse_gf(text: str) -> float:
     return float(text)
 
 
-def _resolve_delta(delta_arg, r: float) -> float:
-    _, delta_c = critical_params(r)
-    if isinstance(delta_arg, str):
-        if delta_arg == "critical":
-            return delta_c
-        return float(delta_arg)
-    return float(delta_arg)
-
-
-def _resolve_params(ns) -> ModelParams:
-    delta = _resolve_delta(ns.delta, ns.r)
-    g_c, _ = critical_params(ns.r)
-    g = getattr(ns, "g", None)
-    g_over = getattr(ns, "g_over_gc", None)
-    if g is not None and g_over is not None:
-        raise ValueError("specify only one of --g and --g-over-gc")
-    if g is None and g_over is None:
-        raise ValueError("one of --g / --g-over-gc is required")
-    return ModelParams(delta=delta, g=float(g) if g is not None else float(g_over) * g_c, r=ns.r)
+def _params(ns, **coupling) -> ModelParams:
+    """ModelParams from --delta and --r plus the coupling keys that are set."""
+    cfg = {"delta": ns.delta, "r": ns.r, **coupling}
+    return params_from_dict({k: v for k, v in cfg.items() if v is not None})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -247,35 +232,24 @@ def _manifest(ns) -> dict:
     return out
 
 
-def _validate_common(ns, diagnostics: list[str]) -> None:
-    try:
-        g_c, delta_c = critical_params(ns.r)
-    except ValueError as exc:
-        diagnostics.append(f"error: {exc}")
-        return
-    delta = _resolve_delta(ns.delta, ns.r)
-    if isinstance(ns.delta, str) and ns.delta == "critical":
-        diagnostics.append(f"delta 'critical' resolves to {delta_c:.17g}")
-    if delta < 0:
-        diagnostics.append(f"error: delta={delta} < 0")
-    g = getattr(ns, "g", None)
-    g_over = getattr(ns, "g_over_gc", None)
-    if g is not None and g > g_c:
-        diagnostics.append(f"error: g={g} exceeds g_c(r={ns.r}) = {g_c:.17g}")
-    if g_over is not None and g_over > 1.0:
-        diagnostics.append(f"error: g/g_c={g_over} exceeds 1 (g_c = {g_c:.17g})")
-    xr = getattr(ns, "x_range", None)
-    if xr is not None and not 0.0 <= xr[0] < xr[1]:
-        diagnostics.append(f"error: x-range {xr} needs 0 <= xmin < xmax")
-    if getattr(ns, "n_max", 1) < 2:
-        diagnostics.append("error: n-max must be >= 2")
-    diagnostics.append(f"n_max default/start: {getattr(ns, 'n_max', 'n/a')}")
-
-
 def _run_validate(ns) -> int:
     diagnostics: list[str] = []
     if ns.command != "fit":
-        _validate_common(ns, diagnostics)
+        # grid and quench runs take g from their own flags; g = 0 checks delta and r alone
+        coupling = {"g": ns.g, "g_over_gc": ns.g_over_gc} if hasattr(ns, "g") else {"g": 0.0}
+        try:
+            params = _params(ns, **coupling)
+        except ValueError as exc:
+            diagnostics.append(f"error: {exc}")
+        else:
+            if ns.delta == "critical":
+                diagnostics.append(f"delta 'critical' resolves to {params.delta:.17g}")
+        xr = getattr(ns, "x_range", None)
+        if xr is not None and not 0.0 <= xr[0] < xr[1]:
+            diagnostics.append(f"error: x-range {xr} needs 0 <= xmin < xmax")
+        if ns.n_max < 2:
+            diagnostics.append("error: n-max must be >= 2")
+        diagnostics.append(f"n_max default/start: {ns.n_max}")
     points = getattr(ns, "points", None) or getattr(ns, "tau_points", None) or 1
     diagnostics.append(f"estimated sweep points: {points}")
     manifest = _manifest(ns)
@@ -283,131 +257,96 @@ def _run_validate(ns) -> int:
     return EXIT_CONFIG if any(d.startswith("error:") for d in diagnostics) else EXIT_OK
 
 
-def _out_prefix(ns) -> str:
-    return ns.out if ns.out else ns.command
+def _write(ns, header: list[str] | None, rows: list[list], **extra_json) -> str:
+    """Write <out>.csv (unless header is None), the manifest and <out>_<name>.json per extra."""
+    out = ns.out if ns.out else ns.command
+    if header is not None:
+        write_csv(f"{out}.csv", header, rows)
+    write_json(f"{out}_manifest.json", _manifest(ns))
+    for name, payload in extra_json.items():
+        write_json(f"{out}_{name}.json", payload)
+    return out
 
 
-def _grid_for(ns):
-    return analysis.make_grid(ns.x_range[0], ns.x_range[1], ns.points, ns.r)
+def _sweep(ns, header: list[str], point_rows, fit_cols: tuple[str, ...], ok_col: str | None) -> int:
+    """Coupling-grid runner shared by spectrum, gap-scan, observables and qfi.
+
+    point_rows(params) gives one grid point's rows without the leading
+    (g/g_c, x) columns.  --fit fits each of fit_cols against 1 - g/g_c;
+    a falsy ok_col value in any row makes the exit code 2.
+    """
+    grid = analysis.make_grid(ns.x_range[0], ns.x_range[1], ns.points, ns.r)
+    g_c, _ = critical_params(ns.r)
+
+    def one(point):
+        x, g = point
+        return [[g / g_c, x, *row] for row in point_rows(_params(ns, g=g))]
+
+    points = list(zip(grid.x_values, grid.g_values))
+    rows = [row for chunk in _map_points(one, points) for row in chunk]
+    out = _write(ns, header, rows)
+    if fit_cols and ns.fit:
+        u = np.array([1.0 - row[0] for row in rows])
+        write_json(f"{out}_fit.json", {
+            name: analysis.fit_powerlaw(u, [row[header.index(name)] for row in rows]).to_dict()
+            for name in fit_cols
+        })
+    ok = ok_col is None or all(bool(row[header.index(ok_col)]) for row in rows)
+    return EXIT_OK if ok else EXIT_CONVERGENCE
 
 
 def run_spectrum(ns) -> int:
-    delta = _resolve_delta(ns.delta, ns.r)
-    grid = _grid_for(ns)
-    g_c, _ = critical_params(ns.r)
-
-    def one(point):
-        x, g = point
-        params = ModelParams(delta=delta, g=g, r=ns.r)
+    def point_rows(params):
         spec = ed.full_spectrum(params, n_max=ns.n_max, tol=ns.tol, k=ns.levels)
-        rows = []
-        for energy, parity, index, conv in zip(
-            spec.energies, spec.parities, spec.indices, spec.converged
-        ):
-            e_aa = aa.aa_energy(int(index), int(parity), params).energy
-            rows.append([g / g_c, x, int(index), int(parity), energy, conv, e_aa])
-        return rows
+        return [
+            [int(index), int(parity), energy, conv,
+             aa.aa_energy(int(index), int(parity), params).energy]
+            for energy, parity, index, conv in zip(
+                spec.energies, spec.parities, spec.indices, spec.converged
+            )
+        ]
 
-    rows = [r for chunk in _map_points(one, list(zip(grid.x_values, grid.g_values))) for r in chunk]
-    out = _out_prefix(ns)
-    write_csv(f"{out}.csv",
-              ["g_over_gc", "x", "level_index", "parity", "energy_ed", "converged", "energy_aa"],
-              rows)
-    write_json(f"{out}_manifest.json", _manifest(ns))
-    return EXIT_OK if all(bool(r[5]) for r in rows) else EXIT_CONVERGENCE
-
-
-def _gap_point(params: ModelParams, n_max: int, tol: float):
-    minus = ed.ed_spectrum(params, SectorSpec(0.25, -1), n_max, tol, k=2)
-    plus = ed.ed_spectrum(params, SectorSpec(0.25, +1), n_max, tol, k=2)
-    eps_sp = float(minus.energies[1] - minus.energies[0])
-    eps_dp = abs(float(plus.energies[0] - minus.energies[0]))
-    conv = bool(minus.converged.all() and plus.converged[0])
-    return eps_sp, eps_dp, conv
+    header = ["g_over_gc", "x", "level_index", "parity", "energy_ed", "converged", "energy_aa"]
+    return _sweep(ns, header, point_rows, (), "converged")
 
 
 def run_gap_scan(ns) -> int:
-    delta = _resolve_delta(ns.delta, ns.r)
-    grid = _grid_for(ns)
-    g_c, _ = critical_params(ns.r)
+    def point_rows(params):
+        minus = ed.ed_spectrum(params, SectorSpec(0.25, -1), ns.n_max, ns.tol, k=2)
+        plus = ed.ed_spectrum(params, SectorSpec(0.25, +1), ns.n_max, ns.tol, k=2)
+        eps_sp = float(minus.energies[1] - minus.energies[0])
+        eps_dp = abs(float(plus.energies[0] - minus.energies[0]))
+        return [[eps_sp, eps_dp, bool(minus.converged.all() and plus.converged[0])]]
 
-    def one(point):
-        x, g = point
-        eps_sp, eps_dp, conv = _gap_point(ModelParams(delta=delta, g=g, r=ns.r), ns.n_max, ns.tol)
-        return [g / g_c, x, eps_sp, eps_dp, conv]
-
-    rows = _map_points(one, list(zip(grid.x_values, grid.g_values)))
-    out = _out_prefix(ns)
-    write_csv(f"{out}.csv", ["g_over_gc", "x", "eps_sp", "eps_dp", "converged"], rows)
-    write_json(f"{out}_manifest.json", _manifest(ns))
-    if ns.fit:
-        u = np.array([1.0 - r[0] for r in rows])
-        fits = {
-            "eps_sp": analysis.fit_powerlaw(u, [r[2] for r in rows]).to_dict(),
-            "eps_dp": analysis.fit_powerlaw(u, [r[3] for r in rows]).to_dict(),
-        }
-        write_json(f"{out}_fit.json", fits)
-    return EXIT_OK if all(bool(r[4]) for r in rows) else EXIT_CONVERGENCE
+    header = ["g_over_gc", "x", "eps_sp", "eps_dp", "converged"]
+    return _sweep(ns, header, point_rows, ("eps_sp", "eps_dp"), "converged")
 
 
 def run_observables(ns) -> int:
-    delta = _resolve_delta(ns.delta, ns.r)
-    grid = _grid_for(ns)
-    g_c, _ = critical_params(ns.r)
-
-    def one(point):
-        x, g = point
-        params = ModelParams(delta=delta, g=g, r=ns.r)
+    def point_rows(params):
         obs = ed.ed_ground_observables(params, ns.n_max, ns.tol)
         ref = aa.aa_observables(params)
-        return [g / g_c, x, obs.photon, obs.sigma_x, obs.dx, obs.dp,
-                ref.photon, ref.sigma_x, ref.dx]
+        return [[obs.photon, obs.sigma_x, obs.dx, obs.dp, ref.photon, ref.sigma_x, ref.dx]]
 
-    rows = _map_points(one, list(zip(grid.x_values, grid.g_values)))
-    out = _out_prefix(ns)
-    write_csv(f"{out}.csv",
-              ["g_over_gc", "x", "photon", "sigma_x", "dx", "dp",
-               "photon_aa", "sigma_x_aa", "dx_aa"],
-              rows)
-    write_json(f"{out}_manifest.json", _manifest(ns))
-    if ns.fit:
-        u = np.array([1.0 - r[0] for r in rows])
-        fits = {
-            name: analysis.fit_powerlaw(u, [r[col] for r in rows]).to_dict()
-            for name, col in (("photon", 2), ("sigma_x", 3), ("dx", 4), ("dp", 5))
-        }
-        write_json(f"{out}_fit.json", fits)
-    return EXIT_OK
+    header = ["g_over_gc", "x", "photon", "sigma_x", "dx", "dp",
+              "photon_aa", "sigma_x_aa", "dx_aa"]
+    return _sweep(ns, header, point_rows, ("photon", "sigma_x", "dx", "dp"), None)
 
 
 def run_qfi(ns) -> int:
-    delta = _resolve_delta(ns.delta, ns.r)
-    grid = _grid_for(ns)
-    g_c, _ = critical_params(ns.r)
-
-    def one(point):
-        x, g = point
-        params = ModelParams(delta=delta, g=g, r=ns.r)
-        f_q = ed.qfi_spectral(params, n_max=ns.n_max, k_states=ns.k_states)
-        row = [g / g_c, x, f_q, aa.aa_qfi_leading(params)]
+    def point_rows(params):
+        row = [ed.qfi_spectral(params, n_max=ns.n_max, k_states=ns.k_states),
+               aa.aa_qfi_leading(params)]
         if ns.oracle:
             row.append(ed.qfi_fidelity_oracle(params, n_max=ns.n_max))
-        return row
+        return [row]
 
     header = ["g_over_gc", "x", "f_q", "f_q_aa"] + (["f_q_fidelity"] if ns.oracle else [])
-    rows = _map_points(one, list(zip(grid.x_values, grid.g_values)))
-    out = _out_prefix(ns)
-    write_csv(f"{out}.csv", header, rows)
-    write_json(f"{out}_manifest.json", _manifest(ns))
-    if ns.fit:
-        u = np.array([1.0 - r[0] for r in rows])
-        write_json(f"{out}_fit.json",
-                   {"f_q": analysis.fit_powerlaw(u, [r[2] for r in rows]).to_dict()})
-    return EXIT_OK
+    return _sweep(ns, header, point_rows, ("f_q",), None)
 
 
 def run_wigner(ns) -> int:
-    params = _resolve_params(ns)
+    params = _params(ns, g=ns.g, g_over_gc=ns.g_over_gc)
     grid = ed.wigner_grid(
         params,
         n_max=ns.n_max,
@@ -421,18 +360,12 @@ def run_wigner(ns) -> int:
         for i, p in enumerate(grid.p_axis)
         for j, x in enumerate(grid.x_axis)
     ]
-    out = _out_prefix(ns)
-    write_csv(f"{out}.csv", ["x", "p", "w"], rows)
-    write_json(f"{out}_manifest.json", _manifest(ns))
-    write_json(f"{out}_report.json", {"normalization": grid.normalization})
+    _write(ns, ["x", "p", "w"], rows, report={"normalization": grid.normalization})
     return EXIT_OK
 
 
 def run_quench(ns) -> int:
-    delta = _resolve_delta(ns.delta, ns.r)
-    g_c, _ = critical_params(ns.r)
-    gf_frac = parse_gf(ns.gf)
-    g_f = gf_frac * g_c
+    params = _params(ns, g_over_gc=parse_gf(ns.gf))
     if ns.tau_list:
         taus = [float(t) for t in ns.tau_list.split(",")]
     elif ns.tau_range:
@@ -441,10 +374,9 @@ def run_quench(ns) -> int:
     else:
         raise ValueError("quench needs --tau-range or --tau-list")
 
-    params = ModelParams(delta=delta, g=g_f, r=ns.r)
-    table = quench.kz_sweep(g_f, taus, params, n_max=ns.n_max, dt=ns.dt,
-                            n_threads=_n_threads())
-    out = _out_prefix(ns)
+    table = _map_points(
+        lambda tau: quench.kz_sweep(params.g, [tau], params, n_max=ns.n_max, dt=ns.dt)[0], taus
+    )
     rows = []
     for row in table:
         pred = quench.kz_predict(row["tau_q"], params) if row["tau_q"] > 1 else None
@@ -454,11 +386,8 @@ def run_quench(ns) -> int:
             pred.e_r_adiabatic if pred else math.nan,
             pred.e_r_kz if pred else math.nan,
         ])
-    write_csv(f"{out}.csv",
-              ["g_f_over_gc", "tau_q", "e_r", "norm_drift", "n_max", "dt", "converged",
-               "e_r_adiabatic_pred", "e_r_kz_pred"],
-              rows)
-    write_json(f"{out}_manifest.json", _manifest(ns))
+    out = _write(ns, ["g_f_over_gc", "tau_q", "e_r", "norm_drift", "n_max", "dt", "converged",
+                      "e_r_adiabatic_pred", "e_r_kz_pred"], rows)
 
     good = [row for row in table if row["converged"]]
     if ns.fit:
@@ -469,7 +398,7 @@ def run_quench(ns) -> int:
             write_json(f"{out}_fit.json", {"error": "fewer than 5 converged points"})
 
     if ns.samples and len(taus) == 1:
-        protocol = quench.QuenchProtocol(g_f=g_f, tau_q=taus[0], r=ns.r, delta=delta,
+        protocol = quench.QuenchProtocol(g_f=params.g, tau_q=taus[0], r=ns.r, delta=params.delta,
                                          n_max=ns.n_max, dt=ns.dt)
         res = quench.propagate(protocol, n_samples=ns.samples)
         write_csv(f"{out}_trajectory.csv", ["t", "g", "energy", "ground_overlap"],
@@ -486,9 +415,7 @@ def run_collapse1d(ns) -> int:
     for n in range(ns.k):
         ratio = ladder.ratios[n] if n < len(ladder.ratios) else math.nan
         rows.append([n, ladder.binding_energies[n], ratio, bool(ladder.converged[n])])
-    out = _out_prefix(ns)
-    write_csv(f"{out}.csv", ["n", "kappa4", "ratio", "converged"], rows)
-    write_json(f"{out}_manifest.json", _manifest(ns))
+    out = _write(ns, ["n", "kappa4", "ratio", "converged"], rows)
 
     report = {"ratio_plateau": ladder.ratio_plateau}
     status = EXIT_OK
@@ -515,9 +442,7 @@ def run_fit(ns) -> int:
     u = data[:, header.index(ns.xcol)]
     y = data[:, header.index(ns.ycol)]
     fit = analysis.fit_powerlaw(u, y, window=tuple(ns.window) if ns.window else None)
-    out = ns.out if ns.out else "fit"
-    write_json(f"{out}_fit.json", fit.to_dict())
-    write_json(f"{out}_manifest.json", _manifest(ns))
+    _write(ns, None, [], fit=fit.to_dict())
     print(json.dumps(fit.to_dict(), indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -538,16 +463,12 @@ def run_gap_opening(ns) -> int:
         return [delta, off * off, gap, conv, n_max]
 
     rows = _map_points(one, list(offsets))
-    out = _out_prefix(ns)
-    write_csv(f"{out}.csv", ["delta", "delta_sq_offset", "eps_dp", "converged", "n_max"], rows)
-    write_json(f"{out}_manifest.json", _manifest(ns))
-
     good = [r for r in rows if r[3]]
+    fit = {"error": "fewer than 5 converged points"}
     if len(good) >= 5:
-        fit = analysis.fit_quadratic_gap([r[0] for r in good], [r[2] for r in good], delta_c)
-        write_json(f"{out}_fit.json", fit.to_dict())
-    else:
-        write_json(f"{out}_fit.json", {"error": "fewer than 5 converged points"})
+        deltas, gaps = [r[0] for r in good], [r[2] for r in good]
+        fit = analysis.fit_quadratic_gap(deltas, gaps, delta_c).to_dict()
+    _write(ns, ["delta", "delta_sq_offset", "eps_dp", "converged", "n_max"], rows, fit=fit)
     return EXIT_OK if len(good) == len(rows) else EXIT_CONVERGENCE
 
 

@@ -29,7 +29,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import CollapseMappingError
-from .model import ModelParams
+from .model import ModelParams, check_finite
 from . import ed
 
 
@@ -42,6 +42,7 @@ class Collapse1DProblem:
     h: float = 0.05
 
     def __post_init__(self):
+        check_finite(delta=self.delta, L=self.L, h=self.h)
         if self.delta < 0:
             raise ValueError("delta must be >= 0")
         if self.L <= 0 or self.h <= 0 or self.h >= self.L:

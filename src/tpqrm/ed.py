@@ -43,19 +43,18 @@ N_MAX_CEILING = 16384
 
 @dataclass(frozen=True)
 class ParityBlock:
-    """One symmetry block of the Hamiltonian, in tridiagonal form."""
+    """One symmetry block of the Hamiltonian, in tridiagonal form.
+
+    coupling is the off-diagonal of dH/dg (whose diagonal vanishes), so
+    offdiag = g * coupling.
+    """
 
     n_max: int
     parity: int
     q: float
     diag: np.ndarray
     offdiag: np.ndarray
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        out = self.diag * v
-        out[:-1] += self.offdiag * v[1:]
-        out[1:] += self.offdiag * v[:-1]
-        return out
+    coupling: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -108,8 +107,38 @@ def build_parity_block(
     s = -parity * (-1.0) ** n
     f = 2 * n + off
     diag = f - 0.5 * params.delta * s
-    t = params.g * np.sqrt((f[:-1] + 1.0) * (f[:-1] + 2.0)) * ((1 + params.r) - (1 - params.r) * s[:-1]) / 2.0
-    return ParityBlock(n_max=n_max, parity=parity, q=q, diag=diag, offdiag=t)
+    root = np.sqrt((f[:-1] + 1.0) * (f[:-1] + 2.0))
+    mix = (1 + params.r) - (1 - params.r) * s[:-1]
+    # g * root * mix / 2 rounds differently from g * coupling; keep this order
+    offdiag = params.g * root * mix / 2.0
+    return ParityBlock(n_max=n_max, parity=parity, q=q, diag=diag, offdiag=offdiag,
+                       coupling=root * mix / 2.0)
+
+
+def tridiag_apply(diag: np.ndarray, offdiag: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Symmetric tridiagonal matrix (diag, offdiag) times v."""
+    out = diag * v
+    out[:-1] += offdiag * v[1:]
+    out[1:] += offdiag * v[:-1]
+    return out
+
+
+def converge(solve, n_max: int, n_max_ceiling: int, held):
+    """Truncation doubling: solve(n_max), solve(2 n_max), ... until held(new, old).
+
+    Stops early when the next rung would pass n_max_ceiling, and never
+    solves above it (except a start already above it).  Returns
+    (new, old, n_max): the last two rungs' results, old None when only
+    one rung was solved, and the truncation of new.  The caller decides
+    whether an unheld result is flagged or raised.
+    """
+    new, old = solve(n_max), None
+    while 2 * n_max <= n_max_ceiling:
+        n_max *= 2
+        new, old = solve(n_max), new
+        if held(new, old):
+            break
+    return new, old, n_max
 
 
 def dense_hamiltonian(params: ModelParams, n_fock: int) -> np.ndarray:
@@ -181,11 +210,11 @@ def collapse_point_gap(
     def gap_at(n: int) -> float:
         return abs(lowest_level(params, +1, n) - lowest_level(params, -1, n))
 
-    gap_half, gap = gap_at(n_max // 2), gap_at(n_max)
-    while abs(gap - gap_half) > 0.02 * gap and 2 * n_max <= n_max_ceiling:
-        n_max *= 2
-        gap_half, gap = gap, gap_at(n_max)
-    return gap, n_max, abs(gap - gap_half) <= 0.02 * gap
+    def held(gap: float, gap_half: float) -> bool:
+        return abs(gap - gap_half) <= 0.02 * gap
+
+    gap, gap_half, n_max = converge(gap_at, n_max // 2, max(n_max, n_max_ceiling), held)
+    return gap, n_max, held(gap, gap_half)
 
 
 def ed_spectrum(
@@ -203,30 +232,21 @@ def ed_spectrum(
     At g = g_c only levels below the continuum threshold -1/2 are
     physically meaningful.
     """
-    n_cur = max(n_max, 2 * k, 4)
-    w_prev = _lowest_block_eigenvalues(
-        build_parity_block(params, sector.parity, n_cur, sector.q), k
+
+    def solve(n: int) -> np.ndarray:
+        return _lowest_block_eigenvalues(build_parity_block(params, sector.parity, n, sector.q), k)
+
+    w, w_half, n_used = converge(
+        solve, max(n_max, 2 * k, 4), n_max_ceiling, lambda new, old: np.abs(new - old).max() < tol
     )
-    estimate = np.full(k, np.inf)
-    while True:
-        n_next = 2 * n_cur
-        if n_next > n_max_ceiling:
-            break
-        w_next = _lowest_block_eigenvalues(
-            build_parity_block(params, sector.parity, n_next, sector.q), k
-        )
-        estimate = np.abs(w_next - w_prev)
-        w_prev, n_cur = w_next, n_next
-        if estimate.max() < tol:
-            break
-    converged = estimate < tol
+    estimate = np.full(k, np.inf) if w_half is None else np.abs(w - w_half)
     return SpectrumResult(
-        energies=w_prev,
+        energies=w,
         parities=np.full(k, sector.parity, dtype=int),
         indices=np.arange(k),
-        converged=converged,
+        converged=estimate < tol,
         convergence_estimate=estimate,
-        n_max_used=n_cur,
+        n_max_used=n_used,
     )
 
 
@@ -242,33 +262,23 @@ def full_spectrum(
     parts = [
         ed_spectrum(params, SectorSpec(q, p), n_max, tol, k, n_max_ceiling) for p in (+1, -1)
     ]
-    energies = np.concatenate([s.energies for s in parts])
-    parities = np.concatenate([s.parities for s in parts])
-    indices = np.concatenate([s.indices for s in parts])
-    converged = np.concatenate([s.converged for s in parts])
-    estimates = np.concatenate([s.convergence_estimate for s in parts])
-    order = np.argsort(energies, kind="stable")
+    fields = ("energies", "parities", "indices", "converged", "convergence_estimate")
+    merged = {name: np.concatenate([getattr(s, name) for s in parts]) for name in fields}
+    order = np.argsort(merged["energies"], kind="stable")
     return SpectrumResult(
-        energies=energies[order],
-        parities=parities[order],
-        indices=indices[order],
-        converged=converged[order],
-        convergence_estimate=estimates[order],
+        **{name: values[order] for name, values in merged.items()},
         n_max_used=max(s.n_max_used for s in parts),
     )
 
 
-def _squeezed_frame_eigs(params: ModelParams, parity: int, n_max: int) -> tuple[np.ndarray, float]:
+def _squeezed_frame_eigs(params: ModelParams, parity: int, n_max: int) -> np.ndarray:
     geo = geometry(params)
     m = aa_matrix(params, n_max)
     a = parity * m
     idx = np.arange(n_max)
     a[idx, idx] += (2 * idx + 0.5) * geo.beta - 0.5
     w = eig(a, right=False)
-    order = np.argsort(w.real)
-    w = w[order]
-    max_imag = float(np.abs(w.imag).max()) if n_max else 0.0
-    return w, max_imag
+    return w[np.argsort(w.real)]
 
 
 def squeezed_frame_spectrum(
@@ -292,8 +302,8 @@ def squeezed_frame_spectrum(
         raise ValueError("squeezed frame undefined at g = g_c (theta diverges)")
     if n_max < max(2 * k, 4):
         raise ValueError(f"n_max={n_max} too small for k={k} levels")
-    w_full, _ = _squeezed_frame_eigs(params, parity, n_max)
-    w_half, _ = _squeezed_frame_eigs(params, parity, n_max // 2)
+    w_full = _squeezed_frame_eigs(params, parity, n_max)
+    w_half = _squeezed_frame_eigs(params, parity, n_max // 2)
     lowest = w_full[:k]
     estimate = np.abs(lowest.real - w_half[:k].real)
     imag_ok = np.abs(lowest.imag) <= 1e-8 * (1.0 + np.abs(lowest.real))
@@ -316,25 +326,24 @@ def ground_state_block(
 ) -> tuple[float, np.ndarray, float, int]:
     """Ground level of the (q=1/4, parity=-1) block: (energy, coeffs, estimate, n_max).
 
-    Truncation doubles until the energy is stable to tol.  The
-    coefficient vector's overall sign is fixed so its largest entry is
-    positive.
+    Truncation doubles until the energy is stable to tol or the next
+    rung would pass the ceiling; the estimate is inf when only one rung
+    fits.  The coefficient vector's overall sign is fixed so its largest
+    entry is positive.
     """
-    n_cur = max(n_max, 8)
-    e_prev = None
-    while True:
-        block = build_parity_block(params, -1, n_cur)
+
+    def solve(n: int) -> tuple[float, np.ndarray]:
+        block = build_parity_block(params, -1, n)
         w, v = eigh_tridiagonal(block.diag, block.offdiag, select="i", select_range=(0, 0))
-        e_cur, coeffs = float(w[0]), v[:, 0]
-        if e_prev is not None:
-            estimate = abs(e_cur - e_prev)
-            if estimate < tol or 2 * n_cur > n_max_ceiling:
-                break
-        e_prev = e_cur
-        n_cur *= 2
+        return float(w[0]), v[:, 0]
+
+    (energy, coeffs), old, n_used = converge(
+        solve, max(n_max, 8), n_max_ceiling, lambda new, old: abs(new[0] - old[0]) < tol
+    )
+    estimate = math.inf if old is None else abs(energy - old[0])
     if coeffs[np.argmax(np.abs(coeffs))] < 0:
         coeffs = -coeffs
-    return e_cur, coeffs, estimate, n_cur
+    return energy, coeffs, estimate, n_used
 
 
 def block_to_spinfock(coeffs: np.ndarray, parity: int, q: float = 0.25) -> tuple[np.ndarray, np.ndarray]:
@@ -370,13 +379,21 @@ def dg_hamiltonian_apply(
     psi_up: np.ndarray, psi_dn: np.ndarray, r: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Apply dH/dg = (1+r)/2 sigma_z (a^2+a'^2) + (1-r)/2 i sigma_y (a^2-a'^2)."""
-    k_up = _a2_apply(psi_up) + _ad2_apply(psi_up)
-    k_dn = _a2_apply(psi_dn) + _ad2_apply(psi_dn)
-    l_up = _a2_apply(psi_up) - _ad2_apply(psi_up)
-    l_dn = _a2_apply(psi_dn) - _ad2_apply(psi_dn)
-    out_up = 0.5 * (1 + r) * k_up + 0.5 * (1 - r) * l_dn
-    out_dn = -0.5 * (1 + r) * k_dn - 0.5 * (1 - r) * l_up
+    a2_up, ad2_up = _a2_apply(psi_up), _ad2_apply(psi_up)
+    a2_dn, ad2_dn = _a2_apply(psi_dn), _ad2_apply(psi_dn)
+    out_up = 0.5 * (1 + r) * (a2_up + ad2_up) + 0.5 * (1 - r) * (a2_dn - ad2_dn)
+    out_dn = -0.5 * (1 + r) * (a2_dn + ad2_dn) - 0.5 * (1 - r) * (a2_up - ad2_up)
     return out_up, out_dn
+
+
+def _ground_spinfock(params: ModelParams, n_max: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Spin (x) Fock components of the ground state; raises unless it converged."""
+    _, coeffs, estimate, _ = ground_state_block(params, n_max, tol)
+    if estimate >= max(tol, 1e-8):
+        raise ConvergenceError(
+            f"ground state unconverged: estimate {estimate:.2e} at ceiling truncation"
+        )
+    return block_to_spinfock(coeffs, parity=-1)
 
 
 def ed_ground_observables(
@@ -389,12 +406,7 @@ def ed_ground_observables(
     subspace, and <a^2> vanishes by parity (retained in the quadrature
     formulas as an honesty check rather than assumed).
     """
-    energy, coeffs, estimate, _ = ground_state_block(params, n_max, tol)
-    if estimate >= max(tol, 1e-8):
-        raise ConvergenceError(
-            f"ground state unconverged: estimate {estimate:.2e} at ceiling truncation"
-        )
-    psi_up, psi_dn = block_to_spinfock(coeffs, parity=-1)
+    psi_up, psi_dn = _ground_spinfock(params, n_max, tol)
     f = np.arange(len(psi_up), dtype=float)
     photon = float(f @ (psi_up**2 + psi_dn**2))
     a2 = float(psi_up @ _a2_apply(psi_up) + psi_dn @ _a2_apply(psi_dn))
@@ -410,14 +422,7 @@ def _qfi_from_block(params: ModelParams, n_max: int, k_states: int) -> tuple[flo
     w, v = eigh_tridiagonal(
         block.diag, block.offdiag, select="i", select_range=(0, k_solve)
     )
-    n = np.arange(n_max - 1)
-    s = (-1.0) ** n  # parity -1
-    tau = np.sqrt((2 * n + 1.0) * (2 * n + 2.0)) * ((1 + params.r) - (1 - params.r) * s) / 2.0
-    v0 = v[:, 0]
-    tv0 = np.zeros(n_max)
-    tv0[:-1] += tau * v0[1:]
-    tv0[1:] += tau * v0[:-1]
-    nums = v[:, 1:].T @ tv0
+    nums = v[:, 1:].T @ tridiag_apply(np.zeros(n_max), block.coupling, v[:, 0])
     gaps = w[1:] - w[0]
     terms = 4.0 * nums**2 / gaps**2
     return float(terms.sum()), terms
@@ -440,24 +445,23 @@ def qfi_spectral(
     estimated from the last quarter of the included terms); truncation
     doubles until F_Q itself is stable to rel_tol.
     """
-    f_prev = None
-    n_cur = max(n_max, 4 * k_states)
-    while True:
-        f_cur, terms = _qfi_from_block(params, n_cur, k_states)
+
+    def solve(n: int) -> float:
+        f_q, terms = _qfi_from_block(params, n, k_states)
         tail = terms[-max(1, len(terms) // 4):].sum()
-        if tail > rel_tol * f_cur:
+        if tail > rel_tol * f_q:
             raise ConvergenceError(
                 f"spectral sum tail {tail:.3e} above {rel_tol:.0e} x F_Q = "
-                f"{rel_tol * f_cur:.3e} with k_states={k_states}; increase k_states"
+                f"{rel_tol * f_q:.3e} with k_states={k_states}; increase k_states"
             )
-        if f_prev is not None and abs(f_cur - f_prev) <= rel_tol * f_cur:
-            break
-        if 2 * n_cur > n_max_ceiling:
-            raise ConvergenceError(
-                f"F_Q not stable to {rel_tol:.0e} at truncation ceiling {n_cur}"
-            )
-        f_prev, n_cur = f_cur, 2 * n_cur
+        return f_q
 
+    def held(new: float, old: float) -> bool:
+        return abs(new - old) <= rel_tol * new
+
+    f_cur, f_prev, n_cur = converge(solve, max(n_max, 4 * k_states), n_max_ceiling, held)
+    if f_prev is None or not held(f_cur, f_prev):
+        raise ConvergenceError(f"F_Q not stable to {rel_tol:.0e} at truncation ceiling {n_cur}")
     if check_cross_parity:
         _assert_cross_parity_selection_rule(params, n_cur)
     return f_cur
@@ -506,8 +510,7 @@ def conditional_photon_state(
     params: ModelParams, conditioning: str, n_max: int = 64, tol: float = 1e-10
 ) -> np.ndarray:
     """Normalized photon state after projecting the qubit, over the Fock index."""
-    _, coeffs, _, _ = ground_state_block(params, n_max, tol)
-    psi_up, psi_dn = block_to_spinfock(coeffs, parity=-1)
+    psi_up, psi_dn = _ground_spinfock(params, n_max, tol)
     if conditioning == "qubit-up":
         comp = psi_up
     elif conditioning == "qubit-down":
@@ -563,10 +566,7 @@ def wigner_grid(
     ValueError reports the boundary mass; integral and second moments
     are the correctness invariants checked by the tests.
     """
-    _, coeffs, estimate, _ = ground_state_block(params, n_max, tol)
-    if estimate >= max(tol, 1e-8):
-        raise ConvergenceError(f"ground state unconverged (estimate {estimate:.2e})")
-    psi_up, psi_dn = block_to_spinfock(coeffs, parity=-1)
+    psi_up, psi_dn = _ground_spinfock(params, n_max, tol)
 
     if conditioning == "reduced":
         components = [psi_up, psi_dn]
@@ -605,12 +605,8 @@ def wigner_grid(
 
     values = _wigner_from_density(pairs, x_axis, p_axis)
 
-    boundary = max(
-        float(np.abs(values[0, :]).max()),
-        float(np.abs(values[-1, :]).max()),
-        float(np.abs(values[:, 0]).max()),
-        float(np.abs(values[:, -1]).max()),
-    )
+    edges = (values[0, :], values[-1, :], values[:, 0], values[:, -1])
+    boundary = max(float(np.abs(edge).max()) for edge in edges)
     if boundary > 1e-6:
         raise ValueError(
             f"grid too narrow: boundary |W| = {boundary:.2e} > 1e-6, widen half_width"

@@ -42,6 +42,7 @@ class ModelParams:
     def __post_init__(self):
         if self.omega != 1.0:
             raise ValueError("omega is fixed to 1 (all quantities in units of the mode frequency)")
+        check_finite(delta=self.delta, g=self.g, r=self.r)
         if not 0.0 <= self.r <= 1.0:
             raise ValueError(f"anisotropy r={self.r} outside [0, 1]")
         if self.delta < 0.0:
@@ -64,9 +65,6 @@ class ModelParams:
     @property
     def g_over_gc(self) -> float:
         return self.g / self.g_c
-
-    def at_critical_delta(self) -> bool:
-        return self.delta == self.delta_c
 
 
 @dataclass(frozen=True)
@@ -110,6 +108,13 @@ class SectorSpec:
         return self.q == 0.25
 
 
+def check_finite(**fields: float | None) -> None:
+    """Reject NaN and inf early, naming the first offending field; None (unset) passes."""
+    for name, value in fields.items():
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name}={value} must be finite")
+
+
 def critical_params(r: float) -> tuple[float, float]:
     """Critical coupling and qubit frequency (g_c, Delta_c) for anisotropy r."""
     if not 0.0 <= r <= 1.0:
@@ -124,23 +129,19 @@ def geometry(params: ModelParams) -> CriticalGeometry:
     """
     g_c, delta_c = critical_params(params.r)
     x = params.g / g_c
-    if x >= 1.0:
-        return CriticalGeometry(
-            g_c=g_c,
-            delta_c=delta_c,
-            beta=0.0,
-            theta=math.inf,
-            delta_detuning=params.delta - delta_c,
-            at_collapse=True,
-        )
-    beta = math.sqrt((1.0 - x) * (1.0 + x))
-    theta = 0.25 * math.log((1.0 + x) / (1.0 - x))
+    at_collapse = x >= 1.0
+    if at_collapse:
+        beta, theta = 0.0, math.inf
+    else:
+        beta = math.sqrt((1.0 - x) * (1.0 + x))
+        theta = 0.25 * math.log((1.0 + x) / (1.0 - x))
     return CriticalGeometry(
         g_c=g_c,
         delta_c=delta_c,
         beta=beta,
         theta=theta,
         delta_detuning=params.delta - delta_c,
+        at_collapse=at_collapse,
     )
 
 
@@ -160,7 +161,7 @@ def params_from_dict(cfg: dict) -> ModelParams:
     g_c, delta_c = critical_params(r)
 
     if ("g" in cfg) == ("g_over_gc" in cfg):
-        raise ValueError("specify exactly one of 'g' and 'g_over_gc'")
+        raise ValueError("exactly one of 'g' and 'g_over_gc' is required")
     g = float(cfg["g"]) if "g" in cfg else float(cfg["g_over_gc"]) * g_c
 
     if "delta" not in cfg:

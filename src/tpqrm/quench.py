@@ -33,8 +33,9 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import zgtsv
 
+from .ed import build_parity_block, converge, tridiag_apply
 from .errors import ConvergenceError
-from .model import ModelParams, critical_params
+from .model import ModelParams, check_finite, critical_params
 
 Z_NU = 0.5  # soft-mode gap exponent entering every closed form here
 
@@ -57,6 +58,7 @@ class QuenchProtocol:
 
     def __post_init__(self):
         g_c, delta_c = critical_params(self.r)
+        check_finite(g_f=self.g_f, tau_q=self.tau_q, delta=self.delta, dt=self.dt)
         if not 0.0 < self.g_f < g_c:
             raise ValueError(f"g_f={self.g_f} must lie strictly inside (0, g_c={g_c})")
         if self.tau_q <= 0.0:
@@ -90,40 +92,29 @@ class KZPrediction:
     e_r_kz: float
 
 
-def _block_arrays(r: float, delta: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    # q=1/4, parity -1 block: s_n = (-1)^n
-    n = np.arange(n_max)
-    s = (-1.0) ** n
-    diag = 2.0 * n - 0.5 * delta * s
-    tau = np.sqrt((2 * n[:-1] + 1.0) * (2 * n[:-1] + 2.0)) * ((1 + r) - (1 - r) * s[:-1]) / 2.0
-    return diag, tau
-
-
 def ground_energy_final(protocol: QuenchProtocol, tol: float = 1e-10) -> float:
     """E_0 at g_f from a dedicated eigensolve with truncation doubling."""
-    n_cur = max(protocol.n_max, 256)
-    e_prev = None
-    while True:
-        diag, tau = _block_arrays(protocol.r, protocol.delta, n_cur)
-        e_cur = float(
-            eigh_tridiagonal(
-                diag, protocol.g_f * tau, eigvals_only=True, select="i", select_range=(0, 0)
-            )[0]
+
+    def solve(n: int) -> float:
+        block = build_parity_block(protocol.params_final, -1, n)
+        return float(eigh_tridiagonal(block.diag, protocol.g_f * block.coupling,
+                                      eigvals_only=True, select="i", select_range=(0, 0))[0])
+
+    e_cur, e_prev, _ = converge(solve, max(protocol.n_max, 256), _E0_CEILING,
+                                lambda new, old: abs(new - old) < tol)
+    if e_prev is None or abs(e_cur - e_prev) >= tol:
+        raise ConvergenceError(
+            f"ground energy at g_f not converged to {tol:.0e} below n_max={_E0_CEILING}"
         )
-        if e_prev is not None and abs(e_cur - e_prev) < tol:
-            return e_cur
-        if 2 * n_cur > _E0_CEILING:
-            raise ConvergenceError(
-                f"ground energy at g_f not converged to {tol:.0e} below n_max={_E0_CEILING}"
-            )
-        e_prev, n_cur = e_cur, 2 * n_cur
+    return e_cur
 
 
 def _propagate_once(
     protocol: QuenchProtocol, n_max: int, dt: float, n_samples: int
 ) -> tuple[np.ndarray, float, float, list[tuple[float, float, float, float]]]:
     """One Crank-Nicolson run; returns (psi, norm_drift, leak, samples)."""
-    diag, tau = _block_arrays(protocol.r, protocol.delta, n_max)
+    block = build_parity_block(protocol.params_final, -1, n_max)
+    diag, coupling = block.diag, block.coupling
     psi = np.zeros(n_max, dtype=complex)
     psi[0] = 1.0
 
@@ -138,11 +129,8 @@ def _propagate_once(
     rate = protocol.g_f / protocol.tau_q
     for step in range(n_steps):
         g_mid = rate * (step + 0.5) * dt
-        t_mid = g_mid * tau
-        h_psi = diag * psi
-        h_psi[:-1] += t_mid * psi[1:]
-        h_psi[1:] += t_mid * psi[:-1]
-        rhs = psi - half * h_psi
+        t_mid = g_mid * coupling
+        rhs = psi - half * tridiag_apply(diag, t_mid, psi)
         dl = half * t_mid
         _, _, _, psi, info = zgtsv(dl, one_plus.copy(), dl.copy(), rhs)
         if info != 0:
@@ -150,13 +138,11 @@ def _propagate_once(
         if n_samples and (step + 1) % sample_every == 0:
             t_now = (step + 1) * dt
             g_now = rate * t_now
-            t_vec = g_now * tau
-            h_now = diag * psi
-            h_now[:-1] += t_vec * psi[1:]
-            h_now[1:] += t_vec * psi[:-1]
+            t_vec = g_now * coupling
             _, v = eigh_tridiagonal(diag, t_vec, select="i", select_range=(0, 0))
             overlap = abs(complex(np.vdot(v[:, 0], psi)))
-            samples.append((t_now, g_now, float(np.real(np.vdot(psi, h_now))), overlap))
+            energy = float(np.real(np.vdot(psi, tridiag_apply(diag, t_vec, psi))))
+            samples.append((t_now, g_now, energy, overlap))
 
     norm_drift = abs(float(np.linalg.norm(psi)) - 1.0)
     leak = float(np.sum(np.abs(psi[int(0.9 * n_max):]) ** 2))
@@ -164,11 +150,8 @@ def _propagate_once(
 
 
 def _residual_energy(protocol: QuenchProtocol, psi: np.ndarray, e0: float) -> float:
-    diag, tau = _block_arrays(protocol.r, protocol.delta, len(psi))
-    t_vec = protocol.g_f * tau
-    h_psi = diag * psi
-    h_psi[:-1] += t_vec * psi[1:]
-    h_psi[1:] += t_vec * psi[:-1]
+    block = build_parity_block(protocol.params_final, -1, len(psi))
+    h_psi = tridiag_apply(block.diag, protocol.g_f * block.coupling, psi)
     return float(np.real(np.vdot(psi, h_psi))) - e0
 
 
@@ -251,7 +234,6 @@ def kz_sweep(
     params: ModelParams,
     n_max: int = 256,
     dt: float | None = None,
-    n_threads: int = 1,
 ) -> list[dict]:
     """Residual energy across quench times; unconverged points are flagged.
 
@@ -286,9 +268,4 @@ def kz_sweep(
         )
         return row
 
-    if n_threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            return list(pool.map(one, taus))
     return [one(t) for t in taus]

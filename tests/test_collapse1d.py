@@ -28,6 +28,9 @@ def test_problem_validation():
         Collapse1DProblem(delta=-1.0)
     with pytest.raises(ValueError):
         Collapse1DProblem(delta=1.0, L=1.0, h=2.0)
+    for field, bad in (("L", math.nan), ("h", math.inf), ("delta", math.nan)):
+        with pytest.raises(ValueError, match=f"{field}={bad} must be finite"):
+            Collapse1DProblem(**{"delta": 1.0, field: bad})
 
 
 def test_no_bound_states_without_qubit_coupling():

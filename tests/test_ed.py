@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.hermite import hermval
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammaln
 
 from tpqrm import ed
@@ -29,6 +32,29 @@ def test_block_matches_dense_projection(delta, g, r, parity, q):
     assert ed.verify_block_projection(
         ModelParams(delta=delta, g=g, r=r), parity, 14, q
     ) < 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    r=st.floats(0.0, 1.0),
+    delta=st.floats(0.0, 2.0),
+    frac=st.floats(0.05, 0.9),
+    parity=st.sampled_from([+1, -1]),
+)
+def test_hellmann_feynman_block_coupling(r, delta, frac, parity):
+    # dE0/dg = <0| dH/dg |0> holds exactly in the truncated block
+    g_c, n = 1.0 / (1.0 + r), 96
+    g, h = frac * g_c, 1e-5 * g_c
+
+    def e0(coupling: float) -> float:
+        return ed.lowest_level(ModelParams(delta=delta, g=coupling, r=r), parity, n)
+
+    block = ed.build_parity_block(ModelParams(delta=delta, g=g, r=r), parity, n)
+    assert np.allclose(block.offdiag, g * block.coupling, rtol=1e-15, atol=0.0)
+    _, v = eigh_tridiagonal(block.diag, block.offdiag, select="i", select_range=(0, 0))
+    expected = float(v[:, 0] @ ed.tridiag_apply(np.zeros(n), block.coupling, v[:, 0]))
+    central = (e0(g + h) - e0(g - h)) / (2.0 * h)
+    assert abs(central - expected) < 1e-6 * max(1.0, abs(expected))
 
 
 def test_block_first_offdiagonal():
@@ -83,6 +109,67 @@ def test_collapse_point_gap_doubles_until_gate_holds():
     # a ceiling below the needed truncation reports the gate as failed
     gap, n_max, converged = ed.collapse_point_gap(p, 256, 2048)
     assert not converged and n_max == 2048
+
+
+def test_converge_climbs_rungs_until_held():
+    rungs = []
+
+    def solve(n: int) -> float:
+        rungs.append(n)
+        return 1.0 / n
+
+    def held(new: float, old: float) -> bool:
+        return abs(new - old) < 1e-3
+
+    # |1/n - 2/n| = 1/n < 1e-3 first holds at n = 1024
+    assert ed.converge(solve, 8, 1 << 20, held) == (1 / 1024, 1 / 512, 1024)
+    assert rungs == [8 << i for i in range(8)]
+
+
+def test_converge_never_solves_above_the_ceiling():
+    rungs = []
+
+    def solve(n: int) -> float:
+        rungs.append(n)
+        return 1.0 / n
+
+    new, old, n_max = ed.converge(solve, 8, 100, lambda new, old: False)
+    assert rungs == [8, 16, 32, 64] and (new, old, n_max) == (1 / 64, 1 / 32, 64)
+    rungs.clear()
+    assert ed.converge(solve, 50, 100, lambda new, old: False) == (1 / 100, 1 / 50, 100)
+    assert rungs == [50, 100]
+
+
+def test_converge_reports_no_old_when_one_rung_fits():
+    rungs = []
+    new, old, n_max = ed.converge(lambda n: rungs.append(n) or n, 64, 127, lambda *_: True)
+    assert (new, old, n_max) == (64, None, 64) and rungs == [64]
+
+
+def test_ground_state_block_stays_within_its_ceiling(monkeypatch):
+    sizes = []
+    build = ed.build_parity_block
+
+    def recording_build(params, parity, n_max, q=0.25):
+        sizes.append(n_max)
+        return build(params, parity, n_max, q)
+
+    monkeypatch.setattr(ed, "build_parity_block", recording_build)
+    _, coeffs, estimate, n_used = ed.ground_state_block(at_beta(0.6, 0.5), 64, n_max_ceiling=64)
+    assert sizes == [64] and n_used == 64 and len(coeffs) == 64
+    assert estimate == math.inf  # one rung gives no estimate, so callers' gates trip
+
+
+@pytest.mark.parametrize("compute", [
+    lambda p: ed.ed_ground_observables(p),
+    lambda p: ed.conditional_photon_state(p, "qubit-down"),
+    lambda p: ed.wigner_grid(p, points=9),
+], ids=["observables", "conditional", "wigner"])
+def test_ground_state_consumers_share_the_convergence_gate(compute):
+    # 1 - g/g_c = 1e-8 needs more than the default 16384 ceiling
+    g_c, delta_c = critical_params(0.6)
+    with pytest.raises(ConvergenceError, match="ground state unconverged"):
+        compute(ModelParams(delta=delta_c, g=g_c * (1 - 1e-8), r=0.6))
 
 
 def test_aa_deviation_grows_away_from_critical_line():

@@ -53,6 +53,9 @@ def test_supercritical_coupling_rejected():
         ModelParams(delta=-0.1, g=0.1, r=0.6)
     with pytest.raises(ValueError):
         ModelParams(delta=0.1, g=0.1, r=0.6, omega=2.0)
+    for field, bad in (("delta", math.nan), ("delta", math.inf), ("g", math.nan)):
+        with pytest.raises(ValueError, match=f"{field}={bad} must be finite"):
+            ModelParams(**{"delta": 0.1, "g": 0.1, "r": 0.6, field: bad})
 
 
 def test_beta_theta_identity_random_sample():

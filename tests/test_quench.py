@@ -21,6 +21,10 @@ def test_protocol_validation_and_defaults():
         QuenchProtocol(g_f=G_C, tau_q=10.0, r=R)
     with pytest.raises(ValueError):
         QuenchProtocol(g_f=0.5 * G_C, tau_q=-1.0, r=R)
+    for field, bad in (("tau_q", math.nan), ("tau_q", math.inf), ("delta", math.nan),
+                       ("dt", math.inf)):
+        with pytest.raises(ValueError, match=f"{field}={bad} must be finite"):
+            QuenchProtocol(**{"g_f": 0.5 * G_C, "tau_q": 10.0, "r": R, field: bad})
 
 
 def test_kz_predict_freezeout_and_scalings():
