@@ -40,7 +40,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .model import ModelParams, geometry
-from .specfun import legendre_log_table, legendre_pk_log, log_double_factorial
+from .specfun import log_double_factorial, squeeze_diagonal, squeeze_term
 
 
 @dataclass(frozen=True)
@@ -85,18 +85,11 @@ def _beta_of(params: ModelParams) -> float:
 
 def _m_element_value(m: int, n: int, delta: float, g: float, r: float, beta: float) -> float:
     """Exact Legendre form of M_mn; each term assembled in log space."""
-    log_fac = 0.5 * (gammaln(2 * n + 1) - gammaln(2 * m + 1)) + 0.5 * math.log(beta)
-
-    def term(ell: int, k: int) -> float:
-        sign, log_p = legendre_pk_log(ell, k, beta)
-        if sign == 0.0:
-            return 0.0
-        return sign * math.exp(log_fac + log_p)
-
-    total = 0.5 * delta * term(m + n, m - n)
+    total = 0.5 * delta * squeeze_term(m, n, 0, beta)
     if g != 0.0 and r != 1.0:
         total -= 0.5 * g * (1.0 - r) * (
-            term(m + n - 1, m - n + 1) - (2 * n + 1) * (2 * n + 2) * term(m + n + 1, m - n - 1)
+            squeeze_term(m, n, -1, beta)
+            - (2 * n + 1) * (2 * n + 2) * squeeze_term(m, n, +1, beta)
         )
     return (-1.0) ** m * total
 
@@ -146,23 +139,17 @@ def aa_matrix(params: ModelParams, n_max: int) -> np.ndarray:
     out = np.zeros((n_max, n_max))
     ns_all = np.arange(n_max)
     log_fact = gammaln(2.0 * ns_all + 1.0)
-    log_beta_half = 0.5 * math.log(beta)
+
+    def term(d: int, shift: int, ns: np.ndarray) -> np.ndarray:
+        return squeeze_diagonal(d, shift, ns, log_fact, l_max, beta)
+
     for d in range(-(n_max - 1), n_max):
         ns = ns_all[max(0, -d): n_max - max(0, d)]
         ms = ns + d
-        log_fac = log_beta_half + 0.5 * (log_fact[ns] - log_fact[ms])
-
-        s0, lp0 = legendre_log_table(d, l_max, beta)
-        ell0 = ms + ns
-        vals = 0.5 * delta * s0[ell0] * np.exp(log_fac + lp0[ell0])
+        vals = 0.5 * delta * term(d, 0, ns)
         if g != 0.0 and r != 1.0:
-            s1, lp1 = legendre_log_table(d + 1, l_max, beta)
-            s2, lp2 = legendre_log_table(d - 1, l_max, beta)
-            ell1 = np.maximum(ell0 - 1, 0)  # degree -1 folds onto 0
-            ell2 = ell0 + 1
-            t1 = s1[ell1] * np.exp(log_fac + lp1[ell1])
-            t2 = (2.0 * ns + 1.0) * (2.0 * ns + 2.0) * s2[ell2] * np.exp(log_fac + lp2[ell2])
-            vals -= 0.5 * g * (1.0 - r) * (t1 - t2)
+            rise = (2.0 * ns + 1.0) * (2.0 * ns + 2.0)
+            vals -= 0.5 * g * (1.0 - r) * (term(d, -1, ns) - rise * term(d, +1, ns))
         out[ms, ns] = (-1.0) ** ms * vals
     return out
 

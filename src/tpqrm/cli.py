@@ -100,6 +100,12 @@ def _params(ns, **coupling) -> ModelParams:
     return params_from_dict({k: v for k, v in cfg.items() if v is not None})
 
 
+def _collapse_problem(ns) -> collapse1d.Collapse1DProblem:
+    # the isotropic collapse point has Delta_c = 0, so 'critical' means 0 here
+    delta = 0.0 if ns.delta == "critical" else float(ns.delta)
+    return collapse1d.Collapse1DProblem(delta=delta, L=ns.L, h=ns.h)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tpqrm",
@@ -238,12 +244,13 @@ def _run_validate(ns) -> int:
         # grid and quench runs take g from their own flags; g = 0 checks delta and r alone
         coupling = {"g": ns.g, "g_over_gc": ns.g_over_gc} if hasattr(ns, "g") else {"g": 0.0}
         try:
-            params = _params(ns, **coupling)
+            built = _collapse_problem(ns) if ns.command == "collapse1d" else _params(ns, **coupling)
+            delta = built.delta
         except ValueError as exc:
             diagnostics.append(f"error: {exc}")
         else:
             if ns.delta == "critical":
-                diagnostics.append(f"delta 'critical' resolves to {params.delta:.17g}")
+                diagnostics.append(f"delta 'critical' resolves to {delta:.17g}")
         xr = getattr(ns, "x_range", None)
         if xr is not None and not 0.0 <= xr[0] < xr[1]:
             diagnostics.append(f"error: x-range {xr} needs 0 <= xmin < xmax")
@@ -407,9 +414,7 @@ def run_quench(ns) -> int:
 
 
 def run_collapse1d(ns) -> int:
-    # the isotropic collapse point has Delta_c = 0, so 'critical' means 0 here
-    delta = 0.0 if ns.delta == "critical" else float(ns.delta)
-    problem = collapse1d.Collapse1DProblem(delta=delta, L=ns.L, h=ns.h)
+    problem = _collapse_problem(ns)
     ladder = collapse1d.bound_states(problem, k=ns.k)
     rows = []
     for n in range(ns.k):
@@ -421,7 +426,7 @@ def run_collapse1d(ns) -> int:
     status = EXIT_OK
     if ns.check_hc:
         try:
-            check = collapse1d.collapse_hamiltonian_check(delta, n_max=ns.n_max)
+            check = collapse1d.collapse_hamiltonian_check(problem.delta, n_max=ns.n_max)
             report["hamiltonian_check"] = asdict(check)
         except CollapseMappingError as exc:
             report["hamiltonian_check"] = {"error": str(exc)}

@@ -271,12 +271,10 @@ def full_spectrum(
     )
 
 
-def _squeezed_frame_eigs(params: ModelParams, parity: int, n_max: int) -> np.ndarray:
-    geo = geometry(params)
-    m = aa_matrix(params, n_max)
+def _squeezed_frame_eigs(m: np.ndarray, parity: int, beta: float) -> np.ndarray:
     a = parity * m
-    idx = np.arange(n_max)
-    a[idx, idx] += (2 * idx + 0.5) * geo.beta - 0.5
+    idx = np.arange(len(m))
+    a[idx, idx] += (2 * idx + 0.5) * beta - 0.5
     w = eig(a, right=False)
     return w[np.argsort(w.real)]
 
@@ -293,17 +291,18 @@ def squeezed_frame_spectrum(
     The matrix is treated as general (non-symmetric) per its textual
     form; residual imaginary parts above 1e-8 (1 + |E|) flag the level
     unconverged instead of raising.  Convergence estimates come from a
-    half-size solve.  Near collapse this frame reaches a given accuracy
-    at much smaller n_max than bare Fock, because the basis already
-    absorbs the squeezing.
+    half-size solve on the matrix's leading block.  Near collapse this
+    frame reaches a given accuracy at much smaller n_max than bare Fock,
+    because the basis already absorbs the squeezing.
     """
     geo = geometry(params)
     if geo.at_collapse:
         raise ValueError("squeezed frame undefined at g = g_c (theta diverges)")
     if n_max < max(2 * k, 4):
         raise ValueError(f"n_max={n_max} too small for k={k} levels")
-    w_full = _squeezed_frame_eigs(params, parity, n_max)
-    w_half = _squeezed_frame_eigs(params, parity, n_max // 2)
+    m = aa_matrix(params, n_max)
+    w_full = _squeezed_frame_eigs(m, parity, geo.beta)
+    w_half = _squeezed_frame_eigs(m[: n_max // 2, : n_max // 2], parity, geo.beta)
     lowest = w_full[:k]
     estimate = np.abs(lowest.real - w_half[:k].real)
     imag_ok = np.abs(lowest.imag) <= 1e-8 * (1.0 + np.abs(lowest.real))
@@ -386,14 +385,19 @@ def dg_hamiltonian_apply(
     return out_up, out_dn
 
 
-def _ground_spinfock(params: ModelParams, n_max: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Spin (x) Fock components of the ground state; raises unless it converged."""
-    _, coeffs, estimate, _ = ground_state_block(params, n_max, tol)
+def _converged_ground(params: ModelParams, n_max: int, tol: float) -> tuple[np.ndarray, int]:
+    """ground_state_block's (coeffs, n_max); raises unless the estimate is below max(tol, 1e-8)."""
+    _, coeffs, estimate, n_used = ground_state_block(params, n_max, tol)
     if estimate >= max(tol, 1e-8):
         raise ConvergenceError(
             f"ground state unconverged: estimate {estimate:.2e} at ceiling truncation"
         )
-    return block_to_spinfock(coeffs, parity=-1)
+    return coeffs, n_used
+
+
+def _ground_spinfock(params: ModelParams, n_max: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Spin (x) Fock components of the ground state; raises unless it converged."""
+    return block_to_spinfock(_converged_ground(params, n_max, tol)[0], parity=-1)
 
 
 def ed_ground_observables(
@@ -416,67 +420,57 @@ def ed_ground_observables(
     return GroundStateObservables(photon=photon, sigma_x=sigma_x, dx=dx, dp=dp)
 
 
-def _qfi_from_block(params: ModelParams, n_max: int, k_states: int) -> tuple[float, np.ndarray]:
-    block = build_parity_block(params, -1, n_max)
-    k_solve = min(k_states, n_max - 1)
-    w, v = eigh_tridiagonal(
-        block.diag, block.offdiag, select="i", select_range=(0, k_solve)
-    )
-    nums = v[:, 1:].T @ tridiag_apply(np.zeros(n_max), block.coupling, v[:, 0])
-    gaps = w[1:] - w[0]
-    terms = 4.0 * nums**2 / gaps**2
-    return float(terms.sum()), terms
-
-
 def qfi_spectral(
     params: ModelParams,
     n_max: int = 256,
     k_states: int = 64,
     rel_tol: float = 1e-6,
     n_max_ceiling: int = N_MAX_CEILING,
-    check_cross_parity: bool = True,
 ) -> float:
     """Coupling quantum Fisher information from the spectral sum.
 
     F_Q = 4 sum_(j!=0) |<j| dH/dg |0>|^2 / (E_j - E_0)^2 over the
     ground-state parity block; cross-parity matrix elements of dH/dg
-    are checked to vanish (relative 1e-12) unless disabled.  The
+    are checked to vanish (relative 1e-12) at the final truncation.  The
     excited-state count must exhaust the sum to rel_tol (the tail is
     estimated from the last quarter of the included terms); truncation
     doubles until F_Q itself is stable to rel_tol.
     """
 
-    def solve(n: int) -> float:
-        f_q, terms = _qfi_from_block(params, n, k_states)
+    def solve(n: int) -> tuple[float, np.ndarray]:
+        block = build_parity_block(params, -1, n)
+        w, v = eigh_tridiagonal(
+            block.diag, block.offdiag, select="i", select_range=(0, min(k_states, n - 1))
+        )
+        nums = v[:, 1:].T @ tridiag_apply(np.zeros(n), block.coupling, v[:, 0])
+        terms = 4.0 * nums**2 / (w[1:] - w[0]) ** 2
+        f_q = float(terms.sum())
         tail = terms[-max(1, len(terms) // 4):].sum()
         if tail > rel_tol * f_q:
             raise ConvergenceError(
                 f"spectral sum tail {tail:.3e} above {rel_tol:.0e} x F_Q = "
                 f"{rel_tol * f_q:.3e} with k_states={k_states}; increase k_states"
             )
-        return f_q
+        return f_q, v[:, 0].copy()  # a view would keep all k_states vectors alive
 
-    def held(new: float, old: float) -> bool:
-        return abs(new - old) <= rel_tol * new
+    def held(new: tuple[float, np.ndarray], old: tuple[float, np.ndarray]) -> bool:
+        return abs(new[0] - old[0]) <= rel_tol * new[0]
 
-    f_cur, f_prev, n_cur = converge(solve, max(n_max, 4 * k_states), n_max_ceiling, held)
-    if f_prev is None or not held(f_cur, f_prev):
+    new, old, n_cur = converge(solve, max(n_max, 4 * k_states), n_max_ceiling, held)
+    if old is None or not held(new, old):
         raise ConvergenceError(f"F_Q not stable to {rel_tol:.0e} at truncation ceiling {n_cur}")
-    if check_cross_parity:
-        _assert_cross_parity_selection_rule(params, n_cur)
-    return f_cur
+    _assert_cross_parity_selection_rule(params, new[1])
+    return new[0]
 
 
-def _assert_cross_parity_selection_rule(params: ModelParams, n_max: int, k: int = 4) -> None:
+def _assert_cross_parity_selection_rule(params: ModelParams, ground: np.ndarray) -> None:
     """Symmetry forbids <opposite parity| dH/dg |ground>; enforce it numerically."""
-    block_m = build_parity_block(params, -1, n_max)
-    _, v0 = eigh_tridiagonal(block_m.diag, block_m.offdiag, select="i", select_range=(0, 0))
-    up0, dn0 = block_to_spinfock(v0[:, 0], parity=-1)
+    up0, dn0 = block_to_spinfock(ground, parity=-1)
     dup, ddn = dg_hamiltonian_apply(up0, dn0, params.r)
     scale = math.sqrt(float(dup @ dup + ddn @ ddn))
-    block_p = build_parity_block(params, +1, n_max)
-    _, vp = eigh_tridiagonal(block_p.diag, block_p.offdiag, select="i", select_range=(0, k - 1))
-    for j in range(k):
+    block_p = build_parity_block(params, +1, len(ground))
+    _, vp = eigh_tridiagonal(block_p.diag, block_p.offdiag, select="i", select_range=(0, 3))
+    for j in range(4):
         wu, wd = block_to_spinfock(vp[:, j], parity=+1)
         elem = float(wu @ dup + wd @ ddn)
         if abs(elem) > 1e-12 * max(scale, 1.0):
@@ -490,12 +484,14 @@ def qfi_fidelity_oracle(params: ModelParams, n_max: int = 256, eps: float = 1e-5
     """QFI from the fidelity drop between ground states at g and g + eps.
 
     Independent of the spectral sum: F_Q ~ 8 (1 - |<psi(g)|psi(g+eps)>|) / eps^2.
+    Both ground states pass the gate of the other ground-state consumers,
+    else ConvergenceError.
     """
     if params.g + eps >= params.g_c:
         raise ValueError("g + eps crosses the collapse point")
-    _, c1, _, used = ground_state_block(params, n_max)
+    c1, used = _converged_ground(params, n_max, 1e-10)
     shifted = ModelParams(delta=params.delta, g=params.g + eps, r=params.r)
-    _, c2, _, used2 = ground_state_block(shifted, used)
+    c2, _ = _converged_ground(shifted, used, 1e-10)
     n = min(len(c1), len(c2))
     overlap = abs(float(c1[:n] @ c2[:n]))
     return 8.0 * (1.0 - overlap) / eps**2

@@ -110,9 +110,9 @@ def ground_energy_final(protocol: QuenchProtocol, tol: float = 1e-10) -> float:
 
 
 def _propagate_once(
-    protocol: QuenchProtocol, n_max: int, dt: float, n_samples: int
-) -> tuple[np.ndarray, float, float, list[tuple[float, float, float, float]]]:
-    """One Crank-Nicolson run; returns (psi, norm_drift, leak, samples)."""
+    protocol: QuenchProtocol, n_max: int, dt: float, n_samples: int, e0: float
+) -> tuple[float, float, float, list[tuple[float, float, float, float]]]:
+    """One Crank-Nicolson run; returns (E_r, norm_drift, leak, samples)."""
     block = build_parity_block(protocol.params_final, -1, n_max)
     diag, coupling = block.diag, block.coupling
     psi = np.zeros(n_max, dtype=complex)
@@ -146,13 +146,8 @@ def _propagate_once(
 
     norm_drift = abs(float(np.linalg.norm(psi)) - 1.0)
     leak = float(np.sum(np.abs(psi[int(0.9 * n_max):]) ** 2))
-    return psi, norm_drift, leak, samples
-
-
-def _residual_energy(protocol: QuenchProtocol, psi: np.ndarray, e0: float) -> float:
-    block = build_parity_block(protocol.params_final, -1, len(psi))
-    h_psi = tridiag_apply(block.diag, protocol.g_f * block.coupling, psi)
-    return float(np.real(np.vdot(psi, h_psi))) - e0
+    h_psi = tridiag_apply(diag, protocol.g_f * coupling, psi)
+    return float(np.real(np.vdot(psi, h_psi))) - e0, norm_drift, leak, samples
 
 
 def propagate(
@@ -163,40 +158,41 @@ def propagate(
     """Run the quench; report E_r only once dt-halving moves it by < 1%.
 
     Raises ConvergenceError on norm drift above 1e-9, on basis leakage
-    (top decile occupancy above 1e-8, after one automatic doubling), on
-    dt non-convergence, and, with check_truncation, when doubling n_max
-    moves E_r by more than 1%.
+    (top decile occupancy above 1e-8 at n_max, 2 n_max and 4 n_max), on
+    dt non-convergence (three halvings), and, with check_truncation,
+    when doubling n_max moves E_r by more than 1%.
     """
     e0 = ground_energy_final(protocol)
-    n_max = protocol.n_max
     dt = protocol.dt if protocol.dt is not None else protocol.default_dt()
 
-    for _ in range(3):
-        psi, drift, leak, samples_raw = _propagate_once(protocol, n_max, dt, n_samples)
+    for n_max in (protocol.n_max, 2 * protocol.n_max, 4 * protocol.n_max):
+        e_r, drift, leak, samples_raw = _propagate_once(protocol, n_max, dt, n_samples, e0)
         if leak <= _LEAK_TARGET:
             break
-        n_max *= 2
     else:
         raise ConvergenceError(f"basis leakage {leak:.2e} above {_LEAK_TARGET:.0e} at n_max={n_max}")
     if drift > _NORM_DRIFT_TARGET:
         raise ConvergenceError(f"norm drift {drift:.2e} above {_NORM_DRIFT_TARGET:.0e}")
 
-    e_r = _residual_energy(protocol, psi, e0)
-    for _ in range(3):
-        psi_h, drift_h, _, _ = _propagate_once(protocol, n_max, dt / 2, 0)
-        e_r_half = _residual_energy(protocol, psi_h, e0)
-        if abs(e_r_half - e_r) <= _ER_REL_TOL * max(abs(e_r_half), 1e-300):
-            break
-        dt, e_r = dt / 2, e_r_half
-    else:
+    def e_r_at(halvings: int, e_r_first: float = e_r) -> float:
+        # rung h runs at dt / h; the first rung is the leakage run above
+        if halvings == 1:
+            return e_r_first
+        return _propagate_once(protocol, n_max, dt / halvings, 0, e0)[0]
+
+    def held(new: float, old: float) -> bool:
+        return abs(new - old) <= _ER_REL_TOL * max(abs(new), 1e-300)
+
+    e_r_fine, e_r, halvings = converge(e_r_at, 1, 8, held)
+    if not held(e_r_fine, e_r):
         raise ConvergenceError(
-            f"E_r not stable to {_ER_REL_TOL:.0%} under dt halving (last dt={dt:.2e})"
+            f"E_r not stable to {_ER_REL_TOL:.0%} under dt halving (last dt={dt / halvings:.2e})"
         )
+    dt /= halvings // 2  # report the coarser step of the held pair
 
     if check_truncation:
-        psi_d, _, _, _ = _propagate_once(protocol, 2 * n_max, dt, 0)
-        e_r_dbl = _residual_energy(protocol, psi_d, e0)
-        if abs(e_r_dbl - e_r) > _ER_REL_TOL * max(abs(e_r_dbl), 1e-300):
+        e_r_dbl = _propagate_once(protocol, 2 * n_max, dt, 0, e0)[0]
+        if not held(e_r_dbl, e_r):
             raise ConvergenceError(
                 f"E_r moves by {abs(e_r_dbl - e_r):.2e} (> 1%) when doubling n_max={n_max}"
             )

@@ -165,13 +165,24 @@ def legendre_smallbeta(l: int, k: int, beta: float) -> float:
     return correction * sign * math.exp(log_mag) * envelope
 
 
-def _squeeze_log(m: int, n: int, beta: float) -> tuple[float, float]:
-    """(sign, log|.|) of the common factor sqrt(beta (2n)!/(2m)!) P_(m+n)^(m-n)(beta)."""
-    sign, log_p = legendre_pk_log(m + n, m - n, beta)
+def squeeze_term(m: int, n: int, shift: int, beta: float) -> float:
+    """sqrt(beta (2n)!/(2m)!) P_(m+n+shift)^(m-n-shift)(beta), assembled in log space."""
+    sign, log_p = legendre_pk_log(m + n + shift, m - n - shift, beta)
     if sign == 0.0:
-        return 0.0, -np.inf
+        return 0.0
     log_fac = 0.5 * (gammaln(2 * n + 1) - gammaln(2 * m + 1))
-    return sign, 0.5 * math.log(beta) + log_fac + log_p
+    return sign * math.exp(0.5 * math.log(beta) + log_fac + log_p)
+
+
+def squeeze_diagonal(
+    d: int, shift: int, ns: np.ndarray, log_fact: np.ndarray, l_max: int, beta: float
+) -> np.ndarray:
+    """squeeze_term(n + d, n, shift, beta) for every n in ns; log_fact[j] = log (2j)!."""
+    signs, logs = legendre_log_table(d - shift, l_max, beta)
+    ms = ns + d
+    ells = np.maximum(ms + ns + shift, 0)  # degree -1 folds onto 0
+    log_total = 0.5 * math.log(beta) + 0.5 * (log_fact[ns] - log_fact[ms]) + logs[ells]
+    return signs[ells] * np.exp(log_total)
 
 
 def squeeze_element(m: int, n: int, theta: float, sign: int = +1) -> float:
@@ -184,12 +195,10 @@ def squeeze_element(m: int, n: int, theta: float, sign: int = +1) -> float:
         raise ValueError("theta must be finite")
     s_eff = sign if theta >= 0.0 else -sign
     beta = 1.0 / math.cosh(2.0 * theta)
-    base_sign, log_abs = _squeeze_log(m, n, beta)
-    if base_sign == 0.0:
-        return 0.0
-    if s_eff == -1:
-        base_sign *= (-1.0) ** (m - n)
-    return base_sign * math.exp(log_abs)
+    if beta == 1.0:
+        return float(m == n)  # S(0) is the identity; its zeros stay +0.0 for either sign
+    value = squeeze_term(m, n, 0, beta)
+    return (-1.0) ** (m - n) * value if s_eff == -1 else value
 
 
 @dataclass(frozen=True)
@@ -222,12 +231,9 @@ def squeeze_matrix(theta: float, n_max: int, sign: int = +1) -> SqueezeMatrix:
     ns_all = np.arange(n_max)
     log_fact = gammaln(2.0 * ns_all + 1.0)
     for d in range(n_max):  # diagonal m - n = d >= 0
-        p_signs, p_logs = legendre_log_table(d, l_max, beta)
         ns = ns_all[: n_max - d]
         ms = ns + d
-        ells = ms + ns
-        log_total = 0.5 * math.log(beta) + 0.5 * (log_fact[ns] - log_fact[ms]) + p_logs[ells]
-        vals = p_signs[ells] * np.exp(log_total)
+        vals = squeeze_diagonal(d, 0, ns, log_fact, l_max, beta)
         plus[ms, ns] = vals
         if d > 0:
             plus[ns, ms] = (-1.0) ** d * vals

@@ -45,6 +45,18 @@ def test_validate_resolves_critical_delta(tmp_path, capsys):
     assert payload["manifest"]["command"] == "spectrum"
 
 
+def test_collapse1d_validate_resolves_critical_as_the_run_does(tmp_path, capsys):
+    # the run maps 'critical' to the isotropic collapse point, not Delta_c(r=0.6)
+    code = run_cli(["collapse1d", "--validate"], tmp_path)
+    payload = json.loads(capsys.readouterr().out)
+    assert code == cli.EXIT_OK
+    assert "delta 'critical' resolves to 0" in payload["diagnostics"]
+    code = run_cli(["collapse1d", "--h", "500", "--validate"], tmp_path)
+    payload = json.loads(capsys.readouterr().out)
+    assert code == cli.EXIT_CONFIG
+    assert "error: need 0 < h < L" in payload["diagnostics"]
+
+
 def test_manifest_version_falls_back_when_not_installed(tmp_path, capsys, monkeypatch):
     from importlib.metadata import PackageNotFoundError
 

@@ -160,6 +160,23 @@ def test_ground_state_block_stays_within_its_ceiling(monkeypatch):
     assert estimate == math.inf  # one rung gives no estimate, so callers' gates trip
 
 
+@given(
+    r=st.floats(0.0, 1.0),
+    delta=st.floats(0.0, 2.0),
+    frac=st.floats(0.0, 0.95),
+    parity=st.sampled_from([+1, -1]),
+    q=st.sampled_from([0.25, 0.75]),
+    n=st.sampled_from([16, 32]),
+)
+def test_doubling_never_raises_the_lowest_levels(r, delta, frac, parity, q, n):
+    # Cauchy interlacing: the n-block is a leading principal block of the
+    # 2n-block, so no level rises when the truncation doubles
+    p = ModelParams(delta=delta, g=frac / (1.0 + r), r=r)
+    small = ed._lowest_block_eigenvalues(ed.build_parity_block(p, parity, n, q), 6)
+    large = ed._lowest_block_eigenvalues(ed.build_parity_block(p, parity, 2 * n, q), 6)
+    assert np.all(large - small <= 1e-12 * (1.0 + np.abs(small)))
+
+
 @pytest.mark.parametrize("compute", [
     lambda p: ed.ed_ground_observables(p),
     lambda p: ed.conditional_photon_state(p, "qubit-down"),
@@ -232,6 +249,20 @@ def test_squeezed_frame_wins_at_small_beta_moderate_accuracy():
     assert bare_err > 2e-2
 
 
+@pytest.mark.parametrize("parity", [+1, -1])
+def test_squeezed_frame_builds_one_matrix(monkeypatch, parity):
+    sizes = []
+    build = ed.aa_matrix
+
+    def recording_build(params, n_max):
+        sizes.append(n_max)
+        return build(params, n_max)
+
+    monkeypatch.setattr(ed, "aa_matrix", recording_build)
+    ed.squeezed_frame_spectrum(at_beta(0.6, 0.3), parity, 64)
+    assert sizes == [64]  # the n_max/2 estimate reads the leading block
+
+
 def test_squeezed_frame_imaginary_parts_negligible():
     spec = ed.squeezed_frame_spectrum(at_beta(0.6, 0.3), -1, 240, k=6)
     assert spec.n_max_used == 240  # flags come from the half-size estimate, not imag parts
@@ -281,6 +312,30 @@ def test_qfi_matches_leading_form_near_collapse(beta):
     p = at_beta(0.6, beta)
     f_q = ed.qfi_spectral(p, n_max=512)
     assert abs(f_q - aa_qfi_leading(p)) / f_q < 3 * beta
+
+
+def test_qfi_solves_the_final_ground_block_once(monkeypatch):
+    p = at_beta(0.6, 0.3)
+    diags = []
+    solve = ed.eigh_tridiagonal
+
+    def recording_solve(d, e, *args, **kwargs):
+        diags.append(d)
+        return solve(d, e, *args, **kwargs)
+
+    monkeypatch.setattr(ed, "eigh_tridiagonal", recording_solve)
+    ed.qfi_spectral(p)
+    final = ed.build_parity_block(p, -1, max(len(d) for d in diags)).diag
+    # the selection rule reuses the last rung's ground vector
+    assert sum(np.array_equal(d, final) for d in diags) == 1
+
+
+def test_fidelity_oracle_rejects_unconverged_ground_states():
+    # the first state reaches the 16384 ceiling with an estimate of 6.4e-7
+    g_c, delta_c = critical_params(0.6)
+    p = ModelParams(delta=delta_c, g=g_c * (1 - 1e-7), r=0.6)
+    with pytest.raises(ConvergenceError, match="ground state unconverged"):
+        ed.qfi_fidelity_oracle(p, eps=1e-9)
 
 
 def test_qfi_tail_gate_raises_when_starved():

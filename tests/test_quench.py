@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from tpqrm.errors import ConvergenceError
 from tpqrm.model import ModelParams, critical_params
 from tpqrm.quench import QuenchProtocol, ground_energy_final, kz_predict, kz_sweep, propagate
 from tpqrm import ed
@@ -96,3 +97,27 @@ def test_kz_sweep_rows_and_flags():
     assert all(row["converged"] for row in table)
     assert all(row["e_r"] >= -1e-10 for row in table)
     assert all(row["norm_drift"] < 1e-9 for row in table)
+
+
+@pytest.mark.parametrize("frac,tau_q,n_max,dt,n_used,dt_used", [
+    (0.9, 20.0, 8, 0.5, 16, 0.125),  # one leakage doubling, two dt halvings
+    (0.95, 30.0, 6, 0.3, 24, 0.15),  # two leakage doublings, one dt halving
+])
+def test_propagate_climbs_both_ladders(frac, tau_q, n_max, dt, n_used, dt_used):
+    protocol = QuenchProtocol(g_f=frac * G_C, tau_q=tau_q, r=R, n_max=n_max, dt=dt)
+    res = propagate(protocol, check_truncation=True)
+    assert (res.n_max, res.dt) == (n_used, dt_used)
+    assert res.residual_energy > 0.0
+
+
+def test_propagate_dt_ladder_gives_up_after_three_halvings():
+    protocol = QuenchProtocol(g_f=0.99 * G_C, tau_q=10.0, r=R, n_max=64, dt=4.0)
+    with pytest.raises(ConvergenceError, match=r"under dt halving \(last dt=5\.00e-01\)"):
+        propagate(protocol)
+
+
+def test_propagate_leakage_error_names_the_last_truncation_run():
+    # n_max = 2, 4 and 8 all leak; 16 was never run
+    protocol = QuenchProtocol(g_f=0.999 * G_C, tau_q=50.0, r=R, n_max=2, dt=1.0)
+    with pytest.raises(ConvergenceError, match=r"basis leakage .* at n_max=8$"):
+        propagate(protocol)

@@ -115,9 +115,12 @@ def _squeeze_oracle(theta: float, n_fock: int) -> np.ndarray:
 
 
 def test_squeeze_element_identity_at_zero():
-    for m in range(5):
-        for n in range(5):
-            assert squeeze_element(m, n, 0.0) == (1.0 if m == n else 0.0)
+    for sign in (+1, -1):
+        for m in range(5):
+            for n in range(5):
+                v = squeeze_element(m, n, 0.0, sign)
+                assert v == (1.0 if m == n else 0.0)
+                assert math.copysign(1.0, v) == 1.0  # no -0.0 off the diagonal
 
 
 def test_squeeze_element_against_exponentiated_generator():
