@@ -40,7 +40,8 @@ import numpy as np
 from scipy.special import gammaln
 
 from .model import ModelParams, geometry
-from .specfun import log_double_factorial, squeeze_diagonal, squeeze_term
+from .specfun import (legendre_log_table, legendre_negative_order, log_double_factorial,
+                      squeeze_diagonal, squeeze_term)
 
 
 @dataclass(frozen=True)
@@ -140,17 +141,25 @@ def aa_matrix(params: ModelParams, n_max: int) -> np.ndarray:
     ns_all = np.arange(n_max)
     log_fact = gammaln(2.0 * ns_all + 1.0)
 
-    def term(d: int, shift: int, ns: np.ndarray) -> np.ndarray:
-        return squeeze_diagonal(d, shift, ns, log_fact, l_max, beta)
+    tables: dict[int, tuple] = {}  # positive orders only; negative ones derive from them
 
-    for d in range(-(n_max - 1), n_max):
-        ns = ns_all[max(0, -d): n_max - max(0, d)]
-        ms = ns + d
-        vals = 0.5 * delta * term(d, 0, ns)
-        if g != 0.0 and r != 1.0:
-            rise = (2.0 * ns + 1.0) * (2.0 * ns + 2.0)
-            vals -= 0.5 * g * (1.0 - r) * (term(d, -1, ns) - rise * term(d, +1, ns))
-        out[ms, ns] = (-1.0) ** ms * vals
+    def term(d: int, shift: int, ns: np.ndarray) -> np.ndarray:
+        table = tables[abs(d - shift)]
+        if d < shift:
+            table = legendre_negative_order(*table, shift - d)
+        return squeeze_diagonal(d, shift, ns, log_fact, table, beta)
+
+    for k in range(n_max):  # diagonals +-k read orders +-(k - 1), +-k, +-(k + 1): keep those three
+        tables = {o: tables.get(o) or legendre_log_table(o, l_max, beta)
+                  for o in range(max(k - 1, 0), k + 2)}
+        for d in sorted({-k, k}):
+            ns = ns_all[max(0, -d): n_max - max(0, d)]
+            ms = ns + d
+            vals = 0.5 * delta * term(d, 0, ns)
+            if g != 0.0 and r != 1.0:
+                rise = (2.0 * ns + 1.0) * (2.0 * ns + 2.0)
+                vals -= 0.5 * g * (1.0 - r) * (term(d, -1, ns) - rise * term(d, +1, ns))
+            out[ms, ns] = (-1.0) ** ms * vals
     return out
 
 

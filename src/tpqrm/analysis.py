@@ -16,6 +16,8 @@ import numpy as np
 
 from .model import critical_params
 
+MIN_FIT_POINTS = 5  # fewest points either fit accepts
+
 
 @dataclass(frozen=True)
 class FitResult:
@@ -70,8 +72,8 @@ def fit_powerlaw(
         lo, hi = window
         mask &= (u >= lo) & (u <= hi)
     u, y = u[mask], y[mask]
-    if len(u) < 5:
-        raise ValueError(f"need at least 5 points in the window, got {len(u)}")
+    if len(u) < MIN_FIT_POINTS:
+        raise ValueError(f"need at least {MIN_FIT_POINTS} points in the window, got {len(u)}")
     if np.any(u <= 0) or np.any(y <= 0):
         raise ValueError("power-law fit needs strictly positive data")
     slope, intercept = np.polyfit(np.log(u), np.log(y), 1)
@@ -98,8 +100,8 @@ def fit_quadratic_gap(delta_values, gaps, delta_c: float) -> FitResult:
         raise ValueError("delta_values and gaps must have matching shapes")
     mask = np.isfinite(d) & np.isfinite(y)
     d, y = d[mask], y[mask]
-    if len(d) < 5:
-        raise ValueError(f"need at least 5 points, got {len(d)}")
+    if len(d) < MIN_FIT_POINTS:
+        raise ValueError(f"need at least {MIN_FIT_POINTS} points, got {len(d)}")
     dsq = (d - delta_c) ** 2
     design = np.vstack([dsq, np.ones_like(dsq)]).T
     (coef, intercept), *_ = np.linalg.lstsq(design, y, rcond=None)

@@ -23,7 +23,7 @@ which satisfy beta = 1/cosh(2*theta) identically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -37,11 +37,8 @@ class ModelParams:
     delta: float
     g: float
     r: float
-    omega: float = field(default=1.0)
 
     def __post_init__(self):
-        if self.omega != 1.0:
-            raise ValueError("omega is fixed to 1 (all quantities in units of the mode frequency)")
         check_finite(delta=self.delta, g=self.g, r=self.r)
         if not 0.0 <= self.r <= 1.0:
             raise ValueError(f"anisotropy r={self.r} outside [0, 1]")
@@ -80,7 +77,6 @@ class CriticalGeometry:
     delta_c: float
     beta: float
     theta: float
-    delta_detuning: float
     e_collapse: float = -0.5
     at_collapse: bool = False
 
@@ -123,7 +119,7 @@ def critical_params(r: float) -> tuple[float, float]:
 
 
 def geometry(params: ModelParams) -> CriticalGeometry:
-    """Critical geometry (beta, theta, detuning) of a parameter point.
+    """Critical geometry (beta, theta) of a parameter point.
 
     At g = g_c returns beta = 0, theta = +inf with at_collapse set.
     """
@@ -140,7 +136,6 @@ def geometry(params: ModelParams) -> CriticalGeometry:
         delta_c=delta_c,
         beta=beta,
         theta=theta,
-        delta_detuning=params.delta - delta_c,
         at_collapse=at_collapse,
     )
 

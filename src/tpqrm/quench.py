@@ -63,6 +63,8 @@ class QuenchProtocol:
             raise ValueError(f"g_f={self.g_f} must lie strictly inside (0, g_c={g_c})")
         if self.tau_q <= 0.0:
             raise ValueError("tau_q must be positive")
+        if self.n_max < 2:
+            raise ValueError("n_max must be >= 2")
         if self.delta is None:
             object.__setattr__(self, "delta", delta_c)
 
@@ -230,12 +232,14 @@ def kz_sweep(
     params: ModelParams,
     n_max: int = 256,
     dt: float | None = None,
+    n_samples: int = 0,
 ) -> list[dict]:
     """Residual energy across quench times; unconverged points are flagged.
 
     params supplies (delta, r); g_f is the common endpoint.  Each point
     carries its own dt-halving and truncation checks; failures mark the
-    row converged=False rather than aborting the sweep.
+    row converged=False rather than aborting the sweep.  "samples" holds
+    the run's n_samples trajectory samples (None if 0 or unconverged).
     """
     taus = [float(t) for t in tau_list]
 
@@ -250,9 +254,10 @@ def kz_sweep(
             "n_max": protocol.n_max,
             "dt": protocol.dt if protocol.dt is not None else protocol.default_dt(),
             "converged": False,
+            "samples": None,
         }
         try:
-            res = propagate(protocol, check_truncation=True)
+            res = propagate(protocol, n_samples=n_samples, check_truncation=True)
         except ConvergenceError:
             return row
         row.update(
@@ -261,6 +266,7 @@ def kz_sweep(
             n_max=res.n_max,
             dt=res.dt,
             converged=True,
+            samples=res.samples,
         )
         return row
 

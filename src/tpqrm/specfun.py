@@ -81,13 +81,7 @@ def legendre_log_table(k: int, l_max: int, x: float) -> tuple[np.ndarray, np.nda
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"legendre argument x={x} outside [0, 1]")
     if k < 0:
-        kk = -k
-        signs, logs = legendre_log_table(kk, l_max, x)
-        ls = np.arange(l_max + 1, dtype=float)
-        with np.errstate(invalid="ignore"):
-            ratio = gammaln(ls - kk + 1) - gammaln(ls + kk + 1)
-        ratio[: min(kk, l_max + 1)] = -np.inf  # l < |k|: zero stays zero
-        return signs * (-1.0) ** kk, logs + ratio
+        return legendre_negative_order(*legendre_log_table(-k, l_max, x), -k)
 
     signs = np.zeros(l_max + 1)
     logs = np.full(l_max + 1, -np.inf)
@@ -125,6 +119,15 @@ def legendre_log_table(k: int, l_max: int, x: float) -> tuple[np.ndarray, np.nda
             signs[ell] = math.copysign(1.0, p_cur)
             logs[ell] = math.log(abs(p_cur)) + shift + log_seed
     return signs, logs
+
+
+def legendre_negative_order(signs: np.ndarray, logs: np.ndarray, k: int) -> tuple:
+    """(sign, log|P|) at order -k from legendre_log_table's order-k table (k >= 0)."""
+    ls = np.arange(len(logs), dtype=float)
+    with np.errstate(invalid="ignore"):
+        ratio = gammaln(ls - k + 1) - gammaln(ls + k + 1)
+    ratio[: min(k, len(logs))] = -np.inf  # l < k: zero stays zero
+    return signs * (-1.0) ** k, logs + ratio
 
 
 def legendre_pk_log(l: int, k: int, x: float) -> tuple[float, float]:
@@ -175,10 +178,11 @@ def squeeze_term(m: int, n: int, shift: int, beta: float) -> float:
 
 
 def squeeze_diagonal(
-    d: int, shift: int, ns: np.ndarray, log_fact: np.ndarray, l_max: int, beta: float
+    d: int, shift: int, ns: np.ndarray, log_fact: np.ndarray, table: tuple, beta: float
 ) -> np.ndarray:
-    """squeeze_term(n + d, n, shift, beta) for every n in ns; log_fact[j] = log (2j)!."""
-    signs, logs = legendre_log_table(d - shift, l_max, beta)
+    """squeeze_term(n + d, n, shift, beta) for every n in ns, from table: the order d - shift
+    legendre_log_table up to degree 2 max(ns) + d + shift; log_fact[j] = log (2j)!."""
+    signs, logs = table
     ms = ns + d
     ells = np.maximum(ms + ns + shift, 0)  # degree -1 folds onto 0
     log_total = 0.5 * math.log(beta) + 0.5 * (log_fact[ns] - log_fact[ms]) + logs[ells]
@@ -233,7 +237,7 @@ def squeeze_matrix(theta: float, n_max: int, sign: int = +1) -> SqueezeMatrix:
     for d in range(n_max):  # diagonal m - n = d >= 0
         ns = ns_all[: n_max - d]
         ms = ns + d
-        vals = squeeze_diagonal(d, 0, ns, log_fact, l_max, beta)
+        vals = squeeze_diagonal(d, 0, ns, log_fact, legendre_log_table(d, l_max, beta), beta)
         plus[ms, ns] = vals
         if d > 0:
             plus[ns, ms] = (-1.0) ** d * vals

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 
@@ -149,11 +150,22 @@ def test_quench_command_small(tmp_path):
     assert np.all(data["e_r"] >= -1e-10)
 
 
-def test_quench_trajectory_samples(tmp_path):
+def test_quench_trajectory_samples(tmp_path, monkeypatch):
+    from tpqrm import quench
+
+    calls = []
+    propagate = quench.propagate
+
+    def recording(protocol, *args, **kwargs):
+        calls.append(protocol)
+        return propagate(protocol, *args, **kwargs)
+
+    monkeypatch.setattr(quench, "propagate", recording)
     code = run_cli(["quench", "--r", "0.25", "--gf", "0.6", "--tau-list", "5",
                     "--n-max", "64", "--dt", "0.005", "--samples", "5", "--out", "qt"],
                    tmp_path)
     assert code == cli.EXIT_OK
+    assert len(calls) == 1  # the run that yields E_r also records the trajectory
     data = np.genfromtxt(tmp_path / "qt_trajectory.csv", delimiter=",", names=True)
     assert len(data) == 5
     assert set(data.dtype.names) == {"t", "g", "energy", "ground_overlap"}
@@ -197,8 +209,71 @@ def test_gap_opening_doubles_to_the_gate(tmp_path):
 
 
 def test_unknown_subcommand_fails():
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
+    assert exc.value.code == cli.EXIT_CONFIG  # 2 is reserved for convergence failure
+    # a removed flag is a usage error too, also where it prefixes a declared one
+    for args in (["qfi", "--tol", "1e-9"], ["gap-opening", "--n-max", "64"],
+                 ["collapse1d", "--r", "0.5"], ["spectrum", "--points", "abc"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args)
+        assert exc.value.code == cli.EXIT_CONFIG, args
+
+
+@pytest.mark.parametrize("args", [
+    ["gap-opening", "--r", "0.6", "--window", "0.5", "0.9"],  # window reaches Delta < 0
+    ["quench", "--r", "0.25"],  # no quench times
+    ["spectrum", "--r", "0.6", "--points", "1"],
+    ["quench", "--r", "0.25", "--gf", "1.5", "--tau-list", "5"],  # g > g_c
+    ["qfi", "--r", "0.6", "--x-range", "0.5", "1.5", "--points", "3", "--fit"],
+    ["quench", "--r", "0.25", "--gf", "0.5", "--tau-list", "5,10", "--fit"],
+    ["spectrum", "--r", "0.6", "--n-max", "1", "--points", "2", "--x-range", "0.1", "0.2"],
+])
+def test_validate_agrees_with_the_run(tmp_path, capsys, args):
+    validate = run_cli(args + ["--validate"], tmp_path)
+    payload = json.loads(capsys.readouterr().out)
+    run = run_cli(args + ["--out", "o"], tmp_path)
+    assert validate == run
+    assert (validate == cli.EXIT_CONFIG) == any(d.startswith("error:") for d in payload["diagnostics"])
+    if run == cli.EXIT_CONFIG:  # rejected before any computation or output
+        assert list(tmp_path.iterdir()) == []
+
+
+_FLAG_READ_RUNS = {
+    "spectrum": ["--x-range", "0.2", "0.4", "--points", "2", "--levels", "2", "--n-max", "16"],
+    "gap-scan": ["--x-range", "0.2", "0.4", "--points", "2", "--n-max", "16"],
+    "observables": ["--x-range", "0.2", "0.4", "--points", "2", "--n-max", "16"],
+    "qfi": ["--x-range", "0.2", "0.4", "--points", "2", "--n-max", "16", "--k-states", "4",
+            "--oracle"],
+    "wigner": ["--r", "0.25", "--g-over-gc", "0.3", "--n-max", "16", "--grid-points", "21"],
+    "quench": ["--r", "0.25", "--gf", "0.5", "--tau-range", "2", "2", "--tau-points", "1",
+               "--n-max", "16", "--dt", "0.05", "--samples", "2"],
+    "collapse1d": ["--delta", "3.0", "--L", "50", "--h", "0.2", "--k", "2", "--check-hc",
+                   "--n-max", "64"],
+    "fit": ["--input", "data.csv", "--xcol", "u", "--ycol", "y", "--window", "0", "1"],
+    "gap-opening": ["--r", "0.25", "--window", "0.15", "0.2", "--points", "2",
+                    "--n-max-final", "64"],
+}
+
+
+@pytest.mark.parametrize("name", list(cli.COMMANDS))
+def test_every_declared_flag_is_read(tmp_path, monkeypatch, name):
+    u = np.geomspace(1e-3, 1e-1, 6)
+    (tmp_path / "data.csv").write_text("u,y\n" + "".join(f"{a:.17g},{a**2:.17g}\n" for a in u))
+    monkeypatch.chdir(tmp_path)
+    reads = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, attr):
+            reads.add(attr)
+            return super().__getattribute__(attr)
+
+    command = cli.COMMANDS[name]
+    ns = Recording(**vars(cli.build_parser().parse_args([name, *_FLAG_READ_RUNS[name]])))
+    assert command.run(ns, **command.resolve(ns)) in (cli.EXIT_OK, cli.EXIT_CONVERGENCE)
+    declared = {flag[2:].replace("-", "_") for flag, _ in command.flags}
+    assert declared - {"config", "out", "validate"} - reads == set()
+
 
 
 def test_missing_g_is_config_error(tmp_path, capsys):

@@ -34,6 +34,19 @@ def test_block_matches_dense_projection(delta, g, r, parity, q):
     ) < 1e-12
 
 
+@given(
+    delta=st.floats(0.0, 2.0),
+    frac=st.floats(0.0, 1.0),
+    r=st.floats(0.0, 1.0),
+    parity=st.sampled_from([+1, -1]),
+    q=st.sampled_from([0.25, 0.75]),
+)
+def test_block_matches_dense_projection_everywhere(delta, frac, r, parity, q):
+    # the closed-form block is the dense Hamiltonian's projection, up to g = g_c
+    p = ModelParams(delta=delta, g=frac / (1.0 + r), r=r)
+    assert ed.verify_block_projection(p, parity, 14, q) < 1e-12
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     r=st.floats(0.0, 1.0),

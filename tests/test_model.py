@@ -51,7 +51,7 @@ def test_supercritical_coupling_rejected():
         ModelParams(delta=0.25, g=0.626, r=0.6)
     with pytest.raises(ValueError):
         ModelParams(delta=-0.1, g=0.1, r=0.6)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):  # the mode frequency is the unit; there is no omega field
         ModelParams(delta=0.1, g=0.1, r=0.6, omega=2.0)
     for field, bad in (("delta", math.nan), ("delta", math.inf), ("g", math.nan)):
         with pytest.raises(ValueError, match=f"{field}={bad} must be finite"):
