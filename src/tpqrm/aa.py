@@ -27,8 +27,16 @@ to the expansion
     alpha_mn = (2m+1)((5n+1) Delta_c - n Delta) - 2n Delta_c
     delta    = Delta - Delta_c.
 
-Both forms are exposed; the exact Legendre form is authoritative and
-the expansion serves as a cross-check oracle.
+The same coupling is the qubit term seen through the squeeze operator,
+
+    M = D [ (Delta/2) S - g(1-r)/2 S (A - A') ],
+
+with S = S(2 theta) and A = a^2 on the even manifolds and
+D = diag((-1)^m).  aa_matrix builds the dense block in this
+squeeze-operator form from specfun.squeeze_matrix; aa_matrix_element
+evaluates the Legendre form one element at a time, and the tests
+cross-check the two.  The small-beta expansion serves as a further
+oracle.
 """
 
 from __future__ import annotations
@@ -37,11 +45,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .model import ModelParams, geometry
-from .specfun import (legendre_log_table, legendre_negative_order, log_double_factorial,
-                      squeeze_diagonal, squeeze_term)
+from .specfun import log_double_factorial, squeeze_matrix, squeeze_term
 
 
 @dataclass(frozen=True)
@@ -128,39 +134,21 @@ def aa_matrix_element(m: int, n: int, params: ModelParams) -> AAMatrixElement:
 
 
 def aa_matrix(params: ModelParams, n_max: int) -> np.ndarray:
-    """Dense M_mn block, m, n = 0..n_max-1, built diagonal-by-diagonal.
+    """Dense M_mn block, m, n = 0..n_max-1, in the squeeze-operator form.
 
-    Shares the scalar element path's conventions; vectorized so the
-    squeezed-frame eigenproblem scales to the n_max ~ 1/beta^2 range
-    its truncation tail requires.
+    With A[n-1, n] = sqrt(2n(2n-1)), column n of S A reads column n - 1
+    of S and column n of S A' reads column n + 1, so S is built one
+    column wider.  Term for term this is aa_matrix_element's Legendre
+    form: its shifted Legendre families are these column shifts of S.
     """
-    beta = _beta_of(params)
-    delta, g, r = params.delta, params.g, params.r
-    l_max = 2 * n_max
-    out = np.zeros((n_max, n_max))
-    ns_all = np.arange(n_max)
-    log_fact = gammaln(2.0 * ns_all + 1.0)
-
-    tables: dict[int, tuple] = {}  # positive orders only; negative ones derive from them
-
-    def term(d: int, shift: int, ns: np.ndarray) -> np.ndarray:
-        table = tables[abs(d - shift)]
-        if d < shift:
-            table = legendre_negative_order(*table, shift - d)
-        return squeeze_diagonal(d, shift, ns, log_fact, table, beta)
-
-    for k in range(n_max):  # diagonals +-k read orders +-(k - 1), +-k, +-(k + 1): keep those three
-        tables = {o: tables.get(o) or legendre_log_table(o, l_max, beta)
-                  for o in range(max(k - 1, 0), k + 2)}
-        for d in sorted({-k, k}):
-            ns = ns_all[max(0, -d): n_max - max(0, d)]
-            ms = ns + d
-            vals = 0.5 * delta * term(d, 0, ns)
-            if g != 0.0 and r != 1.0:
-                rise = (2.0 * ns + 1.0) * (2.0 * ns + 2.0)
-                vals -= 0.5 * g * (1.0 - r) * (term(d, -1, ns) - rise * term(d, +1, ns))
-            out[ms, ns] = (-1.0) ** ms * vals
-    return out
+    _beta_of(params)  # rejects the collapse point
+    s = squeeze_matrix(geometry(params).theta, n_max + 1).entries[:n_max]
+    n = np.arange(n_max)
+    s_a = np.zeros((n_max, n_max))
+    s_a[:, 1:] = s[:, : n_max - 1] * np.sqrt(2.0 * n[1:] * (2.0 * n[1:] - 1.0))
+    s_a -= s[:, 1:] * np.sqrt((2.0 * n + 1.0) * (2.0 * n + 2.0))
+    m = 0.5 * params.delta * s[:, :n_max] - 0.5 * params.g * (1.0 - params.r) * s_a
+    return (-1.0) ** n[:, None] * m
 
 
 def aa_energy(n: int, parity: int, params: ModelParams) -> AALevel:

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import __version__, aa, analysis, collapse1d, ed, quench
 from .errors import CollapseMappingError, ConvergenceError
-from .model import ModelParams, SectorSpec, critical_params, params_from_dict
+from .model import ModelParams, SectorSpec, check_count, critical_params, params_from_dict
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -110,6 +110,20 @@ def _params(ns, **coupling) -> ModelParams:
 
 
 # -- resolvers: flags -> the run's inputs, raising ValueError on bad input --
+# The least value of each count flag, as the library call it feeds demands.
+# argparse's type= never sees --config values, so _resolve checks these.
+_LEAST_COUNT = {"points": 1, "levels": 1, "k_states": 1, "grid_points": 3, "tau_points": 1,
+                "samples": 0, "k": 1, "n_max_final": 4}
+
+
+def _resolve(ns, command: Command) -> dict:
+    """The subcommand's inputs from its resolver, after each count flag it declares is checked."""
+    for name, least in _LEAST_COUNT.items():
+        if name in vars(ns):
+            check_count("--" + name.replace("_", "-"), getattr(ns, name), least)
+    return command.resolve(ns)
+
+
 def _resolve_grid(ns, fit_cols: tuple[str, ...] = ()) -> dict:
     """The model at g = 0, the coupling grid, and the columns --fit fits against 1 - g/g_c."""
     fit_cols = fit_cols if fit_cols and ns.fit else ()
@@ -462,7 +476,7 @@ def _validate(ns, command: Command) -> int:
     """Run the subcommand's resolver, print its diagnostics and the manifest; compute nothing."""
     code, diagnostics = EXIT_OK, []
     try:
-        inputs = command.resolve(ns)
+        inputs = _resolve(ns, command)
     except (ValueError, OSError) as exc:
         code, diagnostics = EXIT_CONFIG, [f"error: {exc}"]
     else:
@@ -485,7 +499,7 @@ def main(argv: list[str] | None = None) -> int:
     if ns.validate:
         return _validate(ns, command)
     try:
-        return command.run(ns, **command.resolve(ns))
+        return command.run(ns, **_resolve(ns, command))
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -29,7 +29,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import CollapseMappingError
-from .model import ModelParams, check_finite
+from .model import ModelParams, check_count, check_finite
 from . import ed
 
 
@@ -87,6 +87,7 @@ def bound_states(problem: Collapse1DProblem, k: int = 6) -> BoundStateLadder:
     rungs needs boxes far beyond the shallowest level's 1/kappa^2 decay
     length.
     """
+    check_count("k", k)
     w, v = _solve_grid(problem.delta, problem.L, problem.h, k)
     w_ref, _ = _solve_grid(problem.delta, 2 * problem.L, problem.h / 2, k)
 

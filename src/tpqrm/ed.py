@@ -35,7 +35,7 @@ from scipy.special import eval_genlaguerre, gammaln
 
 from .aa import GroundStateObservables, aa_matrix
 from .errors import ConvergenceError
-from .model import ModelParams, SectorSpec, geometry
+from .model import ModelParams, SectorSpec, check_count, geometry
 from .specfun import squeeze_element
 
 N_MAX_CEILING = 16384
@@ -206,6 +206,7 @@ def collapse_point_gap(
     move), so no fixed truncation suits every Delta.  Returns the gap, the
     n_max it was taken at, and whether the gate held.
     """
+    check_count("n_max", n_max, 4)  # the first rung solves n_max/2 >= 2
 
     def gap_at(n: int) -> float:
         return abs(lowest_level(params, +1, n) - lowest_level(params, -1, n))
@@ -232,6 +233,7 @@ def ed_spectrum(
     At g = g_c only levels below the continuum threshold -1/2 are
     physically meaningful.
     """
+    check_count("k", k)
 
     def solve(n: int) -> np.ndarray:
         return _lowest_block_eigenvalues(build_parity_block(params, sector.parity, n, sector.q), k)
@@ -436,6 +438,7 @@ def qfi_spectral(
     estimated from the last quarter of the included terms); truncation
     doubles until F_Q itself is stable to rel_tol.
     """
+    check_count("k_states", k_states)  # an empty tail would pass the tail gate
 
     def solve(n: int) -> tuple[float, np.ndarray]:
         block = build_parity_block(params, -1, n)
@@ -562,6 +565,7 @@ def wigner_grid(
     ValueError reports the boundary mass; integral and second moments
     are the correctness invariants checked by the tests.
     """
+    check_count("points", points, 3)  # the integral needs an interior point
     psi_up, psi_dn = _ground_spinfock(params, n_max, tol)
 
     if conditioning == "reduced":
@@ -586,19 +590,12 @@ def wigner_grid(
     x_axis = np.linspace(-half_width, half_width, points)
     p_axis = np.linspace(-half_width, half_width, points)
 
-    pairs: list[tuple[int, int, float]] = []
+    # one density matrix on the even Fock states of the support; in the reduced
+    # state Z4 makes rho_mn exactly 0 wherever (m - n)/2 is odd
     support = max(int(np.max(np.nonzero(np.abs(psi_up) + np.abs(psi_dn) > 1e-14)[0])) + 1, 2)
-    for comp in components:
-        c = comp[:support]
-        for m in range(0, support, 2):
-            if c[m] == 0.0:
-                continue
-            for n in range(0, m + 1, 2):
-                val = float(c[m] * c[n])
-                if abs(val) < 1e-18:
-                    continue
-                pairs.append((m, n, val))
-
+    rho = sum(np.outer(comp[:support:2], comp[:support:2]) for comp in components)
+    pairs = [(2 * int(m), 2 * int(n), float(rho[m, n]))
+             for m, n in zip(*np.nonzero(np.tril(np.abs(rho) >= 1e-18)))]
     values = _wigner_from_density(pairs, x_axis, p_axis)
 
     edges = (values[0, :], values[-1, :], values[:, 0], values[:, -1])

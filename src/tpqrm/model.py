@@ -111,6 +111,12 @@ def check_finite(**fields: float | None) -> None:
             raise ValueError(f"{name}={value} must be finite")
 
 
+def check_count(name: str, value: int, least: int = 1) -> None:
+    """Reject a count below least early, naming it, before it reaches a solver."""
+    if value < least:
+        raise ValueError(f"{name}={value} must be >= {least}")
+
+
 def critical_params(r: float) -> tuple[float, float]:
     """Critical coupling and qubit frequency (g_c, Delta_c) for anisotropy r."""
     if not 0.0 <= r <= 1.0:

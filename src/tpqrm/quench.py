@@ -35,7 +35,7 @@ from scipy.linalg.lapack import zgtsv
 
 from .ed import build_parity_block, converge, tridiag_apply
 from .errors import ConvergenceError
-from .model import ModelParams, check_finite, critical_params
+from .model import ModelParams, check_count, check_finite, critical_params
 
 Z_NU = 0.5  # soft-mode gap exponent entering every closed form here
 
@@ -164,6 +164,7 @@ def propagate(
     dt non-convergence (three halvings), and, with check_truncation,
     when doubling n_max moves E_r by more than 1%.
     """
+    check_count("n_samples", n_samples, 0)
     e0 = ground_energy_final(protocol)
     dt = protocol.dt if protocol.dt is not None else protocol.default_dt()
 

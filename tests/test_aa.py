@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tpqrm.aa import (
     aa_energy,
@@ -76,6 +78,18 @@ def test_matrix_builder_matches_scalar_path():
             )
 
 
+@settings(max_examples=60)
+@given(r=st.floats(0.0, 1.0), delta=st.floats(0.0, 2.0), beta=st.floats(0.05, 1.0),
+       n_max=st.integers(1, 16))
+def test_squeeze_operator_matrix_matches_legendre_elements(r, delta, beta, n_max):
+    # aa_matrix (squeeze-operator form) against aa_matrix_element (Legendre form)
+    p = at_beta(r, beta, delta)
+    mat = aa_matrix(p, n_max)
+    ref = np.array([[aa_matrix_element(m, n, p).value for n in range(n_max)]
+                    for m in range(n_max)])
+    assert np.abs(mat - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 def test_matrix_is_symmetric_numerically():
     for beta in (0.3, 0.1):
         mat = aa_matrix(at_beta(0.6, beta), 14)
@@ -83,7 +97,7 @@ def test_matrix_is_symmetric_numerically():
 
 
 def test_matrix_builds_one_legendre_table_per_order(monkeypatch):
-    from tpqrm import aa, specfun
+    from tpqrm import specfun
 
     orders = []
     table = specfun.legendre_log_table
@@ -92,11 +106,10 @@ def test_matrix_builds_one_legendre_table_per_order(monkeypatch):
         orders.append(k)
         return table(k, l_max, x)
 
-    for module in (aa, specfun):
-        monkeypatch.setattr(module, "legendre_log_table", counting)
+    monkeypatch.setattr(specfun, "legendre_log_table", counting)
     aa_matrix(at_beta(0.6, 0.3), 64)
     assert len(orders) <= 65
-    assert sorted(orders) == list(range(65))  # orders 0..n_max; negative ones are derived
+    assert sorted(orders) == list(range(65))  # orders 0..n_max of the one squeeze matrix
 
 
 def test_energies_at_zero_coupling_match_decoupled_spectrum():

@@ -122,6 +122,16 @@ def test_config_file_overridden_by_cli(tmp_path):
     assert manifest["r"] == 0.6
 
 
+def test_config_count_below_least_is_rejected(tmp_path, capsys):
+    # a manifest value never passes argparse's type=, so the resolve step checks it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "qfi", "k_states": 0, "points": 2, "n_max": 16}))
+    assert run_cli(["--config", str(cfg), "--validate"], tmp_path) == cli.EXIT_CONFIG
+    assert "--k-states=0 must be >= 1" in capsys.readouterr().out
+    assert run_cli(["--config", str(cfg), "--out", "o"], tmp_path) == cli.EXIT_CONFIG
+    assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
+
+
 def test_config_rejects_unknown_keys(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"nonsense": 1}))
@@ -228,6 +238,17 @@ def test_unknown_subcommand_fails():
     ["qfi", "--r", "0.6", "--x-range", "0.5", "1.5", "--points", "3", "--fit"],
     ["quench", "--r", "0.25", "--gf", "0.5", "--tau-list", "5,10", "--fit"],
     ["spectrum", "--r", "0.6", "--n-max", "1", "--points", "2", "--x-range", "0.1", "0.2"],
+    # count flags below what the library call accepts
+    ["collapse1d", "--delta", "3", "--L", "50", "--h", "0.2", "--k", "0"],
+    ["spectrum", "--levels", "0", "--points", "2", "--n-max", "16"],
+    ["gap-opening", "--r", "0.25", "--window", "0.15", "0.2", "--points", "2",
+     "--n-max-final", "1"],
+    ["qfi", "--k-states", "0", "--points", "2", "--n-max", "16"],
+    ["wigner", "--g-over-gc", "0.5", "--grid-points", "1"],
+    ["quench", "--r", "0.25", "--tau-range", "1", "10", "--tau-points", "0"],
+    ["quench", "--r", "0.25", "--gf", "0.5", "--tau-list", "5", "--samples", "-3", "--n-max",
+     "32", "--dt", "0.05"],
+    ["gap-opening", "--r", "0.25", "--window", "0.15", "0.2", "--points", "0"],
 ])
 def test_validate_agrees_with_the_run(tmp_path, capsys, args):
     validate = run_cli(args + ["--validate"], tmp_path)

@@ -33,6 +33,11 @@ def test_problem_validation():
             Collapse1DProblem(**{"delta": 1.0, field: bad})
 
 
+def test_bound_states_rejects_a_zero_level_count():
+    with pytest.raises(ValueError, match="^k=0 must be >= 1"):
+        bound_states(Collapse1DProblem(delta=3.0, L=50.0, h=0.2), k=0)
+
+
 def test_no_bound_states_without_qubit_coupling():
     ladder = bound_states(Collapse1DProblem(delta=0.0, L=50.0, h=0.05), k=4)
     assert np.isnan(ladder.binding_energies).all()

@@ -202,6 +202,18 @@ def test_ground_state_consumers_share_the_convergence_gate(compute):
         compute(ModelParams(delta=delta_c, g=g_c * (1 - 1e-8), r=0.6))
 
 
+@pytest.mark.parametrize("compute,name", [
+    (lambda p: ed.ed_spectrum(p, k=0), "k=0"),
+    (lambda p: ed.full_spectrum(p, k=0), "k=0"),
+    (lambda p: ed.qfi_spectral(p, k_states=0), "k_states=0"),
+    (lambda p: ed.wigner_grid(p, points=1), "points=1"),
+    (lambda p: ed.collapse_point_gap(p, 2, 64), "n_max=2"),
+], ids=["ed_spectrum", "full_spectrum", "qfi_spectral", "wigner_grid", "collapse_point_gap"])
+def test_bad_counts_rejected_early_by_name(compute, name):
+    with pytest.raises(ValueError, match=f"^{name} must be >= "):
+        compute(ModelParams(delta=0.3, g=0.2, r=0.6))
+
+
 def test_aa_deviation_grows_away_from_critical_line():
     r, beta = 0.6, 0.1
     devs = {}
@@ -421,6 +433,36 @@ def test_wigner_conditional_orientation():
     m2x = np.trapezoid(np.trapezoid(grid.values * X**2, grid.x_axis, axis=1), grid.p_axis)
     m2p = np.trapezoid(np.trapezoid(grid.values * P**2, grid.x_axis, axis=1), grid.p_axis)
     assert m2x > 5 * m2p
+
+
+def test_reduced_wigner_is_the_weighted_conditional_mixture():
+    # tracing out the qubit mixes the two conditional states by their weights
+    p = ModelParams(delta=0.6, g=0.95 * 0.8, r=0.25)
+    up, dn = ed.block_to_spinfock(ed.ground_state_block(p, 128)[1], -1)
+    grids = {c: ed.wigner_grid(p, n_max=128, conditioning=c, points=41, half_width=12.0).values
+             for c in ("reduced", "qubit-up", "qubit-down")}
+    mixture = (up @ up) * grids["qubit-up"] + (dn @ dn) * grids["qubit-down"]
+    assert np.abs(grids["reduced"] - mixture).max() < 1e-13
+
+
+def test_reduced_wigner_evaluates_each_density_entry_once(monkeypatch):
+    # Z4 leaves rho_mn nonzero only for m - n = 0 mod 4; each such pair costs one kernel
+    calls = []
+    laguerre = ed.eval_genlaguerre
+
+    def counting(n, alpha, x):
+        calls.append((n, alpha))
+        return laguerre(n, alpha, x)
+
+    monkeypatch.setattr(ed, "eval_genlaguerre", counting)
+    g_c, delta_c = critical_params(0.25)
+    p = ModelParams(delta=delta_c, g=0.95 * g_c, r=0.25)
+    ed.wigner_grid(p, n_max=128, conditioning="reduced", points=21)
+    up, dn = ed.block_to_spinfock(ed.ground_state_block(p, 128)[1], -1)
+    support = int(np.nonzero(np.abs(up) + np.abs(dn) > 1e-14)[0].max()) + 1
+    allowed = sum(1 for m in range(0, support, 2) for n in range(0, m + 1, 4))
+    assert 0 < len(calls) <= allowed
+    assert len(set(calls)) == len(calls)
 
 
 def test_wigner_narrow_grid_rejected():

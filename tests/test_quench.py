@@ -110,6 +110,15 @@ def test_propagate_climbs_both_ladders(frac, tau_q, n_max, dt, n_used, dt_used):
     assert res.residual_energy > 0.0
 
 
+def test_negative_sample_count_rejected_before_any_step():
+    protocol = QuenchProtocol(g_f=0.5 * G_C, tau_q=5.0, r=R, n_max=32, dt=0.05)
+    with pytest.raises(ValueError, match="^n_samples=-3 must be >= 0"):
+        propagate(protocol, n_samples=-3)
+    with pytest.raises(ValueError, match="^n_samples=-3 must be >= 0"):
+        kz_sweep(0.5 * G_C, [5.0], ModelParams(delta=DELTA_C, g=0.0, r=R), n_max=32, dt=0.05,
+                 n_samples=-3)
+
+
 def test_propagate_dt_ladder_gives_up_after_three_halvings():
     protocol = QuenchProtocol(g_f=0.99 * G_C, tau_q=10.0, r=R, n_max=64, dt=4.0)
     with pytest.raises(ConvergenceError, match=r"under dt halving \(last dt=5\.00e-01\)"):
