@@ -42,6 +42,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_CONVERGENCE = 2
 
+_WIGNER_NORM_TOL = 1e-3  # |integral of W - 1| a grid must reach to integrate the state
+
 
 def _fmt(value) -> str:
     if isinstance(value, (bool, np.bool_)):
@@ -146,6 +148,8 @@ def _resolve_quench(ns) -> dict:
         raise ValueError(f"--fit needs at least {analysis.MIN_FIT_POINTS} points, got {len(taus)}")
     protocols = [quench.QuenchProtocol(g_f=model.g, tau_q=tau, r=model.r, delta=model.delta,
                                        n_max=ns.n_max, dt=ns.dt) for tau in taus]
+    if len(protocols) == 1:  # the only run that records --samples
+        protocols[0].check_samples(ns.samples)
     return {"model": model, "protocols": protocols}
 
 
@@ -276,6 +280,10 @@ def run_wigner(ns, model: ModelParams) -> int:
     rows = [[x, p, grid.values[i, j]] for i, p in enumerate(grid.p_axis)
             for j, x in enumerate(grid.x_axis)]
     _write(ns, ["x", "p", "w"], rows, report={"normalization": grid.normalization})
+    if abs(grid.normalization - 1.0) > _WIGNER_NORM_TOL:
+        print(f"convergence failure: Wigner normalization {grid.normalization:.6g} is not within "
+              f"{_WIGNER_NORM_TOL:.0e} of 1; raise --grid-points or --half-width", file=sys.stderr)
+        return EXIT_CONVERGENCE
     return EXIT_OK
 
 

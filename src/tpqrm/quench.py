@@ -7,8 +7,10 @@ residual energy E_r = <psi(tau_q)|H(g_f)|psi(tau_q)> - E_0(g_f).
 Propagation uses Crank-Nicolson steps with the coupling evaluated at
 the midpoint of each step: the Cayley transform of a Hermitian
 tridiagonal block is exactly unitary, so the norm is conserved to
-roundoff, and accuracy is certified by rerunning at half the step until
-E_r is stable to 1%.  E_0(g_f) comes from a separate eigensolve with
+roundoff.  The step is certified, not chosen: the run is repeated at
+half the step until E_r is stable to 1%, and E_r is reported from the
+coarser step of that pair.  The default step is only where this ladder
+starts.  E_0(g_f) comes from a separate eigensolve with
 its own truncation doubling (near collapse the true ground state needs
 a far larger basis than the propagated, frozen-out state ever
 occupies); the propagation basis is gated by requiring the occupancy of
@@ -73,8 +75,18 @@ class QuenchProtocol:
         return ModelParams(delta=self.delta, g=self.g_f, r=self.r)
 
     def default_dt(self) -> float:
-        # resolves both the bare oscillator period and the ramp scale
-        return min(0.01, self.tau_q / 1e5)
+        # where the dt-halving ladder starts, not an accuracy promise: about
+        # 1/60 of the bare period 2 pi/omega, and at least 100 steps per ramp
+        return min(0.1, self.tau_q / 100.0)
+
+    def start_dt(self) -> float:
+        return self.dt if self.dt is not None else self.default_dt()
+
+    def check_samples(self, n_samples: int) -> None:
+        """Reject a trajectory sample count the start step's run cannot give."""
+        check_count("n_samples", n_samples, 0)
+        if n_samples > (n_steps := _n_steps(self.tau_q, self.start_dt())):
+            raise ValueError(f"n_samples={n_samples} exceeds the run's n_steps={n_steps}")
 
 
 @dataclass(frozen=True)
@@ -111,6 +123,10 @@ def ground_energy_final(protocol: QuenchProtocol, tol: float = 1e-10) -> float:
     return e_cur
 
 
+def _n_steps(tau_q: float, dt: float) -> int:
+    return max(1, int(round(tau_q / dt)))
+
+
 def _propagate_once(
     protocol: QuenchProtocol, n_max: int, dt: float, n_samples: int, e0: float
 ) -> tuple[float, float, float, list[tuple[float, float, float, float]]]:
@@ -120,12 +136,13 @@ def _propagate_once(
     psi = np.zeros(n_max, dtype=complex)
     psi[0] = 1.0
 
-    n_steps = max(1, int(round(protocol.tau_q / dt)))
+    n_steps = _n_steps(protocol.tau_q, dt)
     dt = protocol.tau_q / n_steps
     half = 0.5j * dt
     one_plus = 1.0 + half * diag
 
-    sample_every = max(1, n_steps // n_samples) if n_samples else 0
+    # n_samples evenly spaced steps, the last one at t = tau_q
+    sample_at = {(k + 1) * n_steps // n_samples for k in range(n_samples)}
     samples: list[tuple[float, float, float, float]] = []
 
     rate = protocol.g_f / protocol.tau_q
@@ -137,7 +154,7 @@ def _propagate_once(
         _, _, _, psi, info = zgtsv(dl, one_plus.copy(), dl.copy(), rhs)
         if info != 0:
             raise RuntimeError(f"tridiagonal solve failed (LAPACK info={info})")
-        if n_samples and (step + 1) % sample_every == 0:
+        if step + 1 in sample_at:
             t_now = (step + 1) * dt
             g_now = rate * t_now
             t_vec = g_now * coupling
@@ -164,9 +181,9 @@ def propagate(
     dt non-convergence (three halvings), and, with check_truncation,
     when doubling n_max moves E_r by more than 1%.
     """
-    check_count("n_samples", n_samples, 0)
+    protocol.check_samples(n_samples)
     e0 = ground_energy_final(protocol)
-    dt = protocol.dt if protocol.dt is not None else protocol.default_dt()
+    dt = protocol.start_dt()
 
     for n_max in (protocol.n_max, 2 * protocol.n_max, 4 * protocol.n_max):
         e_r, drift, leak, samples_raw = _propagate_once(protocol, n_max, dt, n_samples, e0)
@@ -253,7 +270,7 @@ def kz_sweep(
             "e_r": math.nan,
             "norm_drift": math.nan,
             "n_max": protocol.n_max,
-            "dt": protocol.dt if protocol.dt is not None else protocol.default_dt(),
+            "dt": protocol.start_dt(),
             "converged": False,
             "samples": None,
         }

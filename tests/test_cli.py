@@ -150,6 +150,15 @@ def test_wigner_command(tmp_path):
     assert len(data) == 61 * 61
 
 
+def test_wigner_grid_too_coarse_to_integrate_fails_the_gate(tmp_path, capsys):
+    code = run_cli(["wigner", "--g-over-gc", "0.5", "--grid-points", "3", "--out", "w"], tmp_path)
+    assert code == cli.EXIT_CONVERGENCE
+    assert "Wigner normalization" in capsys.readouterr().err
+    report = json.loads((tmp_path / "w_report.json").read_text())  # written, so it can be seen
+    assert abs(report["normalization"] - 1.0) > 1e-3
+    assert len(np.genfromtxt(tmp_path / "w.csv", delimiter=",", names=True)) == 9
+
+
 def test_quench_command_small(tmp_path):
     code = run_cli(["quench", "--r", "0.25", "--gf", "0.5", "--tau-list", "5,10",
                     "--n-max", "64", "--dt", "0.005", "--out", "q"], tmp_path)
@@ -249,6 +258,9 @@ def test_unknown_subcommand_fails():
     ["quench", "--r", "0.25", "--gf", "0.5", "--tau-list", "5", "--samples", "-3", "--n-max",
      "32", "--dt", "0.05"],
     ["gap-opening", "--r", "0.25", "--window", "0.15", "0.2", "--points", "0"],
+    # 150 samples from a run of 100 steps
+    ["quench", "--r", "0.25", "--gf", "0.5", "--tau-list", "5", "--samples", "150", "--n-max",
+     "32", "--dt", "0.05"],
 ])
 def test_validate_agrees_with_the_run(tmp_path, capsys, args):
     validate = run_cli(args + ["--validate"], tmp_path)

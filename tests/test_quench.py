@@ -16,8 +16,9 @@ G_C, DELTA_C = critical_params(R)
 def test_protocol_validation_and_defaults():
     protocol = QuenchProtocol(g_f=0.5 * G_C, tau_q=100.0, r=R)
     assert protocol.delta == DELTA_C
-    assert protocol.default_dt() == pytest.approx(100.0 / 1e5)
-    assert QuenchProtocol(g_f=0.5 * G_C, tau_q=1e7, r=R).default_dt() == 0.01
+    assert protocol.default_dt() == 0.1
+    assert QuenchProtocol(g_f=0.5 * G_C, tau_q=1e7, r=R).default_dt() == 0.1
+    assert QuenchProtocol(g_f=0.5 * G_C, tau_q=5.0, r=R).default_dt() == pytest.approx(0.05)
     with pytest.raises(ValueError):
         QuenchProtocol(g_f=G_C, tau_q=10.0, r=R)
     with pytest.raises(ValueError):
@@ -78,6 +79,44 @@ def test_trajectory_samples():
     assert np.all((overlap > 0.0) & (overlap <= 1.0 + 1e-9))
     # energy along the ramp is continuous: no jump larger than the total rise
     assert np.abs(np.diff(energy)).max() < max(energy.max() - energy.min(), 1e-12)
+
+
+@pytest.mark.parametrize("n_samples", [8, 30, 70])
+def test_trajectory_has_exactly_the_requested_samples_ending_at_tau_q(n_samples):
+    protocol = QuenchProtocol(g_f=0.5 * G_C, tau_q=5.0, r=R, n_max=32, dt=0.05)  # 100 steps
+    t = propagate(protocol, n_samples=n_samples).samples[:, 0]
+    assert len(t) == n_samples
+    assert t[-1] == pytest.approx(5.0, rel=1e-12)
+    assert np.ptp(np.diff(t)) <= 0.05 + 1e-12  # evenly spaced to within one step
+
+
+def test_more_samples_than_steps_rejected_before_any_step(monkeypatch):
+    from tpqrm import quench
+
+    monkeypatch.setattr(quench, "zgtsv", None)  # any step would raise TypeError
+    protocol = QuenchProtocol(g_f=0.5 * G_C, tau_q=5.0, r=R, n_max=32, dt=0.05)
+    with pytest.raises(ValueError, match="^n_samples=150 exceeds the run's n_steps=100"):
+        propagate(protocol, n_samples=150)
+
+
+def test_default_step_is_sized_by_the_dt_gate(monkeypatch):
+    # the gate holds at the first dt pair: 10^4 + 2 x 10^4 steps, plus 10^4 for the
+    # n_max-doubling check (a start at dt = 0.01 makes ten times as many)
+    from tpqrm import quench
+
+    calls = []
+    zgtsv = quench.zgtsv
+
+    def counting(*args):
+        calls.append(None)
+        return zgtsv(*args)
+
+    monkeypatch.setattr(quench, "zgtsv", counting)
+    g_f = 0.99 * G_C
+    (row,) = kz_sweep(g_f, [1000.0], ModelParams(delta=DELTA_C, g=g_f, r=R), n_max=256)
+    assert row["converged"]
+    assert len(calls) <= 40_000
+    assert row["e_r"] == pytest.approx(1.0709408e-3, rel=1e-2)  # E_r at dt = 0.01
 
 
 @pytest.mark.slow
