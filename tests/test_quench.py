@@ -6,7 +6,7 @@ import pytest
 from tpqrm.errors import ConvergenceError
 from tpqrm.model import ModelParams, critical_params
 from tpqrm.quench import QuenchProtocol, ground_energy_final, kz_predict, kz_sweep, propagate
-from tpqrm import ed
+from tpqrm import ed, quench
 from tpqrm.model import SectorSpec
 
 R = 0.25
@@ -91,8 +91,6 @@ def test_trajectory_has_exactly_the_requested_samples_ending_at_tau_q(n_samples)
 
 
 def test_more_samples_than_steps_rejected_before_any_step(monkeypatch):
-    from tpqrm import quench
-
     monkeypatch.setattr(quench, "zgtsv", None)  # any step would raise TypeError
     protocol = QuenchProtocol(g_f=0.5 * G_C, tau_q=5.0, r=R, n_max=32, dt=0.05)
     with pytest.raises(ValueError, match="^n_samples=150 exceeds the run's n_steps=100"):
@@ -102,8 +100,6 @@ def test_more_samples_than_steps_rejected_before_any_step(monkeypatch):
 def test_default_step_is_sized_by_the_dt_gate(monkeypatch):
     # the gate holds at the first dt pair: 10^4 + 2 x 10^4 steps, plus 10^4 for the
     # n_max-doubling check (a start at dt = 0.01 makes ten times as many)
-    from tpqrm import quench
-
     calls = []
     zgtsv = quench.zgtsv
 

@@ -3,11 +3,13 @@
     python3 tools/bench.py --pr 9 --seeds 0 1 2 \
         --checkout parent=/path/to/parent --checkout change=.
 
-Each checkout runs its own perfbench/run.py against its own src/.  For
-every workload and every seed in --seeds, each checkout runs once
-untraced, and the checkout that goes first alternates from one seed to
-the next, so that drift in the machine's speed falls on both sides.
-Then each checkout runs once traced at seed 0.
+The workloads, the run length and the end-to-end metrics come from
+BENCHMARK.json.  Each checkout runs its own perfbench/run.py against its
+own src/.  For every workload and every seed in --seeds, each checkout
+runs once untraced, and the checkout that goes first alternates from one
+seed to the next, so that drift in the machine's speed falls on both
+sides.  Then each checkout runs once traced at seed 0.  The file is
+written next to BENCHMARK.json.
 
 BENCH_<pr>.json holds, per checkout: the machine record and commit that
 run.py wrote, and per workload the median and quartiles of the five
@@ -26,10 +28,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-WORKLOADS = ("critical-sweep", "phase-space", "kz-quench", "collapse-point")
-END_TO_END = {  # metric: True when lower is better
-    "setup_s": True, "pass_s": True, "cpu_s": True, "peak_rss_mb": True, "ok_frac": False,
-}
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_perfbench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -51,8 +50,8 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(runs: list[dict], traced: dict) -> dict:
-    values = {m: [run["metrics"][m]["value"] for run in runs] for m in END_TO_END}
+def summarize(runs: list[dict], traced: dict, metrics: list[str]) -> dict:
+    values = {m: [run["metrics"][m]["value"] for run in runs] for m in metrics}
     return {
         "seeds": [run["machine"]["seed"] for run in runs],
         "correct": all(run["correct"] for run in runs),
@@ -62,10 +61,10 @@ def summarize(runs: list[dict], traced: dict) -> dict:
     }
 
 
-def compare(before: dict, after: dict) -> dict:
+def compare(before: dict, after: dict, lower_is_better: dict[str, bool]) -> dict:
     """Per metric: seeds on which `after` did better than `before`, and the median ratio."""
     out = {}
-    for metric, lower in END_TO_END.items():
+    for metric, lower in lower_is_better.items():
         b, a = before["end_to_end"][metric], after["end_to_end"][metric]
         wins = sum((x < y) if lower else (x > y) for x, y in zip(a["runs"], b["runs"]))
         out[metric] = {"wins": wins, "pairs": len(a["runs"]),
@@ -79,11 +78,12 @@ def main() -> int:
     ap.add_argument("--pr", required=True, help="names the output file BENCH_<pr>.json")
     ap.add_argument("--checkout", action="append", required=True, metavar="LABEL=DIR",
                     help="a checkout to measure; give it once per checkout, in order")
-    ap.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     ap.add_argument("--seeds", nargs="+", type=int, default=[0, 1, 2])
-    ap.add_argument("--seconds", type=float, default=10.0)
-    ap.add_argument("--out-dir", type=Path, default=Path("."))
     args = ap.parse_args()
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in benchmark["workloads"]]
+    seconds = benchmark["run_seconds"]
+    lower_is_better = {m["name"]: m["better"] == "lower" for m in benchmark["end_to_end"]}
 
     checkouts = {}
     for item in args.checkout:
@@ -93,25 +93,26 @@ def main() -> int:
         checkouts[label] = Path(path).resolve()
 
     report = {label: {"workloads": {}} for label in checkouts}
-    for workload in args.workloads:
+    for workload in workloads:
         runs = {label: [] for label in checkouts}
         for i, seed in enumerate(args.seeds):
             order = list(checkouts) if i % 2 == 0 else list(reversed(checkouts))
             for label in order:
                 print(f"{workload} seed {seed}: {label}", file=sys.stderr, flush=True)
-                runs[label].append(run_perfbench(checkouts[label], workload, seed,
-                                                 args.seconds, trace=0))
+                runs[label].append(run_perfbench(checkouts[label], workload, seed, seconds,
+                                                 trace=0))
         for label, path in checkouts.items():
             print(f"{workload} traced: {label}", file=sys.stderr, flush=True)
-            traced = run_perfbench(path, workload, 0, args.seconds, trace=1)
+            traced = run_perfbench(path, workload, 0, seconds, trace=1)
             report[label]["machine"] = traced["machine"]
-            report[label]["workloads"][workload] = summarize(runs[label], traced)
+            report[label]["workloads"][workload] = summarize(
+                runs[label], traced, list(lower_is_better))
 
-    payload = {"seconds": args.seconds, "checkouts": report}
+    payload = {"seconds": seconds, "checkouts": report}
     if len(checkouts) == 2:
         before, after = (report[label]["workloads"] for label in checkouts)
-        payload["compare"] = {w: compare(before[w], after[w]) for w in args.workloads}
-    out = args.out_dir / f"BENCH_{args.pr}.json"
+        payload["compare"] = {w: compare(before[w], after[w], lower_is_better) for w in workloads}
+    out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(payload, indent=1) + "\n")
     print(f"wrote {out}", file=sys.stderr)
     return 0
