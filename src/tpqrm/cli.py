@@ -148,9 +148,9 @@ def _resolve_quench(ns) -> dict:
         raise ValueError(f"--fit needs at least {analysis.MIN_FIT_POINTS} points, got {len(taus)}")
     protocols = [quench.QuenchProtocol(g_f=model.g, tau_q=tau, r=model.r, delta=model.delta,
                                        n_max=ns.n_max, dt=ns.dt) for tau in taus]
-    if len(protocols) == 1:  # the only run that records --samples
-        protocols[0].check_samples(ns.samples)
-    return {"model": model, "protocols": protocols}
+    n_samples = ns.samples if len(protocols) == 1 else 0  # only a single-tau run records them
+    protocols[0].check_samples(n_samples)
+    return {"model": model, "protocols": protocols, "n_samples": n_samples}
 
 
 def _resolve_collapse1d(ns) -> dict:
@@ -287,9 +287,8 @@ def run_wigner(ns, model: ModelParams) -> int:
     return EXIT_OK
 
 
-def run_quench(ns, model: ModelParams, protocols: list) -> int:
+def run_quench(ns, model: ModelParams, protocols: list, n_samples: int) -> int:
     # one quench time: the run that yields E_r also records the trajectory
-    n_samples = ns.samples if len(protocols) == 1 else 0
     table = _map_points(
         lambda p: quench.kz_sweep(p.g_f, [p.tau_q], model, n_max=p.n_max, dt=p.dt,
                                   n_samples=n_samples)[0],

@@ -83,10 +83,15 @@ class QuenchProtocol:
         return self.dt if self.dt is not None else self.default_dt()
 
     def check_samples(self, n_samples: int) -> None:
-        """Reject a trajectory sample count the start step's run cannot give."""
+        """Reject a trajectory sample count the start step's run cannot give.
+
+        The start step is the ladder's coarsest rung, so every rung has at
+        least as many steps as this one.
+        """
         check_count("n_samples", n_samples, 0)
         if n_samples > (n_steps := _n_steps(self.tau_q, self.start_dt())):
-            raise ValueError(f"n_samples={n_samples} exceeds the run's n_steps={n_steps}")
+            raise ValueError(f"n_samples={n_samples} exceeds the run's n_steps={n_steps}; "
+                             f"a smaller dt (--dt) allows more samples")
 
 
 @dataclass(frozen=True)
@@ -186,7 +191,7 @@ def propagate(
     dt = protocol.start_dt()
 
     for n_max in (protocol.n_max, 2 * protocol.n_max, 4 * protocol.n_max):
-        e_r, drift, leak, samples_raw = _propagate_once(protocol, n_max, dt, n_samples, e0)
+        e_r, drift, leak, samples = _propagate_once(protocol, n_max, dt, n_samples, e0)
         if leak <= _LEAK_TARGET:
             break
     else:
@@ -194,16 +199,19 @@ def propagate(
     if drift > _NORM_DRIFT_TARGET:
         raise ConvergenceError(f"norm drift {drift:.2e} above {_NORM_DRIFT_TARGET:.0e}")
 
-    def e_r_at(halvings: int, e_r_first: float = e_r) -> float:
-        # rung h runs at dt / h; the first rung is the leakage run above
+    def rung(halvings: int, first: tuple = (e_r, samples)) -> tuple:
+        # (E_r, samples) at dt / halvings; the first rung is the leakage run above
         if halvings == 1:
-            return e_r_first
-        return _propagate_once(protocol, n_max, dt / halvings, 0, e0)[0]
+            return first
+        e_r, _, _, samples = _propagate_once(protocol, n_max, dt / halvings, n_samples, e0)
+        return e_r, samples
 
     def held(new: float, old: float) -> bool:
         return abs(new - old) <= _ER_REL_TOL * max(abs(new), 1e-300)
 
-    e_r_fine, e_r, halvings = converge(e_r_at, 1, 8, held)
+    # E_r and the trajectory both come from the coarser rung of the held pair
+    (e_r_fine, _), (e_r, samples), halvings = converge(
+        rung, 1, 8, lambda new, old: held(new[0], old[0]))
     if not held(e_r_fine, e_r):
         raise ConvergenceError(
             f"E_r not stable to {_ER_REL_TOL:.0%} under dt halving (last dt={dt / halvings:.2e})"
@@ -217,14 +225,13 @@ def propagate(
                 f"E_r moves by {abs(e_r_dbl - e_r):.2e} (> 1%) when doubling n_max={n_max}"
             )
 
-    samples = np.array(samples_raw) if n_samples else None
     return QuenchResult(
         residual_energy=e_r,
         norm_drift=drift,
         n_max=n_max,
         dt=dt,
         ground_energy=e0,
-        samples=samples,
+        samples=np.array(samples) if n_samples else None,
     )
 
 
@@ -258,15 +265,18 @@ def kz_sweep(
     carries its own dt-halving and truncation checks; failures mark the
     row converged=False rather than aborting the sweep.  "samples" holds
     the run's n_samples trajectory samples (None if 0 or unconverged).
+    n_samples must fit every point's start step; a count the shortest
+    tau_q cannot give raises ValueError before any point runs.
     """
-    taus = [float(t) for t in tau_list]
+    protocols = [QuenchProtocol(g_f=g_f, tau_q=float(t), r=params.r, delta=params.delta,
+                                n_max=n_max, dt=dt) for t in tau_list]
+    for protocol in protocols:
+        protocol.check_samples(n_samples)
 
-    def one(tau_q: float) -> dict:
-        protocol = QuenchProtocol(g_f=g_f, tau_q=tau_q, r=params.r, delta=params.delta,
-                                  n_max=n_max, dt=dt)
+    def one(protocol: QuenchProtocol) -> dict:
         row = {
             "g_f_over_gc": g_f / params.g_c,
-            "tau_q": tau_q,
+            "tau_q": protocol.tau_q,
             "e_r": math.nan,
             "norm_drift": math.nan,
             "n_max": protocol.n_max,
@@ -288,4 +298,4 @@ def kz_sweep(
         )
         return row
 
-    return [one(t) for t in taus]
+    return [one(p) for p in protocols]

@@ -97,6 +97,24 @@ def test_more_samples_than_steps_rejected_before_any_step(monkeypatch):
         propagate(protocol, n_samples=150)
 
 
+def test_trajectory_comes_from_the_reported_rung():
+    # the start step dt = 0.5 fails the 1% gate, so the ladder halves it
+    protocol = QuenchProtocol(g_f=0.9 * G_C, tau_q=20.0, r=R, n_max=8, dt=0.5)
+    res = propagate(protocol, n_samples=4)
+    assert res.dt < 0.5
+    t, g, energy, _ = res.samples[-1]
+    assert (t, g) == pytest.approx((20.0, 0.9 * G_C), rel=1e-12)
+    assert energy == pytest.approx(res.residual_energy + res.ground_energy, rel=1e-12)
+
+
+def test_sweep_rejects_a_sample_count_before_any_point_runs(monkeypatch):
+    monkeypatch.setattr(quench, "zgtsv", None)  # any step would raise TypeError
+    params = ModelParams(delta=DELTA_C, g=0.5 * G_C, r=R)
+    with pytest.raises(ValueError, match="^n_samples=150 exceeds the run's n_steps=100; "
+                                         "a smaller dt"):
+        kz_sweep(0.5 * G_C, [50.0, 5.0], params, n_max=32, n_samples=150)
+
+
 def test_default_step_is_sized_by_the_dt_gate(monkeypatch):
     # the gate holds at the first dt pair: 10^4 + 2 x 10^4 steps, plus 10^4 for the
     # n_max-doubling check (a start at dt = 0.01 makes ten times as many)

@@ -1,12 +1,11 @@
 """Run perfbench on one or more checkouts and write BENCH_<pr>.json.
 
-    python3 tools/bench.py --pr 9 --seeds 0 1 2 \
-        --checkout parent=/path/to/parent --checkout change=.
+    python3 tools/bench.py --pr 9 --checkout parent=/path/to/parent --checkout change=.
 
 The workloads, the run length and the end-to-end metrics come from
 BENCHMARK.json.  Each checkout runs its own perfbench/run.py against its
-own src/.  For every workload and every seed in --seeds, each checkout
-runs once untraced, and the checkout that goes first alternates from one
+own src/.  For every workload and every seed 0-9, each checkout runs
+once untraced, and the checkout that goes first alternates from one
 seed to the next, so that drift in the machine's speed falls on both
 sides.  Then each checkout runs once traced at seed 0.  The file is
 written next to BENCHMARK.json.
@@ -29,6 +28,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SEEDS = range(10)  # ten alternating pairs: the fewest that can back a claimed gain
 
 
 def run_perfbench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -78,7 +78,6 @@ def main() -> int:
     ap.add_argument("--pr", required=True, help="names the output file BENCH_<pr>.json")
     ap.add_argument("--checkout", action="append", required=True, metavar="LABEL=DIR",
                     help="a checkout to measure; give it once per checkout, in order")
-    ap.add_argument("--seeds", nargs="+", type=int, default=[0, 1, 2])
     args = ap.parse_args()
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in benchmark["workloads"]]
@@ -95,7 +94,7 @@ def main() -> int:
     report = {label: {"workloads": {}} for label in checkouts}
     for workload in workloads:
         runs = {label: [] for label in checkouts}
-        for i, seed in enumerate(args.seeds):
+        for i, seed in enumerate(SEEDS):
             order = list(checkouts) if i % 2 == 0 else list(reversed(checkouts))
             for label in order:
                 print(f"{workload} seed {seed}: {label}", file=sys.stderr, flush=True)
