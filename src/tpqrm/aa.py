@@ -90,13 +90,15 @@ def _beta_of(params: ModelParams) -> float:
     return geo.beta
 
 
-def _m_element_value(m: int, n: int, delta: float, g: float, r: float, beta: float) -> float:
+def _m_element_value(m: int, n: int, params: ModelParams) -> float:
     """Exact Legendre form of M_mn; each term assembled in log space."""
-    total = 0.5 * delta * squeeze_term(m, n, 0, beta)
-    if g != 0.0 and r != 1.0:
-        total -= 0.5 * g * (1.0 - r) * (
-            squeeze_term(m, n, -1, beta)
-            - (2 * n + 1) * (2 * n + 2) * squeeze_term(m, n, +1, beta)
+    geo = geometry(params)
+    beta, tanh2 = geo.beta, math.tanh(2.0 * geo.theta) ** 2
+    total = 0.5 * params.delta * squeeze_term(m, n, 0, beta, tanh2)
+    if params.g != 0.0 and params.r != 1.0:
+        total -= 0.5 * params.g * (1.0 - params.r) * (
+            squeeze_term(m, n, -1, beta, tanh2)
+            - (2 * n + 1) * (2 * n + 2) * squeeze_term(m, n, +1, beta, tanh2)
         )
     return (-1.0) ** m * total
 
@@ -125,7 +127,7 @@ def aa_matrix_element(m: int, n: int, params: ModelParams) -> AAMatrixElement:
     if m < 0 or n < 0:
         raise ValueError("manifold indices must be >= 0")
     beta = _beta_of(params)
-    value = _m_element_value(m, n, params.delta, params.g, params.r, beta)
+    value = _m_element_value(m, n, params)
     kf = k_factor(m, n, beta)
     al = alpha_coefficient(m, n, params.delta, params.delta_c)
     delta_det = params.delta - params.delta_c
@@ -161,7 +163,7 @@ def aa_energy(n: int, parity: int, params: ModelParams) -> AALevel:
     if geo.at_collapse:
         return AALevel(n=n, parity=parity, energy=-0.5, diag_part=-0.5, split_part=0.0)
     diag = (2 * n + 0.5) * geo.beta - 0.5
-    m_nn = _m_element_value(n, n, params.delta, params.g, params.r, geo.beta)
+    m_nn = _m_element_value(n, n, params)
     return AALevel(n=n, parity=parity, energy=diag + parity * m_nn, diag_part=diag,
                    split_part=parity * m_nn)
 
@@ -215,14 +217,14 @@ def second_order_corrections(
     (untruncated) sum also carries an m ~ 1/beta^2 tail contribution
     that this window deliberately measures without.
     """
-    beta = _beta_of(params)
+    _beta_of(params)  # rejects the collapse point
     e_n = aa_energy(n, parity, params).energy
     state_sq = 0.0
     energy = 0.0
     for m in range(max(0, n - band), n + band + 1):
         if m == n:
             continue
-        m_mn = _m_element_value(m, n, params.delta, params.g, params.r, beta)
+        m_mn = _m_element_value(m, n, params)
         e_m = aa_energy(m, parity, params).energy
         ratio = m_mn / (e_n - e_m)
         state_sq += ratio * ratio

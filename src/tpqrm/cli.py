@@ -325,7 +325,8 @@ def run_collapse1d(ns, model: collapse1d.Collapse1DProblem) -> int:
         rows.append([n, ladder.binding_energies[n], ratio, bool(ladder.converged[n])])
     out = _write(ns, ["n", "kappa4", "ratio", "converged"], rows)
 
-    report = {"ratio_plateau": ladder.ratio_plateau}
+    report = {"ratio_plateau": ladder.ratio_plateau, "rows": ladder.rows,
+              "refinement": ladder.refinement.tolist()}
     status = EXIT_OK
     if ns.check_hc:
         try:
@@ -410,7 +411,8 @@ COMMANDS = {
                          help="qubit frequency, or 'critical' for the isotropic Delta_c = 0")),
         ("--n-max", dict(type=int, default=256, help="truncation of --check-hc")),
         ("--L", dict(type=float, default=400.0, help="half width of the Dirichlet box")),
-        ("--h", dict(type=float, default=0.05, help="grid spacing")),
+        ("--h", dict(type=float, default=0.05,
+                     help="x-spacing at the origin of the sinh-mapped grid")),
         ("--k", dict(type=int, default=6, help="levels requested")),
         ("--check-hc", dict(action="store_true",
                             help="cross-check against the quadrature-form Hamiltonian")),

@@ -18,6 +18,16 @@ geometrically at the threshold; the tail supports bound states only
 when its coefficient Delta^2/4 exceeds the critical 1/4, i.e. Delta > 1
 (standard inverse-square-potential theory, used here only as an
 applicability note and an optional ratio cross-check).
+
+The rungs of that tower are evenly spaced in u = asinh(x), so the
+operator is discretized on a uniform u grid over (-asinh L, asinh L),
+x = sinh(u): with J = cosh(u) the equation reads
+
+    -d/du[(1/J) dphi/du] + J V phi = E J phi,
+
+central differences with 1/J at the cell midpoints keep it symmetric,
+and psi = sqrt(J) phi makes it a standard symmetric tridiagonal
+eigenproblem.  h is the x-spacing at the origin.
 """
 
 from __future__ import annotations
@@ -35,7 +45,12 @@ from . import ed
 
 @dataclass(frozen=True)
 class Collapse1DProblem:
-    """Finite-difference setting: Dirichlet box [-L, L] with spacing h."""
+    """Finite-difference setting: Dirichlet box [-L, L] on the sinh-mapped grid.
+
+    h is the x-spacing at the origin: the grid takes round(asinh(L)/h)
+    equal u-steps per side, and needs at least two interior nodes on
+    each side of the origin.
+    """
 
     delta: float
     L: float = 400.0
@@ -45,13 +60,24 @@ class Collapse1DProblem:
         check_finite(delta=self.delta, L=self.L, h=self.h)
         if self.delta < 0:
             raise ValueError("delta must be >= 0")
-        if self.L <= 0 or self.h <= 0 or self.h >= self.L:
-            raise ValueError("need 0 < h < L")
+        if self.L <= 0 or self.h <= 0:
+            raise ValueError("need L > 0 and h > 0")
+        n = _steps(self.L, self.h)
+        if n < 3:
+            raise ValueError(
+                f"h={self.h} is too coarse for L={self.L}: the sinh-mapped grid needs 2 "
+                f"interior nodes per side, round(asinh(L)/h) = {n} steps leave {max(n - 1, 0)}"
+            )
 
 
 @dataclass(frozen=True)
 class BoundStateLadder:
-    """Binding energies kappa^4 (descending), their consecutive ratios, parities."""
+    """Binding energies kappa^4 (descending), their consecutive ratios, parities.
+
+    refinement holds each level's relative change against the (2L, h/2)
+    solve, the number the 0.5% gate reads; rows is the size of the
+    (L, h) grid.
+    """
 
     binding_energies: np.ndarray
     ratios: np.ndarray
@@ -60,6 +86,8 @@ class BoundStateLadder:
     converged: np.ndarray
     L: float
     h: float
+    refinement: np.ndarray
+    rows: int
 
 
 def effective_potential(delta: float, x):
@@ -69,11 +97,20 @@ def effective_potential(delta: float, x):
     return v if v.ndim else float(v)
 
 
+def _steps(L: float, h: float) -> int:
+    """u-steps per side of the sinh-mapped grid with origin spacing h."""
+    return round(math.asinh(L) / h)
+
+
 def _solve_grid(delta: float, L: float, h: float, k: int):
-    x = np.arange(-L + h, L, h)
-    diag = 2.0 / (h * h) + effective_potential(delta, x)
-    off = np.full(len(x) - 1, -1.0 / (h * h))
-    k_solve = min(k, len(x) - 1)
+    n = _steps(L, h)
+    du = math.asinh(L) / n
+    u = np.arange(1 - n, n) * du  # symmetric nodes, walls at u = +-n du
+    jac = np.cosh(u)
+    inv_mid = 1.0 / np.cosh((np.arange(-n, n) + 0.5) * du) / (du * du)
+    diag = (inv_mid[:-1] + inv_mid[1:]) / jac + effective_potential(delta, np.sinh(u))
+    off = -inv_mid[1:-1] / np.sqrt(jac[:-1] * jac[1:])
+    k_solve = min(k, len(u) - 1)
     w, v = eigh_tridiagonal(diag, off, select="i", select_range=(0, k_solve - 1))
     return w, v
 
@@ -81,11 +118,12 @@ def _solve_grid(delta: float, L: float, h: float, k: int):
 def bound_states(problem: Collapse1DProblem, k: int = 6) -> BoundStateLadder:
     """Lowest k bound levels, each gated by a (2L, h/2) refinement to 0.5%.
 
+    Both solves run on the sinh-mapped grid, h being its origin spacing.
     Levels that fail the refinement gate (or are not bound at all) are
     flagged, never silently reported; the ratio plateau averages the
     deepest converged consecutive ratios.  Resolving more than a few
     rungs needs boxes far beyond the shallowest level's 1/kappa^2 decay
-    length.
+    length, which the mapped grid reaches in O(log L) rows.
     """
     check_count("k", k)
     w, v = _solve_grid(problem.delta, problem.L, problem.h, k)
@@ -99,10 +137,12 @@ def bound_states(problem: Collapse1DProblem, k: int = 6) -> BoundStateLadder:
     converged = np.zeros(k, dtype=bool)
     out_k4 = np.full(k, np.nan)
     out_par = np.zeros(k, dtype=int)
+    refinement = np.full(k, np.nan)
     for i in range(min(k, len(kappa4))):
         out_k4[i] = kappa4[i]
         if kappa4_ref[i] > 0:
-            converged[i] = abs(kappa4[i] - kappa4_ref[i]) <= 5e-3 * kappa4_ref[i]
+            refinement[i] = abs(kappa4[i] - kappa4_ref[i]) / kappa4_ref[i]
+            converged[i] = refinement[i] <= 5e-3
         flipped = vectors[::-1, i]
         even = np.linalg.norm(vectors[:, i] - flipped) < np.linalg.norm(vectors[:, i] + flipped)
         out_par[i] = +1 if even else -1
@@ -119,6 +159,8 @@ def bound_states(problem: Collapse1DProblem, k: int = 6) -> BoundStateLadder:
         converged=converged,
         L=problem.L,
         h=problem.h,
+        refinement=refinement,
+        rows=len(v),
     )
 
 

@@ -72,16 +72,23 @@ def log_double_factorial(n: int) -> float:
     return math.lgamma(n + 1) - m * _LOG2 - math.lgamma(m + 1)
 
 
-def legendre_log_table(k: int, l_max: int, x: float) -> tuple[np.ndarray, np.ndarray]:
+def legendre_log_table(
+    k: int, l_max: int, x: float, one_minus_x2: float | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """(sign, log|P|) of P_l^k(x) for all degrees l = 0..l_max at fixed order k.
 
     x must lie in [0, 1].  Entries with |k| > l are (0, -inf).  Negative
-    k is resolved through the pinned negative-order relation.
+    k is resolved through the pinned negative-order relation.  The
+    (1-x^2)^(k/2) seed is taken from one_minus_x2 when given: near
+    x = 1 a caller that knows 1 - x^2 directly keeps the digits that
+    x itself has lost.
     """
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"legendre argument x={x} outside [0, 1]")
+    if one_minus_x2 is None:
+        one_minus_x2 = (1.0 - x) * (1.0 + x)
     if k < 0:
-        signs, logs = legendre_log_table(-k, l_max, x)
+        signs, logs = legendre_log_table(-k, l_max, x, one_minus_x2)
         ls = np.arange(l_max + 1, dtype=float)
         with np.errstate(invalid="ignore"):
             ratio = gammaln(ls + k + 1) - gammaln(ls - k + 1)
@@ -93,14 +100,14 @@ def legendre_log_table(k: int, l_max: int, x: float) -> tuple[np.ndarray, np.nda
     if k > l_max:
         return signs, logs
 
-    if x == 1.0:
+    if one_minus_x2 == 0.0:
         # (1-x^2)^(k/2) kills every k > 0; P_l(1) = 1
         if k == 0:
             signs[:] = 1.0
             logs[:] = 0.0
         return signs, logs
 
-    log_seed = log_double_factorial(2 * k - 1) + 0.5 * k * (math.log1p(-x) + math.log1p(x))
+    log_seed = log_double_factorial(2 * k - 1) + 0.5 * k * math.log(one_minus_x2)
     signs[k] = 1.0
     logs[k] = log_seed
     if k == l_max:
@@ -126,11 +133,13 @@ def legendre_log_table(k: int, l_max: int, x: float) -> tuple[np.ndarray, np.nda
     return signs, logs
 
 
-def legendre_pk_log(l: int, k: int, x: float) -> tuple[float, float]:
+def legendre_pk_log(
+    l: int, k: int, x: float, one_minus_x2: float | None = None
+) -> tuple[float, float]:
     """(sign, log|P_l^k(x)|) for any integer degree and order, x in [0, 1]."""
     if l < 0:
         l = -l - 1
-    signs, logs = legendre_log_table(k, l, x)
+    signs, logs = legendre_log_table(k, l, x, one_minus_x2)
     return float(signs[l]), float(logs[l])
 
 
@@ -164,9 +173,13 @@ def legendre_smallbeta(l: int, k: int, beta: float) -> float:
     return correction * sign * math.exp(log_mag) * envelope
 
 
-def squeeze_term(m: int, n: int, shift: int, beta: float) -> float:
-    """sqrt(beta (2n)!/(2m)!) P_(m+n+shift)^(m-n-shift)(beta), assembled in log space."""
-    sign, log_p = legendre_pk_log(m + n + shift, m - n - shift, beta)
+def squeeze_term(m: int, n: int, shift: int, beta: float, tanh2: float) -> float:
+    """sqrt(beta (2n)!/(2m)!) P_(m+n+shift)^(m-n-shift)(beta), assembled in log space.
+
+    tanh2 = tanh^2(2 theta) = 1 - beta^2 seeds the Legendre table; at
+    small theta beta rounds to 1 and 1 - beta^2 from beta keeps no digit.
+    """
+    sign, log_p = legendre_pk_log(m + n + shift, m - n - shift, beta, tanh2)
     if sign == 0.0:
         return 0.0
     log_fac = 0.5 * (gammaln(2 * n + 1) - gammaln(2 * m + 1))
@@ -183,9 +196,10 @@ def squeeze_element(m: int, n: int, theta: float, sign: int = +1) -> float:
         raise ValueError("theta must be finite")
     s_eff = sign if theta >= 0.0 else -sign
     beta = 1.0 / math.cosh(2.0 * theta)
-    if beta == 1.0:
+    tanh2 = math.tanh(2.0 * theta) ** 2
+    if tanh2 == 0.0:
         return float(m == n)  # S(0) is the identity; its zeros stay +0.0 for either sign
-    value = squeeze_term(m, n, 0, beta)
+    value = squeeze_term(m, n, 0, beta, tanh2)
     return (-1.0) ** (m - n) * value if s_eff == -1 else value
 
 
@@ -213,6 +227,7 @@ def squeeze_matrix(theta: float, n_max: int, sign: int = +1) -> SqueezeMatrix:
         raise ValueError("sign must be +1 or -1")
     s_eff = sign if theta >= 0.0 else -sign
     beta = 1.0 / math.cosh(2.0 * theta)
+    tanh2 = math.tanh(2.0 * theta) ** 2
 
     plus = np.zeros((n_max, n_max))
     l_max = 2 * n_max - 2
@@ -221,7 +236,7 @@ def squeeze_matrix(theta: float, n_max: int, sign: int = +1) -> SqueezeMatrix:
     for d in range(n_max):  # diagonal m - n = d >= 0: squeeze_term from one order-d table
         ns = ns_all[: n_max - d]
         ms = ns + d
-        signs, logs = legendre_log_table(d, l_max, beta)
+        signs, logs = legendre_log_table(d, l_max, beta, tanh2)
         log_total = 0.5 * math.log(beta) + 0.5 * (log_fact[ns] - log_fact[ms]) + logs[ms + ns]
         vals = signs[ms + ns] * np.exp(log_total)
         plus[ms, ns] = vals

@@ -90,6 +90,18 @@ def test_squeeze_operator_matrix_matches_legendre_elements(r, delta, beta, n_max
     assert np.abs(mat - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+@pytest.mark.parametrize("r", [0.25, 0.6])
+def test_squeeze_operator_matrix_matches_legendre_elements_at_tiny_coupling(r):
+    # beta rounds to 1 at g = 1e-8 g_c: both forms must seed their
+    # Legendre tables from tanh^2(2 theta), not from 1 - beta^2
+    g_c, _ = critical_params(r)
+    p = ModelParams(delta=1.0, g=1e-8 * g_c, r=r)
+    mat = aa_matrix(p, 40)
+    ref = np.array([[aa_matrix_element(m, n, p).value for n in range(40)] for m in range(40)])
+    assert np.abs(mat - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert mat[1, 0] != 0.0  # the coupling to the next manifold survives
+
+
 def test_matrix_is_symmetric_numerically():
     for beta in (0.3, 0.1):
         mat = aa_matrix(at_beta(0.6, beta), 14)
@@ -102,9 +114,9 @@ def test_matrix_builds_one_legendre_table_per_order(monkeypatch):
     orders = []
     table = specfun.legendre_log_table
 
-    def counting(k, l_max, x):
+    def counting(k, l_max, x, one_minus_x2):
         orders.append(k)
-        return table(k, l_max, x)
+        return table(k, l_max, x, one_minus_x2)
 
     monkeypatch.setattr(specfun, "legendre_log_table", counting)
     aa_matrix(at_beta(0.6, 0.3), 64)

@@ -55,7 +55,8 @@ def test_collapse1d_validate_resolves_critical_as_the_run_does(tmp_path, capsys)
     code = run_cli(["collapse1d", "--h", "500", "--validate"], tmp_path)
     payload = json.loads(capsys.readouterr().out)
     assert code == cli.EXIT_CONFIG
-    assert "error: need 0 < h < L" in payload["diagnostics"]
+    assert ("error: h=500.0 is too coarse for L=400.0: the sinh-mapped grid needs 2 interior "
+            "nodes per side, round(asinh(L)/h) = 0 steps leave 0") in payload["diagnostics"]
 
 
 def test_manifest_version_falls_back_when_not_installed(tmp_path, capsys, monkeypatch):
@@ -211,6 +212,8 @@ def test_collapse1d_command(tmp_path):
     assert data["kappa4"][0] == pytest.approx(1.2576, rel=1e-3)
     report = json.loads((tmp_path / "c1_report.json").read_text())
     assert 0.09 < report["ratio_plateau"] < 0.13
+    assert report["rows"] == 2 * round(math.asinh(200.0) / 0.05) - 1
+    assert len(report["refinement"]) == 4 and max(report["refinement"]) < 5e-3
 
 
 def test_gap_opening_doubles_to_the_gate(tmp_path):

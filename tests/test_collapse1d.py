@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from tpqrm import collapse1d
 from tpqrm.collapse1d import (
     BoundStateLadder,
     Collapse1DProblem,
@@ -31,6 +32,28 @@ def test_problem_validation():
     for field, bad in (("L", math.nan), ("h", math.inf), ("delta", math.nan)):
         with pytest.raises(ValueError, match=f"{field}={bad} must be finite"):
             Collapse1DProblem(**{"delta": 1.0, field: bad})
+
+
+def test_problem_validation_counts_nodes_of_the_mapped_grid():
+    # h < L holds, but asinh(2) / 1.5 rounds to one u-step: no interior node
+    with pytest.raises(ValueError, match=r"^h=1\.5 is too coarse for L=2\.0: .* 1 steps leave 0$"):
+        Collapse1DProblem(delta=1.0, L=2.0, h=1.5)
+    with pytest.raises(ValueError, match=r"^h=0\.6 is too coarse for L=2\.0: .* 2 steps leave 1$"):
+        Collapse1DProblem(delta=1.0, L=2.0, h=0.6)  # round(2.41) = 2 steps
+    Collapse1DProblem(delta=1.0, L=2.0, h=0.5)  # round(2.89) = 3 steps: 2 interior nodes
+
+
+def test_mapped_grid_matches_the_free_box_at_second_order():
+    # Delta = 0 leaves a free particle in [-L, L]: E_n = (n pi / 2L)^2
+    L = 100.0
+    exact = (np.arange(1, 4) * math.pi / (2 * L)) ** 2
+    errors = []
+    for h in (0.05, 0.025, 0.0125):
+        levels, _ = collapse1d._solve_grid(0.0, L, h, 3)
+        errors.append(np.abs(levels / exact - 1.0))
+    assert errors[0].max() < 2e-3
+    for coarse, fine in zip(errors, errors[1:]):
+        assert np.all((coarse / fine > 3.8) & (coarse / fine < 4.2))
 
 
 def test_bound_states_rejects_a_zero_level_count():
@@ -73,7 +96,6 @@ def test_geometric_ratio_theory_value():
         geometric_ratio_theory(1.0)
 
 
-@pytest.mark.slow
 def test_same_parity_ratios_accumulate_geometrically():
     # the tower is two interleaved geometric ladders: ratios of alternate
     # levels plateau on the inverse-square-tail value, consecutive ones
@@ -88,6 +110,27 @@ def test_same_parity_ratios_accumulate_geometrically():
     assert plateau.mean() == pytest.approx(theory, rel=0.02)
     consecutive = ladder.ratios[2:5]
     assert consecutive.max() / consecutive.min() > 1.05  # persistent alternation
+
+
+def test_deep_tower_closes_on_the_tail_theory():
+    # ten rungs in a box of half width 1e9: the same-parity ratios of rungs
+    # 6-9 sit on the inverse-square-tail value, so the 0.7% gap criterion 09
+    # reads at n in {3, 4, 5} is pre-asymptotic
+    ladder = bound_states(Collapse1DProblem(delta=3.0, L=1e9, h=0.0125), k=10)
+    assert ladder.converged.all()
+    k4 = ladder.binding_energies
+    same_parity = k4[6:10] / k4[4:8]
+    assert np.abs(same_parity / geometric_ratio_theory(3.0) - 1.0).max() < 1e-3
+
+
+def test_ladder_reports_its_refinement_and_grid_size():
+    problem = Collapse1DProblem(delta=3.0, L=200.0, h=0.05)
+    ladder = bound_states(problem, k=4)
+    ref = bound_states(Collapse1DProblem(delta=3.0, L=400.0, h=0.025), k=4)
+    assert ladder.rows == 2 * round(math.asinh(200.0) / 0.05) - 1
+    change = np.abs(ladder.binding_energies / ref.binding_energies - 1.0)
+    assert ladder.refinement == pytest.approx(change, rel=1e-9)
+    assert np.all(ladder.converged == (ladder.refinement <= 5e-3))
 
 
 def test_collapse_check_continuum_at_zero_delta():

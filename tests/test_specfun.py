@@ -143,6 +143,16 @@ def test_squeeze_element_against_exponentiated_generator():
         assert worst < 1e-9
 
 
+def test_squeeze_element_keeps_small_angles():
+    # <2|S(2t)|0> = sqrt(beta) tanh(2t) / sqrt(2), where beta = 1/cosh(2t)
+    # rounds to 1 long before tanh(2t) loses a digit
+    for theta in (7e-7, 7.5e-9):
+        beta = 1.0 / math.cosh(2 * theta)
+        exact = math.sqrt(beta) * math.tanh(2 * theta) / math.sqrt(2.0)
+        assert squeeze_element(1, 0, theta, +1) == pytest.approx(exact, rel=1e-12)
+        assert squeeze_matrix(theta, 3).entries[1, 0] == pytest.approx(exact, rel=1e-12)
+
+
 def test_squeeze_negative_theta_matches_sign_flip():
     assert squeeze_element(3, 1, -0.7, +1) == squeeze_element(3, 1, 0.7, -1)
 
