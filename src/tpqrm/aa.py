@@ -146,11 +146,13 @@ def aa_matrix(params: ModelParams, n_max: int) -> np.ndarray:
     _beta_of(params)  # rejects the collapse point
     s = squeeze_matrix(geometry(params).theta, n_max + 1).entries[:n_max]
     n = np.arange(n_max)
-    s_a = np.zeros((n_max, n_max))
-    s_a[:, 1:] = s[:, : n_max - 1] * np.sqrt(2.0 * n[1:] * (2.0 * n[1:] - 1.0))
-    s_a -= s[:, 1:] * np.sqrt((2.0 * n + 1.0) * (2.0 * n + 2.0))
-    m = 0.5 * params.delta * s[:, :n_max] - 0.5 * params.g * (1.0 - params.r) * s_a
-    return (-1.0) ** n[:, None] * m
+    m = np.zeros((n_max, n_max))  # S(A - A'), then M in place: three n_max^2 arrays at most
+    np.multiply(s[:, : n_max - 1], np.sqrt(2.0 * n[1:] * (2.0 * n[1:] - 1.0)), out=m[:, 1:])
+    m -= s[:, 1:] * np.sqrt((2.0 * n + 1.0) * (2.0 * n + 2.0))
+    m *= -0.5 * params.g * (1.0 - params.r)
+    m += 0.5 * params.delta * s[:, :n_max]
+    m *= (-1.0) ** n[:, None]
+    return m
 
 
 def aa_energy(n: int, parity: int, params: ModelParams) -> AALevel:

@@ -30,13 +30,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eig, eigh_tridiagonal
-from scipy.special import eval_genlaguerre, gammaln
+from numpy.lib.stride_tricks import sliding_window_view
+# eig, eval_genlaguerre: bound only as perfbench tracer leaves (ROADMAP direction 4 retires them)
+from scipy.linalg import eig, eigh, eigh_tridiagonal  # noqa: F401
+from scipy.special import eval_genlaguerre  # noqa: F401
 
 from .aa import GroundStateObservables, aa_matrix
 from .errors import ConvergenceError
 from .model import ModelParams, SectorSpec, check_count, geometry
-from .specfun import squeeze_element
+from .specfun import _LOG_RESCALE, _RESCALE, squeeze_element
 
 N_MAX_CEILING = 16384
 
@@ -273,12 +275,12 @@ def full_spectrum(
     )
 
 
-def _squeezed_frame_eigs(m: np.ndarray, parity: int, beta: float) -> np.ndarray:
+def _squeezed_frame_eigs(m: np.ndarray, parity: int, beta: float, k: int) -> np.ndarray:
+    """Lowest k eigenvalues of diag[(2m+1/2) beta - 1/2] + parity M, from its lower triangle."""
     a = parity * m
     idx = np.arange(len(m))
     a[idx, idx] += (2 * idx + 0.5) * beta - 0.5
-    w = eig(a, right=False)
-    return w[np.argsort(w.real)]
+    return eigh(a, lower=True, eigvals_only=True, subset_by_index=[0, k - 1])
 
 
 def squeezed_frame_spectrum(
@@ -290,12 +292,14 @@ def squeezed_frame_spectrum(
 ) -> SpectrumResult:
     """Lowest k levels from the squeezed-frame coupled-manifold matrix.
 
-    The matrix is treated as general (non-symmetric) per its textual
-    form; residual imaginary parts above 1e-8 (1 + |E|) flag the level
-    unconverged instead of raising.  Convergence estimates come from a
-    half-size solve on the matrix's leading block.  Near collapse this
-    frame reaches a given accuracy at much smaller n_max than bare Fock,
-    because the basis already absorbs the squeezing.
+    M is symmetric up to the rounding of its squeeze-matrix products
+    (1e-11 to 1e-10 relative at n_max = 480), so the levels come from a
+    symmetric solve of its lower triangle; an asymmetry max|M - M^T| above
+    1e-9 max|M| flags every level unconverged instead of raising.
+    Convergence estimates come from a half-size solve on the matrix's
+    leading block.  Near collapse this frame reaches a given accuracy at
+    much smaller n_max than bare Fock, because the basis already absorbs
+    the squeezing.
     """
     geo = geometry(params)
     if geo.at_collapse:
@@ -303,17 +307,15 @@ def squeezed_frame_spectrum(
     if n_max < max(2 * k, 4):
         raise ValueError(f"n_max={n_max} too small for k={k} levels")
     m = aa_matrix(params, n_max)
-    w_full = _squeezed_frame_eigs(m, parity, geo.beta)
-    w_half = _squeezed_frame_eigs(m[: n_max // 2, : n_max // 2], parity, geo.beta)
-    lowest = w_full[:k]
-    estimate = np.abs(lowest.real - w_half[:k].real)
-    imag_ok = np.abs(lowest.imag) <= 1e-8 * (1.0 + np.abs(lowest.real))
-    converged = imag_ok & (estimate < tol)
+    symmetric = np.abs(m - m.T).max() <= 1e-9 * np.abs(m).max()
+    lowest = _squeezed_frame_eigs(m, parity, geo.beta, k)
+    half = n_max // 2
+    estimate = np.abs(lowest - _squeezed_frame_eigs(m[:half, :half], parity, geo.beta, k))
     return SpectrumResult(
-        energies=lowest.real,
+        energies=lowest,
         parities=np.full(k, parity, dtype=int),
         indices=np.arange(k),
-        converged=converged,
+        converged=symmetric & (estimate < tol),
         convergence_estimate=estimate,
         n_max_used=n_max,
     )
@@ -519,34 +521,51 @@ def conditional_photon_state(
     return comp / np.linalg.norm(comp)
 
 
-def _wigner_from_density(
-    rho_pairs: list[tuple[int, int, float]], x_axis: np.ndarray, p_axis: np.ndarray
-) -> np.ndarray:
-    """Assemble W from Fock density entries via the Laguerre kernel.
+def _hermite_sum(coeffs: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """sum_n coeffs[n] psi_n(q), streaming the normalized Hermite functions psi_n.
 
-    With alpha = (x + i p)/2 the contribution of |m><n| (m >= n) is
-    (1/2pi) (-1)^n sqrt(n!/m!) (2 conj(alpha))^(m-n) L_n^(m-n)(4|alpha|^2)
-    exp(-2|alpha|^2), plus the mirrored term for the transposed entry;
-    the conjugated-argument convention is pinned by a brute-force
-    position-integral oracle in the tests.
+    exp(-q^2/2) underflows at |q| ~ 38, where psi_n of high n does not, so
+    the recurrence carries the Gaussian as a per-point log scale and
+    renormalizes wherever it passes _RESCALE.
     """
-    x = x_axis[None, :]
-    p = p_axis[:, None]
-    aa = (x * x + p * p) / 1.0  # 4|alpha|^2 with alpha=(x+ip)/2
-    z = x - 1j * p  # 2 conj(alpha)
-    envelope = np.exp(-0.5 * aa)
-    total = np.zeros((len(p_axis), len(x_axis)))
-    for m, n, val in rho_pairs:
-        lo, hi = min(m, n), max(m, n)
-        d = hi - lo
-        pref = (-1.0) ** lo * math.exp(0.5 * (gammaln(lo + 1) - gammaln(hi + 1)))
-        lag = eval_genlaguerre(lo, d, aa)
-        if d == 0:
-            total += val * pref * lag
-        else:
-            # real state: |m><n| + |n><m| give 2 Re[(2 conj alpha)^d]
-            total += 2.0 * val * pref * (z**d).real * lag
-    return total * envelope / (2.0 * math.pi)
+    log_scale = -0.5 * q * q - 0.25 * math.log(math.pi)
+    prev, cur = np.zeros_like(q), np.ones_like(q)
+    total = coeffs[0] * cur
+    for n in range(1, len(coeffs)):
+        prev, cur = cur, math.sqrt(2.0 / n) * q * cur - math.sqrt((n - 1) / n) * prev
+        if coeffs[n] != 0.0:
+            total += coeffs[n] * cur
+        big = np.nonzero(np.abs(cur) > _RESCALE)[0]
+        if big.size:
+            for arr in (prev, cur, total):
+                arr[big] /= _RESCALE
+            log_scale[big] += _LOG_RESCALE
+    return total * np.exp(log_scale)
+
+
+def _wigner_from_components(
+    components: list[np.ndarray], x_axis: np.ndarray, p_axis: np.ndarray
+) -> np.ndarray:
+    """W(x, p) = sum over components of (1/2pi) int psi(q+y) psi(q-y) cos(2 k y) dy.
+
+    q = x/sqrt 2, k = p/sqrt 2; each component is a real Fock vector and x_axis
+    is uniform.  See wigner_grid for the lattice.
+    """
+    dx = float(x_axis[1] - x_axis[0])
+    refine = max(1, math.ceil(dx * float(np.abs(p_axis).max()) / math.pi))
+    spacing = 2 * refine  # lattice steps between neighbouring q_j
+    span = spacing * (len(x_axis) - 1)  # lattice steps across the box; y_k = k h, k <= span
+    h = dx / (math.sqrt(2.0) * spacing)
+    lattice = (x_axis[0] + np.arange(-span, 2 * span + 1) * (dx / spacing)) / math.sqrt(2.0)
+    products = np.zeros((len(x_axis), span + 1))
+    for comp in components:
+        windows = sliding_window_view(_hermite_sum(comp, lattice), span + 1)
+        # q_j sits at lattice index span + spacing j: psi(q_j + y_k) is entry k of the
+        # window that starts there, psi(q_j - y_k) entry span - k of the one that ends there
+        products += windows[span::spacing] * windows[: span + 1 : spacing, ::-1]
+    cosines = 2.0 * np.cos(np.outer(math.sqrt(2.0) * p_axis, h * np.arange(span + 1)))
+    cosines[:, 0] = 1.0  # the integrand is even in y: fold it onto y >= 0
+    return (h / (2.0 * math.pi)) * (cosines @ products.T)
 
 
 def wigner_grid(
@@ -564,6 +583,15 @@ def wigner_grid(
     must be wide enough that |W| < 1e-6 on the boundary, else a
     ValueError reports the boundary mass; integral and second moments
     are the correctness invariants checked by the tests.
+
+    Each component's psi(q) is evaluated once on a q-lattice of step
+    h = dq / (2 refine), dq = dx/sqrt 2, refine = ceil(dx half_width / pi),
+    which holds every q_j +- y_k; the y-integral is a trapezoid sum.  That
+    sum is exact up to aliasing, W(q, k) + sum over m != 0 of
+    W(q, k + m pi/h), and the refine rule puts every partner at least
+    2 half_width/sqrt 2 outside the box.  y spans the box's full width in
+    q: the integrand decays in y as the state does in q, so stopping at
+    half of it leaves errors of the size of W on the boundary.
     """
     check_count("points", points, 3)  # the integral needs an interior point
     psi_up, psi_dn = _ground_spinfock(params, n_max, tol)
@@ -589,14 +617,7 @@ def wigner_grid(
 
     x_axis = np.linspace(-half_width, half_width, points)
     p_axis = np.linspace(-half_width, half_width, points)
-
-    # one density matrix on the even Fock states of the support; in the reduced
-    # state Z4 makes rho_mn exactly 0 wherever (m - n)/2 is odd
-    support = max(int(np.max(np.nonzero(np.abs(psi_up) + np.abs(psi_dn) > 1e-14)[0])) + 1, 2)
-    rho = sum(np.outer(comp[:support:2], comp[:support:2]) for comp in components)
-    pairs = [(2 * int(m), 2 * int(n), float(rho[m, n]))
-             for m, n in zip(*np.nonzero(np.tril(np.abs(rho) >= 1e-18)))]
-    values = _wigner_from_density(pairs, x_axis, p_axis)
+    values = _wigner_from_components(components, x_axis, p_axis)
 
     edges = (values[0, :], values[-1, :], values[:, 0], values[:, -1])
     boundary = max(float(np.abs(edge).max()) for edge in edges)

@@ -136,7 +136,7 @@ def geometry(params: ModelParams) -> CriticalGeometry:
         beta, theta = 0.0, math.inf
     else:
         beta = math.sqrt((1.0 - x) * (1.0 + x))
-        theta = 0.25 * math.log((1.0 + x) / (1.0 - x))
+        theta = 0.5 * math.atanh(x)  # = (1/4) ln[(1+x)/(1-x)], without its 1e-16/x rounding
     return CriticalGeometry(
         g_c=g_c,
         delta_c=delta_c,

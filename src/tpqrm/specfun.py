@@ -22,9 +22,11 @@ S(s) = exp[(s/2)(a'^2 - a^2)] and beta = 1/cosh(2*theta):
 
 Factorial ratios and high-degree Legendre values overflow doubles well
 inside the ranges used here ((2m)! at m >= 86, (2k-1)!! at k ~ 150), so
-everything is evaluated in log space: the degree recurrence runs at
-fixed order with dynamic renormalization, and magnitudes are only
-exponentiated after all log factors have been combined.
+everything is evaluated in log space: the upward degree recurrence
+carries a renormalization shift for each order (legendre_log_table runs
+one order, squeeze_matrix all orders of a matrix in one sweep), and
+magnitudes are only exponentiated after all log factors have been
+combined.
 """
 
 from __future__ import annotations
@@ -39,24 +41,6 @@ _RESCALE = 1e250
 _LOG_RESCALE = math.log(_RESCALE)
 
 _LOG2 = math.log(2.0)
-
-
-def double_factorial(n: int):
-    """n!! with the conventions (-1)!! = 0!! = 1.
-
-    Exact integer arithmetic up to n = 30, log-gamma accumulation above
-    (values are then floats, exact only to double precision).
-    """
-    if n < -1:
-        raise ValueError(f"double factorial undefined for n={n} < -1")
-    if n <= 30:
-        result = 1
-        k = n
-        while k > 1:
-            result *= k
-            k -= 2
-        return result
-    return math.exp(log_double_factorial(n))
 
 
 def log_double_factorial(n: int) -> float:
@@ -143,36 +127,6 @@ def legendre_pk_log(
     return float(signs[l]), float(logs[l])
 
 
-def legendre_pk(l: int, k: int, x: float) -> float:
-    """P_l^k(x) under the pinned conventions (may overflow to inf for huge values)."""
-    sign, log_abs = legendre_pk_log(l, k, x)
-    if sign == 0.0:
-        return 0.0
-    return sign * math.exp(log_abs)
-
-
-def legendre_smallbeta(l: int, k: int, beta: float) -> float:
-    """Leading small-argument form of P_l^k(beta), error O(beta^4).
-
-    Valid for l - k even and >= 0 (the only case arising in the even
-    photon sector); other index combinations are rejected.
-    """
-    if l < 0:
-        l = -l - 1
-    if (l - k) % 2 != 0 or l - k < 0:
-        raise ValueError(f"small-beta expansion needs l-k even and >= 0, got l={l}, k={k}")
-    if not 0.0 <= beta <= 0.3:
-        raise ValueError(f"small-beta expansion restricted to beta in [0, 0.3], got {beta}")
-    if abs(k) > l:
-        return 0.0
-    # (l+k-1)!! (-1)^((l-k)/2) / (l-k)!!, in log space for large indices
-    log_mag = log_double_factorial(l + k - 1) - log_double_factorial(l - k)
-    sign = (-1.0) ** ((l - k) // 2)
-    envelope = (1.0 - beta * beta) ** (k / 2.0)
-    correction = 1.0 - (l + k + 1) * (l - k) / 2.0 * beta * beta
-    return correction * sign * math.exp(log_mag) * envelope
-
-
 def squeeze_term(m: int, n: int, shift: int, beta: float, tanh2: float) -> float:
     """sqrt(beta (2n)!/(2m)!) P_(m+n+shift)^(m-n-shift)(beta), assembled in log space.
 
@@ -216,10 +170,15 @@ class SqueezeMatrix:
 def squeeze_matrix(theta: float, n_max: int, sign: int = +1) -> SqueezeMatrix:
     """Matrix of squeeze elements in the even Fock sector.
 
-    The lower triangle (m >= n) is evaluated directly; the upper one is
-    filled through <2n|S(2t)|2m> = (-1)^(m-n) <2m|S(2t)|2n>, so the
-    transpose identity entries(S(2t)) == entries(S(-2t)).T holds
-    bit-exactly.
+    One upward sweep over the degree l advances the Legendre recurrence
+    of every order k = m - n still needed as one vector, each from its
+    seed at l = k with its own renormalization shift, and writes the
+    entries with m + n = l as it passes; each order sees the operations
+    of its own legendre_log_table, so the result is bitwise that
+    per-order assembly.  The lower triangle (m >= n) is evaluated; the
+    upper one is <2n|S(2t)|2m> = (-1)^(m-n) <2m|S(2t)|2n>, so
+    entries(S(2t)) == entries(S(-2t)).T bit-exactly.  theta = 0 gives
+    the identity.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -228,22 +187,40 @@ def squeeze_matrix(theta: float, n_max: int, sign: int = +1) -> SqueezeMatrix:
     s_eff = sign if theta >= 0.0 else -sign
     beta = 1.0 / math.cosh(2.0 * theta)
     tanh2 = math.tanh(2.0 * theta) ** 2
+    if tanh2 == 0.0:
+        return SqueezeMatrix(theta=theta, n_max=n_max, sign=sign, entries=np.eye(n_max))
 
-    plus = np.zeros((n_max, n_max))
-    l_max = 2 * n_max - 2
-    ns_all = np.arange(n_max)
-    log_fact = gammaln(2.0 * ns_all + 1.0)
-    for d in range(n_max):  # diagonal m - n = d >= 0: squeeze_term from one order-d table
-        ns = ns_all[: n_max - d]
-        ms = ns + d
-        signs, logs = legendre_log_table(d, l_max, beta, tanh2)
-        log_total = 0.5 * math.log(beta) + 0.5 * (log_fact[ns] - log_fact[ms]) + logs[ms + ns]
-        vals = signs[ms + ns] * np.exp(log_total)
-        plus[ms, ns] = vals
-        if d > 0:
-            plus[ns, ms] = (-1.0) ** d * vals
+    orders = np.arange(n_max)
+    log_fact = gammaln(2.0 * orders + 1.0)
+    log_seed = np.array([log_double_factorial(2 * k - 1) + 0.5 * k * math.log(tanh2)
+                         for k in range(n_max)])
+    half_log_beta = 0.5 * math.log(beta)
+    p_prev = np.zeros(n_max)  # P_(k-1)^k = 0 relative to the seed
+    p_cur = np.ones(n_max)  # P_k^k = seed
+    shift = np.zeros(n_max)
+    entries = np.empty((n_max, n_max))
+    for ell in range(2 * n_max - 1):
+        top = min(ell, 2 * n_max - 2 - ell)  # orders still needed at this degree
+        step = slice(0, min(ell - 1, top) + 1)  # order ell is only seeded
+        k = orders[step]
+        p_next = ((2 * ell - 1) * beta * p_cur[step] - (ell + k - 1) * p_prev[step]) / (ell - k)
+        p_prev[step] = p_cur[step]
+        p_cur[step] = p_next
+        big = np.nonzero(np.maximum(np.abs(p_cur[step]), np.abs(p_prev[step])) > _RESCALE)[0]
+        if big.size:
+            p_cur[big] /= _RESCALE
+            p_prev[big] /= _RESCALE
+            shift[big] += _LOG_RESCALE
 
-    if s_eff == -1:
-        mm, nn = np.meshgrid(ns_all, ns_all, indexing="ij")
-        plus = plus * (-1.0) ** (mm - nn)
-    return SqueezeMatrix(theta=theta, n_max=n_max, sign=sign, entries=plus)
+        write = slice(ell % 2, top + 1, 2)  # m + n = ell needs k = m - n of ell's parity
+        k = orders[write]
+        n, m = (ell - k) // 2, (ell + k) // 2
+        p = p_cur[write]
+        # math.log as in legendre_log_table: np.log differs from it in the last bit at times
+        log_p = np.array([math.log(v) if v else -math.inf for v in np.abs(p).tolist()])
+        log_p += shift[write]
+        log_p += log_seed[write]
+        vals = np.sign(p) * np.exp(half_log_beta + 0.5 * (log_fact[n] - log_fact[m]) + log_p)
+        mirrored = np.where(k % 2 == 1, -1.0, 1.0) * vals
+        entries[m, n], entries[n, m] = (vals, mirrored) if s_eff == 1 else (mirrored, vals)
+    return SqueezeMatrix(theta=theta, n_max=n_max, sign=sign, entries=entries)

@@ -108,22 +108,6 @@ def test_matrix_is_symmetric_numerically():
         assert np.abs(mat - mat.T).max() < 1e-13 * max(1.0, np.abs(mat).max())
 
 
-def test_matrix_builds_one_legendre_table_per_order(monkeypatch):
-    from tpqrm import specfun
-
-    orders = []
-    table = specfun.legendre_log_table
-
-    def counting(k, l_max, x, one_minus_x2):
-        orders.append(k)
-        return table(k, l_max, x, one_minus_x2)
-
-    monkeypatch.setattr(specfun, "legendre_log_table", counting)
-    aa_matrix(at_beta(0.6, 0.3), 64)
-    assert len(orders) <= 65
-    assert sorted(orders) == list(range(65))  # orders 0..n_max of the one squeeze matrix
-
-
 def test_energies_at_zero_coupling_match_decoupled_spectrum():
     delta = 1.0
     p = ModelParams(delta=delta, g=0.0, r=0.6)

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.hermite import hermval
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import gammaln
+from scipy.linalg import eig, eigh_tridiagonal
+from scipy.special import eval_genlaguerre, gammaln
 
 from tpqrm import ed
 from tpqrm.aa import aa_energy, aa_observables, aa_qfi_leading
@@ -293,6 +293,32 @@ def test_squeezed_frame_imaginary_parts_negligible():
     assert spec.n_max_used == 240  # flags come from the half-size estimate, not imag parts
 
 
+@pytest.mark.parametrize("parity", [+1, -1])
+@pytest.mark.parametrize("beta", [0.05, 0.5])
+def test_frame_levels_match_the_general_eigensolver(beta, parity):
+    # the symmetric solve of the lower triangle against general eig of the whole matrix
+    p = at_beta(0.6, beta)
+    a = parity * ed.aa_matrix(p, 480)
+    a[np.diag_indices(480)] += (2 * np.arange(480) + 0.5) * geometry(p).beta - 0.5
+    general = np.sort(eig(a, right=False).real)[:6]
+    frame = ed.squeezed_frame_spectrum(p, parity, 480, k=6)
+    assert np.abs(frame.energies - general).max() <= 1e-12
+
+
+def test_asymmetric_frame_matrix_flags_every_level(monkeypatch):
+    p = at_beta(0.6, 0.5)
+    assert ed.squeezed_frame_spectrum(p, -1, 480, k=6).converged.all()
+    build = ed.aa_matrix
+
+    def skewed(params, n_max):
+        m = build(params, n_max)
+        m[5, 2] += 1e-8 * np.abs(m).max()  # the symmetric solve reads only this triangle
+        return m
+
+    monkeypatch.setattr(ed, "aa_matrix", skewed)
+    assert not ed.squeezed_frame_spectrum(p, -1, 480, k=6).converged.any()
+
+
 # ---------------------------------------------------------------- observables
 
 def test_ground_observables_zero_coupling():
@@ -445,24 +471,62 @@ def test_reduced_wigner_is_the_weighted_conditional_mixture():
     assert np.abs(grids["reduced"] - mixture).max() < 1e-13
 
 
-def test_reduced_wigner_evaluates_each_density_entry_once(monkeypatch):
-    # Z4 leaves rho_mn nonzero only for m - n = 0 mod 4; each such pair costs one kernel
-    calls = []
-    laguerre = ed.eval_genlaguerre
+def _wigner_laguerre(components, x_axis, p_axis):
+    """Oracle: W summed over the Fock density entries with the Laguerre kernel.
 
-    def counting(n, alpha, x):
-        calls.append((n, alpha))
-        return laguerre(n, alpha, x)
+    With alpha = (x + i p)/2 the contribution of |m><n| (m >= n) is
+    (1/2pi) (-1)^n sqrt(n!/m!) (2 conj(alpha))^(m-n) L_n^(m-n)(4|alpha|^2)
+    exp(-2|alpha|^2), plus the mirrored term for the transposed entry.
+    The density is taken on the even Fock states of the support and its
+    entries below 1e-18 are dropped.
+    """
+    weight = sum(np.abs(comp) for comp in components)
+    support = max(int(np.nonzero(weight > 1e-14)[0].max()) + 1, 2)
+    rho = sum(np.outer(comp[:support:2], comp[:support:2]) for comp in components)
+    x = x_axis[None, :]
+    p = p_axis[:, None]
+    r2 = x * x + p * p  # 4|alpha|^2
+    z = x - 1j * p  # 2 conj(alpha)
+    total = np.zeros((len(p_axis), len(x_axis)))
+    for i, j in zip(*np.nonzero(np.tril(np.abs(rho) >= 1e-18))):
+        m, n = 2 * int(i), 2 * int(j)
+        pref = (-1.0) ** n * math.exp(0.5 * (gammaln(n + 1) - gammaln(m + 1)))
+        lag = eval_genlaguerre(n, m - n, r2)
+        # real state: |m><n| + |n><m| give 2 Re[(2 conj alpha)^(m-n)]
+        angular = 1.0 if m == n else 2.0 * (z ** (m - n)).real
+        total += rho[i, j] * pref * angular * lag
+    return total * np.exp(-0.5 * r2) / (2.0 * math.pi)
 
-    monkeypatch.setattr(ed, "eval_genlaguerre", counting)
+
+@pytest.mark.parametrize("points", [161, 41, 21, 9])
+def test_wigner_matches_the_laguerre_kernel(points):
+    # the Hermite-lattice kernel against the per-density-entry Laguerre sum; on a lattice
+    # tied to the output spacing (refine = 1) aliased copies of W reach the boundary of
+    # the 9- and 21-point boxes (the gate raises), and the 41-point grid misses by 9e-8
     g_c, delta_c = critical_params(0.25)
     p = ModelParams(delta=delta_c, g=0.95 * g_c, r=0.25)
-    ed.wigner_grid(p, n_max=128, conditioning="reduced", points=21)
+    grid = ed.wigner_grid(p, n_max=128, conditioning="reduced", points=points)
     up, dn = ed.block_to_spinfock(ed.ground_state_block(p, 128)[1], -1)
-    support = int(np.nonzero(np.abs(up) + np.abs(dn) > 1e-14)[0].max()) + 1
-    allowed = sum(1 for m in range(0, support, 2) for n in range(0, m + 1, 4))
-    assert 0 < len(calls) <= allowed
-    assert len(set(calls)) == len(calls)
+    rows = slice(None, None, max(1, (points - 1) // 20))  # at most 21 p-rows of the slow oracle
+    oracle = _wigner_laguerre([up, dn], grid.x_axis, grid.p_axis[rows])
+    assert np.abs(grid.values[rows] - oracle).max() <= 1e-13
+
+
+def test_wigner_squeezed_vacuum_closed_form_far_out():
+    # S(theta)|0> has W = exp(-x^2 e^(-2 theta)/2 - p^2 e^(2 theta)/2) / 2pi; at
+    # half_width 40 the q-lattice reaches |q| ~ 85, where exp(-q^2/2) underflows and
+    # the unscaled Hermite recurrence overflows
+    theta = 1.5
+    m = np.arange(600)
+    log_c = (-0.5 * math.log(math.cosh(theta)) + m * math.log(math.tanh(theta))
+             + 0.5 * gammaln(2 * m + 1) - m * math.log(2.0) - gammaln(m + 1))
+    coeffs = np.zeros(2 * len(m))
+    coeffs[::2] = np.exp(log_c)
+    axis = np.linspace(-40.0, 40.0, 161)
+    values = ed._wigner_from_components([coeffs], axis, axis)
+    X, P = np.meshgrid(axis, axis)
+    exact = np.exp(-0.5 * X**2 * math.exp(-2 * theta) - 0.5 * P**2 * math.exp(2 * theta))
+    assert np.abs(values - exact / (2 * math.pi)).max() <= 1e-13
 
 
 def test_wigner_narrow_grid_rejected():

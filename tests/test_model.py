@@ -38,6 +38,13 @@ def test_geometry_closed_form_point():
     assert geo.theta == pytest.approx(math.log(2.0) / 2.0, abs=1e-12)
 
 
+def test_geometry_keeps_theta_at_small_coupling():
+    # theta = atanh(x)/2 = (x + x^3/3 + ...)/2; the log-ratio form loses 1e-16/x relative
+    x = 1e-8
+    geo = geometry(ModelParams(delta=0.3, g=x, r=0.0))  # g_c = 1, so g/g_c = x exactly
+    assert abs(geo.theta / ((x + x**3 / 3) / 2) - 1.0) <= 1e-15
+
+
 def test_geometry_collapse_point_flagged():
     geo = geometry(ModelParams(delta=0.25, g=0.625, r=0.6))
     assert geo.at_collapse

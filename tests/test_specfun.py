@@ -4,14 +4,59 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from scipy.special import gammaln
+
 from tpqrm.specfun import (
-    double_factorial,
-    legendre_pk,
-    legendre_smallbeta,
+    legendre_log_table,
+    legendre_pk_log,
     log_double_factorial,
     squeeze_element,
     squeeze_matrix,
 )
+
+
+def double_factorial(n: int):
+    """Oracle: n!! with (-1)!! = 0!! = 1; exact integers up to n = 30, log-gamma above."""
+    if n < -1:
+        raise ValueError(f"double factorial undefined for n={n} < -1")
+    if n <= 30:
+        result = 1
+        k = n
+        while k > 1:
+            result *= k
+            k -= 2
+        return result
+    return math.exp(log_double_factorial(n))
+
+
+def legendre_pk(l: int, k: int, x: float) -> float:
+    """P_l^k(x) under the pinned conventions (may overflow to inf for huge values)."""
+    sign, log_abs = legendre_pk_log(l, k, x)
+    if sign == 0.0:
+        return 0.0
+    return sign * math.exp(log_abs)
+
+
+def legendre_smallbeta(l: int, k: int, beta: float) -> float:
+    """Oracle: leading small-argument form of P_l^k(beta), error O(beta^4).
+
+    Valid for l - k even and >= 0 (the only case arising in the even
+    photon sector); other index combinations are rejected.
+    """
+    if l < 0:
+        l = -l - 1
+    if (l - k) % 2 != 0 or l - k < 0:
+        raise ValueError(f"small-beta expansion needs l-k even and >= 0, got l={l}, k={k}")
+    if not 0.0 <= beta <= 0.3:
+        raise ValueError(f"small-beta expansion restricted to beta in [0, 0.3], got {beta}")
+    if abs(k) > l:
+        return 0.0
+    # (l+k-1)!! (-1)^((l-k)/2) / (l-k)!!, in log space for large indices
+    log_mag = log_double_factorial(l + k - 1) - log_double_factorial(l - k)
+    sign = (-1.0) ** ((l - k) // 2)
+    envelope = (1.0 - beta * beta) ** (k / 2.0)
+    correction = 1.0 - (l + k + 1) * (l - k) / 2.0 * beta * beta
+    return correction * sign * math.exp(log_mag) * envelope
 
 
 def test_double_factorial_small_values():
@@ -183,3 +228,39 @@ def test_squeeze_matrix_orthogonality(theta, n_max, interior):
     prod = plus @ minus
     err = np.abs(prod[:interior, :interior] - np.eye(interior)).max()
     assert err < 1e-8
+
+
+def _squeeze_matrices_per_order(theta: float, n_max: int) -> dict[int, np.ndarray]:
+    """Oracle: the squeeze matrices of both signs from one legendre_log_table per order m - n."""
+    beta = 1.0 / math.cosh(2.0 * theta)
+    tanh2 = math.tanh(2.0 * theta) ** 2
+    plus = np.zeros((n_max, n_max))
+    ns_all = np.arange(n_max)
+    log_fact = gammaln(2.0 * ns_all + 1.0)
+    for d in range(n_max):
+        ns = ns_all[: n_max - d]
+        ms = ns + d
+        signs, logs = legendre_log_table(d, 2 * n_max - 2, beta, tanh2)
+        log_total = 0.5 * math.log(beta) + 0.5 * (log_fact[ns] - log_fact[ms]) + logs[ms + ns]
+        vals = signs[ms + ns] * np.exp(log_total)
+        plus[ms, ns] = vals
+        if d > 0:
+            plus[ns, ms] = (-1.0) ** d * vals
+    mm, nn = np.meshgrid(ns_all, ns_all, indexing="ij")
+    minus = plus * (-1.0) ** (mm - nn)
+    return {+1: plus, -1: minus} if theta >= 0.0 else {+1: minus, -1: plus}
+
+
+@pytest.mark.parametrize("theta", [0.0, 1e-4, 0.3, 1.5, -0.7])
+def test_squeeze_matrix_sweep_is_bitwise_the_per_order_tables(theta):
+    # the one degree sweep repeats every order's own recurrence, renormalization
+    # included (theta = 1e-4 renormalizes 201 times at n_max = 481); theta = 0 is
+    # the exact identity, whose zeros are all +0.0 where the per-order mirror
+    # leaves -0.0 on odd diagonals
+    for n_max in (1, 2, 7, 481):
+        oracle = _squeeze_matrices_per_order(theta, n_max)
+        for sign in (+1, -1):
+            got = squeeze_matrix(theta, n_max, sign).entries
+            want = np.eye(n_max) if theta == 0.0 else oracle[sign]
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert np.array_equal(got, oracle[sign])
