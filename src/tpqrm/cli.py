@@ -14,8 +14,6 @@ fits to `<out>_fit.json`, and a manifest with every default materialized
 to `<out>_manifest.json`; `tpqrm --config <manifest>` reproduces the run
 bit for bit.  Exit codes: 0 success, 1 configuration or usage error
 (unknown subcommand or flag, malformed value), 2 convergence failure.
-TPQRM_THREADS (default 1) fans sweep points out across worker threads;
-output order never depends on completion order.
 """
 
 from __future__ import annotations
@@ -23,9 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, replace
 from functools import partial
 from importlib.metadata import PackageNotFoundError
@@ -65,21 +61,6 @@ def write_json(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _n_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("TPQRM_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_points(fn, items):
-    n = _n_threads()
-    if n > 1:
-        with ThreadPoolExecutor(max_workers=n) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
 
 
 def parse_gf(text: str) -> float:
@@ -207,12 +188,9 @@ def _sweep(ns, model, grid, fit_cols, header: list[str], point_rows, ok_col: str
     (g/g_c, x) columns.  Each of fit_cols is fitted against 1 - g/g_c;
     a falsy ok_col value in any row makes the exit code 2.
     """
-    def one(point):
-        x, g = point
-        return [[g / model.g_c, x, *row] for row in point_rows(replace(model, g=float(g)))]
-
-    points = list(zip(grid.x_values, grid.g_values))
-    rows = [row for chunk in _map_points(one, points) for row in chunk]
+    rows = [[g / model.g_c, x, *row]
+            for x, g in zip(grid.x_values, grid.g_values)
+            for row in point_rows(replace(model, g=float(g)))]
     out = _write(ns, header, rows)
     if fit_cols:
         u = np.array([1.0 - row[0] for row in rows])
@@ -289,11 +267,8 @@ def run_wigner(ns, model: ModelParams) -> int:
 
 def run_quench(ns, model: ModelParams, protocols: list, n_samples: int) -> int:
     # one quench time: the run that yields E_r also records the trajectory
-    table = _map_points(
-        lambda p: quench.kz_sweep(p.g_f, [p.tau_q], model, n_max=p.n_max, dt=p.dt,
-                                  n_samples=n_samples)[0],
-        protocols,
-    )
+    table = [quench.kz_sweep(p.g_f, [p.tau_q], model, n_max=p.n_max, dt=p.dt,
+                             n_samples=n_samples)[0] for p in protocols]
     cols = ["g_f_over_gc", "tau_q", "e_r", "norm_drift", "n_max", "dt", "converged"]
     rows = []
     for row in table:
@@ -349,12 +324,10 @@ def run_fit(ns, u: np.ndarray, y: np.ndarray) -> int:
 
 
 def run_gap_opening(ns, delta_c: float, points: list) -> int:
-    def one(point):
-        off, params = point
+    rows = []
+    for off, params in points:
         gap, n_max, conv = ed.collapse_point_gap(params, ns.n_max_final, 4 * ns.n_max_final)
-        return [params.delta, off * off, gap, conv, n_max]
-
-    rows = _map_points(one, points)
+        rows.append([params.delta, off * off, gap, conv, n_max])
     good = [r for r in rows if r[3]]
     fit = {"error": f"fewer than {analysis.MIN_FIT_POINTS} converged points"}
     if len(good) >= analysis.MIN_FIT_POINTS:
@@ -385,7 +358,8 @@ COMMANDS = {
         _FIT,
         ("--oracle", dict(action="store_true",
                           help="add the fidelity-susceptibility cross check column")),
-        ("--k-states", dict(type=int, default=64)),
+        ("--k-states", dict(type=int, default=64,
+                            help="unused; kept so that older manifests still load")),
     ), partial(_resolve_grid, fit_cols=("f_q",)), run_qfi),
     "wigner": Command("Wigner distribution of the ground-state photon mode", _RUN + (
         _R, _DELTA, _N_MAX, _TOL,

@@ -23,7 +23,11 @@ Freeze-out bookkeeping (zv = 1/2 fixed):
     E_r (frozen)     = tau_q^-2 (4 sqrt(2) tau_q)^(5/3) / 16   (~ tau_q^(-1/3))
 
 kz_predict evaluates these closed forms; kz_sweep measures slopes
-independently of them.
+independently of them.  adiabatic_reference gives the adiabatic E_r
+without the closed form's approximations: the end-point term
+(g_f/tau_q)^2 chi_3(g_f) of adiabatic perturbation theory, from the exact
+spectrum of the block (De Grandi and Polkovnikov, Lect. Notes Phys. 802,
+75 (2010)).
 """
 
 from __future__ import annotations
@@ -35,7 +39,14 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import zgtsv
 
-from .ed import build_parity_block, converge, tridiag_apply
+from .ed import (
+    N_MAX_CEILING,
+    _ground_resolvent,
+    _ground_response,
+    build_parity_block,
+    converge,
+    tridiag_apply,
+)
 from .errors import ConvergenceError
 from .model import ModelParams, check_count, check_finite, critical_params
 
@@ -45,6 +56,7 @@ _NORM_DRIFT_TARGET = 1e-9
 _LEAK_TARGET = 1e-8
 _ER_REL_TOL = 1e-2
 _E0_CEILING = 131072
+_CHI3_REL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -249,6 +261,34 @@ def kz_predict(tau_q: float, params: ModelParams) -> KZPrediction:
     e_ad = tau_q**-2 * ratio_sq / (16.0 * (1.0 - ratio_sq) ** (5.0 * Z_NU))
     e_kz = tau_q**-2 * (4.0 * math.sqrt(2.0) * tau_q) ** (5.0 / 3.0) / 16.0
     return KZPrediction(g_k=g_k, e_r_adiabatic=e_ad, e_r_kz=e_kz)
+
+
+def adiabatic_reference(
+    g_f: float, tau_q: float, params: ModelParams, n_max: int = 256
+) -> float:
+    """Adiabatic residual energy of the linear ramp to g_f: (g_f/tau_q)^2 chi_3(g_f).
+
+    chi_3 = sum_(j!=0) |<j| dH/dg |0>|^2 / (E_j - E_0)^3 = x.(H - E_0)^+ x over
+    the ground-state block, with x the ground state's response to the
+    coupling; a second resolvent solve gives (H - E_0)^+ x.  params supplies
+    (delta, r).  Truncation doubles from n_max until chi_3 is stable to 1e-6,
+    else ConvergenceError at the ceiling.
+    """
+    final = QuenchProtocol(g_f=g_f, tau_q=tau_q, r=params.r, delta=params.delta,
+                           n_max=n_max).params_final
+
+    def solve(n: int) -> float:
+        block, v0, e0, x = _ground_response(final, n)
+        return float(x @ _ground_resolvent(block, v0, e0, x))
+
+    def held(new: float, old: float) -> bool:
+        return abs(new - old) <= _CHI3_REL_TOL * new
+
+    chi_3, old, n_used = converge(solve, n_max, N_MAX_CEILING, held)
+    if old is None or not held(chi_3, old):
+        raise ConvergenceError(
+            f"chi_3 not stable to {_CHI3_REL_TOL:.0e} at truncation ceiling {n_used}")
+    return (g_f / tau_q) ** 2 * chi_3
 
 
 def kz_sweep(

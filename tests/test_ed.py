@@ -10,8 +10,10 @@ from scipy.special import eval_genlaguerre, gammaln
 
 from tpqrm import ed
 from tpqrm.aa import aa_energy, aa_observables, aa_qfi_leading
+from tpqrm.analysis import make_grid
 from tpqrm.errors import ConvergenceError
 from tpqrm.model import ModelParams, SectorSpec, critical_params, geometry
+from tpqrm.quench import adiabatic_reference
 
 
 def at_beta(r: float, beta: float, delta: float | None = None) -> ModelParams:
@@ -289,8 +291,13 @@ def test_squeezed_frame_builds_one_matrix(monkeypatch, parity):
 
 
 def test_squeezed_frame_imaginary_parts_negligible():
-    spec = ed.squeezed_frame_spectrum(at_beta(0.6, 0.3), -1, 240, k=6)
-    assert spec.n_max_used == 240  # flags come from the half-size estimate, not imag parts
+    # the frame matrix is symmetric to its gate, so the levels come out real
+    p = at_beta(0.6, 0.3)
+    m = ed.aa_matrix(p, 240)
+    assert np.abs(m - m.T).max() <= 1e-9 * np.abs(m).max()
+    spec = ed.squeezed_frame_spectrum(p, -1, 240, k=6)
+    assert spec.energies.dtype == np.float64
+    assert spec.n_max_used == 240
 
 
 @pytest.mark.parametrize("parity", [+1, -1])
@@ -341,6 +348,70 @@ def test_ground_observables_near_collapse():
 
 # ---------------------------------------------------------------- QFI
 
+def _eigensum(params, n_max, power=2, k_states=64):
+    """4 sum_(j!=0) |<j| dH/dg |0>|^2 / (E_j - E_0)^power over the lowest excited states.
+
+    An independent oracle from k_states excited eigenvectors: power 2 gives
+    F_Q, power 3 gives 4 chi_3.  Its last quarter of terms must be below
+    1e-6 of the sum, so the truncated tail cannot hide in the comparison.
+    """
+    block = ed.build_parity_block(params, -1, n_max)
+    w, v = eigh_tridiagonal(block.diag, block.offdiag, select="i",
+                            select_range=(0, min(k_states, n_max - 1)))
+    nums = v[:, 1:].T @ ed.tridiag_apply(np.zeros(n_max), block.coupling, v[:, 0])
+    terms = 4.0 * nums**2 / (w[1:] - w[0]) ** power
+    assert terms[-len(terms) // 4:].sum() <= 1e-6 * terms.sum()
+    return float(terms.sum())
+
+
+# criterion 04's points, and g = 0, where H - E_0 is diagonal with an exact zero
+_CRITERION_04_POINTS = [
+    (r, float(g)) for r in (0.25, 0.6) for g in make_grid(2.5, 4.5, 7, r).g_values
+] + [(0.25, 0.0)]
+
+
+@pytest.mark.parametrize("r,g", _CRITERION_04_POINTS)
+def test_qfi_matches_the_eigenvector_sum(r, g):
+    # qfi_spectral(n_max=2048) holds its gate at the first doubling, at 4096
+    p = ModelParams(delta=critical_params(r)[1], g=g, r=r)
+    assert ed.qfi_spectral(p, n_max=2048) == pytest.approx(_eigensum(p, 4096), rel=1e-6)
+
+
+@pytest.mark.parametrize("r,frac", [(0.25, 0.99), (0.6, 0.9), (0.25, 0.5)])
+def test_chi3_matches_the_eigenvector_sum(r, frac):
+    g_c, delta_c = critical_params(r)
+    p = ModelParams(delta=delta_c, g=frac * g_c, r=r)
+    chi_3 = adiabatic_reference(p.g, 1.0, p, n_max=512) / p.g**2
+    assert 4.0 * chi_3 == pytest.approx(_eigensum(p, 1024, power=3), rel=1e-6)
+
+
+@pytest.mark.parametrize("parity", [+1, -1])
+def test_dg_hamiltonian_keeps_the_ground_parity(parity):
+    p = at_beta(0.6, 0.3)
+    block = ed.build_parity_block(p, parity, 256)
+    _, v = eigh_tridiagonal(block.diag, block.offdiag, select="i", select_range=(0, 0))
+    dup, ddn = ed.dg_hamiltonian_apply(*ed.block_to_spinfock(v[:, 0], parity), p.r)
+    other = ed.build_parity_block(p, -parity, 256)
+    _, w = eigh_tridiagonal(other.diag, other.offdiag, select="i", select_range=(0, 7))
+    scale = math.sqrt(float(dup @ dup + ddn @ ddn))
+    for j in range(8):
+        wu, wd = ed.block_to_spinfock(w[:, j], -parity)
+        assert abs(float(wu @ dup + wd @ ddn)) <= 1e-12 * scale
+
+
+def test_cross_parity_check_catches_a_parity_breaking_term(monkeypatch):
+    p = at_beta(0.6, 0.3)
+    apply = ed.dg_hamiltonian_apply
+
+    def with_sigma_z(psi_up, psi_dn, r):
+        dup, ddn = apply(psi_up, psi_dn, r)
+        return dup + 1e-6 * psi_up, ddn - 1e-6 * psi_dn  # sigma_z flips the Z2 parity
+
+    monkeypatch.setattr(ed, "dg_hamiltonian_apply", with_sigma_z)
+    with pytest.raises(RuntimeError, match="cross-parity element"):
+        ed.qfi_spectral(p)
+
+
 def test_qfi_zero_coupling_single_level_formula():
     p = ModelParams(delta=0.6, g=0.0, r=0.25)
     assert ed.qfi_spectral(p) == pytest.approx(8 * 0.25**2 / (2 + 0.6) ** 2, rel=1e-10)
@@ -349,6 +420,7 @@ def test_qfi_zero_coupling_single_level_formula():
 
 @pytest.mark.parametrize(
     "r,delta,gfrac", [(0.25, 0.6, 0.5), (0.6, None, 0.9), (0.25, None, 0.9)]
+    + [(r, delta, gfrac) for r in (0.25, 0.6, 1.0) for delta in (0.3, 1.2) for gfrac in (0.4, 0.8)]
 )
 def test_qfi_fidelity_cross_check(r, delta, gfrac):
     g_c, delta_c = critical_params(r)
@@ -389,9 +461,23 @@ def test_fidelity_oracle_rejects_unconverged_ground_states():
         ed.qfi_fidelity_oracle(p, eps=1e-9)
 
 
-def test_qfi_tail_gate_raises_when_starved():
-    with pytest.raises(ConvergenceError):
-        ed.qfi_spectral(at_beta(0.6, 0.3), n_max=64, k_states=2)
+@pytest.mark.parametrize("error,raises", [(1e-6, True), (1e-9, False)])
+def test_qfi_residual_gate(monkeypatch, error, raises):
+    # a solve off by `error` relative leaves a residual of about that size
+    p = at_beta(0.6, 0.3)
+    exact = ed.qfi_spectral(p)
+    solve = ed.dgtsv
+
+    def perturbed(*args):
+        *rest, y, info = solve(*args)
+        return (*rest, y * (1.0 + error * np.cos(np.arange(len(y)))), info)
+
+    monkeypatch.setattr(ed, "dgtsv", perturbed)
+    if raises:
+        with pytest.raises(ConvergenceError, match="resolvent residual"):
+            ed.qfi_spectral(p)
+    else:
+        assert ed.qfi_spectral(p) == pytest.approx(exact, rel=1e-8)
 
 
 # ---------------------------------------------------------------- Wigner

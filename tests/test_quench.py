@@ -5,7 +5,14 @@ import pytest
 
 from tpqrm.errors import ConvergenceError
 from tpqrm.model import ModelParams, critical_params
-from tpqrm.quench import QuenchProtocol, ground_energy_final, kz_predict, kz_sweep, propagate
+from tpqrm.quench import (
+    QuenchProtocol,
+    adiabatic_reference,
+    ground_energy_final,
+    kz_predict,
+    kz_sweep,
+    propagate,
+)
 from tpqrm import ed, quench
 from tpqrm.model import SectorSpec
 
@@ -51,6 +58,23 @@ def test_kz_predict_freezeout_and_scalings():
 
     with pytest.raises(ValueError):
         kz_predict(0.5, p)
+
+
+def test_adiabatic_reference_against_the_closed_form():
+    # 1.523260 at 0.99 g_c (ACCEPTANCE.md, note 07); the ratio tends to
+    # (1 - Delta_c^2)^(-1/2) as g_f -> g_c
+    params = ModelParams(delta=DELTA_C, g=0.0, r=R)
+    for frac, expected in ((0.99, 1.523260), (1 - 1e-6, 1 / math.sqrt(1 - DELTA_C**2))):
+        g_f = frac * G_C
+        ref = adiabatic_reference(g_f, 1e4, params)
+        closed = kz_predict(1e4, ModelParams(delta=DELTA_C, g=g_f, r=R)).e_r_adiabatic
+        assert ref / closed == pytest.approx(expected, rel=1e-3 if frac > 0.99 else 1e-6)
+    assert adiabatic_reference(0.99 * G_C, 1e3, params) == pytest.approx(
+        100 * adiabatic_reference(0.99 * G_C, 1e4, params), rel=1e-12)
+    with pytest.raises(ValueError):
+        adiabatic_reference(G_C, 1e4, params)
+    with pytest.raises(ValueError):
+        adiabatic_reference(0.5 * G_C, 0.0, params)
 
 
 def test_ground_energy_final_matches_block_solver():
