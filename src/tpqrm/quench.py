@@ -23,11 +23,11 @@ Freeze-out bookkeeping (zv = 1/2 fixed):
     E_r (frozen)     = tau_q^-2 (4 sqrt(2) tau_q)^(5/3) / 16   (~ tau_q^(-1/3))
 
 kz_predict evaluates these closed forms; kz_sweep measures slopes
-independently of them.  adiabatic_reference gives the adiabatic E_r
-without the closed form's approximations: the end-point term
-(g_f/tau_q)^2 chi_3(g_f) of adiabatic perturbation theory, from the exact
-spectrum of the block (De Grandi and Polkovnikov, Lect. Notes Phys. 802,
-75 (2010)).
+independently of them.  adiabatic_reference gives the end-point term
+(g_f/tau_q)^2 chi_3(g_f) of adiabatic perturbation theory without the
+closed form's approximations, from the exact spectrum of the block; it is
+the whole adiabatic E_r only as g_f -> g_c, where the gap at g_f dominates
+(De Grandi and Polkovnikov, Lect. Notes Phys. 802, 75 (2010)).
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ _LEAK_TARGET = 1e-8
 _ER_REL_TOL = 1e-2
 _E0_CEILING = 131072
 _CHI3_REL_TOL = 1e-6
+_CHI3_N_START = 256
 
 
 @dataclass(frozen=True)
@@ -263,19 +264,18 @@ def kz_predict(tau_q: float, params: ModelParams) -> KZPrediction:
     return KZPrediction(g_k=g_k, e_r_adiabatic=e_ad, e_r_kz=e_kz)
 
 
-def adiabatic_reference(
-    g_f: float, tau_q: float, params: ModelParams, n_max: int = 256
-) -> float:
-    """Adiabatic residual energy of the linear ramp to g_f: (g_f/tau_q)^2 chi_3(g_f).
+def adiabatic_reference(g_f: float, tau_q: float, params: ModelParams) -> float:
+    """End-point term (g_f/tau_q)^2 chi_3(g_f) of adiabatic perturbation theory for the ramp.
 
-    chi_3 = sum_(j!=0) |<j| dH/dg |0>|^2 / (E_j - E_0)^3 = x.(H - E_0)^+ x over
-    the ground-state block, with x the ground state's response to the
-    coupling; a second resolvent solve gives (H - E_0)^+ x.  params supplies
-    (delta, r).  Truncation doubles from n_max until chi_3 is stable to 1e-6,
-    else ConvergenceError at the ceiling.
+    This is the whole adiabatic E_r only where the gap at g_f dominates
+    (g_f -> g_c); it leaves out the term from the abrupt start at g = 0 and
+    its interference with this one.  chi_3 = sum_(j!=0) |<j| dH/dg |0>|^2 /
+    (E_j - E_0)^3 = x.(H - E_0)^+ x over the ground-state block, with x the
+    ground state's response to the coupling; a second resolvent solve gives
+    (H - E_0)^+ x.  params supplies (delta, r).  Truncation doubles from 256
+    until chi_3 is stable to 1e-6, else ConvergenceError at the ceiling.
     """
-    final = QuenchProtocol(g_f=g_f, tau_q=tau_q, r=params.r, delta=params.delta,
-                           n_max=n_max).params_final
+    final = QuenchProtocol(g_f=g_f, tau_q=tau_q, r=params.r, delta=params.delta).params_final
 
     def solve(n: int) -> float:
         block, v0, e0, x = _ground_response(final, n)
@@ -284,7 +284,7 @@ def adiabatic_reference(
     def held(new: float, old: float) -> bool:
         return abs(new - old) <= _CHI3_REL_TOL * new
 
-    chi_3, old, n_used = converge(solve, n_max, N_MAX_CEILING, held)
+    chi_3, old, n_used = converge(solve, _CHI3_N_START, N_MAX_CEILING, held)
     if old is None or not held(chi_3, old):
         raise ConvergenceError(
             f"chi_3 not stable to {_CHI3_REL_TOL:.0e} at truncation ceiling {n_used}")

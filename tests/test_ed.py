@@ -381,7 +381,8 @@ def test_qfi_matches_the_eigenvector_sum(r, g):
 def test_chi3_matches_the_eigenvector_sum(r, frac):
     g_c, delta_c = critical_params(r)
     p = ModelParams(delta=delta_c, g=frac * g_c, r=r)
-    chi_3 = adiabatic_reference(p.g, 1.0, p, n_max=512) / p.g**2
+    # the chi_3 ladder stops at 512 at these points; the oracle sums at 1024
+    chi_3 = adiabatic_reference(p.g, 1.0, p) / p.g**2
     assert 4.0 * chi_3 == pytest.approx(_eigensum(p, 1024, power=3), rel=1e-6)
 
 
