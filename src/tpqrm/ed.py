@@ -35,7 +35,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 # eig, eval_genlaguerre: bound only as perfbench tracer leaves (ROADMAP direction 4 retires them)
 from scipy.linalg import eig, eigh, eigh_tridiagonal  # noqa: F401
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dgtsv, dpttrf, dpttrs
 from scipy.special import eval_genlaguerre  # noqa: F401
 
 from .aa import GroundStateObservables, aa_matrix
@@ -45,6 +45,8 @@ from .specfun import _LOG_RESCALE, _RESCALE, squeeze_element
 
 N_MAX_CEILING = 16384
 _RESOLVENT_RES_TOL = 1e-7  # |(H - E_0) x - rhs| / |rhs|; see _ground_resolvent
+_BISECTION_ROWS = 512  # _ground_eigenvalue bisects blocks up to this size
+_INVERSE_ITERATIONS = 40  # cap on the shift search, and on the inverse-iteration steps
 
 
 @dataclass(frozen=True)
@@ -100,18 +102,23 @@ def _fock_offset(q: float) -> int:
     raise ValueError(f"Bargmann index q={q} must be 1/4 or 3/4")
 
 
+def _signs(parity: int, n_max: int) -> np.ndarray:
+    """s_n = -parity (-1)^n for n < n_max, as exact +-1.0."""
+    s = np.full(n_max, -float(parity))
+    s[1::2] = parity
+    return s
+
+
 def build_parity_block(
     params: ModelParams, parity: int, n_max: int, q: float = 0.25
 ) -> ParityBlock:
     """Tridiagonal Hamiltonian block for one (q, parity) sector."""
     if parity not in (+1, -1):
         raise ValueError("parity must be +1 or -1")
-    if n_max < 2:
-        raise ValueError("n_max must be >= 2")
+    check_count("n_max", n_max, 2)
     off = _fock_offset(q)
-    n = np.arange(n_max)
-    s = -parity * (-1.0) ** n
-    f = 2 * n + off
+    s = _signs(parity, n_max)
+    f = 2 * np.arange(n_max) + off
     diag = f - 0.5 * params.delta * s
     root = np.sqrt((f[:-1] + 1.0) * (f[:-1] + 2.0))
     mix = (1 + params.r) - (1 - params.r) * s[:-1]
@@ -196,9 +203,68 @@ def _lowest_block_eigenvalues(block: ParityBlock, k: int) -> np.ndarray:
     )
 
 
+def _ground_eigenvalue(diag: np.ndarray, off: np.ndarray) -> float:
+    """Lowest eigenvalue E_0 of the symmetric tridiagonal matrix T = (diag, off).
+
+    Up to _BISECTION_ROWS rows this is LAPACK bisection (eigh_tridiagonal).
+    A bigger T runs shifted inverse iteration, with every shift certified
+    below E_0: dpttrf factors T - sigma as L D L^T with D > 0 (info 0) only
+    when T - sigma is positive definite.  The leading block's lowest level
+    E_top bounds E_0 from above (Cauchy interlacing), so the first shift is
+    E_top - delta, delta = 1e-3 max(1, |E_top|) growing 4x until certified.
+    Each dpttrs solve gives a Rayleigh quotient theta and residual
+    r = |T x - theta x|; some eigenvalue lies in [theta - r, theta + r]
+    (Weinstein), and whenever dpttrf certifies theta - r < E_0 the shift
+    rises to it, so the iteration speeds up without passing E_0.  It stops
+    at r <= tol = 8 eps max(|diag|, 2|off|) and returns theta once
+    theta - r - tol is certified too: then E_0 <= theta < E_0 + r + tol,
+    where tol also covers the factorization's rounding.  If that
+    certificate fails, or _INVERSE_ITERATIONS passes without it, the
+    result is bisection's.  About 13 LAPACK calls at 2^15 to 2^17 rows,
+    where bisection sweeps the whole Gershgorin range some 52 times.
+    """
+
+    def bisection() -> float:
+        return float(eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
+                                      select_range=(0, 0))[0])
+
+    if len(diag) <= _BISECTION_ROWS:
+        return bisection()
+
+    def certified_below(sigma: float) -> tuple | None:
+        d, e, info = dpttrf(diag - sigma, off)
+        return (d, e) if info == 0 else None
+
+    top = _ground_eigenvalue(diag[:_BISECTION_ROWS], off[:_BISECTION_ROWS - 1])
+    delta = 1e-3 * max(1.0, abs(top))
+    for _ in range(_INVERSE_ITERATIONS):
+        sigma = top - delta
+        if (factors := certified_below(sigma)) is not None:
+            break
+        delta *= 4.0
+    else:
+        return bisection()
+    scale = max(float(np.abs(diag).max()), 2.0 * float(np.abs(off).max()))
+    tol = 8.0 * np.finfo(float).eps * scale
+    x = np.ones((len(diag), 1))
+    for _ in range(_INVERSE_ITERATIONS):
+        x, _ = dpttrs(*factors, x)
+        x /= np.linalg.norm(x)
+        v = x[:, 0]
+        tv = tridiag_apply(diag, off, v)
+        theta = float(v @ tv)
+        r = float(np.linalg.norm(tv - theta * v))
+        if r <= tol:
+            return theta if certified_below(theta - r - tol) is not None else bisection()
+        if theta - r > sigma and (lifted := certified_below(theta - r)) is not None:
+            sigma, factors = theta - r, lifted
+    return bisection()
+
+
 def lowest_level(params: ModelParams, parity: int, n_max: int, q: float = 0.25) -> float:
     """Lowest eigenvalue of one block at fixed truncation (no doubling)."""
-    return float(_lowest_block_eigenvalues(build_parity_block(params, parity, n_max, q), 1)[0])
+    block = build_parity_block(params, parity, n_max, q)
+    return _ground_eigenvalue(block.diag, block.offdiag)
 
 
 def collapse_point_gap(
@@ -360,11 +426,9 @@ def block_to_spinfock(coeffs: np.ndarray, parity: int, q: float = 0.25) -> tuple
     size = 2 * (n_max - 1) + off + 1
     psi_up = np.zeros(size)
     psi_dn = np.zeros(size)
-    n = np.arange(n_max)
-    f = 2 * n + off
-    s = -parity * (-1.0) ** n
+    f = 2 * np.arange(n_max) + off
     psi_up[f] = coeffs / math.sqrt(2.0)
-    psi_dn[f] = s * coeffs / math.sqrt(2.0)
+    psi_dn[f] = _signs(parity, n_max) * coeffs / math.sqrt(2.0)
     return psi_up, psi_dn
 
 

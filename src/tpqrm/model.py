@@ -23,6 +23,7 @@ which satisfy beta = 1/cosh(2*theta) identically.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 
@@ -112,7 +113,9 @@ def check_finite(**fields: float | None) -> None:
 
 
 def check_count(name: str, value: int, least: int = 1) -> None:
-    """Reject a count below least early, naming it, before it reaches a solver."""
+    """Reject a count that is not an integer (bool included) or is below least, by name."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name}={value} must be an integer")
     if value < least:
         raise ValueError(f"{name}={value} must be >= {least}")
 

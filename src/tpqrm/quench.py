@@ -45,6 +45,7 @@ from .ed import (
     _ground_response,
     build_parity_block,
     converge,
+    lowest_level,
     tridiag_apply,
 )
 from .errors import ConvergenceError
@@ -78,8 +79,7 @@ class QuenchProtocol:
             raise ValueError(f"g_f={self.g_f} must lie strictly inside (0, g_c={g_c})")
         if self.tau_q <= 0.0:
             raise ValueError("tau_q must be positive")
-        if self.n_max < 2:
-            raise ValueError("n_max must be >= 2")
+        check_count("n_max", self.n_max, 2)
         if self.delta is None:
             object.__setattr__(self, "delta", delta_c)
 
@@ -128,9 +128,7 @@ def ground_energy_final(protocol: QuenchProtocol, tol: float = 1e-10) -> float:
     """E_0 at g_f from a dedicated eigensolve with truncation doubling."""
 
     def solve(n: int) -> float:
-        block = build_parity_block(protocol.params_final, -1, n)
-        return float(eigh_tridiagonal(block.diag, protocol.g_f * block.coupling,
-                                      eigvals_only=True, select="i", select_range=(0, 0))[0])
+        return lowest_level(protocol.params_final, -1, n)
 
     e_cur, e_prev, _ = converge(solve, max(protocol.n_max, 256), _E0_CEILING,
                                 lambda new, old: abs(new - old) < tol)

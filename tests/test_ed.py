@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -126,6 +127,92 @@ def test_collapse_point_gap_doubles_until_gate_holds():
     assert not converged and n_max == 2048
 
 
+def _bisection(block: ed.ParityBlock) -> float:
+    return float(eigh_tridiagonal(block.diag, block.offdiag, eigvals_only=True,
+                                  select="i", select_range=(0, 0))[0])
+
+
+@pytest.mark.parametrize("n", [32768, 65536])
+@pytest.mark.parametrize("r", [0.25, 0.6])
+def test_ground_eigenvalue_matches_bisection_on_the_collapse_blocks(r, n):
+    # criterion 06's blocks; at Delta < Delta_c the parity -1 level is a box
+    # state just above -1/2, the case uncertified Rayleigh-quotient iteration
+    # gets wrong
+    g_c, delta_c = critical_params(r)
+    for off in np.linspace(0.06, 0.11, 6):
+        for parity in (+1, -1):
+            block = ed.build_parity_block(ModelParams(delta=delta_c - off, g=g_c, r=r), parity, n)
+            level = ed._ground_eigenvalue(block.diag, block.offdiag)
+            assert abs(level - _bisection(block)) <= 1e-10
+
+
+def _record_calls(monkeypatch, name: str, log: list, fail_after: int | None = None):
+    """Wrap ed.<name>, logging each call's rows; after fail_after calls, report info 1."""
+    original = getattr(ed, name)
+
+    def wrapped(d, *args, **kwargs):
+        log.append(len(d))
+        out = original(d, *args, **kwargs)
+        if fail_after is not None and len(log) > fail_after:
+            return (*out[:-1], 1)
+        return out
+
+    monkeypatch.setattr(ed, name, wrapped)
+
+
+@pytest.mark.parametrize("fail_after", [None, 1, 0],
+                         ids=["certified", "certificate_fails", "no_shift_certified"])
+def test_ground_eigenvalue_falls_back_to_bisection(monkeypatch, fail_after):
+    # fail_after = 1: only the first shift is certified, so neither a lifted
+    # shift nor the final certificate is; 0: the shift search hits its cap
+    block = ed.build_parity_block(ModelParams(delta=0.3, g=0.2, r=0.6), -1, 1024)
+    bisected, factored, solved = [], [], []
+    _record_calls(monkeypatch, "eigh_tridiagonal", bisected)
+    _record_calls(monkeypatch, "dpttrf", factored, fail_after)
+    _record_calls(monkeypatch, "dpttrs", solved)
+    level = ed._ground_eigenvalue(block.diag, block.offdiag)
+    if fail_after is None:
+        assert bisected == [512] and solved
+        assert abs(level - _bisection(block)) <= 1e-12
+    else:
+        assert bisected == [512, 1024]
+        assert bool(solved) == (fail_after == 1)
+        assert level == _bisection(block)
+
+
+@pytest.mark.parametrize("n", [2, 3, 100, 511, 512])
+def test_small_blocks_keep_bisection_bitwise(monkeypatch, n):
+    p = ModelParams(delta=0.4, g=0.8, r=0.25)
+    blocks = {parity: ed.build_parity_block(p, parity, n) for parity in (+1, -1)}
+
+    def no_factorization(*args, **kwargs):
+        raise AssertionError("a small block must not reach inverse iteration")
+
+    monkeypatch.setattr(ed, "dpttrf", no_factorization)
+    for parity, block in blocks.items():
+        assert ed.lowest_level(p, parity, n) == _bisection(block)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    r=st.floats(0.0, 1.0),
+    delta=st.floats(0.0, 2.0),
+    frac=st.floats(0.0, 1.0),
+    parity=st.sampled_from([+1, -1]),
+    q=st.sampled_from([0.25, 0.75]),
+    log_n=st.integers(2, 16),
+)
+def test_lowest_level_interlaces_under_truncation(r, delta, frac, parity, q, log_n):
+    # the n/2-block is a leading principal block of the n-block, so E_0 cannot
+    # rise; the slack is the kernel's certified error bound at n rows
+    p = ModelParams(delta=delta, g=frac / (1.0 + r), r=r)
+    n = 2**log_n
+    block = ed.build_parity_block(p, parity, n, q)
+    scale = max(np.abs(block.diag).max(), 2 * np.abs(block.offdiag).max())
+    bound = 16 * np.finfo(float).eps * scale
+    assert ed.lowest_level(p, parity, n, q) <= ed.lowest_level(p, parity, n // 2, q) + bound
+
+
 def test_converge_climbs_rungs_until_held():
     rungs = []
 
@@ -204,16 +291,29 @@ def test_ground_state_consumers_share_the_convergence_gate(compute):
         compute(ModelParams(delta=delta_c, g=g_c * (1 - 1e-8), r=0.6))
 
 
-@pytest.mark.parametrize("compute,name", [
-    (lambda p: ed.ed_spectrum(p, k=0), "k=0"),
-    (lambda p: ed.full_spectrum(p, k=0), "k=0"),
-    (lambda p: ed.qfi_spectral(p, k_states=0), "k_states=0"),
-    (lambda p: ed.wigner_grid(p, points=1), "points=1"),
-    (lambda p: ed.collapse_point_gap(p, 2, 64), "n_max=2"),
-], ids=["ed_spectrum", "full_spectrum", "qfi_spectral", "wigner_grid", "collapse_point_gap"])
-def test_bad_counts_rejected_early_by_name(compute, name):
-    with pytest.raises(ValueError, match=f"^{name} must be >= "):
+@pytest.mark.parametrize("compute,message", [
+    (lambda p: ed.ed_spectrum(p, k=0), "k=0 must be >= "),
+    (lambda p: ed.full_spectrum(p, k=0), "k=0 must be >= "),
+    (lambda p: ed.qfi_spectral(p, k_states=0), "k_states=0 must be >= "),
+    (lambda p: ed.wigner_grid(p, points=1), "points=1 must be >= "),
+    (lambda p: ed.collapse_point_gap(p, 2, 64), "n_max=2 must be >= "),
+    (lambda p: ed.lowest_level(p, -1, 65536.5), "n_max=65536.5 must be an integer"),
+    (lambda p: ed.collapse_point_gap(p, 64.0, 256), "n_max=64.0 must be an integer"),
+    (lambda p: ed.build_parity_block(p, -1, 1), "n_max=1 must be >= 2"),
+    (lambda p: ed.ed_spectrum(p, k=True), "k=True must be an integer"),
+    (lambda p: ed.wigner_grid(p, points=9.0), "points=9.0 must be an integer"),
+], ids=["ed_spectrum", "full_spectrum", "qfi_spectral", "wigner_grid", "collapse_point_gap",
+        "lowest_level_fraction", "collapse_point_gap_float", "build_parity_block",
+        "ed_spectrum_bool", "wigner_grid_float"])
+def test_bad_counts_rejected_early_by_name(compute, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
         compute(ModelParams(delta=0.3, g=0.2, r=0.6))
+
+
+def test_numpy_integer_counts_accepted():
+    p = ModelParams(delta=0.3, g=0.2, r=0.6)
+    assert ed.lowest_level(p, -1, np.int64(64)) == ed.lowest_level(p, -1, 64)
+    assert ed.ed_spectrum(p, k=np.int32(2)).energies.shape == (2,)
 
 
 def test_aa_deviation_grows_away_from_critical_line():

@@ -34,6 +34,11 @@ def test_protocol_validation_and_defaults():
                        ("dt", math.inf)):
         with pytest.raises(ValueError, match=f"{field}={bad} must be finite"):
             QuenchProtocol(**{"g_f": 0.5 * G_C, "tau_q": 10.0, "r": R, field: bad})
+    for bad, message in ((8.5, "n_max=8.5 must be an integer"),
+                         (True, "n_max=True must be an integer"), (1, "n_max=1 must be >= 2")):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            QuenchProtocol(g_f=0.5 * G_C, tau_q=10.0, r=R, n_max=bad)
+    assert QuenchProtocol(g_f=0.5 * G_C, tau_q=10.0, r=R, n_max=np.int64(64)).n_max == 64
 
 
 def test_kz_predict_freezeout_and_scalings():
