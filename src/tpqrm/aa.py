@@ -170,18 +170,17 @@ def aa_energy(n: int, parity: int, params: ModelParams) -> AALevel:
                    split_part=parity * m_nn)
 
 
-def aa_gaps(n: int, params: ModelParams, parity: int = -1) -> tuple[float, float]:
+def aa_gaps(n: int, params: ModelParams) -> tuple[float, float]:
     """(eps_sp, eps_dp) at manifold n.
 
-    eps_sp is the same-parity gap |E_(n+1,p) - E_(n,p)| (the soft mode,
+    eps_sp is the same-parity gap |E_(n+1,-) - E_(n,-)| (the soft mode,
     ~ 2 beta near collapse); eps_dp the parity splitting
     |E_(n,+) - E_(n,-)| = 2|M_nn| (~ beta^(5/2) on the critical line).
     """
-    e_n = aa_energy(n, parity, params).energy
-    e_up = aa_energy(n + 1, parity, params).energy
-    e_plus = aa_energy(n, +1, params).energy
     e_minus = aa_energy(n, -1, params).energy
-    return abs(e_up - e_n), abs(e_plus - e_minus)
+    e_up = aa_energy(n + 1, -1, params).energy
+    e_plus = aa_energy(n, +1, params).energy
+    return abs(e_up - e_minus), abs(e_plus - e_minus)
 
 
 def aa_observables(params: ModelParams) -> GroundStateObservables:
@@ -206,28 +205,26 @@ def aa_qfi_leading(params: ModelParams) -> float:
     return (1.0 + params.r) ** 2 / (2.0 * beta**4)
 
 
-def second_order_corrections(
-    params: ModelParams, n: int, parity: int = -1, band: int = 40
-) -> tuple[float, float]:
+def second_order_corrections(params: ModelParams, n: int) -> tuple[float, float]:
     """Truncated perturbative corrections beyond the decoupled-manifold levels.
 
-    Returns (state_corr, energy_corr) for level n: the first-order
-    state-correction norm sqrt(sum_m (M_mn/(E_n - E_m))^2) and the
-    second-order energy shift sum_m M_mn^2/(E_n - E_m), both over
-    |m - n| <= band.  The K_mn envelope (1-beta^2)^(|m-n|/2) bounds the
-    omitted band tail geometrically at fixed band; note the full
+    Returns (state_corr, energy_corr) for the parity -1 level n: the
+    first-order state-correction norm sqrt(sum_m (M_mn/(E_n - E_m))^2)
+    and the second-order energy shift sum_m M_mn^2/(E_n - E_m), both over
+    the band |m - n| <= 40.  The K_mn envelope (1-beta^2)^(|m-n|/2) bounds
+    the omitted band tail geometrically at fixed band; note the full
     (untruncated) sum also carries an m ~ 1/beta^2 tail contribution
     that this window deliberately measures without.
     """
     _beta_of(params)  # rejects the collapse point
-    e_n = aa_energy(n, parity, params).energy
+    e_n = aa_energy(n, -1, params).energy
     state_sq = 0.0
     energy = 0.0
-    for m in range(max(0, n - band), n + band + 1):
+    for m in range(max(0, n - 40), n + 41):
         if m == n:
             continue
         m_mn = _m_element_value(m, n, params)
-        e_m = aa_energy(m, parity, params).energy
+        e_m = aa_energy(m, -1, params).energy
         ratio = m_mn / (e_n - e_m)
         state_sq += ratio * ratio
         energy += m_mn * m_mn / (e_n - e_m)

@@ -32,7 +32,8 @@ import numpy as np
 
 from . import __version__, aa, analysis, collapse1d, ed, quench
 from .errors import CollapseMappingError, ConvergenceError
-from .model import ModelParams, SectorSpec, check_count, critical_params, params_from_dict
+from .model import (ModelParams, SectorSpec, check_count, check_positive, critical_params,
+                    params_from_dict)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -121,6 +122,8 @@ def _resolve_quench(ns) -> dict:
     if ns.tau_list:
         taus = [float(t) for t in ns.tau_list.split(",")]
     elif ns.tau_range:
+        for end in ns.tau_range:
+            check_positive(**{"--tau-range": end})
         taus = list(np.logspace(math.log10(ns.tau_range[0]), math.log10(ns.tau_range[1]),
                                 ns.tau_points))
     else:
@@ -134,6 +137,11 @@ def _resolve_quench(ns) -> dict:
     return {"model": model, "protocols": protocols, "n_samples": n_samples}
 
 
+def _resolve_wigner(ns) -> dict:
+    check_positive(**{"--half-width": ns.half_width})  # before any ground-state solve
+    return {"model": _params(ns, g=ns.g, g_over_gc=ns.g_over_gc)}
+
+
 def _resolve_collapse1d(ns) -> dict:
     # the isotropic collapse point has Delta_c = 0, so 'critical' means 0 here
     delta = 0.0 if ns.delta == "critical" else float(ns.delta)
@@ -143,10 +151,15 @@ def _resolve_collapse1d(ns) -> dict:
 def _resolve_fit(ns) -> dict:
     with open(ns.input, encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
-        data = np.array([[float(v) for v in line.split(",")] for line in fh if line.strip()])
+        rows = [[float(v) for v in line.split(",")] for line in fh if line.strip()]
     for col in (ns.xcol, ns.ycol):
         if col not in header:
             raise ValueError(f"column {col!r} not in {ns.input} (has {header})")
+    if not rows:
+        raise ValueError(f"{ns.input} has no data rows")
+    if (short := min(len(row) for row in rows)) < len(header):
+        raise ValueError(f"{ns.input} has a row of {short} fields under a header of {len(header)}")
+    data = np.array([row[:len(header)] for row in rows])
     return {"u": data[:, header.index(ns.xcol)], "y": data[:, header.index(ns.ycol)]}
 
 
@@ -368,7 +381,7 @@ COMMANDS = {
         ("--conditioning", dict(choices=["reduced", "qubit-up", "qubit-down"], default="reduced")),
         ("--half-width", dict(type=float, default=None)),
         ("--grid-points", dict(type=int, default=161)),
-    ), lambda ns: {"model": _params(ns, g=ns.g, g_over_gc=ns.g_over_gc)}, run_wigner),
+    ), _resolve_wigner, run_wigner),
     "quench": Command("linear quench residual energy vs quench time", _RUN + (
         _R, _DELTA, _N_MAX, _FIT,
         ("--gf", dict(default="0.99", help="final coupling over g_c; accepts '1-1e-6'")),

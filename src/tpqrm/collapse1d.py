@@ -39,7 +39,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import CollapseMappingError
-from .model import ModelParams, check_count, check_finite
+from .model import ModelParams, check_count, check_finite, check_positive
 from . import ed
 
 
@@ -57,11 +57,10 @@ class Collapse1DProblem:
     h: float = 0.05
 
     def __post_init__(self):
-        check_finite(delta=self.delta, L=self.L, h=self.h)
+        check_finite(delta=self.delta)
         if self.delta < 0:
             raise ValueError("delta must be >= 0")
-        if self.L <= 0 or self.h <= 0:
-            raise ValueError("need L > 0 and h > 0")
+        check_positive(L=self.L, h=self.h)
         n = _steps(self.L, self.h)
         if n < 3:
             raise ValueError(
@@ -84,8 +83,6 @@ class BoundStateLadder:
     ratio_plateau: float
     parities: np.ndarray
     converged: np.ndarray
-    L: float
-    h: float
     refinement: np.ndarray
     rows: int
 
@@ -157,8 +154,6 @@ def bound_states(problem: Collapse1DProblem, k: int = 6) -> BoundStateLadder:
         ratio_plateau=plateau,
         parities=out_par,
         converged=converged,
-        L=problem.L,
-        h=problem.h,
         refinement=refinement,
         rows=len(v),
     )
@@ -201,9 +196,7 @@ def _collapse_levels(delta: float, n_max: int, q: float) -> np.ndarray:
     return np.sort(np.array(levels))
 
 
-def collapse_hamiltonian_check(
-    delta: float, n_max: int = 16384, rel_tol: float = 1e-3
-) -> CollapseCheckReport:
+def collapse_hamiltonian_check(delta: float, n_max: int = 16384) -> CollapseCheckReport:
     """Cross-validate the quadrature-form collapse Hamiltonian against the 1D solver.
 
     Delta = 0: the discrete levels above -1/2 crowd together as n_max
@@ -211,7 +204,7 @@ def collapse_hamiltonian_check(
     degenerate across parity.  Delta > 1: the bound levels below -1/2
     must reproduce -1/2 - kappa_n^2 from the 1D ladder, even-x levels in
     the even photon sector and odd-x in the odd one.  Disagreement
-    beyond rel_tol on kappa^2 raises CollapseMappingError with the
+    beyond 1e-3 relative on kappa^2 raises CollapseMappingError with the
     report attached.
     """
     if delta == 0.0:
@@ -258,7 +251,7 @@ def collapse_hamiltonian_check(
             matched[xpar].append((float(levels[i]), float(targets[i]), float(rel)))
 
     all_rows = matched[+1] + matched[-1]
-    consistent = bool(all_rows) and all(rel < rel_tol for _, _, rel in all_rows)
+    consistent = bool(all_rows) and all(rel < 1e-3 for _, _, rel in all_rows)
     report = CollapseCheckReport(
         delta=delta, n_max=n_max, consistent=consistent,
         matched_even=matched[+1], matched_odd=matched[-1],

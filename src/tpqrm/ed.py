@@ -21,9 +21,9 @@ A second, independent route diagonalizes the squeezed-frame matrix
 diag[(2m+1/2) beta - 1/2] + p M_mn (couplings from aa); the two frames
 cross-validate each other.  Ground-state observables and Wigner grids
 are computed from the bare-Fock ground vector mapped back to spin (x)
-Fock.  The coupling quantum Fisher information needs no excited states:
-it is one tridiagonal solve with the ground-state resolvent (H - E_0)^+
-on the ground block; quench's chi_3 takes a second.
+Fock.  The coupling quantum Fisher information and quench's chi_3 need
+no excited states: each is one truncation ladder of tridiagonal solves
+with the ground-state resolvent (H - E_0)^+ on the ground block.
 """
 
 from __future__ import annotations
@@ -40,13 +40,15 @@ from scipy.special import eval_genlaguerre  # noqa: F401
 
 from .aa import GroundStateObservables, aa_matrix
 from .errors import ConvergenceError
-from .model import ModelParams, SectorSpec, check_count, geometry
+from .model import ModelParams, SectorSpec, check_count, check_positive, geometry
 from .specfun import _LOG_RESCALE, _RESCALE, squeeze_element
 
 N_MAX_CEILING = 16384
 _RESOLVENT_RES_TOL = 1e-7  # |(H - E_0) x - rhs| / |rhs|; see _ground_resolvent
 _BISECTION_ROWS = 512  # _ground_eigenvalue bisects blocks up to this size
 _INVERSE_ITERATIONS = 40  # cap on the shift search, and on the inverse-iteration steps
+_RESPONSE_REL_TOL = 1e-6  # doubling gate of _response_sum
+_RESPONSE_NAMES = {2: "F_Q", 3: "chi_3"}  # _response_sum's powers, as its errors name them
 
 
 @dataclass(frozen=True)
@@ -57,9 +59,6 @@ class ParityBlock:
     offdiag = g * coupling.
     """
 
-    n_max: int
-    parity: int
-    q: float
     diag: np.ndarray
     offdiag: np.ndarray
     coupling: np.ndarray
@@ -124,8 +123,7 @@ def build_parity_block(
     mix = (1 + params.r) - (1 - params.r) * s[:-1]
     # g * root * mix / 2 rounds differently from g * coupling; keep this order
     offdiag = params.g * root * mix / 2.0
-    return ParityBlock(n_max=n_max, parity=parity, q=q, diag=diag, offdiag=offdiag,
-                       coupling=root * mix / 2.0)
+    return ParityBlock(diag=diag, offdiag=offdiag, coupling=root * mix / 2.0)
 
 
 def tridiag_apply(diag: np.ndarray, offdiag: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -261,9 +259,9 @@ def _ground_eigenvalue(diag: np.ndarray, off: np.ndarray) -> float:
     return bisection()
 
 
-def lowest_level(params: ModelParams, parity: int, n_max: int, q: float = 0.25) -> float:
-    """Lowest eigenvalue of one block at fixed truncation (no doubling)."""
-    block = build_parity_block(params, parity, n_max, q)
+def lowest_level(params: ModelParams, parity: int, n_max: int) -> float:
+    """Lowest eigenvalue of one q = 1/4 block at fixed truncation (no doubling)."""
+    block = build_parity_block(params, parity, n_max)
     return _ground_eigenvalue(block.diag, block.offdiag)
 
 
@@ -325,17 +323,10 @@ def ed_spectrum(
 
 
 def full_spectrum(
-    params: ModelParams,
-    q: float = 0.25,
-    n_max: int = 64,
-    tol: float = 1e-10,
-    k: int = 8,
-    n_max_ceiling: int = N_MAX_CEILING,
+    params: ModelParams, n_max: int = 64, tol: float = 1e-10, k: int = 8
 ) -> SpectrumResult:
-    """Both parity blocks of a Bargmann subspace, merged and sorted."""
-    parts = [
-        ed_spectrum(params, SectorSpec(q, p), n_max, tol, k, n_max_ceiling) for p in (+1, -1)
-    ]
+    """Both parity blocks of the even (q = 1/4) subspace, merged and sorted."""
+    parts = [ed_spectrum(params, SectorSpec(0.25, p), n_max, tol, k) for p in (+1, -1)]
     fields = ("energies", "parities", "indices", "converged", "convergence_estimate")
     merged = {name: np.concatenate([getattr(s, name) for s in parts]) for name in fields}
     order = np.argsort(merged["energies"], kind="stable")
@@ -354,11 +345,7 @@ def _squeezed_frame_eigs(m: np.ndarray, parity: int, beta: float, k: int) -> np.
 
 
 def squeezed_frame_spectrum(
-    params: ModelParams,
-    parity: int,
-    n_max: int,
-    k: int = 8,
-    tol: float = 1e-8,
+    params: ModelParams, parity: int, n_max: int, k: int = 8
 ) -> SpectrumResult:
     """Lowest k levels from the squeezed-frame coupled-manifold matrix.
 
@@ -367,9 +354,9 @@ def squeezed_frame_spectrum(
     symmetric solve of its lower triangle; an asymmetry max|M - M^T| above
     1e-9 max|M| flags every level unconverged instead of raising.
     Convergence estimates come from a half-size solve on the matrix's
-    leading block.  Near collapse this frame reaches a given accuracy at
-    much smaller n_max than bare Fock, because the basis already absorbs
-    the squeezing.
+    leading block; a level has converged when its estimate is below 1e-8.
+    Near collapse this frame reaches a given accuracy at much smaller
+    n_max than bare Fock, because the basis already absorbs the squeezing.
     """
     geo = geometry(params)
     if geo.at_collapse:
@@ -385,7 +372,7 @@ def squeezed_frame_spectrum(
         energies=lowest,
         parities=np.full(k, parity, dtype=int),
         indices=np.arange(k),
-        converged=symmetric & (estimate < tol),
+        converged=symmetric & (estimate < 1e-8),
         convergence_estimate=estimate,
         n_max_used=n_max,
     )
@@ -536,54 +523,57 @@ def _ground_resolvent(
     return x
 
 
-def _ground_response(
-    params: ModelParams, n: int
-) -> tuple[ParityBlock, np.ndarray, float, np.ndarray]:
-    """(block, |0>, E_0, x) of the (q=1/4, parity=-1) block at truncation n.
+def _response_sum(
+    params: ModelParams, power: int, n_max: int = 256, n_max_ceiling: int = N_MAX_CEILING
+) -> tuple[float, np.ndarray]:
+    """sum_(j!=0) |<j| dH/dg |0>|^2 / (E_j - E_0)^power over the ground block, and |0>.
 
-    x = (H - E_0)^+ (1 - P_0) dH/dg |0> is the first-order response of the
-    ground state to the coupling: F_Q = 4 x.x, and chi_3 = x.(H - E_0)^+ x.
+    x = (H - E_0)^+ (1 - P_0) dH/dg |0> is the ground state's first-order
+    response to the coupling: power 2 is x.x (F_Q / 4), power 3 is
+    x.(H - E_0)^+ x (chi_3), power - 1 _ground_resolvent solves a rung on
+    the (q=1/4, parity=-1) block.  Truncation doubles from n_max until
+    the sum is stable to 1e-6 relative, else ConvergenceError naming F_Q
+    or chi_3 at the ceiling.  |0> is the last rung's ground vector.
     """
-    block = build_parity_block(params, -1, n)
-    w, v = eigh_tridiagonal(block.diag, block.offdiag, select="i", select_range=(0, 0))
-    v0 = v[:, 0]
-    b = tridiag_apply(np.zeros(n), block.coupling, v0)
-    b -= (v0 @ b) * v0
-    return block, v0, float(w[0]), _ground_resolvent(block, v0, float(w[0]), b)
+
+    def solve(n: int) -> tuple[float, np.ndarray]:
+        block = build_parity_block(params, -1, n)
+        w, v = eigh_tridiagonal(block.diag, block.offdiag, select="i", select_range=(0, 0))
+        v0, e0 = v[:, 0], float(w[0])
+        b = tridiag_apply(np.zeros(n), block.coupling, v0)
+        b -= (v0 @ b) * v0
+        x = _ground_resolvent(block, v0, e0, b)
+        return float(x @ (x if power == 2 else _ground_resolvent(block, v0, e0, x))), v0
+
+    def held(new: tuple[float, np.ndarray], old: tuple[float, np.ndarray]) -> bool:
+        return abs(new[0] - old[0]) <= _RESPONSE_REL_TOL * new[0]
+
+    new, old, n_cur = converge(solve, n_max, n_max_ceiling, held)
+    if old is None or not held(new, old):
+        raise ConvergenceError(
+            f"{_RESPONSE_NAMES[power]} not stable to {_RESPONSE_REL_TOL:.0e} at truncation ceiling {n_cur}")
+    return new
 
 
 def qfi_spectral(
     params: ModelParams,
     n_max: int = 256,
     k_states: int = 64,
-    rel_tol: float = 1e-6,
     n_max_ceiling: int = N_MAX_CEILING,
 ) -> float:
     """Coupling quantum Fisher information from the ground-state resolvent.
 
-    F_Q = 4 sum_(j!=0) |<j| dH/dg |0>|^2 / (E_j - E_0)^2 = 4 x.x with
-    x = (H - E_0)^+ (1 - P_0) dH/dg |0> over the ground-state parity block,
-    one tridiagonal solve per rung (see _ground_resolvent for its residual
-    gate); cross-parity matrix elements of dH/dg are checked to vanish
-    (relative 1e-12) at the final truncation.  Truncation doubles from
-    n_max until F_Q is stable to rel_tol, else ConvergenceError at the
-    ceiling.  k_states is unused; it is still checked, so that callers
-    that pass it keep working.
+    F_Q = 4 sum_(j!=0) |<j| dH/dg |0>|^2 / (E_j - E_0)^2, the power-2
+    _response_sum (truncation doubling from n_max to a 1e-6 gate, else
+    ConvergenceError at the ceiling; see _ground_resolvent for its
+    residual gate).  Cross-parity matrix elements of dH/dg are checked to
+    vanish (relative 1e-12) at the final truncation.  k_states is unused;
+    it is still checked, so that callers that pass it keep working.
     """
     check_count("k_states", k_states)
-
-    def solve(n: int) -> tuple[float, np.ndarray]:
-        _, v0, _, x = _ground_response(params, n)
-        return 4.0 * float(x @ x), v0
-
-    def held(new: tuple[float, np.ndarray], old: tuple[float, np.ndarray]) -> bool:
-        return abs(new[0] - old[0]) <= rel_tol * new[0]
-
-    new, old, n_cur = converge(solve, n_max, n_max_ceiling, held)
-    if old is None or not held(new, old):
-        raise ConvergenceError(f"F_Q not stable to {rel_tol:.0e} at truncation ceiling {n_cur}")
-    _assert_cross_parity_selection_rule(params, new[1])
-    return new[0]
+    total, ground = _response_sum(params, 2, n_max, n_max_ceiling)
+    _assert_cross_parity_selection_rule(params, ground)
+    return 4.0 * total
 
 
 def _assert_cross_parity_selection_rule(params: ModelParams, ground: np.ndarray) -> None:
@@ -712,6 +702,7 @@ def wigner_grid(
     half of it leaves errors of the size of W on the boundary.
     """
     check_count("points", points, 3)  # the integral needs an interior point
+    check_positive(half_width=half_width)
     psi_up, psi_dn = _ground_spinfock(params, n_max, tol)
 
     if conditioning == "reduced":

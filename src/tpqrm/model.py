@@ -60,10 +60,6 @@ class ModelParams:
     def delta_c(self) -> float:
         return (1.0 - self.r) / (1.0 + self.r)
 
-    @property
-    def g_over_gc(self) -> float:
-        return self.g / self.g_c
-
 
 @dataclass(frozen=True)
 class CriticalGeometry:
@@ -74,8 +70,6 @@ class CriticalGeometry:
     state otherwise.
     """
 
-    g_c: float
-    delta_c: float
     beta: float
     theta: float
     e_collapse: float = -0.5
@@ -112,6 +106,13 @@ def check_finite(**fields: float | None) -> None:
             raise ValueError(f"{name}={value} must be finite")
 
 
+def check_positive(**fields: float | None) -> None:
+    """Reject values that are not finite and above zero, naming the first; None (unset) passes."""
+    for name, value in fields.items():
+        if value is not None and not 0.0 < value < math.inf:
+            raise ValueError(f"{name}={value} must be finite and positive")
+
+
 def check_count(name: str, value: int, least: int = 1) -> None:
     """Reject a count that is not an integer (bool included) or is below least, by name."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -132,21 +133,14 @@ def geometry(params: ModelParams) -> CriticalGeometry:
 
     At g = g_c returns beta = 0, theta = +inf with at_collapse set.
     """
-    g_c, delta_c = critical_params(params.r)
-    x = params.g / g_c
+    x = params.g / params.g_c
     at_collapse = x >= 1.0
     if at_collapse:
         beta, theta = 0.0, math.inf
     else:
         beta = math.sqrt((1.0 - x) * (1.0 + x))
         theta = 0.5 * math.atanh(x)  # = (1/4) ln[(1+x)/(1-x)], without its 1e-16/x rounding
-    return CriticalGeometry(
-        g_c=g_c,
-        delta_c=delta_c,
-        beta=beta,
-        theta=theta,
-        at_collapse=at_collapse,
-    )
+    return CriticalGeometry(beta=beta, theta=theta, at_collapse=at_collapse)
 
 
 def params_from_dict(cfg: dict) -> ModelParams:

@@ -39,17 +39,9 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import zgtsv
 
-from .ed import (
-    N_MAX_CEILING,
-    _ground_resolvent,
-    _ground_response,
-    build_parity_block,
-    converge,
-    lowest_level,
-    tridiag_apply,
-)
+from .ed import _response_sum, build_parity_block, converge, lowest_level, tridiag_apply
 from .errors import ConvergenceError
-from .model import ModelParams, check_count, check_finite, critical_params
+from .model import ModelParams, check_count, check_finite, check_positive, critical_params
 
 Z_NU = 0.5  # soft-mode gap exponent entering every closed form here
 
@@ -57,8 +49,7 @@ _NORM_DRIFT_TARGET = 1e-9
 _LEAK_TARGET = 1e-8
 _ER_REL_TOL = 1e-2
 _E0_CEILING = 131072
-_CHI3_REL_TOL = 1e-6
-_CHI3_N_START = 256
+_E0_TOL = 1e-10  # ground_energy_final's doubling gate
 
 
 @dataclass(frozen=True)
@@ -74,11 +65,10 @@ class QuenchProtocol:
 
     def __post_init__(self):
         g_c, delta_c = critical_params(self.r)
-        check_finite(g_f=self.g_f, tau_q=self.tau_q, delta=self.delta, dt=self.dt)
+        check_finite(g_f=self.g_f, delta=self.delta)
+        check_positive(tau_q=self.tau_q, dt=self.dt)
         if not 0.0 < self.g_f < g_c:
             raise ValueError(f"g_f={self.g_f} must lie strictly inside (0, g_c={g_c})")
-        if self.tau_q <= 0.0:
-            raise ValueError("tau_q must be positive")
         check_count("n_max", self.n_max, 2)
         if self.delta is None:
             object.__setattr__(self, "delta", delta_c)
@@ -124,17 +114,17 @@ class KZPrediction:
     e_r_kz: float
 
 
-def ground_energy_final(protocol: QuenchProtocol, tol: float = 1e-10) -> float:
-    """E_0 at g_f from a dedicated eigensolve with truncation doubling."""
+def ground_energy_final(protocol: QuenchProtocol) -> float:
+    """E_0 at g_f from a dedicated eigensolve with truncation doubling to _E0_TOL."""
 
     def solve(n: int) -> float:
         return lowest_level(protocol.params_final, -1, n)
 
     e_cur, e_prev, _ = converge(solve, max(protocol.n_max, 256), _E0_CEILING,
-                                lambda new, old: abs(new - old) < tol)
-    if e_prev is None or abs(e_cur - e_prev) >= tol:
+                                lambda new, old: abs(new - old) < _E0_TOL)
+    if e_prev is None or abs(e_cur - e_prev) >= _E0_TOL:
         raise ConvergenceError(
-            f"ground energy at g_f not converged to {tol:.0e} below n_max={_E0_CEILING}"
+            f"ground energy at g_f not converged to {_E0_TOL:.0e} below n_max={_E0_CEILING}"
         )
     return e_cur
 
@@ -268,25 +258,12 @@ def adiabatic_reference(g_f: float, tau_q: float, params: ModelParams) -> float:
     This is the whole adiabatic E_r only where the gap at g_f dominates
     (g_f -> g_c); it leaves out the term from the abrupt start at g = 0 and
     its interference with this one.  chi_3 = sum_(j!=0) |<j| dH/dg |0>|^2 /
-    (E_j - E_0)^3 = x.(H - E_0)^+ x over the ground-state block, with x the
-    ground state's response to the coupling; a second resolvent solve gives
-    (H - E_0)^+ x.  params supplies (delta, r).  Truncation doubles from 256
-    until chi_3 is stable to 1e-6, else ConvergenceError at the ceiling.
+    (E_j - E_0)^3 over the ground-state block is ed's power-3 response sum,
+    with its truncation doubling and its ConvergenceError.  params supplies
+    (delta, r).
     """
     final = QuenchProtocol(g_f=g_f, tau_q=tau_q, r=params.r, delta=params.delta).params_final
-
-    def solve(n: int) -> float:
-        block, v0, e0, x = _ground_response(final, n)
-        return float(x @ _ground_resolvent(block, v0, e0, x))
-
-    def held(new: float, old: float) -> bool:
-        return abs(new - old) <= _CHI3_REL_TOL * new
-
-    chi_3, old, n_used = converge(solve, _CHI3_N_START, N_MAX_CEILING, held)
-    if old is None or not held(chi_3, old):
-        raise ConvergenceError(
-            f"chi_3 not stable to {_CHI3_REL_TOL:.0e} at truncation ceiling {n_used}")
-    return (g_f / tau_q) ** 2 * chi_3
+    return (g_f / tau_q) ** 2 * _response_sum(final, 3)[0]
 
 
 def kz_sweep(

@@ -203,6 +203,34 @@ def test_fit_command_roundtrip(tmp_path):
     assert fit["amplitude"] == pytest.approx(3.0, rel=1e-10)
 
 
+@pytest.mark.parametrize("args,message", [
+    (["quench", "--r", "0.25", "--gf", "0.5", "--tau-list", "50", "--dt", "-0.1"],
+     "dt=-0.1 must be finite and positive"),
+    (["quench", "--r", "0.25", "--gf", "0.5", "--tau-range", "-1", "10"],
+     "--tau-range=-1.0 must be finite and positive"),
+    (["wigner", "--g-over-gc", "0.5", "--half-width", "nan"],
+     "--half-width=nan must be finite and positive"),
+])
+def test_bad_lengths_are_rejected_by_name(tmp_path, capsys, args, message):
+    assert run_cli(args + ["--validate"], tmp_path) == cli.EXIT_CONFIG
+    assert json.loads(capsys.readouterr().out)["diagnostics"] == [f"error: {message}"]
+    assert run_cli(args, tmp_path) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("text,message", [
+    ("u,y\n", "data.csv has no data rows"),
+    ("u,y\n1,2\n3\n", "data.csv has a row of 1 fields under a header of 2"),
+], ids=["no_rows", "short_row"])
+def test_fit_rejects_a_malformed_csv_by_file_name(tmp_path, capsys, text, message):
+    (tmp_path / "data.csv").write_text(text)
+    args = ["fit", "--input", "data.csv", "--xcol", "u", "--ycol", "y"]
+    assert run_cli(args + ["--validate"], tmp_path) == cli.EXIT_CONFIG
+    assert json.loads(capsys.readouterr().out)["diagnostics"] == [f"error: {message}"]
+    assert run_cli(args, tmp_path) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 def test_collapse1d_command(tmp_path):
     code = run_cli(["collapse1d", "--delta", "3.0", "--L", "200", "--h", "0.05",
                     "--k", "4", "--out", "c1"], tmp_path)
@@ -264,6 +292,11 @@ def test_unknown_subcommand_fails():
     # 150 samples from a run of 100 steps
     ["quench", "--r", "0.25", "--gf", "0.5", "--tau-list", "5", "--samples", "150", "--n-max",
      "32", "--dt", "0.05"],
+    # non-positive or non-finite lengths
+    *[["quench", "--r", "0.25", "--gf", "0.5", "--tau-list", "50", "--n-max", "32", "--dt", dt]
+      for dt in ("-0.1", "0")],
+    ["quench", "--r", "0.25", "--gf", "0.5", "--tau-range", "0", "10", "--n-max", "32"],
+    *[["wigner", "--g-over-gc", "0.5", "--half-width", w] for w in ("-12", "nan", "inf")],
 ])
 def test_validate_agrees_with_the_run(tmp_path, capsys, args):
     validate = run_cli(args + ["--validate"], tmp_path)

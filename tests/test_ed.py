@@ -202,7 +202,7 @@ def test_small_blocks_keep_bisection_bitwise(monkeypatch, n):
     q=st.sampled_from([0.25, 0.75]),
     log_n=st.integers(2, 16),
 )
-def test_lowest_level_interlaces_under_truncation(r, delta, frac, parity, q, log_n):
+def test_ground_eigenvalue_interlaces_under_truncation(r, delta, frac, parity, q, log_n):
     # the n/2-block is a leading principal block of the n-block, so E_0 cannot
     # rise; the slack is the kernel's certified error bound at n rows
     p = ModelParams(delta=delta, g=frac / (1.0 + r), r=r)
@@ -210,7 +210,8 @@ def test_lowest_level_interlaces_under_truncation(r, delta, frac, parity, q, log
     block = ed.build_parity_block(p, parity, n, q)
     scale = max(np.abs(block.diag).max(), 2 * np.abs(block.offdiag).max())
     bound = 16 * np.finfo(float).eps * scale
-    assert ed.lowest_level(p, parity, n, q) <= ed.lowest_level(p, parity, n // 2, q) + bound
+    full = ed._ground_eigenvalue(block.diag, block.offdiag)
+    assert full <= ed._ground_eigenvalue(block.diag[:n // 2], block.offdiag[:n // 2 - 1]) + bound
 
 
 def test_converge_climbs_rungs_until_held():
@@ -554,6 +555,12 @@ def test_qfi_solves_the_final_ground_block_once(monkeypatch):
     assert sum(np.array_equal(d, final) for d in diags) == 1
 
 
+def test_qfi_ladder_raises_at_its_ceiling():
+    # one rung gives no second estimate, so the 1e-6 doubling gate cannot hold
+    with pytest.raises(ConvergenceError, match="^F_Q not stable to 1e-06 at truncation ceiling 64$"):
+        ed.qfi_spectral(at_beta(0.6, 0.3), n_max=64, n_max_ceiling=64)
+
+
 def test_fidelity_oracle_rejects_unconverged_ground_states():
     # the first state reaches the 16384 ceiling with an estimate of 6.4e-7
     g_c, delta_c = critical_params(0.6)
@@ -582,6 +589,13 @@ def test_qfi_residual_gate(monkeypatch, error, raises):
 
 
 # ---------------------------------------------------------------- Wigner
+
+@pytest.mark.parametrize("bad", [-12.0, 0.0, math.nan, math.inf])
+def test_wigner_rejects_a_bad_half_width_before_the_ground_solve(monkeypatch, bad):
+    monkeypatch.setattr(ed, "_ground_spinfock", None)  # a ground solve would raise TypeError
+    with pytest.raises(ValueError, match=f"^half_width={bad} must be finite and positive$"):
+        ed.wigner_grid(ModelParams(delta=0.3, g=0.2, r=0.6), half_width=bad)
+
 
 def _hermite_psi(n, q):
     c = np.zeros(n + 1)

@@ -34,6 +34,9 @@ def test_protocol_validation_and_defaults():
                        ("dt", math.inf)):
         with pytest.raises(ValueError, match=f"{field}={bad} must be finite"):
             QuenchProtocol(**{"g_f": 0.5 * G_C, "tau_q": 10.0, "r": R, field: bad})
+    for bad in (0.0, -0.1):  # a step of tau_q would hold the halving gate trivially
+        with pytest.raises(ValueError, match=f"^dt={bad} must be finite and positive$"):
+            QuenchProtocol(g_f=0.5 * G_C, tau_q=50.0, r=R, dt=bad)
     for bad, message in ((8.5, "n_max=8.5 must be an integer"),
                          (True, "n_max=True must be an integer"), (1, "n_max=1 must be >= 2")):
         with pytest.raises(ValueError, match=f"^{message}"):
@@ -88,6 +91,21 @@ def test_ground_energy_final_matches_block_solver():
     spec = ed.ed_spectrum(ModelParams(delta=DELTA_C, g=0.7 * G_C, r=R),
                           SectorSpec(0.25, -1), k=1, tol=1e-11)
     assert e0 == pytest.approx(spec.energies[0], abs=1e-9)
+
+
+def test_ground_energy_final_raises_at_its_ceiling(monkeypatch):
+    monkeypatch.setattr(quench, "_E0_CEILING", 256)  # one rung: no pair to hold the gate
+    protocol = QuenchProtocol(g_f=0.7 * G_C, tau_q=10.0, r=R)
+    with pytest.raises(ConvergenceError, match="^ground energy at g_f not converged to 1e-10"):
+        ground_energy_final(protocol)
+
+
+def test_adiabatic_reference_raises_at_the_ladder_ceiling():
+    # at 1 - g_f/g_c = 1e-7 chi_3 still moves by more than 1e-6 at n_max 16384
+    params = ModelParams(delta=DELTA_C, g=0.0, r=R)
+    with pytest.raises(ConvergenceError,
+                       match="^chi_3 not stable to 1e-06 at truncation ceiling 16384$"):
+        adiabatic_reference((1 - 1e-7) * G_C, 1e4, params)
 
 
 def test_adiabatic_limit_residual_energy_vanishes():
