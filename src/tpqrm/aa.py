@@ -67,7 +67,6 @@ class AALevel:
     n: int
     parity: int
     energy: float
-    diag_part: float
     split_part: float
 
 
@@ -163,11 +162,10 @@ def aa_energy(n: int, parity: int, params: ModelParams) -> AALevel:
         raise ValueError("manifold index must be >= 0")
     geo = geometry(params)
     if geo.at_collapse:
-        return AALevel(n=n, parity=parity, energy=-0.5, diag_part=-0.5, split_part=0.0)
+        return AALevel(n=n, parity=parity, energy=-0.5, split_part=0.0)
     diag = (2 * n + 0.5) * geo.beta - 0.5
     m_nn = _m_element_value(n, n, params)
-    return AALevel(n=n, parity=parity, energy=diag + parity * m_nn, diag_part=diag,
-                   split_part=parity * m_nn)
+    return AALevel(n=n, parity=parity, energy=diag + parity * m_nn, split_part=parity * m_nn)
 
 
 def aa_gaps(n: int, params: ModelParams) -> tuple[float, float]:

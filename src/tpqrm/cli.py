@@ -64,12 +64,23 @@ def write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
+def _floats(items: list[str], where: str) -> list[float]:
+    """Each item as a float; a bad one raises ValueError naming where it came from, quoted."""
+    values = []
+    for item in items:
+        try:
+            values.append(float(item))
+        except ValueError:
+            raise ValueError(f"{where}: {item.strip()!r} is not a number") from None
+    return values
+
+
 def parse_gf(text: str) -> float:
     """Fraction of g_c; '1-1e-6' means 1 - 1e-6."""
     text = text.strip()
     if text.startswith("1-"):
-        return 1.0 - float(text[2:])
-    return float(text)
+        return 1.0 - _floats([text[2:]], "--gf")[0]
+    return _floats([text], "--gf")[0]
 
 
 # -- flags: (flag, add_argument keywords), shared where subcommands share them --
@@ -89,7 +100,8 @@ _GRID = (_R, _DELTA, _N_MAX,
 
 def _params(ns, **coupling) -> ModelParams:
     """ModelParams from --delta and --r plus the coupling keys that are set."""
-    cfg = {"delta": ns.delta, "r": ns.r, **coupling}
+    delta = ns.delta if ns.delta == "critical" else _floats([ns.delta], "--delta")[0]
+    cfg = {"delta": delta, "r": ns.r, **coupling}
     return params_from_dict({k: v for k, v in cfg.items() if v is not None})
 
 
@@ -120,7 +132,7 @@ def _resolve_grid(ns, fit_cols: tuple[str, ...] = ()) -> dict:
 def _resolve_quench(ns) -> dict:
     model = _params(ns, g_over_gc=parse_gf(ns.gf))
     if ns.tau_list:
-        taus = [float(t) for t in ns.tau_list.split(",")]
+        taus = _floats(ns.tau_list.split(","), "--tau-list")
     elif ns.tau_range:
         for end in ns.tau_range:
             check_positive(**{"--tau-range": end})
@@ -139,19 +151,21 @@ def _resolve_quench(ns) -> dict:
 
 def _resolve_wigner(ns) -> dict:
     check_positive(**{"--half-width": ns.half_width})  # before any ground-state solve
+    ed.check_wigner_lattice(ns.half_width, ns.grid_points, ("--half-width", "--grid-points"))
     return {"model": _params(ns, g=ns.g, g_over_gc=ns.g_over_gc)}
 
 
 def _resolve_collapse1d(ns) -> dict:
     # the isotropic collapse point has Delta_c = 0, so 'critical' means 0 here
-    delta = 0.0 if ns.delta == "critical" else float(ns.delta)
+    delta = 0.0 if ns.delta == "critical" else _floats([ns.delta], "--delta")[0]
     return {"model": collapse1d.Collapse1DProblem(delta=delta, L=ns.L, h=ns.h)}
 
 
 def _resolve_fit(ns) -> dict:
     with open(ns.input, encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
-        rows = [[float(v) for v in line.split(",")] for line in fh if line.strip()]
+        rows = [_floats(line.split(","), f"{ns.input} line {number}")
+                for number, line in enumerate(fh, start=2) if line.strip()]
     for col in (ns.xcol, ns.ycol):
         if col not in header:
             raise ValueError(f"column {col!r} not in {ns.input} (has {header})")

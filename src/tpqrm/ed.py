@@ -19,11 +19,14 @@ space by the test suite.
 
 A second, independent route diagonalizes the squeezed-frame matrix
 diag[(2m+1/2) beta - 1/2] + p M_mn (couplings from aa); the two frames
-cross-validate each other.  Ground-state observables and Wigner grids
-are computed from the bare-Fock ground vector mapped back to spin (x)
-Fock.  The coupling quantum Fisher information and quench's chi_3 need
-no excited states: each is one truncation ladder of tridiagonal solves
-with the ground-state resolvent (H - E_0)^+ on the ground block.
+cross-validate each other.  Every lowest eigenpair of a block (the
+ground level and vector, lowest_level, the E_0 of quench) comes from one
+kernel, _ground_pair: bisection up to 512 rows, certified inverse
+iteration above.  Ground-state observables and Wigner grids are computed
+from the bare-Fock ground vector mapped back to spin (x) Fock.  The
+coupling quantum Fisher information and quench's chi_3 need no excited
+states: each is one truncation ladder of tridiagonal solves with the
+ground-state resolvent (H - E_0)^+ on the ground block.
 """
 
 from __future__ import annotations
@@ -45,10 +48,11 @@ from .specfun import _LOG_RESCALE, _RESCALE, squeeze_element
 
 N_MAX_CEILING = 16384
 _RESOLVENT_RES_TOL = 1e-7  # |(H - E_0) x - rhs| / |rhs|; see _ground_resolvent
-_BISECTION_ROWS = 512  # _ground_eigenvalue bisects blocks up to this size
+_BISECTION_ROWS = 512  # _ground_pair bisects blocks up to this size
 _INVERSE_ITERATIONS = 40  # cap on the shift search, and on the inverse-iteration steps
 _RESPONSE_REL_TOL = 1e-6  # doubling gate of _response_sum
 _RESPONSE_NAMES = {2: "F_Q", 3: "chi_3"}  # _response_sum's powers, as its errors name them
+_WIGNER_MAX_ENTRIES = 2**23  # doubles in each y-lattice array of wigner_grid (64 MiB)
 
 
 @dataclass(frozen=True)
@@ -74,13 +78,6 @@ class SpectrumResult:
     converged: np.ndarray
     convergence_estimate: np.ndarray
     n_max_used: int
-
-    @property
-    def levels(self) -> list[tuple[float, int, int]]:
-        return [
-            (float(e), int(p), int(i))
-            for e, p, i in zip(self.energies, self.parities, self.indices)
-        ]
 
 
 @dataclass(frozen=True)
@@ -201,30 +198,35 @@ def _lowest_block_eigenvalues(block: ParityBlock, k: int) -> np.ndarray:
     )
 
 
-def _ground_eigenvalue(diag: np.ndarray, off: np.ndarray) -> float:
-    """Lowest eigenvalue E_0 of the symmetric tridiagonal matrix T = (diag, off).
+def _ground_pair(diag: np.ndarray, off: np.ndarray) -> tuple[float, np.ndarray]:
+    """Lowest eigenpair (E_0, unit v0) of the symmetric tridiagonal matrix T = (diag, off).
 
-    Up to _BISECTION_ROWS rows this is LAPACK bisection (eigh_tridiagonal).
-    A bigger T runs shifted inverse iteration, with every shift certified
-    below E_0: dpttrf factors T - sigma as L D L^T with D > 0 (info 0) only
-    when T - sigma is positive definite.  The leading block's lowest level
-    E_top bounds E_0 from above (Cauchy interlacing), so the first shift is
-    E_top - delta, delta = 1e-3 max(1, |E_top|) growing 4x until certified.
-    Each dpttrs solve gives a Rayleigh quotient theta and residual
-    r = |T x - theta x|; some eigenvalue lies in [theta - r, theta + r]
-    (Weinstein), and whenever dpttrf certifies theta - r < E_0 the shift
-    rises to it, so the iteration speeds up without passing E_0.  It stops
-    at r <= tol = 8 eps max(|diag|, 2|off|) and returns theta once
+    Up to _BISECTION_ROWS rows this is LAPACK bisection and inverse
+    iteration (eigh_tridiagonal, stebz then stein).  A bigger T runs
+    shifted inverse iteration, with every shift certified below E_0: dpttrf
+    factors T - sigma as L D L^T with D > 0 (info 0) only when T - sigma is
+    positive definite.  The leading block's lowest level E_top bounds E_0
+    from above (Cauchy interlacing), so the first shift is E_top - delta,
+    delta = 1e-3 max(1, |E_top|) growing 4x until certified.  Each dpttrs
+    solve gives a Rayleigh quotient theta and residual r = |T x - theta x|;
+    some eigenvalue lies in [theta - r, theta + r] (Weinstein), and
+    whenever dpttrf certifies theta - r < E_0 the shift rises to it, so the
+    iteration speeds up without passing E_0.  It stops at
+    r <= tol = 8 eps max(|diag|, 2|off|) and returns theta once
     theta - r - tol is certified too: then E_0 <= theta < E_0 + r + tol,
-    where tol also covers the factorization's rounding.  If that
-    certificate fails, or _INVERSE_ITERATIONS passes without it, the
-    result is bisection's.  About 13 LAPACK calls at 2^15 to 2^17 rows,
-    where bisection sweeps the whole Gershgorin range some 52 times.
+    where tol also covers the factorization's rounding.  One more solve
+    with the held factors gives v0: the stopping iterate's error is bounded
+    only by r / gap, and near collapse it moves the ground observables by
+    up to 3e-9; after the extra step v0 agrees with stein's to 4e-13 on
+    criterion 03's blocks of 4096 and 8192 rows.  If the certificate
+    fails, or _INVERSE_ITERATIONS passes without it, the pair is
+    bisection's.  About 13 LAPACK calls at 2^15 to 2^17 rows, where
+    bisection sweeps the whole Gershgorin range some 52 times.
     """
 
-    def bisection() -> float:
-        return float(eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
-                                      select_range=(0, 0))[0])
+    def bisection() -> tuple[float, np.ndarray]:
+        w, v = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
+        return float(w[0]), v[:, 0]
 
     if len(diag) <= _BISECTION_ROWS:
         return bisection()
@@ -233,7 +235,8 @@ def _ground_eigenvalue(diag: np.ndarray, off: np.ndarray) -> float:
         d, e, info = dpttrf(diag - sigma, off)
         return (d, e) if info == 0 else None
 
-    top = _ground_eigenvalue(diag[:_BISECTION_ROWS], off[:_BISECTION_ROWS - 1])
+    top = float(eigh_tridiagonal(diag[:_BISECTION_ROWS], off[:_BISECTION_ROWS - 1],
+                                 eigvals_only=True, select="i", select_range=(0, 0))[0])
     delta = 1e-3 * max(1.0, abs(top))
     for _ in range(_INVERSE_ITERATIONS):
         sigma = top - delta
@@ -253,7 +256,10 @@ def _ground_eigenvalue(diag: np.ndarray, off: np.ndarray) -> float:
         theta = float(v @ tv)
         r = float(np.linalg.norm(tv - theta * v))
         if r <= tol:
-            return theta if certified_below(theta - r - tol) is not None else bisection()
+            if certified_below(theta - r - tol) is None:
+                return bisection()
+            x, _ = dpttrs(*factors, x)
+            return theta, x[:, 0] / np.linalg.norm(x)
         if theta - r > sigma and (lifted := certified_below(theta - r)) is not None:
             sigma, factors = theta - r, lifted
     return bisection()
@@ -262,7 +268,7 @@ def _ground_eigenvalue(diag: np.ndarray, off: np.ndarray) -> float:
 def lowest_level(params: ModelParams, parity: int, n_max: int) -> float:
     """Lowest eigenvalue of one q = 1/4 block at fixed truncation (no doubling)."""
     block = build_parity_block(params, parity, n_max)
-    return _ground_eigenvalue(block.diag, block.offdiag)
+    return _ground_pair(block.diag, block.offdiag)[0]
 
 
 def collapse_point_gap(
@@ -394,8 +400,7 @@ def ground_state_block(
 
     def solve(n: int) -> tuple[float, np.ndarray]:
         block = build_parity_block(params, -1, n)
-        w, v = eigh_tridiagonal(block.diag, block.offdiag, select="i", select_range=(0, 0))
-        return float(w[0]), v[:, 0]
+        return _ground_pair(block.diag, block.offdiag)
 
     (energy, coeffs), old, n_used = converge(
         solve, max(n_max, 8), n_max_ceiling, lambda new, old: abs(new[0] - old[0]) < tol
@@ -538,8 +543,7 @@ def _response_sum(
 
     def solve(n: int) -> tuple[float, np.ndarray]:
         block = build_parity_block(params, -1, n)
-        w, v = eigh_tridiagonal(block.diag, block.offdiag, select="i", select_range=(0, 0))
-        v0, e0 = v[:, 0], float(w[0])
+        e0, v0 = _ground_pair(block.diag, block.offdiag)
         b = tridiag_apply(np.zeros(n), block.coupling, v0)
         b -= (v0 @ b) * v0
         x = _ground_resolvent(block, v0, e0, b)
@@ -651,6 +655,26 @@ def _hermite_sum(coeffs: np.ndarray, q: np.ndarray) -> np.ndarray:
     return total * np.exp(log_scale)
 
 
+def check_wigner_lattice(
+    half_width: float | None, points: int, names: tuple[str, str] = ("half_width", "points")
+) -> None:
+    """Reject a grid whose y-lattice arrays would pass _WIGNER_MAX_ENTRIES, naming its sizes.
+
+    wigner_grid's two largest arrays hold points (2 refine (points - 1) + 1)
+    doubles each, refine = ceil(2 half_width^2 / (pi (points - 1))).  The
+    count is taken in floats, so an overflowing half_width is rejected too;
+    None (width not known yet) counts as refine = 1, the least there is.
+    """
+    refine = 1.0
+    if half_width is not None:
+        refine = max(refine, 2.0 * half_width * half_width / (math.pi * (points - 1)))
+    entries = points * (2.0 * refine * (points - 1) + 1.0)
+    if entries > _WIGNER_MAX_ENTRIES:
+        where = "" if half_width is None else f" with {names[0]}={half_width}"
+        raise ValueError(f"{names[1]}={points}{where} needs a y-lattice of {entries:.3g} "
+                         f"entries per array, above {_WIGNER_MAX_ENTRIES}")
+
+
 def _wigner_from_components(
     components: list[np.ndarray], x_axis: np.ndarray, p_axis: np.ndarray
 ) -> np.ndarray:
@@ -699,10 +723,13 @@ def wigner_grid(
     W(q, k + m pi/h), and the refine rule puts every partner at least
     2 half_width/sqrt 2 outside the box.  y spans the box's full width in
     q: the integrand decays in y as the state does in q, so stopping at
-    half of it leaves errors of the size of W on the boundary.
+    half of it leaves errors of the size of W on the boundary.  A lattice
+    past 2^23 entries an array raises ValueError (check_wigner_lattice),
+    before the ground-state solve when half_width is given.
     """
     check_count("points", points, 3)  # the integral needs an interior point
     check_positive(half_width=half_width)
+    check_wigner_lattice(half_width, points)
     psi_up, psi_dn = _ground_spinfock(params, n_max, tol)
 
     if conditioning == "reduced":
@@ -723,6 +750,7 @@ def wigner_grid(
             widest = math.sqrt(max(nrm + 2 * ph + 2 * abs(a2), 1e-12) / max(nrm, 1e-12))
             width = max(width, widest)
         half_width = 5.5 * width
+        check_wigner_lattice(half_width, points)
 
     x_axis = np.linspace(-half_width, half_width, points)
     p_axis = np.linspace(-half_width, half_width, points)

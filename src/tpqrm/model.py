@@ -72,7 +72,6 @@ class CriticalGeometry:
 
     beta: float
     theta: float
-    e_collapse: float = -0.5
     at_collapse: bool = False
 
 
@@ -93,10 +92,6 @@ class SectorSpec:
             raise ValueError(f"Bargmann index q={self.q} must be 1/4 or 3/4")
         if self.parity not in (+1, -1):
             raise ValueError(f"parity={self.parity} must be +1 or -1")
-
-    @property
-    def even(self) -> bool:
-        return self.q == 0.25
 
 
 def check_finite(**fields: float | None) -> None:

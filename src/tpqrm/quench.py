@@ -10,11 +10,11 @@ tridiagonal block is exactly unitary, so the norm is conserved to
 roundoff.  The step is certified, not chosen: the run is repeated at
 half the step until E_r is stable to 1%, and E_r is reported from the
 coarser step of that pair.  The default step is only where this ladder
-starts.  E_0(g_f) comes from a separate eigensolve with
-its own truncation doubling (near collapse the true ground state needs
-a far larger basis than the propagated, frozen-out state ever
-occupies); the propagation basis is gated by requiring the occupancy of
-its top 10% of states to stay below 1e-8.
+starts.  E_0(g_f) comes from ed.ground_state_block, with its own
+truncation doubling (near collapse the true ground state needs a far
+larger basis than the propagated, frozen-out state ever occupies); the
+propagation basis is gated by requiring the occupancy of its top 10% of
+states to stay below 1e-8.
 
 Freeze-out bookkeeping (zv = 1/2 fixed):
 
@@ -39,7 +39,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import zgtsv
 
-from .ed import _response_sum, build_parity_block, converge, lowest_level, tridiag_apply
+from .ed import _response_sum, build_parity_block, converge, ground_state_block, tridiag_apply
 from .errors import ConvergenceError
 from .model import ModelParams, check_count, check_finite, check_positive, critical_params
 
@@ -115,18 +115,14 @@ class KZPrediction:
 
 
 def ground_energy_final(protocol: QuenchProtocol) -> float:
-    """E_0 at g_f from a dedicated eigensolve with truncation doubling to _E0_TOL."""
-
-    def solve(n: int) -> float:
-        return lowest_level(protocol.params_final, -1, n)
-
-    e_cur, e_prev, _ = converge(solve, max(protocol.n_max, 256), _E0_CEILING,
-                                lambda new, old: abs(new - old) < _E0_TOL)
-    if e_prev is None or abs(e_cur - e_prev) >= _E0_TOL:
+    """E_0 at g_f from ed.ground_state_block, doubling from max(n_max, 256) to _E0_TOL."""
+    e0, _, estimate, _ = ground_state_block(protocol.params_final, max(protocol.n_max, 256),
+                                            _E0_TOL, _E0_CEILING)
+    if estimate >= _E0_TOL:
         raise ConvergenceError(
             f"ground energy at g_f not converged to {_E0_TOL:.0e} below n_max={_E0_CEILING}"
         )
-    return e_cur
+    return e0
 
 
 def _n_steps(tau_q: float, dt: float) -> int:

@@ -210,8 +210,28 @@ def test_fit_command_roundtrip(tmp_path):
      "--tau-range=-1.0 must be finite and positive"),
     (["wigner", "--g-over-gc", "0.5", "--half-width", "nan"],
      "--half-width=nan must be finite and positive"),
+    (["wigner", "--g-over-gc", "0.5", "--half-width", "1000"],
+     "--grid-points=161 with --half-width=1000.0 needs a y-lattice of 2.05e+08 entries per "
+     "array, above 8388608"),
 ])
 def test_bad_lengths_are_rejected_by_name(tmp_path, capsys, args, message):
+    _rejected_alike(tmp_path, capsys, args, message)
+
+
+@pytest.mark.parametrize("args,flag,bad", [
+    (["quench", "--gf", "0.5", "--tau-list", "5,"], "--tau-list", "''"),
+    (["quench", "--gf", "0.5", "--tau-list", "5,x,7"], "--tau-list", "'x'"),
+    (["quench", "--gf", "abc", "--tau-list", "5"], "--gf", "'abc'"),
+    (["quench", "--gf", "1-x", "--tau-list", "5"], "--gf", "'x'"),
+    (["spectrum", "--delta", "abc"], "--delta", "'abc'"),
+    (["collapse1d", "--delta", "abc"], "--delta", "'abc'"),
+], ids=["tau_list_empty", "tau_list_word", "gf", "gf_complement", "delta", "collapse1d_delta"])
+def test_a_bad_number_is_quoted_with_its_flag(tmp_path, capsys, args, flag, bad):
+    _rejected_alike(tmp_path, capsys, args, f"{flag}: {bad} is not a number")
+
+
+def _rejected_alike(tmp_path, capsys, args, message):
+    """Both --validate and the run exit 1 with exactly this message."""
     assert run_cli(args + ["--validate"], tmp_path) == cli.EXIT_CONFIG
     assert json.loads(capsys.readouterr().out)["diagnostics"] == [f"error: {message}"]
     assert run_cli(args, tmp_path) == cli.EXIT_CONFIG
@@ -221,14 +241,12 @@ def test_bad_lengths_are_rejected_by_name(tmp_path, capsys, args, message):
 @pytest.mark.parametrize("text,message", [
     ("u,y\n", "data.csv has no data rows"),
     ("u,y\n1,2\n3\n", "data.csv has a row of 1 fields under a header of 2"),
-], ids=["no_rows", "short_row"])
+    ("u,y\n1,2\n\n3,x\n", "data.csv line 4: 'x' is not a number"),
+], ids=["no_rows", "short_row", "not_a_number"])
 def test_fit_rejects_a_malformed_csv_by_file_name(tmp_path, capsys, text, message):
     (tmp_path / "data.csv").write_text(text)
-    args = ["fit", "--input", "data.csv", "--xcol", "u", "--ycol", "y"]
-    assert run_cli(args + ["--validate"], tmp_path) == cli.EXIT_CONFIG
-    assert json.loads(capsys.readouterr().out)["diagnostics"] == [f"error: {message}"]
-    assert run_cli(args, tmp_path) == cli.EXIT_CONFIG
-    assert capsys.readouterr().err == f"config error: {message}\n"
+    _rejected_alike(tmp_path, capsys, ["fit", "--input", "data.csv", "--xcol", "u", "--ycol", "y"],
+                    message)
 
 
 def test_collapse1d_command(tmp_path):
@@ -297,6 +315,10 @@ def test_unknown_subcommand_fails():
       for dt in ("-0.1", "0")],
     ["quench", "--r", "0.25", "--gf", "0.5", "--tau-range", "0", "10", "--n-max", "32"],
     *[["wigner", "--g-over-gc", "0.5", "--half-width", w] for w in ("-12", "nan", "inf")],
+    # oversized Wigner lattices, and quench times that are not numbers
+    *[["wigner", "--g-over-gc", "0.5", "--half-width", w] for w in ("1000", "1e300")],
+    ["wigner", "--g-over-gc", "0.5", "--grid-points", "5000"],
+    *[["quench", "--r", "0.25", "--gf", "0.5", "--tau-list", t] for t in ("5,", "5,x")],
 ])
 def test_validate_agrees_with_the_run(tmp_path, capsys, args):
     validate = run_cli(args + ["--validate"], tmp_path)

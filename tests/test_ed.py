@@ -142,7 +142,7 @@ def test_ground_eigenvalue_matches_bisection_on_the_collapse_blocks(r, n):
     for off in np.linspace(0.06, 0.11, 6):
         for parity in (+1, -1):
             block = ed.build_parity_block(ModelParams(delta=delta_c - off, g=g_c, r=r), parity, n)
-            level = ed._ground_eigenvalue(block.diag, block.offdiag)
+            level = ed._ground_pair(block.diag, block.offdiag)[0]
             assert abs(level - _bisection(block)) <= 1e-10
 
 
@@ -170,7 +170,7 @@ def test_ground_eigenvalue_falls_back_to_bisection(monkeypatch, fail_after):
     _record_calls(monkeypatch, "eigh_tridiagonal", bisected)
     _record_calls(monkeypatch, "dpttrf", factored, fail_after)
     _record_calls(monkeypatch, "dpttrs", solved)
-    level = ed._ground_eigenvalue(block.diag, block.offdiag)
+    level, vector = ed._ground_pair(block.diag, block.offdiag)
     if fail_after is None:
         assert bisected == [512] and solved
         assert abs(level - _bisection(block)) <= 1e-12
@@ -178,6 +178,11 @@ def test_ground_eigenvalue_falls_back_to_bisection(monkeypatch, fail_after):
         assert bisected == [512, 1024]
         assert bool(solved) == (fail_after == 1)
         assert level == _bisection(block)
+    # every mode returns a unit eigenvector of its level
+    scale = max(np.abs(block.diag).max(), 2 * np.abs(block.offdiag).max())
+    assert abs(np.linalg.norm(vector) - 1.0) <= 1e-14
+    residual = ed.tridiag_apply(block.diag, block.offdiag, vector) - level * vector
+    assert np.linalg.norm(residual) <= 8 * np.finfo(float).eps * scale
 
 
 @pytest.mark.parametrize("n", [2, 3, 100, 511, 512])
@@ -191,6 +196,26 @@ def test_small_blocks_keep_bisection_bitwise(monkeypatch, n):
     monkeypatch.setattr(ed, "dpttrf", no_factorization)
     for parity, block in blocks.items():
         assert ed.lowest_level(p, parity, n) == _bisection(block)
+        w, v = eigh_tridiagonal(block.diag, block.offdiag, select="i", select_range=(0, 0))
+        level, vector = ed._ground_pair(block.diag, block.offdiag)
+        assert level == w[0] and np.array_equal(vector, v[:, 0])
+
+
+@pytest.mark.parametrize("n", [4096, 8192])
+@pytest.mark.parametrize("r", [0.25, 0.6])
+def test_ground_vector_matches_stein_above_the_bisection_rows(r, n):
+    # criterion 03's grid: the vector comes from one more solve after the
+    # certified eigenvalue; the stopping iterate alone is off by up to 3e-10
+    g_c, delta_c = critical_params(r)
+    for g in make_grid(3.5, 5.5, 7, r).g_values:
+        block = ed.build_parity_block(ModelParams(delta=delta_c, g=g, r=r), -1, n)
+        level, vector = ed._ground_pair(block.diag, block.offdiag)
+        scale = max(np.abs(block.diag).max(), 2 * np.abs(block.offdiag).max())
+        residual = ed.tridiag_apply(block.diag, block.offdiag, vector) - level * vector
+        assert np.linalg.norm(residual) <= 8 * np.finfo(float).eps * scale
+        _, v = eigh_tridiagonal(block.diag, block.offdiag, select="i", select_range=(0, 0))
+        stein = v[:, 0] * np.sign(v[:, 0] @ vector)
+        assert np.abs(vector - stein).max() <= 1e-11
 
 
 @settings(max_examples=30, deadline=None)
@@ -210,8 +235,8 @@ def test_ground_eigenvalue_interlaces_under_truncation(r, delta, frac, parity, q
     block = ed.build_parity_block(p, parity, n, q)
     scale = max(np.abs(block.diag).max(), 2 * np.abs(block.offdiag).max())
     bound = 16 * np.finfo(float).eps * scale
-    full = ed._ground_eigenvalue(block.diag, block.offdiag)
-    assert full <= ed._ground_eigenvalue(block.diag[:n // 2], block.offdiag[:n // 2 - 1]) + bound
+    full = ed._ground_pair(block.diag, block.offdiag)[0]
+    assert full <= ed._ground_pair(block.diag[:n // 2], block.offdiag[:n // 2 - 1])[0] + bound
 
 
 def test_converge_climbs_rungs_until_held():
@@ -330,10 +355,9 @@ def test_aa_deviation_grows_away_from_critical_line():
 
 def test_spectrum_levels_property():
     spec = ed.full_spectrum(ModelParams(delta=0.5, g=0.1, r=0.5), k=3)
-    levels = spec.levels
-    assert len(levels) == 6
-    assert all(isinstance(p, int) for _, p, _ in levels)
-    assert [e for e, _, _ in levels] == sorted(e for e, _, _ in levels)
+    assert spec.energies.shape == spec.parities.shape == spec.indices.shape == (6,)
+    assert spec.parities.dtype.kind == "i" and sorted(spec.parities) == [-1] * 3 + [1] * 3
+    assert list(spec.energies) == sorted(spec.energies)
 
 
 # ---------------------------------------------------------------- squeezed frame
@@ -595,6 +619,29 @@ def test_wigner_rejects_a_bad_half_width_before_the_ground_solve(monkeypatch, ba
     monkeypatch.setattr(ed, "_ground_spinfock", None)  # a ground solve would raise TypeError
     with pytest.raises(ValueError, match=f"^half_width={bad} must be finite and positive$"):
         ed.wigner_grid(ModelParams(delta=0.3, g=0.2, r=0.6), half_width=bad)
+
+
+@pytest.mark.parametrize("half_width,points,entries", [
+    (1000.0, 161, "2.05e+08"), (1e300, 161, "inf"), (None, 5000, "5e+07"),
+], ids=["wide", "overflowing", "many_points"])
+def test_wigner_rejects_an_oversized_lattice_before_the_ground_solve(
+        monkeypatch, half_width, points, entries):
+    # the lattice arrays grow as points half_width^2: 1.6 GB each at half_width 1000
+    monkeypatch.setattr(ed, "_ground_spinfock", None)  # a ground solve would raise TypeError
+    sizes = f"points={points}" + ("" if half_width is None else f" with half_width={half_width}")
+    message = f"{sizes} needs a y-lattice of {entries} entries per array, above 8388608"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ed.wigner_grid(ModelParams(delta=0.3, g=0.2, r=0.6), half_width=half_width,
+                       points=points)
+
+
+def test_wigner_lattice_bound_admits_the_grids_in_use():
+    # the check before a default-width solve, the far-out closed form's half_width
+    # 40, and the widest 161-point grid under the bound (about 200 MB of arrays)
+    for half_width in (None, 40.0, 199.0):
+        ed.check_wigner_lattice(half_width, 161)
+    with pytest.raises(ValueError, match="^points=161 with half_width=205.0 needs"):
+        ed.check_wigner_lattice(205.0, 161)
 
 
 def _hermite_psi(n, q):

@@ -50,7 +50,6 @@ def test_geometry_collapse_point_flagged():
     assert geo.at_collapse
     assert geo.beta == 0.0
     assert math.isinf(geo.theta)
-    assert geo.e_collapse == -0.5
 
 
 def test_supercritical_coupling_rejected():
@@ -91,9 +90,7 @@ def test_beta_strictly_decreasing_in_g():
 
 
 def test_sector_spec_validation():
-    s = SectorSpec(0.25, -1)
-    assert s.even
-    assert not SectorSpec(0.75, +1).even
+    assert SectorSpec() == SectorSpec(0.25, -1)  # the ground state's sector is the default
     with pytest.raises(ValueError):
         SectorSpec(0.5, +1)
     with pytest.raises(ValueError):
