@@ -294,8 +294,8 @@ def run_wigner(ns, model: ModelParams) -> int:
 
 def run_quench(ns, model: ModelParams, protocols: list, n_samples: int) -> int:
     # one quench time: the run that yields E_r also records the trajectory
-    table = [quench.kz_sweep(p.g_f, [p.tau_q], model, n_max=p.n_max, dt=p.dt,
-                             n_samples=n_samples)[0] for p in protocols]
+    table = quench.kz_sweep(model.g, [p.tau_q for p in protocols], model,
+                            n_max=protocols[0].n_max, dt=protocols[0].dt, n_samples=n_samples)
     cols = ["g_f_over_gc", "tau_q", "e_r", "norm_drift", "n_max", "dt", "converged"]
     rows = []
     for row in table:
@@ -479,6 +479,11 @@ def _load_config(argv: list[str]) -> argparse.Namespace:
     unknown = set(cfg) - {flag[2:].replace("-", "_") for flag, _ in COMMANDS[argv[0]].flags}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    for flag, kwargs in COMMANDS[argv[0]].flags:  # argparse parses no config value as text
+        value = cfg.get(key := flag[2:].replace("-", "_"))
+        if not ("type" in kwargs or "action" in kwargs or isinstance(value, (str, type(None)))):
+            raise ValueError(f"config key {key!r} must be a string, as on the command line; "
+                             f"got {value!r}")
     return build_parser({argv[0]: cfg}).parse_args(argv)
 
 

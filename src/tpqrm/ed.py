@@ -13,9 +13,8 @@ the Hamiltonian is real symmetric tridiagonal:
     offdiag_n  = g sqrt((f_n+1)(f_n+2)) [ (1+r) - (1-r) s_n ] / 2 .
 
 This closed form is a derived projection, not given anywhere in closed
-form; verify_block_projection checks it entrywise against the explicit
-dense spin (x) Fock construction and is exercised across the parameter
-space by the test suite.
+form; the test suite checks it entrywise against the dense spin (x) Fock
+Hamiltonian projected onto these combinations, across the parameter space.
 
 A second, independent route diagonalizes the squeezed-frame matrix
 diag[(2m+1/2) beta - 1/2] + p M_mn (couplings from aa); the two frames
@@ -149,56 +148,14 @@ def converge(solve, n_max: int, n_max_ceiling: int, held):
     return new, old, n_max
 
 
-def dense_hamiltonian(params: ModelParams, n_fock: int) -> np.ndarray:
-    """Full Hamiltonian on spin (x) Fock(0..n_fock-1); real because i sigma_y is real."""
-    n = np.arange(n_fock)
-    a = np.diag(np.sqrt(n[1:].astype(float)), 1)
-    a2 = a @ a
-    ad2 = a2.T
-    num = np.diag(n.astype(float))
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
-    isy = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    sz = np.array([[1.0, 0.0], [0.0, -1.0]])
-    eye2 = np.eye(2)
-    return (
-        -0.5 * params.delta * np.kron(sx, np.eye(n_fock))
-        + np.kron(eye2, num)
-        + 0.5 * params.g * (1 + params.r) * np.kron(sz, a2 + ad2)
-        + 0.5 * params.g * (1 - params.r) * np.kron(isy, a2 - ad2)
-    )
-
-
-def verify_block_projection(
-    params: ModelParams, parity: int, n_max: int, q: float = 0.25
-) -> float:
-    """Max entrywise deviation of the tridiagonal block from the dense projection.
-
-    Builds the (|up,f_n> + s_n|down,f_n>)/sqrt(2) basis explicitly and
-    projects the dense Hamiltonian onto it; the derived closed form
-    must reproduce that to machine precision.
-    """
-    off = _fock_offset(q)
-    n_fock = 2 * n_max + off + 2
-    h = dense_hamiltonian(params, n_fock)
-    basis = np.zeros((2 * n_fock, n_max))
-    for n in range(n_max):
-        s = -parity * (-1) ** n
-        f = 2 * n + off
-        basis[f, n] = 1.0 / math.sqrt(2.0)
-        basis[n_fock + f, n] = s / math.sqrt(2.0)
-    projected = basis.T @ h @ basis
-    block = build_parity_block(params, parity, n_max, q)
-    tri = np.diag(block.diag) + np.diag(block.offdiag, 1) + np.diag(block.offdiag, -1)
-    return float(np.abs(projected - tri).max())
-
-
 def _lowest_block_eigenvalues(block: ParityBlock, k: int) -> np.ndarray:
     return eigh_tridiagonal(
         block.diag, block.offdiag, eigvals_only=True, select="i", select_range=(0, k - 1)
     )
 
 
-def _ground_pair(diag: np.ndarray, off: np.ndarray) -> tuple[float, np.ndarray]:
+def _ground_pair(diag: np.ndarray, off: np.ndarray,
+                 vector: bool = True) -> tuple[float, np.ndarray | None]:
     """Lowest eigenpair (E_0, unit v0) of the symmetric tridiagonal matrix T = (diag, off).
 
     Up to _BISECTION_ROWS rows this is LAPACK bisection and inverse
@@ -218,7 +175,8 @@ def _ground_pair(diag: np.ndarray, off: np.ndarray) -> tuple[float, np.ndarray]:
     with the held factors gives v0: the stopping iterate's error is bounded
     only by r / gap, and near collapse it moves the ground observables by
     up to 3e-9; after the extra step v0 agrees with stein's to 4e-13 on
-    criterion 03's blocks of 4096 and 8192 rows.  If the certificate
+    criterion 03's blocks of 4096 and 8192 rows (vector=False skips that
+    solve, returning the same E_0 with v0 None).  If the certificate
     fails, or _INVERSE_ITERATIONS passes without it, the pair is
     bisection's.  About 13 LAPACK calls at 2^15 to 2^17 rows, where
     bisection sweeps the whole Gershgorin range some 52 times.
@@ -258,6 +216,8 @@ def _ground_pair(diag: np.ndarray, off: np.ndarray) -> tuple[float, np.ndarray]:
         if r <= tol:
             if certified_below(theta - r - tol) is None:
                 return bisection()
+            if not vector:
+                return theta, None
             x, _ = dpttrs(*factors, x)
             return theta, x[:, 0] / np.linalg.norm(x)
         if theta - r > sigma and (lifted := certified_below(theta - r)) is not None:
@@ -268,7 +228,7 @@ def _ground_pair(diag: np.ndarray, off: np.ndarray) -> tuple[float, np.ndarray]:
 def lowest_level(params: ModelParams, parity: int, n_max: int) -> float:
     """Lowest eigenvalue of one q = 1/4 block at fixed truncation (no doubling)."""
     block = build_parity_block(params, parity, n_max)
-    return _ground_pair(block.diag, block.offdiag)[0]
+    return _ground_pair(block.diag, block.offdiag, vector=False)[0]
 
 
 def collapse_point_gap(

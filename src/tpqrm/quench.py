@@ -4,13 +4,25 @@ The protocol ramps g(t) = g_f t / tau_q from the decoupled ground state
 (the n = 0 basis state of the q=1/4, parity -1 block) and measures the
 residual energy E_r = <psi(tau_q)|H(g_f)|psi(tau_q)> - E_0(g_f).
 
-Propagation uses Crank-Nicolson steps with the coupling evaluated at
-the midpoint of each step: the Cayley transform of a Hermitian
-tridiagonal block is exactly unitary, so the norm is conserved to
-roundoff.  The step is certified, not chosen: the run is repeated at
-half the step until E_r is stable to 1%, and E_r is reported from the
-coarser step of that pair.  The default step is only where this ladder
-starts.  E_0(g_f) comes from ed.ground_state_block, with its own
+A step of length h is exp(Omega), the fourth-order Magnus step for the ramp
+H(t) = D + lambda(t) C, lambda' = rate (Blanes, Casas, Oteo and Ros, Phys.
+Rep. 470, 151 (2009)): Omega = -i h (D - E_0(g_f) + lambda_mid C) - (h^3 rate
+/ 12) [C, D], anti-Hermitian and tridiagonal since [C, D] is real
+antisymmetric with upper entries C_j (D_(j+1) - D_j).  exp(Omega) is
+Padé(2,2), the product over d in {3 +- i sqrt 3} of (1 + Omega/d)(1 - Omega/d)^-1:
+two tridiagonal solves a step, exactly unitary.  The shift by E_0(g_f) moves
+only the global phase, and keeps the Padé phase error, x^5/720 a step at
+x = h (E - E_0), small on the occupied levels.
+
+The step is certified, not chosen: the run is repeated at half the step
+until E_r is stable to 1%, and E_r is reported from the coarser step of
+that pair.  The start step matters for one term: the abrupt start at g = 0
+excites omega01 = D_1 - D_0 with amplitude rate T01 / omega01^2 (T01 = C_0),
+whose interference can move E_r by B = 2 sqrt(T01^2 gap_f / (omega01^4
+chi_3)) relative (abrupt_start_bound).  Where B is below a tenth of the gate
+the ladder starts at min(1, tau_q/100), elsewhere at min(tau_q/100,
+(72 / (tau_q omega01^5))^(1/4)), where that term's Padé phase stays below
+0.1 rad.  E_0(g_f) comes from ed.ground_state_block, with its own
 truncation doubling (near collapse the true ground state needs a far
 larger basis than the propagated, frozen-out state ever occupies); the
 propagation basis is gated by requiring the occupancy of its top 10% of
@@ -33,13 +45,16 @@ the whole adiabatic E_r only as g_f -> g_c, where the gap at g_f dominates
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import zgtsv
 
-from .ed import _response_sum, build_parity_block, converge, ground_state_block, tridiag_apply
+from .ed import (
+    _lowest_block_eigenvalues, _response_sum, build_parity_block, converge, ground_state_block,
+    tridiag_apply,
+)
 from .errors import ConvergenceError
 from .model import ModelParams, check_count, check_finite, check_positive, critical_params
 
@@ -50,6 +65,7 @@ _LEAK_TARGET = 1e-8
 _ER_REL_TOL = 1e-2
 _E0_CEILING = 131072
 _E0_TOL = 1e-10  # ground_energy_final's doubling gate
+_PADE_ROOTS = (3.0 + 1j * math.sqrt(3.0), 3.0 - 1j * math.sqrt(3.0))  # -d: roots of 1+x/2+x^2/12
 
 
 @dataclass(frozen=True)
@@ -77,13 +93,17 @@ class QuenchProtocol:
     def params_final(self) -> ModelParams:
         return ModelParams(delta=self.delta, g=self.g_f, r=self.r)
 
-    def default_dt(self) -> float:
-        # where the dt-halving ladder starts, not an accuracy promise: about
-        # 1/60 of the bare period 2 pi/omega, and at least 100 steps per ramp
-        return min(0.1, self.tau_q / 100.0)
+    def default_dt(self, bound: float) -> float:
+        """Where the dt-halving ladder starts, given B = abrupt_start_bound(params_final)."""
+        if bound <= 0.1 * _ER_REL_TOL:
+            return min(1.0, self.tau_q / 100.0)
+        omega01 = 2.0 + self.delta  # D_1 - D_0 of the block
+        return min(self.tau_q / 100.0, (720.0 * 0.1 / (self.tau_q * omega01**5)) ** 0.25)
 
     def start_dt(self) -> float:
-        return self.dt if self.dt is not None else self.default_dt()
+        """dt if given, else default_dt at this g_f's abrupt_start_bound."""
+        return self.dt if self.dt is not None else self.default_dt(
+            abrupt_start_bound(self.params_final))
 
     def check_samples(self, n_samples: int) -> None:
         """Reject a trajectory sample count the start step's run cannot give.
@@ -92,7 +112,7 @@ class QuenchProtocol:
         least as many steps as this one.
         """
         check_count("n_samples", n_samples, 0)
-        if n_samples > (n_steps := _n_steps(self.tau_q, self.start_dt())):
+        if n_samples and n_samples > (n_steps := _n_steps(self.tau_q, self.start_dt())):
             raise ValueError(f"n_samples={n_samples} exceeds the run's n_steps={n_steps}; "
                              f"a smaller dt (--dt) allows more samples")
 
@@ -125,6 +145,18 @@ def ground_energy_final(protocol: QuenchProtocol) -> float:
     return e0
 
 
+def abrupt_start_bound(params: ModelParams) -> float:
+    """B of the module docstring for the model params at g_f; inf if chi_3 does not converge."""
+    try:
+        chi_3 = _response_sum(params, 3)[0]
+    except ConvergenceError:  # g_f within about 1e-7 of g_c
+        return math.inf
+    block = build_parity_block(params, -1, 256)  # gap_f needs no truncation ladder
+    e0, e1 = _lowest_block_eigenvalues(block, 2)
+    omega01 = block.diag[1] - block.diag[0]
+    return 2.0 * math.sqrt(block.coupling[0] ** 2 * (e1 - e0) / (omega01**4 * chi_3))
+
+
 def _n_steps(tau_q: float, dt: float) -> int:
     return max(1, int(round(tau_q / dt)))
 
@@ -132,7 +164,7 @@ def _n_steps(tau_q: float, dt: float) -> int:
 def _propagate_once(
     protocol: QuenchProtocol, n_max: int, dt: float, n_samples: int, e0: float
 ) -> tuple[float, float, float, list[tuple[float, float, float, float]]]:
-    """One Crank-Nicolson run; returns (E_r, norm_drift, leak, samples)."""
+    """One run of fourth-order Magnus steps; returns (E_r, norm_drift, leak, samples)."""
     block = build_parity_block(protocol.params_final, -1, n_max)
     diag, coupling = block.diag, block.coupling
     psi = np.zeros(n_max, dtype=complex)
@@ -140,22 +172,25 @@ def _propagate_once(
 
     n_steps = _n_steps(protocol.tau_q, dt)
     dt = protocol.tau_q / n_steps
-    half = 0.5j * dt
-    one_plus = 1.0 + half * diag
+    rate = protocol.g_f / protocol.tau_q
+    # 1 - Omega/d: the diagonal 1 + i dt (D - E_0) / d, built once; off-diagonals
+    # -lambda_mid ramp -+ skew (upper, lower), skew from the [C, D] term
+    factors = [(1.0 + 1j * dt * (diag - e0) / d, 1j * dt * coupling / d,
+                (dt**3 * rate / 12.0) * coupling * np.diff(diag) / d) for d in _PADE_ROOTS]
 
     # n_samples evenly spaced steps, the last one at t = tau_q
     sample_at = {(k + 1) * n_steps // n_samples for k in range(n_samples)}
     samples: list[tuple[float, float, float, float]] = []
 
-    rate = protocol.g_f / protocol.tau_q
     for step in range(n_steps):
-        g_mid = rate * (step + 0.5) * dt
-        t_mid = g_mid * coupling
-        rhs = psi - half * tridiag_apply(diag, t_mid, psi)
-        dl = half * t_mid
-        _, _, _, psi, info = zgtsv(dl, one_plus.copy(), dl.copy(), rhs)
-        if info != 0:
-            raise RuntimeError(f"tridiagonal solve failed (LAPACK info={info})")
+        lam_mid = rate * (step + 0.5) * dt
+        for lhs_diag, ramp, skew in factors:
+            # (1 + Omega/d)(1 - Omega/d)^-1 psi = 2 (1 - Omega/d)^-1 psi - psi
+            mid = lam_mid * ramp
+            *_, x, info = zgtsv(mid - skew, lhs_diag, mid + skew, psi)
+            if info != 0:
+                raise RuntimeError(f"tridiagonal solve failed (LAPACK info={info})")
+            psi = 2.0 * x - psi
         if step + 1 in sample_at:
             t_now = (step + 1) * dt
             g_now = rate * t_now
@@ -171,11 +206,8 @@ def _propagate_once(
     return float(np.real(np.vdot(psi, h_psi))) - e0, norm_drift, leak, samples
 
 
-def propagate(
-    protocol: QuenchProtocol,
-    n_samples: int = 0,
-    check_truncation: bool = False,
-) -> QuenchResult:
+def propagate(protocol: QuenchProtocol, n_samples: int = 0,
+              check_truncation: bool = False) -> QuenchResult:
     """Run the quench; report E_r only once dt-halving moves it by < 1%.
 
     Raises ConvergenceError on norm drift above 1e-9, on basis leakage
@@ -183,9 +215,9 @@ def propagate(
     dt non-convergence (three halvings), and, with check_truncation,
     when doubling n_max moves E_r by more than 1%.
     """
-    protocol.check_samples(n_samples)
-    e0 = ground_energy_final(protocol)
     dt = protocol.start_dt()
+    replace(protocol, dt=dt).check_samples(n_samples)  # with dt resolved: B is not solved again
+    e0 = ground_energy_final(protocol)
 
     for n_max in (protocol.n_max, 2 * protocol.n_max, 4 * protocol.n_max):
         e_r, drift, leak, samples = _propagate_once(protocol, n_max, dt, n_samples, e0)
@@ -281,6 +313,9 @@ def kz_sweep(
     """
     protocols = [QuenchProtocol(g_f=g_f, tau_q=float(t), r=params.r, delta=params.delta,
                                 n_max=n_max, dt=dt) for t in tau_list]
+    if protocols and dt is None:  # B depends on g_f alone: one solve for the sweep
+        bound = abrupt_start_bound(protocols[0].params_final)
+        protocols = [replace(p, dt=p.default_dt(bound)) for p in protocols]
     for protocol in protocols:
         protocol.check_samples(n_samples)
 

@@ -141,6 +141,20 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,value", [("gf", 0.99), ("tau_list", 5)])
+def test_config_number_for_a_text_flag_is_rejected_by_key(tmp_path, capsys, key, value):
+    # argparse never parses a config value, and these two flags are read as text
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "quench", "r": 0.25, "gf": "0.5", "tau_list": "5",
+                               "n_max": 16, key: value}))
+    message = (f"config error: config key {key!r} must be a string, as on the command line; "
+               f"got {value!r}\n")
+    for extra in (["--validate"], ["--out", "o"]):
+        assert run_cli(["--config", str(cfg), *extra], tmp_path) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == message
+    assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
+
+
 def test_wigner_command(tmp_path):
     code = run_cli(["wigner", "--r", "0.25", "--g-over-gc", "0.5", "--n-max", "64",
                     "--grid-points", "61", "--out", "w"], tmp_path)

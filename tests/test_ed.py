@@ -26,13 +26,56 @@ def at_beta(r: float, beta: float, delta: float | None = None) -> ModelParams:
 
 # ---------------------------------------------------------------- blocks
 
+def dense_hamiltonian(params: ModelParams, n_fock: int) -> np.ndarray:
+    """Full Hamiltonian on spin (x) Fock(0..n_fock-1); real because i sigma_y is real."""
+    n = np.arange(n_fock)
+    a = np.diag(np.sqrt(n[1:].astype(float)), 1)
+    a2 = a @ a
+    ad2 = a2.T
+    num = np.diag(n.astype(float))
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    isy = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    sz = np.array([[1.0, 0.0], [0.0, -1.0]])
+    eye2 = np.eye(2)
+    return (
+        -0.5 * params.delta * np.kron(sx, np.eye(n_fock))
+        + np.kron(eye2, num)
+        + 0.5 * params.g * (1 + params.r) * np.kron(sz, a2 + ad2)
+        + 0.5 * params.g * (1 - params.r) * np.kron(isy, a2 - ad2)
+    )
+
+
+def verify_block_projection(
+    params: ModelParams, parity: int, n_max: int, q: float = 0.25
+) -> float:
+    """Max entrywise deviation of the tridiagonal block from the dense projection.
+
+    Builds the (|up,f_n> + s_n|down,f_n>)/sqrt(2) basis explicitly and
+    projects the dense Hamiltonian onto it; the derived closed form
+    must reproduce that to machine precision.
+    """
+    off = ed._fock_offset(q)
+    n_fock = 2 * n_max + off + 2
+    h = dense_hamiltonian(params, n_fock)
+    basis = np.zeros((2 * n_fock, n_max))
+    for n in range(n_max):
+        s = -parity * (-1) ** n
+        f = 2 * n + off
+        basis[f, n] = 1.0 / math.sqrt(2.0)
+        basis[n_fock + f, n] = s / math.sqrt(2.0)
+    projected = basis.T @ h @ basis
+    block = ed.build_parity_block(params, parity, n_max, q)
+    tri = np.diag(block.diag) + np.diag(block.offdiag, 1) + np.diag(block.offdiag, -1)
+    return float(np.abs(projected - tri).max())
+
+
 @pytest.mark.parametrize("q", [0.25, 0.75])
 @pytest.mark.parametrize("parity", [+1, -1])
 @pytest.mark.parametrize(
     "delta,g,r", [(0.7, 0.4, 0.6), (0.6, 0.76, 0.25), (0.0, 0.3, 1.0), (0.25, 0.625, 0.6)]
 )
 def test_block_matches_dense_projection(delta, g, r, parity, q):
-    assert ed.verify_block_projection(
+    assert verify_block_projection(
         ModelParams(delta=delta, g=g, r=r), parity, 14, q
     ) < 1e-12
 
@@ -47,7 +90,7 @@ def test_block_matches_dense_projection(delta, g, r, parity, q):
 def test_block_matches_dense_projection_everywhere(delta, frac, r, parity, q):
     # the closed-form block is the dense Hamiltonian's projection, up to g = g_c
     p = ModelParams(delta=delta, g=frac / (1.0 + r), r=r)
-    assert ed.verify_block_projection(p, parity, 14, q) < 1e-12
+    assert verify_block_projection(p, parity, 14, q) < 1e-12
 
 
 @settings(max_examples=25, deadline=None)
@@ -183,6 +226,23 @@ def test_ground_eigenvalue_falls_back_to_bisection(monkeypatch, fail_after):
     assert abs(np.linalg.norm(vector) - 1.0) <= 1e-14
     residual = ed.tridiag_apply(block.diag, block.offdiag, vector) - level * vector
     assert np.linalg.norm(residual) <= 8 * np.finfo(float).eps * scale
+
+
+@pytest.mark.parametrize("n", [1024, 32768])
+def test_lowest_level_skips_only_the_vector_solve(monkeypatch, n):
+    # the eigenvalue-only exit drops the final dpttrs solve; E_0 stays bitwise
+    g_c, delta_c = critical_params(0.6)
+    for off in (0.06, 0.11):
+        p = ModelParams(delta=delta_c - off, g=g_c, r=0.6)
+        block = ed.build_parity_block(p, -1, n)
+        with_vector, level_only = [], []
+        _record_calls(monkeypatch, "dpttrs", with_vector)
+        level = ed._ground_pair(block.diag, block.offdiag)[0]
+        monkeypatch.undo()
+        _record_calls(monkeypatch, "dpttrs", level_only)
+        assert ed.lowest_level(p, -1, n) == level
+        monkeypatch.undo()
+        assert len(level_only) == len(with_vector) - 1
 
 
 @pytest.mark.parametrize("n", [2, 3, 100, 511, 512])

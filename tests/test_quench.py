@@ -23,9 +23,18 @@ G_C, DELTA_C = critical_params(R)
 def test_protocol_validation_and_defaults():
     protocol = QuenchProtocol(g_f=0.5 * G_C, tau_q=100.0, r=R)
     assert protocol.delta == DELTA_C
-    assert protocol.default_dt() == 0.1
-    assert QuenchProtocol(g_f=0.5 * G_C, tau_q=1e7, r=R).default_dt() == 0.1
-    assert QuenchProtocol(g_f=0.5 * G_C, tau_q=5.0, r=R).default_dt() == pytest.approx(0.05)
+    # below a tenth of the 1% gate the abrupt-start term cannot move E_r: min(1, tau_q/100)
+    assert protocol.default_dt(1e-3) == 1.0
+    assert QuenchProtocol(g_f=0.5 * G_C, tau_q=1e7, r=R).default_dt(0.0) == 1.0
+    assert QuenchProtocol(g_f=0.5 * G_C, tau_q=5.0, r=R).default_dt(0.0) == pytest.approx(0.05)
+    # above it, the Pade phase bound (72 / (tau_q omega01^5))^(1/4), omega01 = 2 + Delta_c
+    phase = (72.0 / (100.0 * (2.0 + DELTA_C) ** 5)) ** 0.25
+    assert protocol.default_dt(math.inf) == pytest.approx(phase, rel=1e-12)
+    assert QuenchProtocol(g_f=0.5 * G_C, tau_q=5.0, r=R).default_dt(1.0) == pytest.approx(0.05)
+    # start_dt solves for B: 0.65 at 0.5 g_c, 9.3e-4 at 0.99 g_c
+    assert protocol.start_dt() == protocol.default_dt(math.inf)
+    assert QuenchProtocol(g_f=0.99 * G_C, tau_q=100.0, r=R).start_dt() == 1.0
+    assert QuenchProtocol(g_f=0.5 * G_C, tau_q=100.0, r=R, dt=0.3).start_dt() == 0.3
     with pytest.raises(ValueError):
         QuenchProtocol(g_f=G_C, tau_q=10.0, r=R)
     with pytest.raises(ValueError):
@@ -145,10 +154,10 @@ def test_more_samples_than_steps_rejected_before_any_step(monkeypatch):
 
 
 def test_trajectory_comes_from_the_reported_rung():
-    # the start step dt = 0.5 fails the 1% gate, so the ladder halves it
-    protocol = QuenchProtocol(g_f=0.9 * G_C, tau_q=20.0, r=R, n_max=8, dt=0.5)
+    # the start step dt = 1 fails the 1% gate, so the ladder halves it
+    protocol = QuenchProtocol(g_f=0.9 * G_C, tau_q=20.0, r=R, n_max=8, dt=1.0)
     res = propagate(protocol, n_samples=4)
-    assert res.dt < 0.5
+    assert res.dt < 1.0
     t, g, energy, _ = res.samples[-1]
     assert (t, g) == pytest.approx((20.0, 0.9 * G_C), rel=1e-12)
     assert energy == pytest.approx(res.residual_energy + res.ground_energy, rel=1e-12)
@@ -163,8 +172,9 @@ def test_sweep_rejects_a_sample_count_before_any_point_runs(monkeypatch):
 
 
 def test_default_step_is_sized_by_the_dt_gate(monkeypatch):
-    # the gate holds at the first dt pair: 10^4 + 2 x 10^4 steps, plus 10^4 for the
-    # n_max-doubling check (a start at dt = 0.01 makes ten times as many)
+    # B = 9.3e-4 here, so the ladder starts at dt = 1 and the gate holds at the first
+    # pair: 10^3 + 2 x 10^3 steps, plus 10^3 for the n_max-doubling check, at two
+    # solves a step (a start at the phase bound, dt = 0.16, makes six times as many)
     calls = []
     zgtsv = quench.zgtsv
 
@@ -176,7 +186,7 @@ def test_default_step_is_sized_by_the_dt_gate(monkeypatch):
     g_f = 0.99 * G_C
     (row,) = kz_sweep(g_f, [1000.0], ModelParams(delta=DELTA_C, g=g_f, r=R), n_max=256)
     assert row["converged"]
-    assert len(calls) <= 40_000
+    assert len(calls) == 8_000
     assert row["e_r"] == pytest.approx(1.0709408e-3, rel=1e-2)  # E_r at dt = 0.01
 
 
@@ -200,8 +210,8 @@ def test_kz_sweep_rows_and_flags():
 
 
 @pytest.mark.parametrize("frac,tau_q,n_max,dt,n_used,dt_used", [
-    (0.9, 20.0, 8, 0.5, 16, 0.125),  # one leakage doubling, two dt halvings
-    (0.95, 30.0, 6, 0.3, 24, 0.15),  # two leakage doublings, one dt halving
+    (0.9, 20.0, 8, 2.0, 16, 0.5),  # one leakage doubling, two dt halvings
+    (0.95, 30.0, 6, 1.0, 24, 0.5),  # two leakage doublings, one dt halving
 ])
 def test_propagate_climbs_both_ladders(frac, tau_q, n_max, dt, n_used, dt_used):
     protocol = QuenchProtocol(g_f=frac * G_C, tau_q=tau_q, r=R, n_max=n_max, dt=dt)
@@ -220,8 +230,8 @@ def test_negative_sample_count_rejected_before_any_step():
 
 
 def test_propagate_dt_ladder_gives_up_after_three_halvings():
-    protocol = QuenchProtocol(g_f=0.99 * G_C, tau_q=10.0, r=R, n_max=64, dt=4.0)
-    with pytest.raises(ConvergenceError, match=r"under dt halving \(last dt=5\.00e-01\)"):
+    protocol = QuenchProtocol(g_f=0.99 * G_C, tau_q=10.0, r=R, n_max=64, dt=5.0)
+    with pytest.raises(ConvergenceError, match=r"under dt halving \(last dt=6\.25e-01\)"):
         propagate(protocol)
 
 
@@ -230,3 +240,50 @@ def test_propagate_leakage_error_names_the_last_truncation_run():
     protocol = QuenchProtocol(g_f=0.999 * G_C, tau_q=50.0, r=R, n_max=2, dt=1.0)
     with pytest.raises(ConvergenceError, match=r"basis leakage .* at n_max=8$"):
         propagate(protocol)
+
+
+@pytest.mark.parametrize("frac,tau_q,n_max", [(0.5, 200.0, 64), (0.5, 200.0, 128)])
+def test_adiabatic_point_converges_from_the_phase_bound(frac, tau_q, n_max):
+    # B = 0.65: the ladder starts at the phase bound 0.235 and holds at 0.117; a
+    # Crank-Nicolson ladder from dt = 0.1 does not hold here (3.9% at its third halving)
+    protocol = QuenchProtocol(g_f=frac * G_C, tau_q=tau_q, r=R, n_max=n_max)
+    res = propagate(protocol, check_truncation=True)
+    assert res.dt < protocol.start_dt()
+    assert res.residual_energy == pytest.approx(1.9742e-7, rel=1e-2)  # dt = 0.005
+
+
+def test_adiabatic_residual_energy_agrees_with_a_fine_step_run():
+    protocol = QuenchProtocol(g_f=0.4 * G_C, tau_q=200.0, r=R, n_max=128)
+    res = propagate(protocol)
+    fine = quench._propagate_once(protocol, res.n_max, 0.005, 0, res.ground_energy)[0]
+    assert res.residual_energy == pytest.approx(fine, rel=1e-2)
+
+
+@pytest.mark.parametrize("frac", [0.5, 0.9])
+def test_magnus_step_is_fourth_order(frac):
+    # on a tau_q = 5 ramp, each halving of dt from 0.2 to 0.025 cuts the E_r error 16x
+    protocol = QuenchProtocol(g_f=frac * G_C, tau_q=5.0, r=R, n_max=32)
+    e0 = ground_energy_final(protocol)
+    ref = quench._propagate_once(protocol, 32, 0.001, 0, e0)[0]
+    errors = [abs(quench._propagate_once(protocol, 32, dt, 0, e0)[0] - ref)
+              for dt in (0.2, 0.1, 0.05, 0.025)]
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 14.0 < coarse / fine < 18.0
+
+
+@pytest.mark.parametrize("frac,n_max", [(0.5, 32), (0.9, 64)])
+def test_magnus_step_keeps_the_norm_at_dt_one(frac, n_max):
+    protocol = QuenchProtocol(g_f=frac * G_C, tau_q=20.0, r=R, n_max=n_max)
+    e0 = ground_energy_final(protocol)
+    assert quench._propagate_once(protocol, n_max, 1.0, 0, e0)[1] <= 1e-14
+
+
+def test_propagate_where_chi_3_does_not_converge():
+    # 1 - g_f/g_c = 1e-7: chi_3 raises at its ceiling, so B is inf and the ladder
+    # starts at the phase bound, min(tau_q/100, ...) = 0.1 here
+    protocol = QuenchProtocol(g_f=(1 - 1e-7) * G_C, tau_q=10.0, r=R, n_max=256)
+    assert quench.abrupt_start_bound(protocol.params_final) == math.inf
+    assert protocol.start_dt() == pytest.approx(0.1)
+    res = propagate(protocol, check_truncation=True)
+    assert res.residual_energy > 0.0
+    assert res.norm_drift <= 1e-9
