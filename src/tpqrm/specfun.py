@@ -22,11 +22,15 @@ S(s) = exp[(s/2)(a'^2 - a^2)] and beta = 1/cosh(2*theta):
 
 Factorial ratios and high-degree Legendre values overflow doubles well
 inside the ranges used here ((2m)! at m >= 86, (2k-1)!! at k ~ 150), so
-everything is evaluated in log space: the upward degree recurrence
-carries a renormalization shift for each order (legendre_log_table runs
-one order, squeeze_matrix all orders of a matrix in one sweep), and
-magnitudes are only exponentiated after all log factors have been
-combined.
+everything is evaluated in log space.  The upward degree recurrence
+only stores: each renormalized value and the renormalization shift of
+its order (legendre_log_table runs one order, squeeze_matrix all orders
+of a matrix in one sweep).  The logs of what it stored are then taken
+in one vectorized np.log pass, the same in both routes, and magnitudes
+are only exponentiated after all log factors have been combined.
+
+theta is rejected by name where it is not finite or cosh(2 theta)
+overflows a double.
 """
 
 from __future__ import annotations
@@ -36,6 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
+
+from .model import check_count, check_finite
 
 _RESCALE = 1e250
 _LOG_RESCALE = math.log(_RESCALE)
@@ -79,42 +85,36 @@ def legendre_log_table(
         ratio[: min(-k, l_max + 1)] = -np.inf  # l < -k: zero stays zero
         return signs * (-1.0) ** k, logs + ratio
 
-    signs = np.zeros(l_max + 1)
-    logs = np.full(l_max + 1, -np.inf)
-    if k > l_max:
-        return signs, logs
-
-    if one_minus_x2 == 0.0:
-        # (1-x^2)^(k/2) kills every k > 0; P_l(1) = 1
+    if k > l_max or one_minus_x2 == 0.0:
+        # P_l^k = 0 for k > l; at x = 1, (1-x^2)^(k/2) kills every k > 0 and P_l(1) = 1
         if k == 0:
-            signs[:] = 1.0
-            logs[:] = 0.0
-        return signs, logs
+            return np.ones(l_max + 1), np.zeros(l_max + 1)
+        return np.zeros(l_max + 1), np.full(l_max + 1, -np.inf)
 
     log_seed = log_double_factorial(2 * k - 1) + 0.5 * k * math.log(one_minus_x2)
-    signs[k] = 1.0
-    logs[k] = log_seed
-    if k == l_max:
-        return signs, logs
-
-    # upward degree recurrence at fixed order, renormalized against the seed
-    p_prev = 1.0
-    p_cur = x * (2 * k + 1)
-    shift = 0.0
-    signs[k + 1] = math.copysign(1.0, p_cur) if p_cur != 0.0 else 0.0
-    logs[k + 1] = (math.log(abs(p_cur)) + log_seed) if p_cur != 0.0 else -np.inf
-    for ell in range(k + 2, l_max + 1):
-        p_next = ((2 * ell - 1) * x * p_cur - (ell + k - 1) * p_prev) / (ell - k)
-        p_prev, p_cur = p_cur, p_next
-        mag = max(abs(p_cur), abs(p_prev))
-        if mag > _RESCALE:
-            p_cur /= _RESCALE
-            p_prev /= _RESCALE
-            shift += _LOG_RESCALE
-        if p_cur != 0.0:
-            signs[ell] = math.copysign(1.0, p_cur)
-            logs[ell] = math.log(abs(p_cur)) + shift + log_seed
-    return signs, logs
+    # upward degree recurrence at fixed order, renormalized against the seed;
+    # it only stores, and the logs are taken in one pass after it
+    p = np.zeros(l_max + 1)
+    shifts = np.zeros(l_max + 1)
+    p[k] = 1.0
+    if k < l_max:
+        p_prev = 1.0
+        p_cur = x * (2 * k + 1)
+        shift = 0.0
+        p[k + 1] = p_cur
+        for ell in range(k + 2, l_max + 1):
+            p_next = ((2 * ell - 1) * x * p_cur - (ell + k - 1) * p_prev) / (ell - k)
+            p_prev, p_cur = p_cur, p_next
+            mag = max(abs(p_cur), abs(p_prev))
+            if mag > _RESCALE:
+                p_cur /= _RESCALE
+                p_prev /= _RESCALE
+                shift += _LOG_RESCALE
+            p[ell] = p_cur
+            shifts[ell] = shift
+    with np.errstate(divide="ignore"):  # zeros, below the seed included, give -inf
+        logs = np.log(np.abs(p)) + shifts + log_seed
+    return np.sign(p), logs
 
 
 def legendre_pk_log(
@@ -140,20 +140,27 @@ def squeeze_term(m: int, n: int, shift: int, beta: float, tanh2: float) -> float
     return sign * math.exp(0.5 * math.log(beta) + log_fac + log_p)
 
 
+def _squeeze_angle(theta: float) -> tuple[float, float]:
+    """(beta, tanh^2(2 theta)) with beta = 1/cosh(2 theta), rejecting theta by name."""
+    check_finite(theta=theta)
+    try:
+        beta = 1.0 / math.cosh(2.0 * theta)
+    except OverflowError:
+        raise ValueError(f"theta={theta} is too large: cosh(2 theta) overflows a double") from None
+    return beta, math.tanh(2.0 * theta) ** 2
+
+
 def squeeze_element(m: int, n: int, theta: float, sign: int = +1) -> float:
     """<2m|S(sign * 2 theta)|2n> with S(s) = exp[(s/2)(a'^2 - a^2)]."""
     if m < 0 or n < 0:
         raise ValueError("Fock manifold indices must be >= 0")
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    if not math.isfinite(theta):
-        raise ValueError("theta must be finite")
-    s_eff = sign if theta >= 0.0 else -sign
-    beta = 1.0 / math.cosh(2.0 * theta)
-    tanh2 = math.tanh(2.0 * theta) ** 2
+    beta, tanh2 = _squeeze_angle(theta)
     if tanh2 == 0.0:
         return float(m == n)  # S(0) is the identity; its zeros stay +0.0 for either sign
     value = squeeze_term(m, n, 0, beta, tanh2)
+    s_eff = sign if theta >= 0.0 else -sign
     return (-1.0) ** (m - n) * value if s_eff == -1 else value
 
 
@@ -167,60 +174,92 @@ class SqueezeMatrix:
     entries: np.ndarray
 
 
+_BLOCK_ENTRIES = 2**14  # entries per assembly block: its temporaries stay small beside n_max^2
+
+
+def _legendre_sweep(beta: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Renormalized P_(m+n)^(m-n)(beta) and their log shifts, on the lower triangle m >= n.
+
+    One upward sweep over the degree l advances the recurrence of every
+    order k = m - n still needed as one vector, each from its seed at
+    l = k (P_k^k = 1, P_(k-1)^k = 0) with its own shift, and stores the
+    entries with m + n = l, an anti-diagonal, as it passes.  Each order
+    sees the float operations of its own legendre_log_table, and
+    renormalizes at the same degrees.  The upper triangles stay zero.
+    """
+    p_prev = np.zeros(n_max)  # P_(k-1)^k = 0 relative to the seed
+    p_cur = np.ones(n_max)  # P_k^k = seed
+    shift = np.zeros(n_max)
+    up = np.arange(3 * n_max, dtype=float)  # (l + k - 1) is a slice of it,
+    down = up[::-1]  # and (l - k) of its reverse
+    p = np.zeros((n_max, n_max))
+    shifts = np.zeros((n_max, n_max))
+    p_flat, shifts_flat = p.reshape(-1), shifts.reshape(-1)
+    stride = max(n_max - 1, 1)  # the flat step from (m, n) to (m + 1, n - 1)
+    for ell in range(2 * n_max - 1):
+        top = min(ell, 2 * n_max - 2 - ell)  # orders still needed at this degree
+        width = min(ell - 1, top) + 1  # orders 0..width-1 advance; order ell is only seeded
+        if width:
+            cur, prev = p_cur[:width], p_prev[:width]
+            p_next = (((2 * ell - 1) * beta * cur - up[ell - 1 : ell - 1 + width] * prev)
+                      / down[3 * n_max - 1 - ell : 3 * n_max - 1 - ell + width])
+            prev[:] = cur
+            cur[:] = p_next
+            if np.abs(cur).max() > _RESCALE:  # prev passed this test one degree earlier
+                big = np.nonzero(np.maximum(np.abs(cur), np.abs(prev)) > _RESCALE)[0]
+                cur[big] /= _RESCALE
+                prev[big] /= _RESCALE
+                shift[big] += _LOG_RESCALE
+        k0 = ell % 2  # m + n = ell needs k = m - n of ell's parity
+        start = (ell + k0) // 2 * n_max + (ell - k0) // 2
+        stop = start + (top - k0) // 2 * stride + 1
+        p_flat[start:stop:stride] = p_cur[k0 : top + 1 : 2]
+        shifts_flat[start:stop:stride] = shift[k0 : top + 1 : 2]
+    return p, shifts
+
+
 def squeeze_matrix(theta: float, n_max: int, sign: int = +1) -> SqueezeMatrix:
     """Matrix of squeeze elements in the even Fock sector.
 
-    One upward sweep over the degree l advances the Legendre recurrence
-    of every order k = m - n still needed as one vector, each from its
-    seed at l = k with its own renormalization shift, and writes the
-    entries with m + n = l as it passes; each order sees the operations
-    of its own legendre_log_table, so the result is bitwise that
-    per-order assembly.  The lower triangle (m >= n) is evaluated; the
-    upper one is <2n|S(2t)|2m> = (-1)^(m-n) <2m|S(2t)|2n>, so
-    entries(S(2t)) == entries(S(-2t)).T bit-exactly.  theta = 0 gives
-    the identity.
+    A store-only degree sweep (_legendre_sweep) leaves every renormalized
+    P_(m+n)^(m-n)(beta) and its shift on the lower triangle (m >= n).
+    Row blocks of it are then assembled in vectorized passes: log|P| +
+    shift + log seed in the np.log of legendre_log_table, then the
+    factorial ratio, exp and the sign, so the result is bitwise the
+    per-order assembly from legendre_log_table.  The upper triangle is
+    <2n|S(2t)|2m> = (-1)^(m-n) <2m|S(2t)|2n>, written by assignment so
+    that underflowed -0.0 entries keep their sign, and sign = -1 is the
+    transpose: entries(S(2t)) == entries(S(-2t)).T bit-exactly.
+    theta = 0 gives the identity.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    check_count("n_max", n_max)
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    s_eff = sign if theta >= 0.0 else -sign
-    beta = 1.0 / math.cosh(2.0 * theta)
-    tanh2 = math.tanh(2.0 * theta) ** 2
+    beta, tanh2 = _squeeze_angle(theta)
     if tanh2 == 0.0:
         return SqueezeMatrix(theta=theta, n_max=n_max, sign=sign, entries=np.eye(n_max))
 
+    entries, shifts = _legendre_sweep(beta, n_max)  # entries is assembled in place
     orders = np.arange(n_max)
     log_fact = gammaln(2.0 * orders + 1.0)
     log_seed = np.array([log_double_factorial(2 * k - 1) + 0.5 * k * math.log(tanh2)
                          for k in range(n_max)])
     half_log_beta = 0.5 * math.log(beta)
-    p_prev = np.zeros(n_max)  # P_(k-1)^k = 0 relative to the seed
-    p_cur = np.ones(n_max)  # P_k^k = seed
-    shift = np.zeros(n_max)
-    entries = np.empty((n_max, n_max))
-    for ell in range(2 * n_max - 1):
-        top = min(ell, 2 * n_max - 2 - ell)  # orders still needed at this degree
-        step = slice(0, min(ell - 1, top) + 1)  # order ell is only seeded
-        k = orders[step]
-        p_next = ((2 * ell - 1) * beta * p_cur[step] - (ell + k - 1) * p_prev[step]) / (ell - k)
-        p_prev[step] = p_cur[step]
-        p_cur[step] = p_next
-        big = np.nonzero(np.maximum(np.abs(p_cur[step]), np.abs(p_prev[step])) > _RESCALE)[0]
-        if big.size:
-            p_cur[big] /= _RESCALE
-            p_prev[big] /= _RESCALE
-            shift[big] += _LOG_RESCALE
-
-        write = slice(ell % 2, top + 1, 2)  # m + n = ell needs k = m - n of ell's parity
-        k = orders[write]
-        n, m = (ell - k) // 2, (ell + k) // 2
-        p = p_cur[write]
-        # math.log as in legendre_log_table: np.log differs from it in the last bit at times
-        log_p = np.array([math.log(v) if v else -math.inf for v in np.abs(p).tolist()])
-        log_p += shift[write]
-        log_p += log_seed[write]
-        vals = np.sign(p) * np.exp(half_log_beta + 0.5 * (log_fact[n] - log_fact[m]) + log_p)
+    s_eff = sign if theta >= 0.0 else -sign
+    rows = max(1, _BLOCK_ENTRIES // n_max)
+    for r0 in range(0, n_max, rows):
+        r1 = min(r0 + rows, n_max)
+        m = orders[r0:r1, None]
+        k = np.abs(m - orders[:r1])  # m - n below the diagonal; what it gives above is overwritten
+        p = entries[r0:r1, :r1]
+        with np.errstate(divide="ignore"):
+            log_p = np.log(np.abs(p))
+        log_p += shifts[r0:r1, :r1]
+        log_p += log_seed[k]
+        vals = np.sign(p) * np.exp(half_log_beta + 0.5 * (log_fact[:r1] - log_fact[m]) + log_p)
         mirrored = np.where(k % 2 == 1, -1.0, 1.0) * vals
-        entries[m, n], entries[n, m] = (vals, mirrored) if s_eff == 1 else (mirrored, vals)
+        lower, upper = (vals, mirrored) if s_eff == 1 else (mirrored, vals)
+        entries[r0:r1, :r0] = lower[:, :r0]
+        entries[:r0, r0:r1] = upper[:, :r0].T
+        entries[r0:r1, r0:r1] = np.where(np.tri(r1 - r0, dtype=bool), lower[:, r0:], upper[:, r0:].T)
     return SqueezeMatrix(theta=theta, n_max=n_max, sign=sign, entries=entries)

@@ -1,0 +1,52 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_spec = importlib.util.spec_from_file_location(
+    "bench", Path(__file__).resolve().parent.parent / "tools" / "bench.py")
+bench = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench)
+
+METRICS = [{"name": "pass_s", "better": "lower", "bound": 0.25},
+           {"name": "ok_frac", "better": "higher", "bound": 0.01}]
+
+
+def _side(pass_s: list[float], ok_frac: list[float]) -> dict:
+    return {"end_to_end": {"pass_s": {**bench.spread(pass_s), "runs": pass_s},
+                           "ok_frac": {**bench.spread(ok_frac), "runs": ok_frac}}}
+
+
+PARENT = _side([0.30, 0.34, 0.36, 0.32, 0.35, 0.36, 0.31, 0.37, 0.35, 0.33], [1.0] * 10)
+
+
+def test_a_clear_gain_holds_and_stays_within_bound():
+    change = _side([0.14, 0.15, 0.13, 0.15, 0.16, 0.14, 0.15, 0.14, 0.13, 0.15], [1.0] * 10)
+    got = bench.compare(PARENT, change, METRICS)["pass_s"]
+    assert got["wins"] == 10 and got["pairs"] == 10
+    assert got["before_iqr"] == pytest.approx(0.3575 - 0.3225)
+    assert got["median_ratio"] == pytest.approx(0.145 / 0.345)
+    assert got["gain_holds"] and got["within_bound"]
+
+
+def test_eight_wins_in_ten_do_not_hold_a_gain():
+    change = _side([0.14, 0.15, 0.13, 0.15, 0.16, 0.14, 0.15, 0.14, 0.40, 0.40], [1.0] * 10)
+    got = bench.compare(PARENT, change, METRICS)["pass_s"]
+    assert got["wins"] == 8 and not got["gain_holds"] and got["within_bound"]
+
+
+def test_a_median_shift_inside_the_parent_iqr_does_not_hold_a_gain():
+    # better on every pair, by less than the parent's quartile spread
+    change = _side([x - 0.01 for x in PARENT["end_to_end"]["pass_s"]["runs"]], [1.0] * 10)
+    got = bench.compare(PARENT, change, METRICS)["pass_s"]
+    assert got["wins"] == 10 and not got["gain_holds"] and got["within_bound"]
+
+
+def test_the_bound_is_relative_and_faces_the_worse_direction():
+    slower = _side([x * 1.3 for x in PARENT["end_to_end"]["pass_s"]["runs"]], [0.98] * 10)
+    got = bench.compare(PARENT, slower, METRICS)
+    assert not got["pass_s"]["within_bound"] and not got["pass_s"]["gain_holds"]
+    assert not got["ok_frac"]["within_bound"]  # 2% lower against a 1% bound
+    edge = _side([x * 1.2 for x in PARENT["end_to_end"]["pass_s"]["runs"]], [0.995] * 10)
+    got = bench.compare(PARENT, edge, METRICS)
+    assert got["pass_s"]["within_bound"] and got["ok_frac"]["within_bound"]

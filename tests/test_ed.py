@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -443,6 +444,22 @@ def test_frame_equivalence(beta):
                       1e-10 * np.abs(reference.energies).max())
         assert diff <= allowed
         assert diff < 1e-6
+
+
+@pytest.mark.parametrize("parity", [+1, -1])
+def test_squeezed_frame_memory_is_set_by_its_n_max_squared_arrays(parity):
+    # aa_matrix and the eigensolve hold three n_max^2 arrays at once (5.69e6
+    # bytes at n_max = 480); the squeeze matrix's sweep and assembly stay below
+    g_c, delta_c = critical_params(0.6)
+    p = ModelParams(delta=delta_c, g=g_c * math.sqrt(1 - 0.3**2), r=0.6)  # beta = 0.3
+    ed.squeezed_frame_spectrum(p, parity, 16, k=6)  # lazy imports and caches stay out of the count
+    tracemalloc.start()
+    try:
+        ed.squeezed_frame_spectrum(p, parity, 480, k=6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.70e6
 
 
 def test_squeezed_frame_wins_at_small_beta_moderate_accuracy():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -251,16 +252,60 @@ def _squeeze_matrices_per_order(theta: float, n_max: int) -> dict[int, np.ndarra
     return {+1: plus, -1: minus} if theta >= 0.0 else {+1: minus, -1: plus}
 
 
-@pytest.mark.parametrize("theta", [0.0, 1e-4, 0.3, 1.5, -0.7])
+@pytest.mark.parametrize("theta", [0.0, 1e-4, 0.3, 1.5, -0.7, 0.5 * math.acosh(1 / 0.3), 0.05])
 def test_squeeze_matrix_sweep_is_bitwise_the_per_order_tables(theta):
     # the one degree sweep repeats every order's own recurrence, renormalization
     # included (theta = 1e-4 renormalizes 201 times at n_max = 481); theta = 0 is
     # the exact identity, whose zeros are all +0.0 where the per-order mirror
-    # leaves -0.0 on odd diagonals
-    for n_max in (1, 2, 7, 481):
+    # leaves -0.0 on odd diagonals.  0.5 acosh(1/0.3) is the frame theta at
+    # beta = 0.3; at theta = 0.05 the far corner (5,297 entries below the
+    # diagonal at n_max = 481) underflows beside entries of both signs, and its
+    # mirrored zeros are -0.0 on odd diagonals.  n_max = 120 is criterion 08(d)'s.
+    for n_max in (1, 2, 7, 120, 481):
         oracle = _squeeze_matrices_per_order(theta, n_max)
         for sign in (+1, -1):
             got = squeeze_matrix(theta, n_max, sign).entries
             want = np.eye(n_max) if theta == 0.0 else oracle[sign]
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
             assert np.array_equal(got, oracle[sign])
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_squeeze_rejects_a_non_finite_theta_by_name(theta):
+    with pytest.raises(ValueError, match=f"^theta={theta} must be finite$"):
+        squeeze_matrix(theta, 4)
+    with pytest.raises(ValueError, match=f"^theta={theta} must be finite$"):
+        squeeze_element(1, 0, theta)
+
+
+@pytest.mark.parametrize("theta", [1e6, -1e6, 356.0])
+def test_squeeze_rejects_a_theta_whose_cosh_overflows_by_name(theta):
+    with pytest.raises(ValueError, match=rf"^theta={theta} is too large: cosh\(2 theta\) overflows"):
+        squeeze_matrix(theta, 4)
+    with pytest.raises(ValueError, match=rf"^theta={theta} is too large: cosh\(2 theta\) overflows"):
+        squeeze_element(1, 0, theta)
+
+
+def test_squeeze_keeps_the_largest_theta_whose_cosh_fits():
+    # cosh(2 * 354) is finite: beta ~ 1e-307 and S(2 theta) is still defined
+    assert squeeze_element(0, 0, 354.0) == pytest.approx(math.sqrt(1.0 / math.cosh(708.0)), rel=1e-12)
+    assert squeeze_matrix(354.0, 3).entries[0, 0] == squeeze_element(0, 0, 354.0)
+
+
+@pytest.mark.parametrize("n_max,reason", [(True, "must be an integer"), (4.0, "must be an integer"),
+                                          (0, "must be >= 1"), (-3, "must be >= 1")])
+def test_squeeze_matrix_rejects_a_bad_n_max_by_name(n_max, reason):
+    with pytest.raises(ValueError, match=f"^n_max={n_max} {reason}$"):
+        squeeze_matrix(0.3, n_max)
+
+
+def test_squeeze_matrix_memory_stays_below_three_matrices():
+    # the sweep's value and shift triangles, plus one row block of the assembly
+    squeeze_matrix(0.94, 8)  # lazy imports and caches stay out of the count
+    tracemalloc.start()
+    try:
+        squeeze_matrix(0.94, 481)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 481**2 * 8

@@ -14,8 +14,12 @@ BENCH_<pr>.json holds, per checkout: the machine record and commit that
 run.py wrote, and per workload the median and quartiles of the five
 end-to-end metrics over the untraced runs, every run's values, whether
 every run was correct, and the traced per-layer metrics.  With exactly
-two checkouts it also counts, per workload and metric, the seeds on
-which the second checkout did better than the first.
+two checkouts it also compares the second checkout with the first, per
+workload and metric: the seeds on which it did better, the ratio of the
+medians, the first checkout's IQR, whether a claimed gain would hold (at
+least nine wins in ten pairs, and medians that differ in the better
+direction by more than the first checkout's IQR), and whether the second
+median is within the metric's BENCHMARK.json bound.
 """
 
 from __future__ import annotations
@@ -61,14 +65,28 @@ def summarize(runs: list[dict], traced: dict, metrics: list[str]) -> dict:
     }
 
 
-def compare(before: dict, after: dict, lower_is_better: dict[str, bool]) -> dict:
-    """Per metric: seeds on which `after` did better than `before`, and the median ratio."""
+def compare(before: dict, after: dict, metrics: list[dict]) -> dict:
+    """Per end-to-end metric (BENCHMARK.json entries): how `after` stands against `before`.
+
+    A claimed gain holds when `after` does better on at least nine pairs
+    in ten and its median beats `before`'s by more than `before`'s IQR.
+    The bound is relative: `after`'s median may be worse than `before`'s
+    by at most that fraction of it.
+    """
     out = {}
-    for metric, lower in lower_is_better.items():
+    for spec in metrics:
+        metric, lower, bound = spec["name"], spec["better"] == "lower", spec["bound"]
         b, a = before["end_to_end"][metric], after["end_to_end"][metric]
         wins = sum((x < y) if lower else (x > y) for x, y in zip(a["runs"], b["runs"]))
-        out[metric] = {"wins": wins, "pairs": len(a["runs"]),
-                       "median_ratio": a["median"] / b["median"] if b["median"] else None}
+        pairs = len(a["runs"])
+        iqr = b["q3"] - b["q1"]
+        gain = b["median"] - a["median"] if lower else a["median"] - b["median"]
+        limit = b["median"] * (1.0 + bound if lower else 1.0 - bound)
+        out[metric] = {"wins": wins, "pairs": pairs,
+                       "median_ratio": a["median"] / b["median"] if b["median"] else None,
+                       "before_iqr": iqr,
+                       "gain_holds": 10 * wins >= 9 * pairs and gain > iqr,
+                       "within_bound": a["median"] <= limit if lower else a["median"] >= limit}
     return out
 
 
@@ -82,7 +100,7 @@ def main() -> int:
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in benchmark["workloads"]]
     seconds = benchmark["run_seconds"]
-    lower_is_better = {m["name"]: m["better"] == "lower" for m in benchmark["end_to_end"]}
+    metrics = benchmark["end_to_end"]
 
     checkouts = {}
     for item in args.checkout:
@@ -105,12 +123,12 @@ def main() -> int:
             traced = run_perfbench(path, workload, 0, seconds, trace=1)
             report[label]["machine"] = traced["machine"]
             report[label]["workloads"][workload] = summarize(
-                runs[label], traced, list(lower_is_better))
+                runs[label], traced, [m["name"] for m in metrics])
 
     payload = {"seconds": seconds, "checkouts": report}
     if len(checkouts) == 2:
         before, after = (report[label]["workloads"] for label in checkouts)
-        payload["compare"] = {w: compare(before[w], after[w], lower_is_better) for w in workloads}
+        payload["compare"] = {w: compare(before[w], after[w], metrics) for w in workloads}
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(payload, indent=1) + "\n")
     print(f"wrote {out}", file=sys.stderr)
