@@ -55,13 +55,12 @@ def _r_squared(y: np.ndarray, pred: np.ndarray) -> float:
     return max(0.0, min(1.0, 1.0 - ss_res / ss_tot))
 
 
-def fit_powerlaw(
+def powerlaw_points(
     abscissa, ordinate, window: tuple[float, float] | None = None
-) -> FitResult:
-    """Least-squares line in (log u, log y): y = amplitude * u^exponent.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The finite points inside window (inclusive) that fit_powerlaw fits.
 
-    window restricts the abscissa range (inclusive).  Requires >= 5
-    strictly positive points inside the window.
+    Raises ValueError unless there are >= 5 of them, all strictly positive.
     """
     u = np.asarray(abscissa, dtype=float)
     y = np.asarray(ordinate, dtype=float)
@@ -76,6 +75,18 @@ def fit_powerlaw(
         raise ValueError(f"need at least {MIN_FIT_POINTS} points in the window, got {len(u)}")
     if np.any(u <= 0) or np.any(y <= 0):
         raise ValueError("power-law fit needs strictly positive data")
+    return u, y
+
+
+def fit_powerlaw(
+    abscissa, ordinate, window: tuple[float, float] | None = None
+) -> FitResult:
+    """Least-squares line in (log u, log y): y = amplitude * u^exponent.
+
+    window restricts the abscissa range (inclusive).  Requires >= 5
+    strictly positive points inside the window (powerlaw_points).
+    """
+    u, y = powerlaw_points(abscissa, ordinate, window)
     slope, intercept = np.polyfit(np.log(u), np.log(y), 1)
     pred = intercept + slope * np.log(u)
     return FitResult(

@@ -108,8 +108,8 @@ def _params(ns, **coupling) -> ModelParams:
 # -- resolvers: flags -> the run's inputs, raising ValueError on bad input --
 # The least value of each count flag, as the library call it feeds demands.
 # argparse's type= never sees --config values, so _resolve checks these.
-_LEAST_COUNT = {"points": 1, "levels": 1, "k_states": 1, "grid_points": 3, "tau_points": 1,
-                "samples": 0, "k": 1, "n_max_final": 4}
+_LEAST_COUNT = {"points": 1, "levels": 1, "grid_points": 3, "tau_points": 1, "samples": 0, "k": 1,
+                "n_max_final": 4}
 
 
 def _resolve(ns, command: Command) -> dict:
@@ -127,6 +127,11 @@ def _resolve_grid(ns, fit_cols: tuple[str, ...] = ()) -> dict:
         raise ValueError(f"--fit needs at least {analysis.MIN_FIT_POINTS} points, got {ns.points}")
     grid = analysis.make_grid(ns.x_range[0], ns.x_range[1], ns.points, ns.r)
     return {"model": _params(ns, g=0.0), "grid": grid, "fit_cols": fit_cols}
+
+
+def _resolve_qfi(ns) -> dict:
+    check_count("n_max", ns.n_max, 2)  # the F_Q ladder's first rung is a block of n_max rows
+    return _resolve_grid(ns, fit_cols=("f_q",))
 
 
 def _resolve_quench(ns) -> dict:
@@ -158,7 +163,10 @@ def _resolve_wigner(ns) -> dict:
 def _resolve_collapse1d(ns) -> dict:
     # the isotropic collapse point has Delta_c = 0, so 'critical' means 0 here
     delta = 0.0 if ns.delta == "critical" else _floats([ns.delta], "--delta")[0]
-    return {"model": collapse1d.Collapse1DProblem(delta=delta, L=ns.L, h=ns.h)}
+    model = collapse1d.Collapse1DProblem(delta=delta, L=ns.L, h=ns.h)
+    if ns.check_hc:
+        collapse1d.check_collapse_inputs(delta, ns.n_max)
+    return {"model": model}
 
 
 def _resolve_fit(ns) -> dict:
@@ -174,7 +182,10 @@ def _resolve_fit(ns) -> dict:
     if (short := min(len(row) for row in rows)) < len(header):
         raise ValueError(f"{ns.input} has a row of {short} fields under a header of {len(header)}")
     data = np.array([row[:len(header)] for row in rows])
-    return {"u": data[:, header.index(ns.xcol)], "y": data[:, header.index(ns.ycol)]}
+    u, y = data[:, header.index(ns.xcol)], data[:, header.index(ns.ycol)]
+    window = tuple(ns.window) if ns.window else None
+    analysis.powerlaw_points(u, y, window)  # the fit's own checks, before the run
+    return {"u": u, "y": y, "window": window}
 
 
 def _resolve_gap_opening(ns) -> dict:
@@ -269,8 +280,7 @@ def run_observables(ns, model, grid, fit_cols) -> int:
 
 def run_qfi(ns, model, grid, fit_cols) -> int:
     def point_rows(params):
-        row = [ed.qfi_spectral(params, n_max=ns.n_max, k_states=ns.k_states),
-               aa.aa_qfi_leading(params)]
+        row = [ed.qfi_spectral(params, n_max=ns.n_max), aa.aa_qfi_leading(params)]
         if ns.oracle:
             row.append(ed.qfi_fidelity_oracle(params, n_max=ns.n_max))
         return [row]
@@ -325,26 +335,26 @@ def run_collapse1d(ns, model: collapse1d.Collapse1DProblem) -> int:
     for n in range(ns.k):
         ratio = ladder.ratios[n] if n < len(ladder.ratios) else math.nan
         rows.append([n, ladder.binding_energies[n], ratio, bool(ladder.converged[n])])
-    out = _write(ns, ["n", "kappa4", "ratio", "converged"], rows)
 
     report = {"ratio_plateau": ladder.ratio_plateau, "rows": ladder.rows,
               "refinement": ladder.refinement.tolist()}
     status = EXIT_OK
-    if ns.check_hc:
+    if ns.check_hc:  # before any file is written
         try:
             check = collapse1d.collapse_hamiltonian_check(model.delta, n_max=ns.n_max)
             report["hamiltonian_check"] = asdict(check)
         except CollapseMappingError as exc:
             report["hamiltonian_check"] = {"error": str(exc)}
             status = EXIT_CONVERGENCE
+    out = _write(ns, ["n", "kappa4", "ratio", "converged"], rows)
     write_json(f"{out}_report.json", report)
     if not ladder.converged.any():
         status = EXIT_CONVERGENCE
     return status
 
 
-def run_fit(ns, u: np.ndarray, y: np.ndarray) -> int:
-    fit = analysis.fit_powerlaw(u, y, window=tuple(ns.window) if ns.window else None)
+def run_fit(ns, u: np.ndarray, y: np.ndarray, window: tuple[float, float] | None) -> int:
+    fit = analysis.fit_powerlaw(u, y, window=window)
     _write(ns, None, [], fit=fit.to_dict())
     print(json.dumps(fit.to_dict(), indent=2, sort_keys=True))
     return EXIT_OK
@@ -385,9 +395,7 @@ COMMANDS = {
         _FIT,
         ("--oracle", dict(action="store_true",
                           help="add the fidelity-susceptibility cross check column")),
-        ("--k-states", dict(type=int, default=64,
-                            help="unused; kept so that older manifests still load")),
-    ), partial(_resolve_grid, fit_cols=("f_q",)), run_qfi),
+    ), _resolve_qfi, run_qfi),
     "wigner": Command("Wigner distribution of the ground-state photon mode", _RUN + (
         _R, _DELTA, _N_MAX, _TOL,
         ("--g", dict(type=float, default=None, help="absolute coupling")),

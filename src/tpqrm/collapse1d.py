@@ -42,6 +42,8 @@ from .errors import CollapseMappingError
 from .model import ModelParams, check_count, check_finite, check_positive
 from . import ed
 
+_CONTINUUM_LEVELS = 20  # levels the delta = 0 check compares at each truncation
+
 
 @dataclass(frozen=True)
 class Collapse1DProblem:
@@ -196,6 +198,22 @@ def _collapse_levels(delta: float, n_max: int, q: float) -> np.ndarray:
     return np.sort(np.array(levels))
 
 
+def check_collapse_inputs(delta: float, n_max: int) -> None:
+    """Reject, by name, a delta or n_max that collapse_hamiltonian_check cannot take.
+
+    delta must be 0 or above 1.  At delta = 0 the continuum ladder takes
+    _CONTINUUM_LEVELS levels from a block of n_max // 4 rows.
+    """
+    check_finite(delta=delta)
+    if delta == 0.0:
+        check_count("n_max", n_max, 4 * _CONTINUUM_LEVELS)
+    elif delta > 1.0:
+        check_count("n_max", n_max, 2)
+    else:
+        raise ValueError(f"delta={delta}: check defined for delta == 0 (continuum) "
+                         "or delta > 1 (bound tower)")
+
+
 def collapse_hamiltonian_check(delta: float, n_max: int = 16384) -> CollapseCheckReport:
     """Cross-validate the quadrature-form collapse Hamiltonian against the 1D solver.
 
@@ -205,21 +223,22 @@ def collapse_hamiltonian_check(delta: float, n_max: int = 16384) -> CollapseChec
     must reproduce -1/2 - kappa_n^2 from the 1D ladder, even-x levels in
     the even photon sector and odd-x in the odd one.  Disagreement
     beyond 1e-3 relative on kappa^2 raises CollapseMappingError with the
-    report attached.
+    report attached.  Inputs check_collapse_inputs rejects raise ValueError
+    before any solve.
     """
+    check_collapse_inputs(delta, n_max)
     if delta == 0.0:
         params = ModelParams(delta=0.0, g=0.5, r=1.0)
         spacings = []
         for nm in (n_max // 4, n_max // 2, n_max):
             block = ed.build_parity_block(params, -1, nm)
-            w = eigh_tridiagonal(
-                block.diag, block.offdiag, eigvals_only=True, select="i", select_range=(0, 19)
-            )
+            w = eigh_tridiagonal(block.diag, block.offdiag, eigvals_only=True,
+                                 select="i", select_range=(0, _CONTINUUM_LEVELS - 1))
             spacings.append(float(np.diff(w).max()))
         # the ladder's top rung is the parity -1 side of the degeneracy check
         block_p = ed.build_parity_block(params, +1, n_max)
         wp = eigh_tridiagonal(block_p.diag, block_p.offdiag, eigvals_only=True,
-                              select="i", select_range=(0, 19))
+                              select="i", select_range=(0, _CONTINUUM_LEVELS - 1))
         gap = float(np.abs(wp - w).max())
         consistent = all(b < a for a, b in zip(spacings, spacings[1:])) and gap < 1e-10
         report = CollapseCheckReport(
@@ -229,9 +248,6 @@ def collapse_hamiltonian_check(delta: float, n_max: int = 16384) -> CollapseChec
         if not consistent:
             raise CollapseMappingError("collapse continuum/degeneracy check failed", report)
         return report
-
-    if delta <= 1.0:
-        raise ValueError("check defined for delta == 0 (continuum) or delta > 1 (bound tower)")
 
     ladder = bound_states(Collapse1DProblem(delta=delta, L=400.0, h=0.025), k=6)
     kappa4 = ladder.binding_energies[ladder.converged]

@@ -126,9 +126,9 @@ def test_config_file_overridden_by_cli(tmp_path):
 def test_config_count_below_least_is_rejected(tmp_path, capsys):
     # a manifest value never passes argparse's type=, so the resolve step checks it
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"command": "qfi", "k_states": 0, "points": 2, "n_max": 16}))
+    cfg.write_text(json.dumps({"command": "qfi", "points": 0, "n_max": 16}))
     assert run_cli(["--config", str(cfg), "--validate"], tmp_path) == cli.EXIT_CONFIG
-    assert "--k-states=0 must be >= 1" in capsys.readouterr().out
+    assert "--points=0 must be >= 1" in capsys.readouterr().out
     assert run_cli(["--config", str(cfg), "--out", "o"], tmp_path) == cli.EXIT_CONFIG
     assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
 
@@ -315,7 +315,7 @@ def test_unknown_subcommand_fails():
     ["spectrum", "--levels", "0", "--points", "2", "--n-max", "16"],
     ["gap-opening", "--r", "0.25", "--window", "0.15", "0.2", "--points", "2",
      "--n-max-final", "1"],
-    ["qfi", "--k-states", "0", "--points", "2", "--n-max", "16"],
+    ["qfi", "--n-max", "1", "--points", "2"],
     ["wigner", "--g-over-gc", "0.5", "--grid-points", "1"],
     ["quench", "--r", "0.25", "--tau-range", "1", "10", "--tau-points", "0"],
     ["quench", "--r", "0.25", "--gf", "0.5", "--tau-list", "5", "--samples", "-3", "--n-max",
@@ -333,23 +333,33 @@ def test_unknown_subcommand_fails():
     *[["wigner", "--g-over-gc", "0.5", "--half-width", w] for w in ("1000", "1e300")],
     ["wigner", "--g-over-gc", "0.5", "--grid-points", "5000"],
     *[["quench", "--r", "0.25", "--gf", "0.5", "--tau-list", t] for t in ("5,", "5,x")],
+    # --check-hc outside its delta domain, or with too few rows for its Delta = 0 ladder
+    ["collapse1d", "--delta", "0.5", "--check-hc"],
+    *[["collapse1d", "--delta", "0", "--n-max", n, "--check-hc"] for n in ("8", "3")],
+    # a fit window that keeps 2 points, and a non-positive value in a fitted column
+    ["fit", "--input", "data.csv", "--xcol", "u", "--ycol", "y", "--window", "0.03", "1"],
+    ["fit", "--input", "zero.csv", "--xcol", "u", "--ycol", "y"],
 ])
 def test_validate_agrees_with_the_run(tmp_path, capsys, args):
+    u = np.geomspace(1e-3, 1e-1, 6)
+    inputs = {"data.csv": [a**2 for a in u], "zero.csv": [a**2 for a in u[:-1]] + [0.0]}
+    for name, y in inputs.items():
+        rows = "".join(f"{a:.17g},{b:.17g}\n" for a, b in zip(u, y))
+        (tmp_path / name).write_text("u,y\n" + rows)
     validate = run_cli(args + ["--validate"], tmp_path)
     payload = json.loads(capsys.readouterr().out)
     run = run_cli(args + ["--out", "o"], tmp_path)
     assert validate == run
     assert (validate == cli.EXIT_CONFIG) == any(d.startswith("error:") for d in payload["diagnostics"])
     if run == cli.EXIT_CONFIG:  # rejected before any computation or output
-        assert list(tmp_path.iterdir()) == []
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(inputs)
 
 
 _FLAG_READ_RUNS = {
     "spectrum": ["--x-range", "0.2", "0.4", "--points", "2", "--levels", "2", "--n-max", "16"],
     "gap-scan": ["--x-range", "0.2", "0.4", "--points", "2", "--n-max", "16"],
     "observables": ["--x-range", "0.2", "0.4", "--points", "2", "--n-max", "16"],
-    "qfi": ["--x-range", "0.2", "0.4", "--points", "2", "--n-max", "16", "--k-states", "4",
-            "--oracle"],
+    "qfi": ["--x-range", "0.2", "0.4", "--points", "2", "--n-max", "16", "--oracle"],
     "wigner": ["--r", "0.25", "--g-over-gc", "0.3", "--n-max", "16", "--grid-points", "21"],
     "quench": ["--r", "0.25", "--gf", "0.5", "--tau-range", "2", "2", "--tau-points", "1",
                "--n-max", "16", "--dt", "0.05", "--samples", "2"],

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -153,3 +154,17 @@ def test_collapse_check_bound_levels_match_1d_mapping():
 def test_collapse_check_rejects_intermediate_delta():
     with pytest.raises(ValueError):
         collapse_hamiltonian_check(0.7)
+
+
+@pytest.mark.parametrize("delta,n_max,message", [
+    (0.5, 256, "delta=0.5: check defined for delta == 0"),
+    (math.nan, 256, "delta=nan must be finite"),
+    (0.0, 8, "n_max=8 must be >= 80"),
+    (0.0, 3, "n_max=3 must be >= 80"),
+    (3.0, 1, "n_max=1 must be >= 2"),
+])
+def test_collapse_check_rejects_its_inputs_by_name_before_any_solve(monkeypatch, delta, n_max,
+                                                                     message):
+    monkeypatch.setattr(collapse1d, "eigh_tridiagonal", None)  # any solve would raise
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        collapse_hamiltonian_check(delta, n_max=n_max)

@@ -615,6 +615,37 @@ def test_cross_parity_check_catches_a_parity_breaking_term(monkeypatch):
         ed.qfi_spectral(p)
 
 
+def test_cross_parity_check_sees_the_fifth_opposite_level(monkeypatch):
+    # a check against only the four lowest parity +1 levels lets this term through
+    p = at_beta(0.6, 0.3)
+    apply = ed.dg_hamiltonian_apply
+
+    def with_fifth_level(psi_up, psi_dn, r):
+        dup, ddn = apply(psi_up, psi_dn, r)
+        block = ed.build_parity_block(p, +1, (len(psi_up) + 1) // 2)
+        _, w = eigh_tridiagonal(block.diag, block.offdiag, select="i", select_range=(4, 4))
+        wu, wd = ed.block_to_spinfock(w[:, 0], +1)
+        return dup + 1e-6 * wu, ddn + 1e-6 * wd
+
+    monkeypatch.setattr(ed, "dg_hamiltonian_apply", with_fifth_level)
+    with pytest.raises(RuntimeError, match="cross-parity element"):
+        ed.qfi_spectral(p)
+
+
+def test_opposite_parity_part_is_the_projection_onto_the_whole_block():
+    # Parseval over all 256 eigenvectors of the parity +1 block pins the projection's signs
+    n = 256
+    psi_up, psi_dn = np.random.default_rng(0).standard_normal((2, 2 * n - 1))
+    block = ed.build_parity_block(at_beta(0.6, 0.3), +1, n)
+    _, w = eigh_tridiagonal(block.diag, block.offdiag)
+    overlaps = [wu @ psi_up + wd @ psi_dn
+                for wu, wd in (ed.block_to_spinfock(w[:, j], +1) for j in range(n))]
+    c = ed._opposite_parity_part(psi_up, psi_dn)
+    even = psi_up[::2] @ psi_up[::2] + psi_dn[::2] @ psi_dn[::2]
+    assert 0.25 * even < c @ c < 0.75 * even  # the vector has both parities
+    assert abs(c @ c - np.sum(np.square(overlaps))) <= 1e-12 * even
+
+
 def test_qfi_zero_coupling_single_level_formula():
     p = ModelParams(delta=0.6, g=0.0, r=0.25)
     assert ed.qfi_spectral(p) == pytest.approx(8 * 0.25**2 / (2 + 0.6) ** 2, rel=1e-10)
