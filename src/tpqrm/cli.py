@@ -113,10 +113,12 @@ _LEAST_COUNT = {"points": 1, "levels": 1, "grid_points": 3, "tau_points": 1, "sa
 
 
 def _resolve(ns, command: Command) -> dict:
-    """The subcommand's inputs from its resolver, after each count flag it declares is checked."""
+    """The subcommand's inputs from its resolver, once its count flags and --tol are checked."""
     for name, least in _LEAST_COUNT.items():
         if name in vars(ns):
             check_count("--" + name.replace("_", "-"), getattr(ns, name), least)
+    if "tol" in vars(ns):
+        check_positive(**{"--tol": ns.tol})
     return command.resolve(ns)
 
 
@@ -337,8 +339,15 @@ def run_collapse1d(ns, model: collapse1d.Collapse1DProblem) -> int:
         rows.append([n, ladder.binding_energies[n], ratio, bool(ladder.converged[n])])
 
     report = {"ratio_plateau": ladder.ratio_plateau, "rows": ladder.rows,
-              "refinement": ladder.refinement.tolist()}
+              "refinement": ladder.refinement.tolist(),
+              "bound_states": int(ladder.converged.sum())}
     status = EXIT_OK
+    if not ladder.converged.any():
+        if model.delta > 1.0:  # the tail binds a whole tower: a level must converge
+            status = EXIT_CONVERGENCE
+        else:
+            report["reason"] = (f"no level passes the refinement gate at delta={model.delta}; "
+                                "the inverse-square tail binds a tower only for delta > 1")
     if ns.check_hc:  # before any file is written
         try:
             check = collapse1d.collapse_hamiltonian_check(model.delta, n_max=ns.n_max)
@@ -348,8 +357,6 @@ def run_collapse1d(ns, model: collapse1d.Collapse1DProblem) -> int:
             status = EXIT_CONVERGENCE
     out = _write(ns, ["n", "kappa4", "ratio", "converged"], rows)
     write_json(f"{out}_report.json", report)
-    if not ladder.converged.any():
-        status = EXIT_CONVERGENCE
     return status
 
 

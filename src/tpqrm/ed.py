@@ -18,10 +18,15 @@ Hamiltonian projected onto these combinations, across the parameter space.
 
 A second, independent route diagonalizes the squeezed-frame matrix
 diag[(2m+1/2) beta - 1/2] + p M_mn (couplings from aa); the two frames
-cross-validate each other.  Every lowest eigenpair of a block (the
-ground level and vector, lowest_level, the E_0 of quench) comes from one
-kernel, _ground_pair: bisection up to 512 rows, certified inverse
-iteration above.  Ground-state observables and Wigner grids are computed
+cross-validate each other.  Every truncation ladder runs on converge,
+which hands each rung the rung below's result.  A block's lowest
+eigenpairs come from two certified kernels: _ground_pair solves a
+ground pair with no start (bisection up to 512 rows, certified inverse
+iteration above: lowest_level and each ground ladder's first rung), and
+above 512 rows every later rung of ed_spectrum and of the ground ladders
+starts from the rung below's eigenpairs (_warm_pairs: Rayleigh-quotient
+iteration certified by Sturm counts, bisection when a certificate
+fails).  Ground-state observables and Wigner grids are computed
 from the bare-Fock ground vector mapped back to spin (x) Fock.  The
 coupling quantum Fisher information and quench's chi_3 need no excited
 states: each is one truncation ladder of tridiagonal solves with the
@@ -38,7 +43,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 # eig, eval_genlaguerre: bound only as perfbench tracer leaves (ROADMAP direction 4 retires them)
 from scipy.linalg import eig, eigh, eigh_tridiagonal  # noqa: F401
-from scipy.linalg.lapack import dgtsv, dpttrf, dpttrs
+from scipy.linalg.lapack import dgtsv, dpttrf, dpttrs, dstebz
 from scipy.special import eval_genlaguerre  # noqa: F401
 
 from .aa import GroundStateObservables, aa_matrix
@@ -48,8 +53,8 @@ from .specfun import _LOG_RESCALE, _RESCALE, squeeze_element
 
 N_MAX_CEILING = 16384
 _RESOLVENT_RES_TOL = 1e-7  # |(H - E_0) x - rhs| / |rhs|; see _ground_resolvent
-_BISECTION_ROWS = 512  # _ground_pair bisects blocks up to this size
-_INVERSE_ITERATIONS = 40  # cap on the shift search, and on the inverse-iteration steps
+_BISECTION_ROWS = 512  # blocks up to this size are bisected, never iterated
+_INVERSE_ITERATIONS = 40  # cap on the shift search, and on the iteration steps of each level
 _RESPONSE_REL_TOL = 1e-6  # doubling gate of _response_sum
 _RESPONSE_NAMES = {2: "F_Q", 3: "chi_3"}  # _response_sum's powers, as its errors name them
 _WIGNER_MAX_ENTRIES = 2**23  # doubles in each y-lattice array of wigner_grid (64 MiB)
@@ -132,18 +137,20 @@ def tridiag_apply(diag: np.ndarray, offdiag: np.ndarray, v: np.ndarray) -> np.nd
 
 
 def converge(solve, n_max: int, n_max_ceiling: int, held):
-    """Truncation doubling: solve(n_max), solve(2 n_max), ... until held(new, old).
+    """Truncation doubling: solve(n_max, None), solve(2 n_max, ...), ... until held(new, old).
 
-    Stops early when the next rung would pass n_max_ceiling, and never
-    solves above it (except a start already above it).  Returns
-    (new, old, n_max): the last two rungs' results, old None when only
-    one rung was solved, and the truncation of new.  The caller decides
-    whether an unheld result is flagged or raised.
+    Each rung after the first gets the previous rung's result as its
+    second argument (None on the first), so that it can start from it.  Stops early when the
+    next rung would pass n_max_ceiling, and never solves above it (except
+    a start already above it).  Returns (new, old, n_max): the last two
+    rungs' results, old None when only one rung was solved, and the
+    truncation of new.  The caller decides whether an unheld result is
+    flagged or raised.
     """
-    new, old = solve(n_max), None
+    new, old = solve(n_max, None), None
     while 2 * n_max <= n_max_ceiling:
         n_max *= 2
-        new, old = solve(n_max), new
+        new, old = solve(n_max, new), new
         if held(new, old):
             break
     return new, old, n_max
@@ -226,6 +233,92 @@ def _ground_pair(diag: np.ndarray, off: np.ndarray,
     return bisection()
 
 
+def _warm_pairs(diag: np.ndarray, off: np.ndarray, levels: np.ndarray,
+                vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Lowest k eigenpairs of T = (diag, off), started from those of a leading block of T.
+
+    levels and vectors (as columns) are the leading block's lowest k
+    eigenpairs.  Level j runs Rayleigh-quotient iteration: dgtsv solves
+    (T - sigma) y = x from the zero-padded vector j, with sigma first the
+    block's level j and then each iterate's Rayleigh quotient theta, and
+    the vectors of levels 0..j-1 projected out of every y.  It stops at
+    r = |T x - theta x| <= tol = 8 eps max(|diag|, 2|off|), the rule of
+    _ground_pair, and one more solve at theta gives the vector.  Some
+    eigenvalue lies in [theta - r, theta + r] (Weinstein), so a Sturm
+    count of exactly j eigenvalues below theta - r - tol certifies
+    lambda_j in [theta - r - tol, theta + r]; tol also covers the count's
+    rounding.  For j = 0 the count is dpttrf's info 0, else dstebz over
+    (below the Gershgorin bound, theta - r - tol] with abstol the
+    interval's width, so that it counts and bisects nothing.  The leading
+    block's level j bounds lambda_j from above (Cauchy interlacing), so a
+    start whose level lies below theta_j - r_j - tol is not a leading
+    block's pair and fails too.  Returns None when a solve fails, a
+    certificate fails, or _INVERSE_ITERATIONS passes for a level.
+    """
+    n, k = len(diag), len(levels)
+    scale = max(float(np.abs(diag).max()), 2.0 * float(np.abs(off).max()))
+    tol = 8.0 * np.finfo(float).eps * scale
+    floor = float(diag.min()) - scale - 1.0  # below Gershgorin's min(diag) - 2 max|off|
+    found = np.zeros((n, k))
+    thetas = np.empty(k)
+
+    def inverse_step(sigma: float, x: np.ndarray, j: int) -> np.ndarray | None:
+        *_, y, info = dgtsv(off, diag - sigma, off, x[:, None])
+        y = y[:, 0] - found[:, :j] @ (found[:, :j].T @ y[:, 0])
+        norm = float(np.linalg.norm(y))
+        return y / norm if info == 0 and 0.0 < norm < math.inf else None
+
+    def count_below(top: float) -> int:
+        if top <= floor:
+            return 0
+        return int(dstebz(diag, off, 1, floor, top, 0, 0, top - floor, b"B")[0])
+
+    for j in range(k):
+        x = np.zeros(n)
+        x[:len(vectors)] = vectors[:, j]
+        theta = float(levels[j])  # each step's shift is the Rayleigh quotient before it
+        for _ in range(_INVERSE_ITERATIONS):
+            if (x := inverse_step(theta, x, j)) is None:
+                return None
+            tx = tridiag_apply(diag, off, x)
+            theta = float(x @ tx)
+            r = float(np.linalg.norm(tx - theta * x))
+            if r <= tol:
+                break
+        else:
+            return None
+        top = theta - r - tol
+        certified = (dpttrf(diag - top, off)[2] == 0 if j == 0 else count_below(top) == j)
+        if not (certified and top <= levels[j]) or (x := inverse_step(theta, x, j)) is None:
+            return None
+        thetas[j], found[:, j] = theta, x
+    return thetas, found
+
+
+def _lowest_pairs(diag: np.ndarray, off: np.ndarray, k: int,
+                  previous: tuple[np.ndarray, np.ndarray] | None) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest k eigenpairs (levels, vectors as columns) of T = (diag, off) on one ladder rung.
+
+    previous is the rung below's pairs, or None on a first rung.  Above
+    _BISECTION_ROWS a rung with a previous one runs _warm_pairs; any
+    other rung, and a warm one whose certificate fails, is LAPACK
+    bisection and inverse iteration (stebz then stein).
+    """
+    if previous is not None and len(diag) > _BISECTION_ROWS:
+        if (warm := _warm_pairs(diag, off, *previous)) is not None:
+            return warm
+    return eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1))
+
+
+def _ground_rung(block: ParityBlock,
+                 previous: tuple[np.ndarray, np.ndarray] | None) -> tuple[np.ndarray, np.ndarray]:
+    """The block's ground pair, shaped as _lowest_pairs returns it; _ground_pair on a first rung."""
+    if previous is None:
+        e0, v0 = _ground_pair(block.diag, block.offdiag)
+        return np.array([e0]), v0[:, None]
+    return _lowest_pairs(block.diag, block.offdiag, 1, previous)
+
+
 def lowest_level(params: ModelParams, parity: int, n_max: int) -> float:
     """Lowest eigenvalue of one q = 1/4 block at fixed truncation (no doubling)."""
     block = build_parity_block(params, parity, n_max)
@@ -245,7 +338,7 @@ def collapse_point_gap(
     """
     check_count("n_max", n_max, 4)  # the first rung solves n_max/2 >= 2
 
-    def gap_at(n: int) -> float:
+    def gap_at(n: int, _previous: float | None) -> float:
         return abs(lowest_level(params, +1, n) - lowest_level(params, -1, n))
 
     def held(gap: float, gap_half: float) -> bool:
@@ -267,18 +360,23 @@ def ed_spectrum(
 
     n_max doubles until every level moves by less than tol, or the
     ceiling is reached; unconverged levels are flagged, never raised.
-    At g = g_c only levels below the continuum threshold -1/2 are
+    Each rung solves its lowest k eigenpairs with _lowest_pairs, so a
+    rung above _BISECTION_ROWS starts from the rung below's pairs.  At
+    g = g_c only levels below the continuum threshold -1/2 are
     physically meaningful.
     """
     check_count("k", k)
+    check_positive(tol=tol)
 
-    def solve(n: int) -> np.ndarray:
-        return _lowest_block_eigenvalues(build_parity_block(params, sector.parity, n, sector.q), k)
+    def solve(n: int, previous: tuple | None) -> tuple[np.ndarray, np.ndarray]:
+        block = build_parity_block(params, sector.parity, n, sector.q)
+        return _lowest_pairs(block.diag, block.offdiag, k, previous)
 
-    w, w_half, n_used = converge(
-        solve, max(n_max, 2 * k, 4), n_max_ceiling, lambda new, old: np.abs(new - old).max() < tol
+    (w, _), old, n_used = converge(
+        solve, max(n_max, 2 * k, 4), n_max_ceiling,
+        lambda new, old: np.abs(new[0] - old[0]).max() < tol
     )
-    estimate = np.full(k, np.inf) if w_half is None else np.abs(w - w_half)
+    estimate = np.full(k, np.inf) if old is None else np.abs(w - old[0])
     return SpectrumResult(
         energies=w,
         parities=np.full(k, sector.parity, dtype=int),
@@ -293,6 +391,7 @@ def full_spectrum(
     params: ModelParams, n_max: int = 64, tol: float = 1e-10, k: int = 8
 ) -> SpectrumResult:
     """Both parity blocks of the even (q = 1/4) subspace, merged and sorted."""
+    check_positive(tol=tol)
     parts = [ed_spectrum(params, SectorSpec(0.25, p), n_max, tol, k) for p in (+1, -1)]
     fields = ("energies", "parities", "indices", "converged", "convergence_estimate")
     merged = {name: np.concatenate([getattr(s, name) for s in parts]) for name in fields}
@@ -355,18 +454,20 @@ def ground_state_block(
 
     Truncation doubles until the energy is stable to tol or the next
     rung would pass the ceiling; the estimate is inf when only one rung
-    fits.  The coefficient vector's overall sign is fixed so its largest
-    entry is positive.
+    fits.  The first rung runs _ground_pair, each later one starts from
+    the rung below's pair (_ground_rung).  The coefficient vector's
+    overall sign is fixed so its largest entry is positive.
     """
+    check_positive(tol=tol)
 
-    def solve(n: int) -> tuple[float, np.ndarray]:
-        block = build_parity_block(params, -1, n)
-        return _ground_pair(block.diag, block.offdiag)
+    def solve(n: int, previous: tuple | None) -> tuple[np.ndarray, np.ndarray]:
+        return _ground_rung(build_parity_block(params, -1, n), previous)
 
-    (energy, coeffs), old, n_used = converge(
-        solve, max(n_max, 8), n_max_ceiling, lambda new, old: abs(new[0] - old[0]) < tol
+    (levels, vectors), old, n_used = converge(
+        solve, max(n_max, 8), n_max_ceiling, lambda new, old: abs(new[0][0] - old[0][0]) < tol
     )
-    estimate = math.inf if old is None else abs(energy - old[0])
+    energy, coeffs = float(levels[0]), vectors[:, 0]
+    estimate = math.inf if old is None else abs(energy - old[0][0])
     if coeffs[np.argmax(np.abs(coeffs))] < 0:
         coeffs = -coeffs
     return energy, coeffs, estimate, n_used
@@ -499,25 +600,28 @@ def _response_sum(
     x.(H - E_0)^+ x (chi_3), power - 1 _ground_resolvent solves a rung on
     the (q=1/4, parity=-1) block.  Truncation doubles from n_max until
     the sum is stable to 1e-6 relative, else ConvergenceError naming F_Q
-    or chi_3 at the ceiling.  |0> is the last rung's ground vector.
+    or chi_3 at the ceiling.  Each rung's ground pair comes from
+    _ground_rung, so a rung after the first starts from the rung below's.
+    |0> is the last rung's ground vector.
     """
 
-    def solve(n: int) -> tuple[float, np.ndarray]:
+    def solve(n: int, previous: tuple | None) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
         block = build_parity_block(params, -1, n)
-        e0, v0 = _ground_pair(block.diag, block.offdiag)
+        pairs = _ground_rung(block, None if previous is None else previous[1])
+        e0, v0 = float(pairs[0][0]), pairs[1][:, 0]
         b = tridiag_apply(np.zeros(n), block.coupling, v0)
         b -= (v0 @ b) * v0
         x = _ground_resolvent(block, v0, e0, b)
-        return float(x @ (x if power == 2 else _ground_resolvent(block, v0, e0, x))), v0
+        return float(x @ (x if power == 2 else _ground_resolvent(block, v0, e0, x))), pairs
 
-    def held(new: tuple[float, np.ndarray], old: tuple[float, np.ndarray]) -> bool:
+    def held(new: tuple, old: tuple) -> bool:
         return abs(new[0] - old[0]) <= _RESPONSE_REL_TOL * new[0]
 
     new, old, n_cur = converge(solve, n_max, n_max_ceiling, held)
     if old is None or not held(new, old):
         raise ConvergenceError(
             f"{_RESPONSE_NAMES[power]} not stable to {_RESPONSE_REL_TOL:.0e} at truncation ceiling {n_cur}")
-    return new
+    return new[0], new[1][1][:, 0]
 
 
 def qfi_spectral(

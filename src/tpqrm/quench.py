@@ -228,7 +228,9 @@ def propagate(protocol: QuenchProtocol, n_samples: int = 0,
     if drift > _NORM_DRIFT_TARGET:
         raise ConvergenceError(f"norm drift {drift:.2e} above {_NORM_DRIFT_TARGET:.0e}")
 
-    def rung(halvings: int, first: tuple = (e_r, samples)) -> tuple:
+    first = (e_r, samples)
+
+    def rung(halvings: int, _previous: tuple | None) -> tuple:
         # (E_r, samples) at dt / halvings; the first rung is the leakage run above
         if halvings == 1:
             return first

@@ -263,6 +263,24 @@ def test_fit_rejects_a_malformed_csv_by_file_name(tmp_path, capsys, text, messag
                     message)
 
 
+def test_collapse1d_without_a_tower_reports_no_bound_state(tmp_path):
+    # the default delta is the isotropic Delta_c = 0, where nothing binds
+    code = run_cli(["collapse1d", "--L", "50", "--h", "0.2", "--k", "2", "--out", "c"], tmp_path)
+    assert code == cli.EXIT_OK
+    report = json.loads((tmp_path / "c_report.json").read_text())
+    assert report["bound_states"] == 0
+    assert "binds a tower only for delta > 1" in report["reason"]
+
+
+def test_collapse1d_tower_without_a_converged_level_fails(tmp_path):
+    # at delta > 1 a level must bind; a 3-wide box fails every refinement gate
+    code = run_cli(["collapse1d", "--delta", "3", "--L", "3", "--h", "0.5", "--k", "2",
+                    "--out", "c"], tmp_path)
+    assert code == cli.EXIT_CONVERGENCE
+    report = json.loads((tmp_path / "c_report.json").read_text())
+    assert report["bound_states"] == 0 and "reason" not in report
+
+
 def test_collapse1d_command(tmp_path):
     code = run_cli(["collapse1d", "--delta", "3.0", "--L", "200", "--h", "0.05",
                     "--k", "4", "--out", "c1"], tmp_path)
@@ -339,6 +357,12 @@ def test_unknown_subcommand_fails():
     # a fit window that keeps 2 points, and a non-positive value in a fitted column
     ["fit", "--input", "data.csv", "--xcol", "u", "--ycol", "y", "--window", "0.03", "1"],
     ["fit", "--input", "zero.csv", "--xcol", "u", "--ycol", "y"],
+    # a --tol that is not finite and positive, on each subcommand that declares it
+    ["gap-scan", "--tol", "nan", "--points", "2"],
+    ["gap-scan", "--tol", "-1", "--points", "2"],
+    ["spectrum", "--tol", "0", "--points", "2"],
+    ["observables", "--tol", "inf", "--points", "2"],
+    ["wigner", "--g-over-gc", "0.5", "--tol", "nan"],
 ])
 def test_validate_agrees_with_the_run(tmp_path, capsys, args):
     u = np.geomspace(1e-3, 1e-1, 6)

@@ -303,7 +303,7 @@ def test_ground_eigenvalue_interlaces_under_truncation(r, delta, frac, parity, q
 def test_converge_climbs_rungs_until_held():
     rungs = []
 
-    def solve(n: int) -> float:
+    def solve(n: int, _previous: float | None) -> float:
         rungs.append(n)
         return 1.0 / n
 
@@ -318,7 +318,7 @@ def test_converge_climbs_rungs_until_held():
 def test_converge_never_solves_above_the_ceiling():
     rungs = []
 
-    def solve(n: int) -> float:
+    def solve(n: int, _previous: float | None) -> float:
         rungs.append(n)
         return 1.0 / n
 
@@ -331,8 +331,165 @@ def test_converge_never_solves_above_the_ceiling():
 
 def test_converge_reports_no_old_when_one_rung_fits():
     rungs = []
-    new, old, n_max = ed.converge(lambda n: rungs.append(n) or n, 64, 127, lambda *_: True)
+    new, old, n_max = ed.converge(lambda n, _: rungs.append(n) or n, 64, 127, lambda *_: True)
     assert (new, old, n_max) == (64, None, 64) and rungs == [64]
+
+
+def test_converge_hands_each_rung_the_previous_result():
+    received = []
+
+    def solve(n: int, previous: tuple | None) -> tuple:
+        received.append(previous)
+        return ("rung", n)
+
+    ed.converge(solve, 8, 64, lambda new, old: False)
+    assert received == [None, ("rung", 8), ("rung", 16), ("rung", 32)]
+
+
+# ---------------------------------------------------------------- warm rungs
+
+def _rung_pair(r, delta, frac, parity, n2, k):
+    """A block of n2 rows and bisection's k lowest pairs of its leading n2/2 rows."""
+    block = ed.build_parity_block(ModelParams(delta=delta, g=frac / (1.0 + r), r=r), parity, n2)
+    n = n2 // 2
+    previous = eigh_tridiagonal(block.diag[:n], block.offdiag[:n - 1], select="i",
+                                select_range=(0, k - 1))
+    return block, previous
+
+
+def _stopping_tol(block: ed.ParityBlock) -> float:
+    return 8 * np.finfo(float).eps * max(np.abs(block.diag).max(), 2 * np.abs(block.offdiag).max())
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    # at r = 0 the block splits into 2 x 2 blocks and the padded start is
+    # already exact, so the first solve is singular and the rung bisects
+    r=st.floats(0.01, 1.0),
+    delta=st.floats(0.0, 2.0),
+    frac=st.floats(0.01, 0.99),
+    parity=st.sampled_from([+1, -1]),
+    n2=st.sampled_from([1024, 2048, 4096, 8192]),
+    k=st.sampled_from([1, 2, 6]),
+)
+def test_warm_rung_matches_bisection(r, delta, frac, parity, n2, k):
+    block, previous = _rung_pair(r, delta, frac, parity, n2, k)
+    warm = ed._warm_pairs(block.diag, block.offdiag, *previous)
+    assert warm is not None
+    levels, vectors = warm
+    w, v = eigh_tridiagonal(block.diag, block.offdiag, select="i", select_range=(0, k - 1))
+    tol = _stopping_tol(block)
+    for j in range(k):
+        x = vectors[:, j]
+        residual = np.linalg.norm(ed.tridiag_apply(block.diag, block.offdiag, x) - levels[j] * x)
+        assert abs(levels[j] - w[j]) <= residual + tol
+        assert np.abs(x - v[:, j] * np.sign(v[:, j] @ x)).max() <= 1e-12
+    # Cauchy interlacing: no level of the block lies above its leading block's;
+    # the slack is the stopping rule's tol
+    assert np.all(levels <= previous[0] + tol)
+
+
+_FORGE_POINTS = [(0.25, 0.6, 0.999, -1, 4096), (0.6, 0.3, 0.5, +1, 2048),
+                 (1.0, 0.0, 0.9, -1, 8192)]
+
+
+@pytest.mark.parametrize("forge,i,j", [("swap_vectors", 0, 1), ("swap_pairs", 0, 1),
+                                       ("swap_pairs", 1, 2), ("below_e0", 0, 0),
+                                       ("below_e0", 1, 1)],
+                         ids=["swap_vectors", "swap_pairs_01", "swap_pairs_12", "level_0_below_e0",
+                              "level_1_below_e0"])
+@pytest.mark.parametrize("r,delta,frac,parity,n2", _FORGE_POINTS)
+def test_forged_start_fails_its_certificate_and_bisects(r, delta, frac, parity, n2, forge, i, j):
+    # swapped vectors and levels below E_0 break interlacing; swapped pairs
+    # keep it, and only the Sturm count (dpttrf for level 0, dstebz above)
+    # sees level i converge to E_j
+    block, (levels, vectors) = _rung_pair(r, delta, frac, parity, n2, 3)
+    w, _ = eigh_tridiagonal(block.diag, block.offdiag, select="i", select_range=(0, 2))
+    levels, vectors = levels.copy(), vectors.copy()
+    if forge == "below_e0":
+        levels[i] = w[0] - 1.0
+    else:
+        vectors[:, [i, j]] = vectors[:, [j, i]]
+        if forge == "swap_pairs":
+            levels[[i, j]] = levels[[j, i]]
+    assert ed._warm_pairs(block.diag, block.offdiag, levels, vectors) is None
+    got, _ = ed._lowest_pairs(block.diag, block.offdiag, 3, (levels, vectors))
+    assert np.array_equal(got, w)
+
+
+@pytest.mark.parametrize("r,delta,frac,parity,n2", _FORGE_POINTS)
+def test_forged_ground_start_fails_its_certificate_and_bisects(r, delta, frac, parity, n2):
+    # a ground rung handed level 1's pair keeps interlacing; only dpttrf sees E_1
+    block, (levels, vectors) = _rung_pair(r, delta, frac, parity, n2, 2)
+    forged = (levels[1:], vectors[:, 1:])
+    assert ed._warm_pairs(block.diag, block.offdiag, *forged) is None
+    w, _ = eigh_tridiagonal(block.diag, block.offdiag, select="i", select_range=(0, 0))
+    assert np.array_equal(ed._lowest_pairs(block.diag, block.offdiag, 1, forged)[0], w)
+
+
+@pytest.mark.parametrize("r,delta,frac,parity,n2", _FORGE_POINTS)
+def test_warm_rung_deflates_a_repeated_start(r, delta, frac, parity, n2):
+    # level 1 starts from level 0's vector: with level 0's vector projected
+    # out of every iterate it still converges to E_1
+    block, (levels, vectors) = _rung_pair(r, delta, frac, parity, n2, 2)
+    w, _ = eigh_tridiagonal(block.diag, block.offdiag, select="i", select_range=(0, 1))
+    warm = ed._warm_pairs(block.diag, block.offdiag, levels, vectors[:, [0, 0]])
+    assert warm is not None and np.abs(warm[0] - w).max() <= 2 * _stopping_tol(block)
+
+
+@pytest.mark.parametrize("n2", [4096, 8192])
+@pytest.mark.parametrize("r", [0.25, 0.6])
+def test_warm_vector_matches_stein_near_collapse(r, n2):
+    # criterion 03's grid, as in the _ground_pair test above: the stopping
+    # iterate alone is off by up to 4e-11 at 4096 rows, the extra solve's vector by 1e-12
+    g_c, delta_c = critical_params(r)
+    for g in make_grid(3.5, 5.5, 7, r).g_values:
+        block, previous = _rung_pair(r, delta_c, g / g_c, -1, n2, 1)
+        _, vectors = ed._warm_pairs(block.diag, block.offdiag, *previous)
+        _, v = eigh_tridiagonal(block.diag, block.offdiag, select="i", select_range=(0, 0))
+        stein = v[:, 0] * np.sign(v[:, 0] @ vectors[:, 0])
+        assert np.abs(vectors[:, 0] - stein).max() <= 1e-11
+
+
+def test_warm_rungs_never_fall_back_at_criteria_01_to_04(monkeypatch):
+    # ed_spectrum's ladders start at 256 rows and a ground ladder's first rung
+    # bisects only its 512-row leading block, so any bisection of a larger
+    # block is a warm rung's fallback
+    bisected, warm = [], []
+    _record_calls(monkeypatch, "eigh_tridiagonal", bisected)
+    kernel = ed._warm_pairs
+    monkeypatch.setattr(ed, "_warm_pairs", lambda *args: warm.append(kernel(*args)) or warm[-1])
+    for r in (0.25, 0.6):
+        g_c, delta_c = critical_params(r)
+        for window in ((1.5, 3.0, 9), (2.5, 4.5, 7)):
+            for g in make_grid(*window, r).g_values:
+                for parity in (+1, -1):
+                    ed.ed_spectrum(ModelParams(delta=delta_c, g=g, r=r), SectorSpec(0.25, parity),
+                                   n_max=256, tol=1e-10, k=2)
+        for g in make_grid(3.5, 5.5, 7, r).g_values:
+            ed.ed_ground_observables(ModelParams(delta=delta_c, g=g, r=r), 2048)
+        for g in make_grid(2.5, 4.5, 7, r).g_values:
+            ed.qfi_spectral(ModelParams(delta=delta_c, g=g, r=r), n_max=2048)
+    for r, delta, gfrac in [(0.25, 0.6, 0.5), (0.6, None, 0.9), (0.25, None, 0.9)]:
+        g_c, delta_c = critical_params(r)
+        p = ModelParams(delta=delta_c if delta is None else delta, g=gfrac * g_c, r=r)
+        ed.qfi_spectral(p)
+        ed.qfi_fidelity_oracle(p)
+    assert max(bisected) <= 512
+    assert warm and all(pairs is not None for pairs in warm)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, 0.0])
+@pytest.mark.parametrize("compute", [
+    lambda p, tol: ed.ed_spectrum(p, tol=tol),
+    lambda p, tol: ed.full_spectrum(p, tol=tol),
+    lambda p, tol: ed.ground_state_block(p, tol=tol),
+    lambda p, tol: ed.ed_ground_observables(p, 64, tol),
+], ids=["ed_spectrum", "full_spectrum", "ground_state_block", "ed_ground_observables"])
+def test_bad_tol_rejected_by_name_before_any_solve(monkeypatch, compute, bad):
+    monkeypatch.setattr(ed, "build_parity_block", None)  # any solve would fail otherwise
+    with pytest.raises(ValueError, match=f"^tol={bad} must be finite and positive$"):
+        compute(ModelParams(delta=0.3, g=0.2, r=0.6), bad)
 
 
 def test_ground_state_block_stays_within_its_ceiling(monkeypatch):
