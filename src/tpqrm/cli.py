@@ -412,7 +412,10 @@ COMMANDS = {
         ("--grid-points", dict(type=int, default=161)),
     ), _resolve_wigner, run_wigner),
     "quench": Command("linear quench residual energy vs quench time", _RUN + (
-        _R, _DELTA, _N_MAX, _FIT,
+        _R, _DELTA, _FIT,
+        ("--n-max", dict(type=int, default=256,
+                         help="the propagation basis climbs from min(n_max, 32) rows to at most "
+                              "4 n_max until it stops leaking; the CSV's n_max is the basis used")),
         ("--gf", dict(default="0.99", help="final coupling over g_c; accepts '1-1e-6'")),
         ("--tau-range", dict(type=float, nargs=2, default=None, metavar=("TMIN", "TMAX"),
                              help="log-spaced quench-time range")),

@@ -252,7 +252,11 @@ def _warm_pairs(diag: np.ndarray, off: np.ndarray, levels: np.ndarray,
     interval's width, so that it counts and bisects nothing.  The leading
     block's level j bounds lambda_j from above (Cauchy interlacing), so a
     start whose level lies below theta_j - r_j - tol is not a leading
-    block's pair and fails too.  Returns None when a solve fails, a
+    block's pair and fails too.  At r = 0 the block splits into 2 x 2
+    blocks, so a padded start or a first iterate can be exact and a solve
+    at its level singular: a singular first solve keeps the start, whose
+    own r may already be <= tol, and a singular vector solve keeps the
+    certified iterate.  Returns None when any other solve fails, a
     certificate fails, or _INVERSE_ITERATIONS passes for a level.
     """
     n, k = len(diag), len(levels)
@@ -277,9 +281,10 @@ def _warm_pairs(diag: np.ndarray, off: np.ndarray, levels: np.ndarray,
         x = np.zeros(n)
         x[:len(vectors)] = vectors[:, j]
         theta = float(levels[j])  # each step's shift is the Rayleigh quotient before it
-        for _ in range(_INVERSE_ITERATIONS):
-            if (x := inverse_step(theta, x, j)) is None:
+        for step in range(_INVERSE_ITERATIONS):
+            if (y := inverse_step(theta, x, j)) is None and step > 0:
                 return None
+            x = x if y is None else y  # a singular first solve keeps the start: it may be exact
             tx = tridiag_apply(diag, off, x)
             theta = float(x @ tx)
             r = float(np.linalg.norm(tx - theta * x))
@@ -289,8 +294,10 @@ def _warm_pairs(diag: np.ndarray, off: np.ndarray, levels: np.ndarray,
             return None
         top = theta - r - tol
         certified = (dpttrf(diag - top, off)[2] == 0 if j == 0 else count_below(top) == j)
-        if not (certified and top <= levels[j]) or (x := inverse_step(theta, x, j)) is None:
+        if not (certified and top <= levels[j]):
             return None
+        if (y := inverse_step(theta, x, j)) is not None:  # singular at an exact theta: keep x
+            x = y
         thetas[j], found[:, j] = theta, x
     return thetas, found
 

@@ -24,9 +24,10 @@ the ladder starts at min(1, tau_q/100), elsewhere at min(tau_q/100,
 (72 / (tau_q omega01^5))^(1/4)), where that term's Padé phase stays below
 0.1 rad.  E_0(g_f) comes from ed.ground_state_block, with its own
 truncation doubling (near collapse the true ground state needs a far
-larger basis than the propagated, frozen-out state ever occupies); the
+larger basis than the propagated, frozen-out state ever occupies).  The
 propagation basis is gated by requiring the occupancy of its top 10% of
-states to stay below 1e-8.
+states to stay below 1e-8: it starts at min(n_max, 32) rows and doubles
+until the gate holds, up to 4 n_max, so a row's n_max is the basis used.
 
 Freeze-out bookkeeping (zv = 1/2 fixed):
 
@@ -62,6 +63,7 @@ Z_NU = 0.5  # soft-mode gap exponent entering every closed form here
 
 _NORM_DRIFT_TARGET = 1e-9
 _LEAK_TARGET = 1e-8
+_BASIS_START = 32  # the leakage ladder's first basis, when n_max is larger
 _ER_REL_TOL = 1e-2
 _E0_CEILING = 131072
 _E0_TOL = 1e-10  # ground_energy_final's doubling gate
@@ -70,7 +72,11 @@ _PADE_ROOTS = (3.0 + 1j * math.sqrt(3.0), 3.0 - 1j * math.sqrt(3.0))  # -d: root
 
 @dataclass(frozen=True)
 class QuenchProtocol:
-    """Linear ramp g(t) = g_f t / tau_q at fixed Delta (default: critical)."""
+    """Linear ramp g(t) = g_f t / tau_q at fixed Delta (default: critical).
+
+    n_max scales the propagation basis: propagate's leakage ladder climbs
+    from min(n_max, 32) rows to at most 4 n_max.
+    """
 
     g_f: float
     tau_q: float
@@ -124,7 +130,9 @@ class QuenchResult:
     n_max: int
     dt: float
     ground_energy: float
-    samples: np.ndarray | None = None  # columns: t, g, <H(g)>, |<ground(g)|psi>|
+    # columns: t, g, <H(g)>, |<ground(g)|psi>|, with ground(g) that of the propagation
+    # basis (n_max rows), not a converged ground state
+    samples: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -210,43 +218,49 @@ def propagate(protocol: QuenchProtocol, n_samples: int = 0,
               check_truncation: bool = False) -> QuenchResult:
     """Run the quench; report E_r only once dt-halving moves it by < 1%.
 
-    Raises ConvergenceError on norm drift above 1e-9, on basis leakage
-    (top decile occupancy above 1e-8 at n_max, 2 n_max and 4 n_max), on
-    dt non-convergence (three halvings), and, with check_truncation,
-    when doubling n_max moves E_r by more than 1%.
+    The basis starts at min(n_max, 32) rows and doubles until its top
+    decile holds below 1e-8; the result's n_max is the basis it reached.
+    E_r, the trajectory and the norm drift all come from the reported
+    run.  Raises ConvergenceError on basis leakage (still above 1e-8 at the
+    last basis not above 4 n_max), on dt non-convergence (three halvings),
+    on norm drift above 1e-9, and, with check_truncation, when doubling
+    the basis reached moves E_r by more than 1%.
     """
     dt = protocol.start_dt()
     replace(protocol, dt=dt).check_samples(n_samples)  # with dt resolved: B is not solved again
     e0 = ground_energy_final(protocol)
 
-    for n_max in (protocol.n_max, 2 * protocol.n_max, 4 * protocol.n_max):
+    n_max = min(protocol.n_max, _BASIS_START)
+    while True:
         e_r, drift, leak, samples = _propagate_once(protocol, n_max, dt, n_samples, e0)
         if leak <= _LEAK_TARGET:
             break
-    else:
-        raise ConvergenceError(f"basis leakage {leak:.2e} above {_LEAK_TARGET:.0e} at n_max={n_max}")
-    if drift > _NORM_DRIFT_TARGET:
-        raise ConvergenceError(f"norm drift {drift:.2e} above {_NORM_DRIFT_TARGET:.0e}")
+        if 2 * n_max > 4 * protocol.n_max:
+            raise ConvergenceError(
+                f"basis leakage {leak:.2e} above {_LEAK_TARGET:.0e} at n_max={n_max}")
+        n_max *= 2
 
-    first = (e_r, samples)
+    first = (e_r, drift, samples)
 
     def rung(halvings: int, _previous: tuple | None) -> tuple:
-        # (E_r, samples) at dt / halvings; the first rung is the leakage run above
+        # (E_r, drift, samples) at dt / halvings; the first rung is the leakage run above
         if halvings == 1:
             return first
-        e_r, _, _, samples = _propagate_once(protocol, n_max, dt / halvings, n_samples, e0)
-        return e_r, samples
+        e_r, drift, _, samples = _propagate_once(protocol, n_max, dt / halvings, n_samples, e0)
+        return e_r, drift, samples
 
     def held(new: float, old: float) -> bool:
         return abs(new - old) <= _ER_REL_TOL * max(abs(new), 1e-300)
 
-    # E_r and the trajectory both come from the coarser rung of the held pair
-    (e_r_fine, _), (e_r, samples), halvings = converge(
+    # E_r, its drift and the trajectory all come from the coarser rung of the held pair
+    (e_r_fine, *_), (e_r, drift, samples), halvings = converge(
         rung, 1, 8, lambda new, old: held(new[0], old[0]))
     if not held(e_r_fine, e_r):
         raise ConvergenceError(
             f"E_r not stable to {_ER_REL_TOL:.0%} under dt halving (last dt={dt / halvings:.2e})"
         )
+    if drift > _NORM_DRIFT_TARGET:
+        raise ConvergenceError(f"norm drift {drift:.2e} above {_NORM_DRIFT_TARGET:.0e}")
     dt /= halvings // 2  # report the coarser step of the held pair
 
     if check_truncation:
@@ -308,7 +322,9 @@ def kz_sweep(
 
     params supplies (delta, r); g_f is the common endpoint.  Each point
     carries its own dt-halving and truncation checks; failures mark the
-    row converged=False rather than aborting the sweep.  "samples" holds
+    row converged=False rather than aborting the sweep.  A converged row's
+    n_max is the basis propagate reached, from min(n_max, 32) up to at
+    most 4 n_max; an unconverged row keeps the caller's n_max.  "samples" holds
     the run's n_samples trajectory samples (None if 0 or unconverged).
     n_samples must fit every point's start step; a count the shortest
     tau_q cannot give raises ValueError before any point runs.

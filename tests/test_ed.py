@@ -363,8 +363,7 @@ def _stopping_tol(block: ed.ParityBlock) -> float:
 
 @settings(max_examples=40, deadline=None)
 @given(
-    # at r = 0 the block splits into 2 x 2 blocks and the padded start is
-    # already exact, so the first solve is singular and the rung bisects
+    # r = 0, where the padded start is already exact, has its own test below
     r=st.floats(0.01, 1.0),
     delta=st.floats(0.0, 2.0),
     frac=st.floats(0.01, 0.99),
@@ -387,6 +386,29 @@ def test_warm_rung_matches_bisection(r, delta, frac, parity, n2, k):
     # Cauchy interlacing: no level of the block lies above its leading block's;
     # the slack is the stopping rule's tol
     assert np.all(levels <= previous[0] + tol)
+
+
+@pytest.mark.parametrize("g", [0.2, 0.5, 0.9])
+def test_warm_rung_keeps_an_exact_start_at_r_zero(monkeypatch, g):
+    # at r = 0 the block splits into 2 x 2 blocks, so the padded pairs are exact
+    # and a solve at their level can be singular: the rung is certified, not bisected
+    params = ModelParams(delta=0.5, g=g, r=0.0)
+    bisected = []
+    _record_calls(monkeypatch, "eigh_tridiagonal", bisected)
+    spectra = [ed.ed_spectrum(params, SectorSpec(0.25, parity), n_max=512, k=2)
+               for parity in (+1, -1)]
+    energy, coeffs, _, n_used = ed.ground_state_block(params, 512)
+    assert bisected == [512, 512, 512]  # each ladder's first rung; _ground_pair bisects it
+    for parity, spectrum in zip((+1, -1), spectra):
+        assert spectrum.n_max_used > 512 and spectrum.converged.all()
+        block = ed.build_parity_block(params, parity, spectrum.n_max_used)
+        w = eigh_tridiagonal(block.diag, block.offdiag, eigvals_only=True, select="i",
+                             select_range=(0, 1))
+        assert np.abs(spectrum.energies - w).max() <= 1e-12
+    block = ed.build_parity_block(params, -1, n_used)
+    w, v = eigh_tridiagonal(block.diag, block.offdiag, select="i", select_range=(0, 0))
+    assert n_used > 512 and abs(energy - w[0]) <= 1e-12
+    assert np.abs(coeffs - v[:, 0] * np.sign(v[:, 0] @ coeffs)).max() <= 1e-12
 
 
 _FORGE_POINTS = [(0.25, 0.6, 0.999, -1, 4096), (0.6, 0.3, 0.5, +1, 2048),

@@ -163,6 +163,41 @@ def test_trajectory_comes_from_the_reported_rung():
     assert energy == pytest.approx(res.residual_energy + res.ground_energy, rel=1e-12)
 
 
+@pytest.mark.parametrize("drifts,raises", [((1e-12, 5e-13, 2.5e-13), False),
+                                            ((2e-9, 5e-13, 2.5e-13), False),
+                                            ((1e-12, 2e-9, 2.5e-13), True)],
+                         ids=["reported", "first_rung_drifts", "reported_rung_drifts"])
+def test_norm_drift_comes_from_the_reported_rung(monkeypatch, drifts, raises):
+    # the ladder runs dt = 1, 0.5 and 0.25 and reports 0.5; each rung's drift is
+    # replaced by the one given for its step, so only the reported one may count
+    once = quench._propagate_once
+
+    def forged(protocol, n_max, dt, n_samples, e0):
+        e_r, _, leak, samples = once(protocol, n_max, dt, n_samples, e0)
+        return e_r, drifts[{1.0: 0, 0.5: 1, 0.25: 2}[dt]], leak, samples
+
+    monkeypatch.setattr(quench, "_propagate_once", forged)
+    protocol = QuenchProtocol(g_f=0.9 * G_C, tau_q=20.0, r=R, n_max=8, dt=1.0)
+    if raises:
+        with pytest.raises(ConvergenceError, match="^norm drift 2.00e-09 above 1e-09$"):
+            propagate(protocol)
+    else:
+        res = propagate(protocol)
+        assert (res.dt, res.norm_drift) == (0.5, drifts[1])
+
+
+@pytest.mark.parametrize("frac,tau_q,n_max", [(0.99, 1000.0, 256), (1 - 1e-6, 100.0, 512)])
+def test_right_sized_basis_agrees_with_the_callers(frac, tau_q, n_max):
+    # the two benchmark points: the leakage ladder stops at 64 rows, and E_r
+    # there agrees with a run at the caller's n_max at the same dt and E_0
+    g_f = frac * G_C
+    (row,) = kz_sweep(g_f, [tau_q], ModelParams(delta=DELTA_C, g=g_f, r=R), n_max=n_max)
+    assert row["converged"] and row["n_max"] == 64
+    protocol = QuenchProtocol(g_f=g_f, tau_q=tau_q, r=R, n_max=n_max)
+    full = quench._propagate_once(protocol, n_max, row["dt"], 0, ground_energy_final(protocol))[0]
+    assert row["e_r"] == pytest.approx(full, rel=1e-6)
+
+
 def test_sweep_rejects_a_sample_count_before_any_point_runs(monkeypatch):
     monkeypatch.setattr(quench, "zgtsv", None)  # any step would raise TypeError
     params = ModelParams(delta=DELTA_C, g=0.5 * G_C, r=R)
@@ -173,8 +208,9 @@ def test_sweep_rejects_a_sample_count_before_any_point_runs(monkeypatch):
 
 def test_default_step_is_sized_by_the_dt_gate(monkeypatch):
     # B = 9.3e-4 here, so the ladder starts at dt = 1 and the gate holds at the first
-    # pair: 10^3 + 2 x 10^3 steps, plus 10^3 for the n_max-doubling check, at two
-    # solves a step (a start at the phase bound, dt = 0.16, makes six times as many)
+    # pair: 10^3 steps at 32 rows, which leak, then 10^3 + 2 x 10^3 at 64 rows, plus
+    # 10^3 for the truncation check at 128, at two solves a step (a start at the phase
+    # bound, dt = 0.16, makes six times as many)
     calls = []
     zgtsv = quench.zgtsv
 
@@ -186,7 +222,7 @@ def test_default_step_is_sized_by_the_dt_gate(monkeypatch):
     g_f = 0.99 * G_C
     (row,) = kz_sweep(g_f, [1000.0], ModelParams(delta=DELTA_C, g=g_f, r=R), n_max=256)
     assert row["converged"]
-    assert len(calls) == 8_000
+    assert len(calls) == 10_000
     assert row["e_r"] == pytest.approx(1.0709408e-3, rel=1e-2)  # E_r at dt = 0.01
 
 
