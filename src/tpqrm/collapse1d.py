@@ -181,7 +181,7 @@ class CollapseCheckReport:
     # Delta > 1 path: rows (E_block, E_mapped_from_1d, rel_err on kappa^2)
     matched_even: list
     matched_odd: list
-    # Delta = 0 path
+    # Delta = 0 path; degeneracy_gap is the largest entry difference of the parity blocks
     spacings_by_n_max: list
     degeneracy_gap: float
 
@@ -219,12 +219,13 @@ def collapse_hamiltonian_check(delta: float, n_max: int = 16384) -> CollapseChec
 
     Delta = 0: the discrete levels above -1/2 crowd together as n_max
     grows (loss of confinement -> continuum) and every level is doubly
-    degenerate across parity.  Delta > 1: the bound levels below -1/2
-    must reproduce -1/2 - kappa_n^2 from the 1D ladder, even-x levels in
-    the even photon sector and odd-x in the odd one.  Disagreement
-    beyond 1e-3 relative on kappa^2 raises CollapseMappingError with the
-    report attached.  Inputs check_collapse_inputs rejects raise ValueError
-    before any solve.
+    degenerate across parity: the two blocks at n_max differ by at most
+    degeneracy_gap in any entry, so no level by more than 3 times it
+    (Weyl).  Delta > 1: the bound levels below -1/2 must reproduce
+    -1/2 - kappa_n^2 from the 1D ladder, even-x levels in the even photon
+    sector and odd-x in the odd one.  Disagreement beyond 1e-3 relative on
+    kappa^2 raises CollapseMappingError with the report attached.  Inputs
+    check_collapse_inputs rejects raise ValueError before any solve.
     """
     check_collapse_inputs(delta, n_max)
     if delta == 0.0:
@@ -237,9 +238,8 @@ def collapse_hamiltonian_check(delta: float, n_max: int = 16384) -> CollapseChec
             spacings.append(float(np.diff(w).max()))
         # the ladder's top rung is the parity -1 side of the degeneracy check
         block_p = ed.build_parity_block(params, +1, n_max)
-        wp = eigh_tridiagonal(block_p.diag, block_p.offdiag, eigvals_only=True,
-                              select="i", select_range=(0, _CONTINUUM_LEVELS - 1))
-        gap = float(np.abs(wp - w).max())
+        gap = max(float(np.abs(getattr(block_p, name) - getattr(block, name)).max())
+                  for name in ("diag", "offdiag"))
         consistent = all(b < a for a, b in zip(spacings, spacings[1:])) and gap < 1e-10
         report = CollapseCheckReport(
             delta=delta, n_max=n_max, consistent=consistent,

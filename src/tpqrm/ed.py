@@ -21,8 +21,9 @@ diag[(2m+1/2) beta - 1/2] + p M_mn (couplings from aa); the two frames
 cross-validate each other.  Every truncation ladder runs on converge,
 which hands each rung the rung below's result.  A block's lowest
 eigenpairs come from two certified kernels: _ground_pair solves a
-ground pair with no start (bisection up to 512 rows, certified inverse
-iteration above: lowest_level and each ground ladder's first rung), and
+ground pair with no rung below (bisection up to 512 rows; above, certified
+inverse iteration from the ground state's sign pattern, residuals read
+off each solve: lowest_level and each ground ladder's first rung), and
 above 512 rows every later rung of ed_spectrum and of the ground ladders
 starts from the rung below's eigenpairs (_warm_pairs: Rayleigh-quotient
 iteration certified by Sturm counts, bisection when a certificate
@@ -113,19 +114,24 @@ def _signs(parity: int, n_max: int) -> np.ndarray:
 def build_parity_block(
     params: ModelParams, parity: int, n_max: int, q: float = 0.25
 ) -> ParityBlock:
-    """Tridiagonal Hamiltonian block for one (q, parity) sector."""
+    """Tridiagonal Hamiltonian block for one (q, parity) sector, built in place."""
     if parity not in (+1, -1):
         raise ValueError("parity must be +1 or -1")
     check_count("n_max", n_max, 2)
     off = _fock_offset(q)
-    s = _signs(parity, n_max)
-    f = 2 * np.arange(n_max) + off
-    diag = f - 0.5 * params.delta * s
-    root = np.sqrt((f[:-1] + 1.0) * (f[:-1] + 2.0))
-    mix = (1 + params.r) - (1 - params.r) * s[:-1]
+    diag = np.arange(off, off + 2 * n_max, 2, dtype=float)  # f_n until the loop
+    coupling, offdiag = diag[:-1] + 1.0, diag[:-1] + 2.0
+    coupling *= offdiag
+    np.sqrt(coupling, out=coupling)  # root
     # g * root * mix / 2 rounds differently from g * coupling; keep this order
-    offdiag = params.g * root * mix / 2.0
-    return ParityBlock(diag=diag, offdiag=offdiag, coupling=root * mix / 2.0)
+    np.multiply(params.g, coupling, out=offdiag)
+    for first, s in ((0, -float(parity)), (1, float(parity))):  # s_n on even and odd n
+        diag[first::2] -= 0.5 * params.delta * s
+        for part in (coupling, offdiag):
+            part[first::2] *= (1 + params.r) - (1 - params.r) * s
+    coupling /= 2.0
+    offdiag /= 2.0
+    return ParityBlock(diag=diag, offdiag=offdiag, coupling=coupling)
 
 
 def tridiag_apply(diag: np.ndarray, offdiag: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -170,24 +176,24 @@ def _ground_pair(diag: np.ndarray, off: np.ndarray,
     iteration (eigh_tridiagonal, stebz then stein).  A bigger T runs
     shifted inverse iteration, with every shift certified below E_0: dpttrf
     factors T - sigma as L D L^T with D > 0 (info 0) only when T - sigma is
-    positive definite.  The leading block's lowest level E_top bounds E_0
-    from above (Cauchy interlacing), so the first shift is E_top - delta,
-    delta = 1e-3 max(1, |E_top|) growing 4x until certified.  Each dpttrs
-    solve gives a Rayleigh quotient theta and residual r = |T x - theta x|;
-    some eigenvalue lies in [theta - r, theta + r] (Weinstein), and
-    whenever dpttrf certifies theta - r < E_0 the shift rises to it, so the
-    iteration speeds up without passing E_0.  It stops at
-    r <= tol = 8 eps max(|diag|, 2|off|) and returns theta once
-    theta - r - tol is certified too: then E_0 <= theta < E_0 + r + tol,
-    where tol also covers the factorization's rounding.  One more solve
-    with the held factors gives v0: the stopping iterate's error is bounded
-    only by r / gap, and near collapse it moves the ground observables by
-    up to 3e-9; after the extra step v0 agrees with stein's to 4e-13 on
-    criterion 03's blocks of 4096 and 8192 rows (vector=False skips that
-    solve, returning the same E_0 with v0 None).  If the certificate
-    fails, or _INVERSE_ITERATIONS passes without it, the pair is
-    bisection's.  About 13 LAPACK calls at 2^15 to 2^17 rows, where
-    bisection sweeps the whole Gershgorin range some 52 times.
+    positive definite.  The leading block's lowest pair (E_top, head)
+    bounds E_0 from above (Cauchy interlacing), so the first shift is
+    E_top - delta, delta = 1e-3 max(1, |E_top|) growing 4x until
+    certified.  With off >= 0 the ground state alternates in sign, so the
+    start is (-1)^n |head_n| continued by (-1)^n |head_last|, no entry
+    below eps (off may vanish: r = 0, g = 0).  Each solve (T - sigma) y = x,
+    x unit, gives v = y/|y| with theta = v.Tv = sigma + v.x/|y| and
+    r = |T v - theta v| = |x - (v.x) v|/|y|; some eigenvalue lies in
+    [theta - r, theta + r] (Weinstein), and whenever dpttrf certifies
+    theta - r < E_0 the shift rises to it.  Once r <= tol =
+    8 eps max(|diag|, 2|off|), theta and r are read again from T v, free of
+    the solve's rounding; if still r <= tol, theta is returned once
+    theta - r - tol is certified: then E_0 <= theta < E_0 + r + tol, tol
+    covering the factorization's rounding.  One more solve with the held
+    factors gives v0, as the stopping iterate errs by up to r / gap
+    (vector=False skips it, returning the same E_0 and v0 None).  If the
+    certificate fails, or _INVERSE_ITERATIONS passes without it, the pair
+    is bisection's.  About 11 LAPACK calls at 2^15 and 2^16 rows.
     """
 
     def bisection() -> tuple[float, np.ndarray]:
@@ -198,11 +204,12 @@ def _ground_pair(diag: np.ndarray, off: np.ndarray,
         return bisection()
 
     def certified_below(sigma: float) -> tuple | None:
-        d, e, info = dpttrf(diag - sigma, off)
+        d, e, info = dpttrf(diag - sigma, off, overwrite_d=1)
         return (d, e) if info == 0 else None
 
-    top = float(eigh_tridiagonal(diag[:_BISECTION_ROWS], off[:_BISECTION_ROWS - 1],
-                                 eigvals_only=True, select="i", select_range=(0, 0))[0])
+    w, head = eigh_tridiagonal(diag[:_BISECTION_ROWS], off[:_BISECTION_ROWS - 1],
+                               select="i", select_range=(0, 0))
+    top = float(w[0])
     delta = 1e-3 * max(1.0, abs(top))
     for _ in range(_INVERSE_ITERATIONS):
         sigma = top - delta
@@ -211,23 +218,30 @@ def _ground_pair(diag: np.ndarray, off: np.ndarray,
         delta *= 4.0
     else:
         return bisection()
-    scale = max(float(np.abs(diag).max()), 2.0 * float(np.abs(off).max()))
-    tol = 8.0 * np.finfo(float).eps * scale
-    x = np.ones((len(diag), 1))
+    eps = np.finfo(float).eps
+    tol = 8.0 * eps * max(float(np.abs(diag).max()), 2.0 * float(np.abs(off).max()))
+    x = np.full(len(diag), max(abs(float(head[-1, 0])), eps))
+    x[:_BISECTION_ROWS] = np.maximum(np.abs(head[:, 0]), eps)
+    x[1::2] *= -1.0  # the ground state's signs when off >= 0
+    x /= np.linalg.norm(x)
     for _ in range(_INVERSE_ITERATIONS):
-        x, _ = dpttrs(*factors, x)
-        x /= np.linalg.norm(x)
-        v = x[:, 0]
-        tv = tridiag_apply(diag, off, v)
-        theta = float(v @ tv)
-        r = float(np.linalg.norm(tv - theta * v))
-        if r <= tol:
-            if certified_below(theta - r - tol) is None:
-                return bisection()
-            if not vector:
-                return theta, None
-            x, _ = dpttrs(*factors, x)
-            return theta, x[:, 0] / np.linalg.norm(x)
+        y = dpttrs(*factors, x[:, None])[0][:, 0]
+        y /= (norm := float(np.linalg.norm(y)))
+        c = float(y @ x)
+        x -= c * y
+        theta, r = sigma + c / norm, float(np.linalg.norm(x)) / norm  # T y = sigma y + x
+        x = y
+        if r <= tol:  # the solve's residual; the certificate reads T's
+            tx = tridiag_apply(diag, off, x)
+            theta = float(x @ tx)
+            r = float(np.linalg.norm(tx - theta * x))
+            if r <= tol:
+                if certified_below(theta - r - tol) is None:
+                    return bisection()
+                if not vector:
+                    return theta, None
+                x = dpttrs(*factors, x[:, None])[0][:, 0]
+                return theta, x / np.linalg.norm(x)
         if theta - r > sigma and (lifted := certified_below(theta - r)) is not None:
             sigma, factors = theta - r, lifted
     return bisection()
@@ -428,8 +442,9 @@ def squeezed_frame_spectrum(
     1e-9 max|M| flags every level unconverged instead of raising.
     Convergence estimates come from a half-size solve on the matrix's
     leading block; a level has converged when its estimate is below 1e-8.
-    Near collapse this frame reaches a given accuracy at much smaller
-    n_max than bare Fock, because the basis already absorbs the squeezing.
+    Near collapse the basis absorbs the squeezing, so this frame reaches
+    moderate accuracy (2e-2) at much smaller n_max than bare Fock, but not
+    high accuracy: at beta = 0.1 it is still 1.9e-2 off at 240 rows.
     """
     geo = geometry(params)
     if geo.at_collapse:

@@ -139,6 +139,26 @@ def test_collapse_check_continuum_at_zero_delta():
     assert report.degeneracy_gap < 1e-10
 
 
+@pytest.mark.parametrize("field", ["diag", "offdiag"])
+def test_collapse_check_catches_a_parity_block_that_differs(monkeypatch, field):
+    # the degeneracy is read off the two blocks entrywise: perturbing one
+    # entry of the parity +1 block by 1e-9 must fail the 1e-10 gate
+    assert collapse_hamiltonian_check(0.0, n_max=256).degeneracy_gap == 0.0
+    build = collapse1d.ed.build_parity_block
+
+    def perturbed(params, parity, n_max, q=0.25):
+        block = build(params, parity, n_max, q)
+        if parity == +1:
+            getattr(block, field)[n_max // 3] += 1e-9
+        return block
+
+    monkeypatch.setattr(collapse1d.ed, "build_parity_block", perturbed)
+    with pytest.raises(CollapseMappingError) as caught:
+        collapse_hamiltonian_check(0.0, n_max=256)
+    assert caught.value.report.degeneracy_gap == pytest.approx(1e-9, rel=1e-3)
+    assert not caught.value.report.consistent
+
+
 def test_collapse_check_bound_levels_match_1d_mapping():
     report = collapse_hamiltonian_check(3.0, n_max=16384)
     assert report.consistent

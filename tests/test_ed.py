@@ -117,6 +117,35 @@ def test_hellmann_feynman_block_coupling(r, delta, frac, parity):
     assert abs(central - expected) < 1e-6 * max(1.0, abs(expected))
 
 
+def _whole_array_block(params: ModelParams, parity: int, n: int, q: float):
+    """build_parity_block as whole-array expressions, the oracle of its in-place build."""
+    s = np.full(n, -float(parity))
+    s[1::2] = parity
+    f = 2 * np.arange(n) + ed._fock_offset(q)
+    diag = f - 0.5 * params.delta * s
+    root = np.sqrt((f[:-1] + 1.0) * (f[:-1] + 2.0))
+    mix = (1 + params.r) - (1 - params.r) * s[:-1]
+    return diag, params.g * root * mix / 2.0, root * mix / 2.0
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    r=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+    delta=st.floats(0.0, 3.0),
+    frac=st.just(1.0) | st.floats(0.0, 1.0),
+    parity=st.sampled_from([+1, -1]),
+    q=st.sampled_from([0.25, 0.75]),
+    n=st.sampled_from([2, 3, 2**17 - 1, 2**17]) | st.integers(2, 2**17),
+)
+def test_block_build_is_bitwise_the_whole_array_expressions(r, delta, frac, parity, q, n):
+    p = ModelParams(delta=delta, g=frac / (1.0 + r), r=r)  # frac = 1 is g = g_c exactly
+    block = ed.build_parity_block(p, parity, n, q)
+    for got, want in zip((block.diag, block.offdiag, block.coupling),
+                         _whole_array_block(p, parity, n, q)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 def test_block_first_offdiagonal():
     p = ModelParams(delta=0.3, g=0.2, r=0.6)
     t_minus = ed.build_parity_block(p, -1, 4).offdiag[0]
@@ -202,6 +231,43 @@ def _record_calls(monkeypatch, name: str, log: list, fail_after: int | None = No
         return out
 
     monkeypatch.setattr(ed, name, wrapped)
+
+
+def test_ground_pair_work_on_the_collapse_blocks(monkeypatch):
+    # criterion 06's 48 lowest_level calls; a start of ones took 328
+    # factorizations and 306 solves, the ground state's sign pattern from
+    # the leading block's vector takes 281 and 233
+    factored, solved = [], []
+    _record_calls(monkeypatch, "dpttrf", factored)
+    _record_calls(monkeypatch, "dpttrs", solved)
+    for r in (0.25, 0.6):
+        g_c, delta_c = critical_params(r)
+        for n in (32768, 65536):
+            for off in np.linspace(0.06, 0.11, 6):
+                for parity in (+1, -1):
+                    ed.lowest_level(ModelParams(delta=delta_c - off, g=g_c, r=r), parity, n)
+    assert len(factored) <= 281 and len(solved) <= 233
+
+
+@pytest.mark.parametrize("n", [1024, 2048])
+@pytest.mark.parametrize("r,g,delta,parity", [
+    (0.0, 0.5, 0.5, +1), (0.0, 0.5, 0.5, -1), (0.0, 1.0, 2.0, -1),
+    (0.0, 1.0, 2.0, +1),  # the ground state's 2 x 2 piece is the block's last
+    (0.6, 0.0, 0.5, +1), (0.6, 0.0, 0.5, -1), (1.0, 0.0, 2.0, +1),
+])
+def test_ground_pair_certifies_reducible_blocks(monkeypatch, r, g, delta, parity, n):
+    # r = 0 zeroes every second off-diagonal and g = 0 all of them, so the
+    # start must not vanish on any row that can hold the ground state
+    block = ed.build_parity_block(ModelParams(delta=delta, g=g, r=r), parity, n)
+    bisected = []
+    _record_calls(monkeypatch, "eigh_tridiagonal", bisected)
+    level, vector = ed._ground_pair(block.diag, block.offdiag)
+    assert bisected == [512]
+    assert abs(level - _bisection(block)) <= 1e-12
+    scale = max(np.abs(block.diag).max(), 2 * np.abs(block.offdiag).max())
+    assert abs(np.linalg.norm(vector) - 1.0) <= 1e-14
+    residual = ed.tridiag_apply(block.diag, block.offdiag, vector) - level * vector
+    assert np.linalg.norm(residual) <= 8 * np.finfo(float).eps * scale
 
 
 @pytest.mark.parametrize("fail_after", [None, 1, 0],
