@@ -24,15 +24,16 @@ eigenpairs come from two certified kernels: _ground_pair solves a
 ground pair with no rung below (bisection up to 512 rows; above, certified
 inverse iteration from the ground state's sign pattern, residuals read
 off each solve: lowest_level and each ground ladder's first rung), and
-above 512 rows every later rung of ed_spectrum and of the ground ladders
+above 256 rows every later rung of ed_spectrum and of the ground ladders
 starts from the rung below's eigenpairs (_warm_pairs: Rayleigh-quotient
-iteration certified by Sturm counts, bisection when a certificate
-fails).  Ground-state observables and Wigner grids are computed
-from the bare-Fock ground vector mapped back to spin (x) Fock.  The
-coupling quantum Fisher information and quench's chi_3 need no excited
-states: each is one truncation ladder of tridiagonal solves with the
-ground-state resolvent (H - E_0)^+ on the ground block.  F_Q's parity
-selection rule is one projection of dH/dg |0> onto every |n; +>.
+iteration certified by Sturm counts, level 0's residuals read off each
+solve, bisection when a certificate fails; only the ground ladders solve
+once more for vectors).  Ground-state observables and Wigner grids are
+computed from the bare-Fock ground vector mapped back to spin (x) Fock.
+The coupling quantum Fisher information and quench's chi_3 need no
+excited states: each is one truncation ladder of tridiagonal solves with
+the ground-state resolvent (H - E_0)^+ on the ground block.  F_Q's
+parity selection rule is one projection of dH/dg |0> onto every |n; +>.
 """
 
 from __future__ import annotations
@@ -46,15 +47,17 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import eig, eigh, eigh_tridiagonal  # noqa: F401
 from scipy.linalg.lapack import dgtsv, dpttrf, dpttrs, dstebz
 from scipy.special import eval_genlaguerre  # noqa: F401
+from scipy.special import gammaln, xlogy
 
 from .aa import GroundStateObservables, aa_matrix
 from .errors import ConvergenceError
-from .model import ModelParams, SectorSpec, check_count, check_positive, geometry
-from .specfun import _LOG_RESCALE, _RESCALE, squeeze_element
+from .model import ModelParams, SectorSpec, check_count, check_finite, check_positive, geometry
+from .specfun import _LOG_RESCALE, _RESCALE
 
 N_MAX_CEILING = 16384
 _RESOLVENT_RES_TOL = 1e-7  # |(H - E_0) x - rhs| / |rhs|; see _ground_resolvent
-_BISECTION_ROWS = 512  # blocks up to this size are bisected, never iterated
+_BISECTION_ROWS = 512  # _ground_pair bisects blocks up to this size, never iterates them
+_WARM_ROWS = 256  # a ladder rung above this size starts from the rung below's pairs
 _INVERSE_ITERATIONS = 40  # cap on the shift search, and on the iteration steps of each level
 _RESPONSE_REL_TOL = 1e-6  # doubling gate of _response_sum
 _RESPONSE_NAMES = {2: "F_Q", 3: "chi_3"}  # _response_sum's powers, as its errors name them
@@ -247,8 +250,8 @@ def _ground_pair(diag: np.ndarray, off: np.ndarray,
     return bisection()
 
 
-def _warm_pairs(diag: np.ndarray, off: np.ndarray, levels: np.ndarray,
-                vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+def _warm_pairs(diag: np.ndarray, off: np.ndarray, levels: np.ndarray, vectors: np.ndarray,
+                vector_solve: bool = True) -> tuple[np.ndarray, np.ndarray] | None:
     """Lowest k eigenpairs of T = (diag, off), started from those of a leading block of T.
 
     levels and vectors (as columns) are the leading block's lowest k
@@ -257,21 +260,25 @@ def _warm_pairs(diag: np.ndarray, off: np.ndarray, levels: np.ndarray,
     block's level j and then each iterate's Rayleigh quotient theta, and
     the vectors of levels 0..j-1 projected out of every y.  It stops at
     r = |T x - theta x| <= tol = 8 eps max(|diag|, 2|off|), the rule of
-    _ground_pair, and one more solve at theta gives the vector.  Some
-    eigenvalue lies in [theta - r, theta + r] (Weinstein), so a Sturm
-    count of exactly j eigenvalues below theta - r - tol certifies
-    lambda_j in [theta - r - tol, theta + r]; tol also covers the count's
-    rounding.  For j = 0 the count is dpttrf's info 0, else dstebz over
-    (below the Gershgorin bound, theta - r - tol] with abstol the
-    interval's width, so that it counts and bisects nothing.  The leading
-    block's level j bounds lambda_j from above (Cauchy interlacing), so a
-    start whose level lies below theta_j - r_j - tol is not a leading
-    block's pair and fails too.  At r = 0 the block splits into 2 x 2
-    blocks, so a padded start or a first iterate can be exact and a solve
-    at its level singular: a singular first solve keeps the start, whose
-    own r may already be <= tol, and a singular vector solve keeps the
-    certified iterate.  Returns None when any other solve fails, a
-    certificate fails, or _INVERSE_ITERATIONS passes for a level.
+    _ground_pair, which level 0 (projecting nothing) also follows in
+    reading theta and r off each solve and T only once that r is <= tol.
+    One more solve at theta gives the vector (the iterate errs by up to
+    r / gap; vector_solve=False keeps it, for a caller that only starts
+    the next rung from it).  Some eigenvalue lies in [theta - r,
+    theta + r] (Weinstein), so a Sturm count of exactly j eigenvalues
+    below theta - r - tol certifies lambda_j in [theta - r - tol,
+    theta + r]; tol also covers the count's rounding.  For j = 0 the
+    count is dpttrf's info 0, else dstebz over (below the Gershgorin
+    bound, theta - r - tol] with abstol the interval's width, so that it
+    counts and bisects nothing.  The leading block's level j bounds
+    lambda_j from above (Cauchy interlacing), so a start whose level lies
+    below theta_j - r_j - tol is not a leading block's pair and fails
+    too.  At r = 0 the block splits into 2 x 2 blocks, so a padded start
+    or a first iterate can be exact and a solve at its level singular: a
+    singular first solve keeps the start, whose own r may already be
+    <= tol, and a singular vector solve keeps the certified iterate.
+    Returns None when any other solve fails, a certificate fails, or
+    _INVERSE_ITERATIONS passes for a level.
     """
     n, k = len(diag), len(levels)
     scale = max(float(np.abs(diag).max()), 2.0 * float(np.abs(off).max()))
@@ -280,11 +287,11 @@ def _warm_pairs(diag: np.ndarray, off: np.ndarray, levels: np.ndarray,
     found = np.zeros((n, k))
     thetas = np.empty(k)
 
-    def inverse_step(sigma: float, x: np.ndarray, j: int) -> np.ndarray | None:
+    def inverse_step(sigma: float, x: np.ndarray, j: int) -> tuple[np.ndarray, float] | None:
         *_, y, info = dgtsv(off, diag - sigma, off, x[:, None])
-        y = y[:, 0] - found[:, :j] @ (found[:, :j].T @ y[:, 0])
+        y = y[:, 0] - found[:, :j] @ (found[:, :j].T @ y[:, 0]) if j else y[:, 0]
         norm = float(np.linalg.norm(y))
-        return y / norm if info == 0 and 0.0 < norm < math.inf else None
+        return (y / norm, norm) if info == 0 and 0.0 < norm < math.inf else None
 
     def count_below(top: float) -> int:
         if top <= floor:
@@ -296,9 +303,16 @@ def _warm_pairs(diag: np.ndarray, off: np.ndarray, levels: np.ndarray,
         x[:len(vectors)] = vectors[:, j]
         theta = float(levels[j])  # each step's shift is the Rayleigh quotient before it
         for step in range(_INVERSE_ITERATIONS):
-            if (y := inverse_step(theta, x, j)) is None and step > 0:
+            if (solved := inverse_step(theta, x, j)) is None and step > 0:
                 return None
-            x = x if y is None else y  # a singular first solve keeps the start: it may be exact
+            if solved is not None:  # a singular first solve keeps the start: it may be exact
+                y, norm = solved
+                if j == 0:  # the solve's residual: T y = theta y + x / norm, x unit
+                    c = float(y @ x)
+                    theta, r = theta + c / norm, float(np.linalg.norm(x - c * y)) / norm
+                x = y
+                if j == 0 and r > tol:
+                    continue  # T is read once the solve's r passes
             tx = tridiag_apply(diag, off, x)
             theta = float(x @ tx)
             r = float(np.linalg.norm(tx - theta * x))
@@ -310,23 +324,24 @@ def _warm_pairs(diag: np.ndarray, off: np.ndarray, levels: np.ndarray,
         certified = (dpttrf(diag - top, off)[2] == 0 if j == 0 else count_below(top) == j)
         if not (certified and top <= levels[j]):
             return None
-        if (y := inverse_step(theta, x, j)) is not None:  # singular at an exact theta: keep x
-            x = y
+        if vector_solve and (solved := inverse_step(theta, x, j)) is not None:
+            x = solved[0]  # singular at an exact theta: keep x
         thetas[j], found[:, j] = theta, x
     return thetas, found
 
 
 def _lowest_pairs(diag: np.ndarray, off: np.ndarray, k: int,
-                  previous: tuple[np.ndarray, np.ndarray] | None) -> tuple[np.ndarray, np.ndarray]:
+                  previous: tuple[np.ndarray, np.ndarray] | None,
+                  vector_solve: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """Lowest k eigenpairs (levels, vectors as columns) of T = (diag, off) on one ladder rung.
 
     previous is the rung below's pairs, or None on a first rung.  Above
-    _BISECTION_ROWS a rung with a previous one runs _warm_pairs; any
-    other rung, and a warm one whose certificate fails, is LAPACK
-    bisection and inverse iteration (stebz then stein).
+    _WARM_ROWS a rung with a previous one runs _warm_pairs (vector_solve
+    passed on); any other rung, and a warm one whose certificate fails,
+    is LAPACK bisection and inverse iteration (stebz then stein).
     """
-    if previous is not None and len(diag) > _BISECTION_ROWS:
-        if (warm := _warm_pairs(diag, off, *previous)) is not None:
+    if previous is not None and len(diag) > _WARM_ROWS:
+        if (warm := _warm_pairs(diag, off, *previous, vector_solve)) is not None:
             return warm
     return eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1))
 
@@ -382,16 +397,17 @@ def ed_spectrum(
     n_max doubles until every level moves by less than tol, or the
     ceiling is reached; unconverged levels are flagged, never raised.
     Each rung solves its lowest k eigenpairs with _lowest_pairs, so a
-    rung above _BISECTION_ROWS starts from the rung below's pairs.  At
-    g = g_c only levels below the continuum threshold -1/2 are
-    physically meaningful.
+    rung above _WARM_ROWS starts from the rung below's pairs.  Its
+    vectors only start the next rung, so a warm rung skips the final
+    vector solve and keeps its certified iterates.  At g = g_c only
+    levels below the continuum threshold -1/2 are physically meaningful.
     """
     check_count("k", k)
     check_positive(tol=tol)
 
     def solve(n: int, previous: tuple | None) -> tuple[np.ndarray, np.ndarray]:
         block = build_parity_block(params, sector.parity, n, sector.q)
-        return _lowest_pairs(block.diag, block.offdiag, k, previous)
+        return _lowest_pairs(block.diag, block.offdiag, k, previous, False)
 
     (w, _), old, n_used = converge(
         solve, max(n_max, 2 * k, 4), n_max_ceiling,
@@ -700,8 +716,15 @@ def qfi_fidelity_oracle(params: ModelParams, n_max: int = 256, eps: float = 1e-5
 
 
 def squeezed_vacuum_coeffs(theta: float, n_states: int) -> np.ndarray:
-    """Even-sector coefficients of S(theta)|0>, S(s) = exp[(s/2)(a'^2 - a^2)]."""
-    return np.array([squeeze_element(m, 0, theta / 2.0, +1) for m in range(n_states)])
+    """Even-sector coefficients of S(theta)|0>, S(s) = exp[(s/2)(a'^2 - a^2)].
+
+    c_m = tanh(theta)^m sqrt((2m)!) / (2^m m! sqrt(cosh theta)), in log space.
+    """
+    check_finite(theta=theta)
+    m, t = np.arange(n_states, dtype=float), math.tanh(theta)
+    log_cosh = float(np.logaddexp(theta, -theta)) - math.log(2.0)
+    logs = xlogy(m, abs(t)) + 0.5 * gammaln(2.0 * m + 1.0) - gammaln(m + 1.0) - m * math.log(2.0)
+    return np.sign(t) ** m * np.exp(logs - 0.5 * log_cosh)
 
 
 def conditional_photon_state(
@@ -719,25 +742,26 @@ def conditional_photon_state(
 
 
 def _hermite_sum(coeffs: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """sum_n coeffs[n] psi_n(q), streaming the normalized Hermite functions psi_n.
+    """sum_n coeffs[i, n] psi_n(q) for each row i, streaming the normalized Hermite functions psi_n.
 
     exp(-q^2/2) underflows at |q| ~ 38, where psi_n of high n does not, so
     the recurrence carries the Gaussian as a per-point log scale and
-    renormalizes wherever it passes _RESCALE.
+    renormalizes wherever it passes _RESCALE, every row's sum with it: one
+    recurrence, and each row bitwise what a recurrence of its own gives.
     """
     log_scale = -0.5 * q * q - 0.25 * math.log(math.pi)
     prev, cur = np.zeros_like(q), np.ones_like(q)
-    total = coeffs[0] * cur
-    for n in range(1, len(coeffs)):
+    totals = coeffs[:, :1] * cur
+    for n in range(1, coeffs.shape[1]):
         prev, cur = cur, math.sqrt(2.0 / n) * q * cur - math.sqrt((n - 1) / n) * prev
-        if coeffs[n] != 0.0:
-            total += coeffs[n] * cur
+        for i in np.flatnonzero(coeffs[:, n]):
+            totals[i] += coeffs[i, n] * cur
         big = np.nonzero(np.abs(cur) > _RESCALE)[0]
         if big.size:
-            for arr in (prev, cur, total):
+            for arr in (prev, cur, totals.T):  # totals.T[big]: every row at those points
                 arr[big] /= _RESCALE
             log_scale[big] += _LOG_RESCALE
-    return total * np.exp(log_scale)
+    return totals * np.exp(log_scale)
 
 
 def check_wigner_lattice(
@@ -775,8 +799,8 @@ def _wigner_from_components(
     h = dx / (math.sqrt(2.0) * spacing)
     lattice = (x_axis[0] + np.arange(-span, 2 * span + 1) * (dx / spacing)) / math.sqrt(2.0)
     products = np.zeros((len(x_axis), span + 1))
-    for comp in components:
-        windows = sliding_window_view(_hermite_sum(comp, lattice), span + 1)
+    for psi in _hermite_sum(np.array(components), lattice):
+        windows = sliding_window_view(psi, span + 1)
         # q_j sits at lattice index span + spacing j: psi(q_j + y_k) is entry k of the
         # window that starts there, psi(q_j - y_k) entry span - k of the one that ends there
         products += windows[span::spacing] * windows[: span + 1 : spacing, ::-1]

@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
+from scipy.special import roots_hermite
 
 from tpqrm import collapse1d
 from tpqrm.collapse1d import (
@@ -14,6 +16,7 @@ from tpqrm.collapse1d import (
     geometric_ratio_theory,
 )
 from tpqrm.errors import CollapseMappingError
+from tpqrm.model import ModelParams
 
 
 def test_effective_potential_values():
@@ -137,6 +140,22 @@ def test_collapse_check_continuum_at_zero_delta():
     assert report.consistent
     assert report.spacings_by_n_max == sorted(report.spacings_by_n_max, reverse=True)
     assert report.degeneracy_gap < 1e-10
+
+
+@pytest.mark.parametrize("parity", [+1, -1])
+@pytest.mark.parametrize("n", [8, 64, 512])
+@pytest.mark.parametrize("q", [0.25, 0.75])
+def test_zero_delta_collapse_block_is_x_squared_on_hermite_zeros(q, n, parity):
+    # r = 1, g = g_c = 1/2, Delta = 0: H_c = x^2 - 1/2 with p free.  On the even
+    # (odd) Fock states below 2n (2n + 1) it is the square of x truncated to
+    # 2n (2n + 1) states, whose eigenvalues are the zeros xi of H_2n (H_2n+1):
+    # the block's levels are xi^2 - 1/2 over the n positive zeros
+    block = collapse1d.ed.build_parity_block(ModelParams(delta=0.0, g=0.5, r=1.0), parity, n, q)
+    levels = eigh_tridiagonal(block.diag, block.offdiag, eigvals_only=True)
+    zeros = roots_hermite(2 * n if q == 0.25 else 2 * n + 1)[0]
+    exact = np.sort(zeros[zeros > 0.0] ** 2) - 0.5
+    assert len(exact) == n
+    assert np.abs(levels - exact).max() <= 1e-13 * np.abs(levels).max()
 
 
 @pytest.mark.parametrize("field", ["diag", "offdiag"])

@@ -16,6 +16,7 @@ from tpqrm.analysis import make_grid
 from tpqrm.errors import ConvergenceError
 from tpqrm.model import ModelParams, SectorSpec, critical_params, geometry
 from tpqrm.quench import adiabatic_reference
+from tpqrm.specfun import squeeze_element
 
 
 def at_beta(r: float, beta: float, delta: float | None = None) -> ModelParams:
@@ -565,6 +566,96 @@ def test_warm_rungs_never_fall_back_at_criteria_01_to_04(monkeypatch):
         ed.qfi_fidelity_oracle(p)
     assert max(bisected) <= 512
     assert warm and all(pairs is not None for pairs in warm)
+
+
+@pytest.mark.parametrize("parity", [+1, -1])
+@pytest.mark.parametrize("r", [0.25, 0.6])
+def test_gap_ladder_bisects_only_its_first_rung(monkeypatch, r, parity):
+    # criterion 01's first point: every rung above 256 rows starts from the
+    # rung below's pairs, so the 256-row first rung is the ladder's only bisection
+    params = ModelParams(delta=critical_params(r)[1], g=make_grid(1.5, 3.0, 9, r).g_values[0], r=r)
+    bisected = []
+    _record_calls(monkeypatch, "eigh_tridiagonal", bisected)
+    spectrum = ed.ed_spectrum(params, SectorSpec(0.25, parity), n_max=256, tol=1e-10, k=2)
+    monkeypatch.undo()
+    assert bisected == [256] and spectrum.n_max_used > 256 and spectrum.converged.all()
+    block = ed.build_parity_block(params, parity, spectrum.n_max_used)
+    assert np.abs(spectrum.energies - ed._lowest_block_eigenvalues(block, 2)).max() <= 1e-12
+
+
+def test_warm_certificate_failures_fall_back_to_bisection(monkeypatch):
+    # 1 - g/g_c = 1e-4, six levels: the warm rungs at 512 and 1,024 rows fail,
+    # started from levels still far from theirs, so those rungs bisect
+    g_c, delta_c = critical_params(0.6)
+    params = ModelParams(delta=delta_c, g=g_c * (1 - 1e-4), r=0.6)
+    bisected, warm = [], []
+    _record_calls(monkeypatch, "eigh_tridiagonal", bisected)
+    kernel = ed._warm_pairs
+    monkeypatch.setattr(ed, "_warm_pairs",
+                        lambda *args: warm.append((len(args[0]), kernel(*args))) or warm[-1][1])
+    spectrum = ed.ed_spectrum(params, SectorSpec(0.25, -1), n_max=256, k=6)
+    monkeypatch.undo()
+    assert [n for n, pairs in warm if pairs is None] == [512, 1024]
+    assert bisected == [256, 512, 1024] and spectrum.converged.all()
+    block = ed.build_parity_block(params, -1, spectrum.n_max_used)
+    assert np.abs(spectrum.energies - ed._lowest_block_eigenvalues(block, 6)).max() <= 1e-11
+
+
+def test_level_zero_reads_t_once_a_warm_rung(monkeypatch):
+    # level 0's residual comes from each solve; T is applied only at the stop,
+    # once a rung on criteria 01-02's gap ladders (the rule that read T at every
+    # step applied it 36 times on its 30 warm rungs, all above 512 rows)
+    applied, warm = [], []
+    apply = ed.tridiag_apply
+    monkeypatch.setattr(ed, "tridiag_apply", lambda *args: applied.append(1) or apply(*args))
+    kernel = ed._warm_pairs
+    monkeypatch.setattr(ed, "_warm_pairs", lambda *args: warm.append(len(args[0])) or kernel(*args))
+    for r in (0.25, 0.6):
+        g_c, delta_c = critical_params(r)
+        for window in ((1.5, 3.0, 9), (2.5, 4.5, 7)):
+            for g in make_grid(*window, r).g_values:
+                for parity in (+1, -1):
+                    ed.ed_spectrum(ModelParams(delta=delta_c, g=g, r=r), SectorSpec(0.25, parity),
+                                   n_max=256, tol=1e-10, k=1)
+    assert min(warm) == 512 and len(applied) == len(warm) == 94
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    r=st.floats(0.01, 1.0),
+    delta=st.floats(0.0, 2.0),
+    frac=st.floats(0.01, 0.99),
+    parity=st.sampled_from([+1, -1]),
+    n2=st.sampled_from([512, 1024, 4096]),
+    k=st.sampled_from([1, 2, 6]),
+)
+def test_warm_iterates_are_read_from_t_at_the_stop(r, delta, frac, parity, n2, k):
+    # without the vector solve a warm rung returns its stopping iterates; each
+    # level is the Rayleigh quotient T gives that iterate, within tol of an eigenpair
+    block, previous = _rung_pair(r, delta, frac, parity, n2, k)
+    levels, vectors = ed._warm_pairs(block.diag, block.offdiag, *previous, False)
+    tol = _stopping_tol(block)
+    for j in range(k):
+        x = vectors[:, j].copy()  # contiguous, as the kernel's iterate: the same dot product
+        tx = ed.tridiag_apply(block.diag, block.offdiag, x)
+        assert levels[j] == float(x @ tx)
+        assert np.linalg.norm(tx - levels[j] * x) <= tol
+
+
+@pytest.mark.parametrize("r", [0.25, 0.6])
+def test_ground_ladder_vector_keeps_its_final_solve(r):
+    # the ground ladders' warm rungs still solve once more for the vector, which
+    # observables and F_Q read: criterion 03's points from 2048 rows
+    g_c, delta_c = critical_params(r)
+    for g in make_grid(3.5, 5.5, 7, r).g_values[::3]:
+        params = ModelParams(delta=delta_c, g=g, r=r)
+        energy, coeffs, _, n_used = ed.ground_state_block(params, 2048)
+        block = ed.build_parity_block(params, -1, n_used)
+        scale = max(np.abs(block.diag).max(), 2 * np.abs(block.offdiag).max())
+        residual = ed.tridiag_apply(block.diag, block.offdiag, coeffs) - energy * coeffs
+        assert n_used > 2048 and np.linalg.norm(residual) <= 8 * np.finfo(float).eps * scale
+        _, v = eigh_tridiagonal(block.diag, block.offdiag, select="i", select_range=(0, 0))
+        assert np.abs(coeffs - v[:, 0] * np.sign(v[:, 0] @ coeffs)).max() <= 1e-11
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, 0.0])
@@ -1130,6 +1221,23 @@ def test_wigner_squeezed_vacuum_closed_form_far_out():
     assert np.abs(values - exact / (2 * math.pi)).max() <= 1e-13
 
 
+def test_joint_hermite_sum_is_bitwise_the_per_component_sums():
+    # one recurrence for every row; the lattice reaches |q| ~ 40, where the
+    # Gaussian is carried as a log scale and the sums are renormalized together.
+    # The third row's zeros differ from the ground state's, whose odd entries vanish
+    g_c, delta_c = critical_params(0.25)
+    up, dn = ed.block_to_spinfock(
+        ed.ground_state_block(ModelParams(delta=delta_c, g=0.95 * g_c, r=0.25), 256)[1], -1)
+    other = np.random.default_rng(7).normal(size=len(up))
+    other[::3] = 0.0
+    rows = np.array([up, dn, other])
+    q = np.linspace(-40.0, 40.0, 2001)
+    joint = ed._hermite_sum(rows, q)
+    for row, total in zip(rows, joint):
+        assert np.array_equal(total, ed._hermite_sum(row[None, :], q)[0])
+    assert np.abs(joint[2]).max() > 0.0 and np.isfinite(joint).all()
+
+
 def test_wigner_narrow_grid_rejected():
     p = ModelParams(delta=0.6, g=0.95 * 0.8, r=0.25)
     with pytest.raises(ValueError, match="boundary"):
@@ -1142,6 +1250,23 @@ def test_conditional_projection_norms():
     up, dn = ed.block_to_spinfock(coeffs, -1)
     assert float(up @ up) == pytest.approx(0.5, abs=1e-12)
     assert float(dn @ dn) == pytest.approx(0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("n_states", [64, 512])
+@pytest.mark.parametrize("theta", [0.05, 0.3, 0.73, 1.5, 3.0, -0.4])
+def test_squeezed_vacuum_closed_form_matches_the_squeeze_elements(theta, n_states):
+    # the per-element Legendre route <2m|S(theta)|0>; both underflow at the same m
+    coeffs = ed.squeezed_vacuum_coeffs(theta, n_states)
+    elements = np.array([squeeze_element(m, 0, theta / 2.0, +1) for m in range(n_states)])
+    assert np.array_equal(coeffs == 0.0, elements == 0.0)
+    nonzero = elements != 0.0
+    assert np.abs(coeffs[nonzero] / elements[nonzero] - 1.0).max() <= 1e-11
+
+
+def test_squeezed_vacuum_at_zero_squeezing_is_the_vacuum():
+    assert np.array_equal(ed.squeezed_vacuum_coeffs(0.0, 5), [1.0, 0.0, 0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="^theta=nan must be finite$"):
+        ed.squeezed_vacuum_coeffs(math.nan, 5)
 
 
 def test_conditional_state_approaches_squeezed_vacuum():
