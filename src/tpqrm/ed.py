@@ -46,8 +46,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 # eig, eval_genlaguerre: bound only as perfbench tracer leaves (ROADMAP direction 4 retires them)
 from scipy.linalg import eig, eigh, eigh_tridiagonal  # noqa: F401
 from scipy.linalg.lapack import dgtsv, dpttrf, dpttrs, dstebz
-from scipy.special import eval_genlaguerre  # noqa: F401
-from scipy.special import gammaln, xlogy
+from scipy.special import eval_genlaguerre, gammaln, xlogy  # noqa: F401
 
 from .aa import GroundStateObservables, aa_matrix
 from .errors import ConvergenceError
@@ -171,6 +170,15 @@ def _lowest_block_eigenvalues(block: ParityBlock, k: int) -> np.ndarray:
     )
 
 
+def _solve_residual(v: np.ndarray, norm: float, x: np.ndarray) -> tuple[float, float]:
+    """theta - sigma and r of v = y/norm, y solving (T - sigma) y = x, x unit; overwrites x.
+
+    T v = sigma v + x/norm: theta = v.Tv = sigma + v.x/norm, r = |x - (v.x) v|/norm."""
+    c = float(v @ x)
+    x -= c * v
+    return c / norm, float(np.linalg.norm(x)) / norm
+
+
 def _ground_pair(diag: np.ndarray, off: np.ndarray,
                  vector: bool = True) -> tuple[float, np.ndarray | None]:
     """Lowest eigenpair (E_0, unit v0) of the symmetric tridiagonal matrix T = (diag, off).
@@ -184,9 +192,8 @@ def _ground_pair(diag: np.ndarray, off: np.ndarray,
     E_top - delta, delta = 1e-3 max(1, |E_top|) growing 4x until
     certified.  With off >= 0 the ground state alternates in sign, so the
     start is (-1)^n |head_n| continued by (-1)^n |head_last|, no entry
-    below eps (off may vanish: r = 0, g = 0).  Each solve (T - sigma) y = x,
-    x unit, gives v = y/|y| with theta = v.Tv = sigma + v.x/|y| and
-    r = |T v - theta v| = |x - (v.x) v|/|y|; some eigenvalue lies in
+    below eps (off may vanish: r = 0, g = 0).  Each solve gives an iterate
+    v with theta and r (_solve_residual); some eigenvalue lies in
     [theta - r, theta + r] (Weinstein), and whenever dpttrf certifies
     theta - r < E_0 the shift rises to it.  Once r <= tol =
     8 eps max(|diag|, 2|off|), theta and r are read again from T v, free of
@@ -230,10 +237,8 @@ def _ground_pair(diag: np.ndarray, off: np.ndarray,
     for _ in range(_INVERSE_ITERATIONS):
         y = dpttrs(*factors, x[:, None])[0][:, 0]
         y /= (norm := float(np.linalg.norm(y)))
-        c = float(y @ x)
-        x -= c * y
-        theta, r = sigma + c / norm, float(np.linalg.norm(x)) / norm  # T y = sigma y + x
-        x = y
+        shift, r = _solve_residual(y, norm, x)
+        theta, x = sigma + shift, y
         if r <= tol:  # the solve's residual; the certificate reads T's
             tx = tridiag_apply(diag, off, x)
             theta = float(x @ tx)
@@ -260,25 +265,24 @@ def _warm_pairs(diag: np.ndarray, off: np.ndarray, levels: np.ndarray, vectors: 
     block's level j and then each iterate's Rayleigh quotient theta, and
     the vectors of levels 0..j-1 projected out of every y.  It stops at
     r = |T x - theta x| <= tol = 8 eps max(|diag|, 2|off|), the rule of
-    _ground_pair, which level 0 (projecting nothing) also follows in
-    reading theta and r off each solve and T only once that r is <= tol.
-    One more solve at theta gives the vector (the iterate errs by up to
-    r / gap; vector_solve=False keeps it, for a caller that only starts
-    the next rung from it).  Some eigenvalue lies in [theta - r,
-    theta + r] (Weinstein), so a Sturm count of exactly j eigenvalues
-    below theta - r - tol certifies lambda_j in [theta - r - tol,
-    theta + r]; tol also covers the count's rounding.  For j = 0 the
-    count is dpttrf's info 0, else dstebz over (below the Gershgorin
-    bound, theta - r - tol] with abstol the interval's width, so that it
-    counts and bisects nothing.  The leading block's level j bounds
-    lambda_j from above (Cauchy interlacing), so a start whose level lies
-    below theta_j - r_j - tol is not a leading block's pair and fails
-    too.  At r = 0 the block splits into 2 x 2 blocks, so a padded start
-    or a first iterate can be exact and a solve at its level singular: a
-    singular first solve keeps the start, whose own r may already be
-    <= tol, and a singular vector solve keeps the certified iterate.
-    Returns None when any other solve fails, a certificate fails, or
-    _INVERSE_ITERATIONS passes for a level.
+    _ground_pair; level 0, projecting nothing, reads theta and r off each
+    solve as _ground_pair does, and T once that r passes.  One more solve
+    at theta gives the vector, as the iterate errs by up to r / gap
+    (vector_solve=False keeps the iterate, to start a next rung from).
+    Some eigenvalue lies in [theta - r, theta + r] (Weinstein), so a
+    Sturm count of exactly j eigenvalues below theta - r - tol certifies
+    lambda_j in [theta - r - tol, theta + r]; tol also covers the count's
+    rounding.  For j = 0 the count is dpttrf's info 0, else dstebz over
+    (below the Gershgorin bound, theta - r - tol] with abstol the
+    interval's width, so that it counts and bisects nothing.  The leading
+    block's level j bounds lambda_j from above (Cauchy interlacing), so a
+    start whose level lies below theta_j - r_j - tol is not a leading
+    block's pair and fails too.  At r = 0 the block splits into 2 x 2
+    blocks, so a padded start or a first iterate can be exact and a solve
+    at its level singular: a singular first solve keeps the start, whose
+    own r may already be <= tol, and a singular vector solve keeps the
+    certified iterate.  Returns None when any other solve fails, a
+    certificate fails, or _INVERSE_ITERATIONS passes for a level.
     """
     n, k = len(diag), len(levels)
     scale = max(float(np.abs(diag).max()), 2.0 * float(np.abs(off).max()))
@@ -306,13 +310,10 @@ def _warm_pairs(diag: np.ndarray, off: np.ndarray, levels: np.ndarray, vectors: 
             if (solved := inverse_step(theta, x, j)) is None and step > 0:
                 return None
             if solved is not None:  # a singular first solve keeps the start: it may be exact
-                y, norm = solved
-                if j == 0:  # the solve's residual: T y = theta y + x / norm, x unit
-                    c = float(y @ x)
-                    theta, r = theta + c / norm, float(np.linalg.norm(x - c * y)) / norm
-                x = y
-                if j == 0 and r > tol:
-                    continue  # T is read once the solve's r passes
+                shift, r = _solve_residual(*solved, x) if j == 0 else (0.0, 0.0)
+                theta, x = theta + shift, solved[0]
+                if r > tol:
+                    continue  # level 0 reads T once the solve's r passes
             tx = tridiag_apply(diag, off, x)
             theta = float(x @ tx)
             r = float(np.linalg.norm(tx - theta * x))
@@ -701,9 +702,9 @@ def _assert_cross_parity_selection_rule(params: ModelParams, ground: np.ndarray)
 def qfi_fidelity_oracle(params: ModelParams, n_max: int = 256, eps: float = 1e-5) -> float:
     """QFI from the fidelity drop between ground states at g and g + eps.
 
-    Independent of the spectral sum: F_Q ~ 8 (1 - |<psi(g)|psi(g+eps)>|) / eps^2.
-    Both ground states pass the gate of the other ground-state consumers,
-    else ConvergenceError.
+    F_Q ~ 8 (1 - |<psi(g)|psi(g+eps)>|) / eps^2, apart from the spectral sum's
+    resolvent but on the same ground ladders (_ground_rung).  Both ground states
+    pass the gate of the other ground-state consumers, else ConvergenceError.
     """
     if params.g + eps >= params.g_c:
         raise ValueError("g + eps crosses the collapse point")

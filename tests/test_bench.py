@@ -1,6 +1,4 @@
 import importlib.util
-import json
-import sys
 from pathlib import Path
 
 import pytest
@@ -52,54 +50,3 @@ def test_the_bound_is_relative_and_faces_the_worse_direction():
     edge = _side([x * 1.2 for x in PARENT["end_to_end"]["pass_s"]["runs"]], [0.995] * 10)
     got = bench.compare(PARENT, edge, METRICS)
     assert got["pass_s"]["within_bound"] and got["ok_frac"]["within_bound"]
-
-
-def _fake_run(log: list):
-    def run(checkout, workload, seed, seconds, trace):
-        log.append((checkout.name, workload, seed, trace))
-        metrics = {"pass_s": {"value": 0.1, "unit": "s"}, "ok_frac": {"value": 1.0, "unit": "frac"}}
-        return {"correct": True, "metrics": metrics, "machine": {"seed": seed}}
-    return run
-
-
-def _bench_tree(tmp_path, monkeypatch) -> list[str]:
-    """BENCHMARK.json with three workloads and two checkouts, under tmp_path; returns argv."""
-    benchmark = {"run_seconds": 1, "end_to_end": METRICS,
-                 "workloads": [{"name": name} for name in ("w-a", "w-b", "w-c")]}
-    (tmp_path / "BENCHMARK.json").write_text(json.dumps(benchmark))
-    for label in ("parent", "change"):
-        (tmp_path / label / "perfbench").mkdir(parents=True)
-        (tmp_path / label / "perfbench" / "run.py").write_text("")
-    monkeypatch.setattr(bench, "ROOT", tmp_path)
-    return ["bench.py", "--pr", "t", "--checkout", f"parent={tmp_path / 'parent'}",
-            "--checkout", f"change={tmp_path / 'change'}"]
-
-
-@pytest.mark.parametrize("chosen,expected", [
-    ([], ["w-a", "w-b", "w-c"]),
-    (["w-c"], ["w-c"]),
-    (["w-c", "w-a", "w-c"], ["w-c", "w-a"]),
-], ids=["default_every_workload", "one", "repeated"])
-def test_workload_option_runs_and_compares_only_the_named(tmp_path, monkeypatch, chosen, expected):
-    argv = _bench_tree(tmp_path, monkeypatch)
-    log = []
-    monkeypatch.setattr(bench, "run_perfbench", _fake_run(log))
-    monkeypatch.setattr(sys, "argv", argv + [arg for name in chosen for arg in ("--workload", name)])
-    assert bench.main() == 0
-    assert list(dict.fromkeys(workload for _, workload, _, _ in log)) == expected
-    assert len(log) == len(expected) * (2 * len(bench.SEEDS) + 2)  # ten pairs and one traced run each
-    report = json.loads((tmp_path / "BENCH_t.json").read_text())
-    assert list(report["compare"]) == expected
-    for side in report["checkouts"].values():
-        assert list(side["workloads"]) == expected
-
-
-def test_an_unknown_workload_is_rejected_before_any_run(tmp_path, monkeypatch, capsys):
-    argv = _bench_tree(tmp_path, monkeypatch)
-    log = []
-    monkeypatch.setattr(bench, "run_perfbench", _fake_run(log))
-    monkeypatch.setattr(sys, "argv", argv + ["--workload", "w-a", "--workload", "w-x"])
-    with pytest.raises(SystemExit):
-        bench.main()
-    assert "--workload w-x: not in BENCHMARK.json" in capsys.readouterr().err
-    assert log == [] and not (tmp_path / "BENCH_t.json").exists()

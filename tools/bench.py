@@ -1,11 +1,9 @@
 """Run perfbench on one or more checkouts and write BENCH_<pr>.json.
 
     python3 tools/bench.py --pr 9 --checkout parent=/path/to/parent --checkout change=.
-    python3 tools/bench.py --pr 9 --checkout ... --workload critical-sweep
 
 The workloads, the run length and the end-to-end metrics come from
-BENCHMARK.json; --workload NAME, given once per workload, runs and
-compares only those named (by default every workload).  Each checkout runs its own perfbench/run.py against its
+BENCHMARK.json.  Each checkout runs its own perfbench/run.py against its
 own src/.  For every workload and every seed 0-9, each checkout runs
 once untraced, and the checkout that goes first alternates from one
 seed to the next, so that drift in the machine's speed falls on both
@@ -98,16 +96,9 @@ def main() -> int:
     ap.add_argument("--pr", required=True, help="names the output file BENCH_<pr>.json")
     ap.add_argument("--checkout", action="append", required=True, metavar="LABEL=DIR",
                     help="a checkout to measure; give it once per checkout, in order")
-    ap.add_argument("--workload", action="append", metavar="NAME",
-                    help="a BENCHMARK.json workload to run; give it once per workload "
-                         "(default: every workload)")
     args = ap.parse_args()
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in benchmark["workloads"]]
-    if args.workload:
-        if unknown := sorted(set(args.workload) - set(workloads)):
-            ap.error(f"--workload {', '.join(unknown)}: not in BENCHMARK.json ({', '.join(workloads)})")
-        workloads = list(dict.fromkeys(args.workload))
     seconds = benchmark["run_seconds"]
     metrics = benchmark["end_to_end"]
 
