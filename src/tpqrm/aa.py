@@ -46,8 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, geometry
-from .specfun import log_double_factorial, squeeze_matrix, squeeze_term
+from .model import ModelParams, check_count, geometry
+from .specfun import _BLOCK_ENTRIES, log_double_factorial, squeeze_matrix, squeeze_term
 
 
 @dataclass(frozen=True)
@@ -141,17 +141,31 @@ def aa_matrix(params: ModelParams, n_max: int) -> np.ndarray:
     of S and column n of S A' reads column n + 1, so S is built one
     column wider.  Term for term this is aa_matrix_element's Legendre
     form: its shifted Legendre families are these column shifts of S.
+
+    M is written over S's own (n_max+1)^2 buffer in row blocks: rows
+    r0:r1 of M need only rows r0:r1 of S, and land at flat offsets
+    [r0 n_max, r1 n_max), below where row r1 of S starts (r1 (n_max+1)).
+    The result is the buffer's leading n_max^2 entries, C-contiguous.
     """
+    check_count("n_max", n_max)
     _beta_of(params)  # rejects the collapse point
-    s = squeeze_matrix(geometry(params).theta, n_max + 1).entries[:n_max]
+    s = squeeze_matrix(geometry(params).theta, n_max + 1).entries
+    flat = s.reshape(-1)
     n = np.arange(n_max)
-    m = np.zeros((n_max, n_max))  # S(A - A'), then M in place: three n_max^2 arrays at most
-    np.multiply(s[:, : n_max - 1], np.sqrt(2.0 * n[1:] * (2.0 * n[1:] - 1.0)), out=m[:, 1:])
-    m -= s[:, 1:] * np.sqrt((2.0 * n + 1.0) * (2.0 * n + 2.0))
-    m *= -0.5 * params.g * (1.0 - params.r)
-    m += 0.5 * params.delta * s[:, :n_max]
-    m *= (-1.0) ** n[:, None]
-    return m
+    lowering = np.sqrt(2.0 * n[1:] * (2.0 * n[1:] - 1.0))
+    raising = np.sqrt((2.0 * n + 1.0) * (2.0 * n + 2.0))
+    rows = max(1, _BLOCK_ENTRIES // n_max)
+    for r0 in range(0, n_max, rows):
+        r1 = min(r0 + rows, n_max)
+        s_rows = s[r0:r1]
+        m = np.zeros((r1 - r0, n_max))  # S(A - A'), then M in place
+        np.multiply(s_rows[:, : n_max - 1], lowering, out=m[:, 1:])
+        m -= s_rows[:, 1:] * raising
+        m *= -0.5 * params.g * (1.0 - params.r)
+        m += 0.5 * params.delta * s_rows[:, :n_max]
+        m *= (-1.0) ** n[r0:r1, None]
+        flat[r0 * n_max : r1 * n_max] = m.reshape(-1)
+    return flat[: n_max * n_max].reshape(n_max, n_max)
 
 
 def aa_energy(n: int, parity: int, params: ModelParams) -> AALevel:

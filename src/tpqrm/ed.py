@@ -51,7 +51,7 @@ from scipy.special import eval_genlaguerre, gammaln, xlogy  # noqa: F401
 from .aa import GroundStateObservables, aa_matrix
 from .errors import ConvergenceError
 from .model import ModelParams, SectorSpec, check_count, check_finite, check_positive, geometry
-from .specfun import _LOG_RESCALE, _RESCALE
+from .specfun import _BLOCK_ENTRIES, _LOG_RESCALE, _RESCALE
 
 N_MAX_CEILING = 16384
 _RESOLVENT_RES_TOL = 1e-7  # |(H - E_0) x - rhs| / |rhs|; see _ground_resolvent
@@ -441,11 +441,16 @@ def full_spectrum(
 
 
 def _squeezed_frame_eigs(m: np.ndarray, parity: int, beta: float, k: int) -> np.ndarray:
-    """Lowest k eigenvalues of diag[(2m+1/2) beta - 1/2] + parity M, from its lower triangle."""
-    a = parity * m
+    """Lowest k eigenvalues of diag[(2m+1/2) beta - 1/2] + parity M, from M's lower triangle.
+
+    m (C-contiguous) is scaled and shifted in place and then overwritten
+    by the solve: its transpose is F-contiguous, and its upper triangle is
+    m's lower one, so eigh reduces it without a copy.
+    """
+    m *= parity
     idx = np.arange(len(m))
-    a[idx, idx] += (2 * idx + 0.5) * beta - 0.5
-    return eigh(a, lower=True, eigvals_only=True, subset_by_index=[0, k - 1])
+    m[idx, idx] += (2 * idx + 0.5) * beta - 0.5
+    return eigh(m.T, lower=False, overwrite_a=True, eigvals_only=True, subset_by_index=[0, k - 1])
 
 
 def squeezed_frame_spectrum(
@@ -456,23 +461,38 @@ def squeezed_frame_spectrum(
     M is symmetric up to the rounding of its squeeze-matrix products
     (1e-11 to 1e-10 relative at n_max = 480), so the levels come from a
     symmetric solve of its lower triangle; an asymmetry max|M - M^T| above
-    1e-9 max|M| flags every level unconverged instead of raising.
-    Convergence estimates come from a half-size solve on the matrix's
-    leading block; a level has converged when its estimate is below 1e-8.
+    1e-9 max|M| flags every level unconverged instead of raising; both
+    maxima are taken in row blocks.  Convergence estimates come from a
+    half-size solve on a copy of the matrix's leading block, made before
+    the full solve overwrites M; a level has converged when its estimate
+    is below 1e-8.  So a call holds M (in S's buffer, see aa_matrix), that
+    copy and row-block temporaries, and keeps nothing after it returns.
     Near collapse the basis absorbs the squeezing, so this frame reaches
     moderate accuracy (2e-2) at much smaller n_max than bare Fock, but not
     high accuracy: at beta = 0.1 it is still 1.9e-2 off at 240 rows.
+    Parity, k and n_max are rejected by name before M is built.
     """
+    if parity not in (+1, -1):
+        raise ValueError("parity must be +1 or -1")
+    check_count("k", k)
+    check_count("n_max", n_max)
     geo = geometry(params)
     if geo.at_collapse:
         raise ValueError("squeezed frame undefined at g = g_c (theta diverges)")
     if n_max < max(2 * k, 4):
         raise ValueError(f"n_max={n_max} too small for k={k} levels")
     m = aa_matrix(params, n_max)
-    symmetric = np.abs(m - m.T).max() <= 1e-9 * np.abs(m).max()
-    lowest = _squeezed_frame_eigs(m, parity, geo.beta, k)
+    step = max(1, _BLOCK_ENTRIES // n_max)
+    asymmetry = largest = 0.0
+    for r0 in range(0, n_max, step):
+        rows = m[r0 : r0 + step]
+        asymmetry = max(asymmetry, np.abs(rows - m[:, r0 : r0 + step].T).max())
+        largest = max(largest, np.abs(rows).max())
+    symmetric = asymmetry <= 1e-9 * largest
     half = n_max // 2
-    estimate = np.abs(lowest - _squeezed_frame_eigs(m[:half, :half], parity, geo.beta, k))
+    estimate_levels = _squeezed_frame_eigs(m[:half, :half].copy(), parity, geo.beta, k)
+    lowest = _squeezed_frame_eigs(m, parity, geo.beta, k)
+    estimate = np.abs(lowest - estimate_levels)
     return SpectrumResult(
         energies=lowest,
         parities=np.full(k, parity, dtype=int),

@@ -182,23 +182,32 @@ def _propagate_once(
     dt = protocol.tau_q / n_steps
     rate = protocol.g_f / protocol.tau_q
     # 1 - Omega/d: the diagonal 1 + i dt (D - E_0) / d, built once; off-diagonals
-    # -lambda_mid ramp -+ skew (upper, lower), skew from the [C, D] term
-    factors = [(1.0 + 1j * dt * (diag - e0) / d, 1j * dt * coupling / d,
-                (dt**3 * rate / 12.0) * coupling * np.diff(diag) / d) for d in _PADE_ROOTS]
+    # lambda_mid ramp -+ skew (lower, upper), skew from the [C, D] term.  Rows of
+    # ramps and skews: lower and upper for the first root, then for the second
+    lhs_diags = [1.0 + 1j * dt * (diag - e0) / d for d in _PADE_ROOTS]
+    ramps, skews = [], []
+    for d in _PADE_ROOTS:
+        skew = (dt**3 * rate / 12.0) * coupling * np.diff(diag) / d
+        ramps += [1j * dt * coupling / d] * 2
+        skews += [-skew, skew]
+    ramps, skews = np.array(ramps), np.array(skews)
+    offdiags = np.empty_like(ramps)  # overwritten by each solve
 
     # n_samples evenly spaced steps, the last one at t = tau_q
     sample_at = {(k + 1) * n_steps // n_samples for k in range(n_samples)}
     samples: list[tuple[float, float, float, float]] = []
 
     for step in range(n_steps):
-        lam_mid = rate * (step + 0.5) * dt
-        for lhs_diag, ramp, skew in factors:
+        np.multiply(ramps, rate * (step + 0.5) * dt, out=offdiags)
+        offdiags += skews
+        for lhs_diag, lower, upper in zip(lhs_diags, offdiags[::2], offdiags[1::2]):
             # (1 + Omega/d)(1 - Omega/d)^-1 psi = 2 (1 - Omega/d)^-1 psi - psi
-            mid = lam_mid * ramp
-            *_, x, info = zgtsv(mid - skew, lhs_diag, mid + skew, psi)
+            *_, x, info = zgtsv(lower, lhs_diag, upper, psi, overwrite_dl=True, overwrite_du=True)
             if info != 0:
                 raise RuntimeError(f"tridiagonal solve failed (LAPACK info={info})")
-            psi = 2.0 * x - psi
+            x *= 2.0
+            x -= psi
+            psi = x
         if step + 1 in sample_at:
             t_now = (step + 1) * dt
             g_now = rate * t_now

@@ -23,9 +23,11 @@ S(s) = exp[(s/2)(a'^2 - a^2)] and beta = 1/cosh(2*theta):
 Factorial ratios and high-degree Legendre values overflow doubles well
 inside the ranges used here ((2m)! at m >= 86, (2k-1)!! at k ~ 150), so
 everything is evaluated in log space.  The upward degree recurrence
-only stores: each renormalized value and the renormalization shift of
-its order (legendre_log_table runs one order, squeeze_matrix all orders
-of a matrix in one sweep).  The logs of what it stored are then taken
+only stores: each renormalized value and how far its order has been
+renormalized (legendre_log_table runs one order and keeps the float
+shift; squeeze_matrix runs all orders of a matrix in one sweep and keeps
+an integer count of rescales, whose shift it reads from a table built by
+the same float additions).  The logs of what it stored are then taken
 in one vectorized np.log pass, the same in both routes, and magnitudes
 are only exponentiated after all log factors have been combined.
 
@@ -178,23 +180,26 @@ _BLOCK_ENTRIES = 2**14  # entries per assembly block: its temporaries stay small
 
 
 def _legendre_sweep(beta: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Renormalized P_(m+n)^(m-n)(beta) and their log shifts, on the lower triangle m >= n.
+    """Renormalized P_(m+n)^(m-n)(beta) and their rescale counts, on the lower triangle m >= n.
 
     One upward sweep over the degree l advances the recurrence of every
     order k = m - n still needed as one vector, each from its seed at
-    l = k (P_k^k = 1, P_(k-1)^k = 0) with its own shift, and stores the
-    entries with m + n = l, an anti-diagonal, as it passes.  Each order
-    sees the float operations of its own legendre_log_table, and
-    renormalizes at the same degrees.  The upper triangles stay zero.
+    l = k (P_k^k = 1, P_(k-1)^k = 0), and stores the entries with
+    m + n = l, an anti-diagonal, as it passes.  Each order sees the float
+    operations of its own legendre_log_table, and renormalizes at the same
+    degrees.  Every order's float shift starts at 0.0 and adds _LOG_RESCALE
+    once a rescale, so an entry stores only its count c of rescales: at
+    most one a degree, 2 n_max - 1 in all, in the smallest unsigned type
+    that holds that.  The upper triangles stay zero.
     """
     p_prev = np.zeros(n_max)  # P_(k-1)^k = 0 relative to the seed
     p_cur = np.ones(n_max)  # P_k^k = seed
-    shift = np.zeros(n_max)
+    count = np.zeros(n_max, dtype=np.min_scalar_type(2 * n_max - 1))
     up = np.arange(3 * n_max, dtype=float)  # (l + k - 1) is a slice of it,
     down = up[::-1]  # and (l - k) of its reverse
     p = np.zeros((n_max, n_max))
-    shifts = np.zeros((n_max, n_max))
-    p_flat, shifts_flat = p.reshape(-1), shifts.reshape(-1)
+    counts = np.zeros((n_max, n_max), dtype=count.dtype)
+    p_flat, counts_flat = p.reshape(-1), counts.reshape(-1)
     stride = max(n_max - 1, 1)  # the flat step from (m, n) to (m + 1, n - 1)
     for ell in range(2 * n_max - 1):
         top = min(ell, 2 * n_max - 2 - ell)  # orders still needed at this degree
@@ -209,27 +214,30 @@ def _legendre_sweep(beta: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
                 big = np.nonzero(np.maximum(np.abs(cur), np.abs(prev)) > _RESCALE)[0]
                 cur[big] /= _RESCALE
                 prev[big] /= _RESCALE
-                shift[big] += _LOG_RESCALE
+                count[big] += 1
         k0 = ell % 2  # m + n = ell needs k = m - n of ell's parity
         start = (ell + k0) // 2 * n_max + (ell - k0) // 2
         stop = start + (top - k0) // 2 * stride + 1
         p_flat[start:stop:stride] = p_cur[k0 : top + 1 : 2]
-        shifts_flat[start:stop:stride] = shift[k0 : top + 1 : 2]
-    return p, shifts
+        counts_flat[start:stop:stride] = count[k0 : top + 1 : 2]
+    return p, counts
 
 
 def squeeze_matrix(theta: float, n_max: int, sign: int = +1) -> SqueezeMatrix:
     """Matrix of squeeze elements in the even Fock sector.
 
     A store-only degree sweep (_legendre_sweep) leaves every renormalized
-    P_(m+n)^(m-n)(beta) and its shift on the lower triangle (m >= n).
-    Row blocks of it are then assembled in vectorized passes: log|P| +
-    shift + log seed in the np.log of legendre_log_table, then the
-    factorial ratio, exp and the sign, so the result is bitwise the
-    per-order assembly from legendre_log_table.  The upper triangle is
-    <2n|S(2t)|2m> = (-1)^(m-n) <2m|S(2t)|2n>, written by assignment so
-    that underflowed -0.0 entries keep their sign, and sign = -1 is the
-    transpose: entries(S(2t)) == entries(S(-2t)).T bit-exactly.
+    P_(m+n)^(m-n)(beta) and its rescale count c on the lower triangle
+    (m >= n).  Row blocks of it are then assembled in place, in vectorized
+    passes: log|P| + shift + log seed in the np.log of legendre_log_table,
+    with the shift read from a table t[c] summed as each order sums its
+    own, then the factorial ratio, exp and the sign, so the result is
+    bitwise the per-order assembly from legendre_log_table.  The memory
+    peak is the n_max^2 values, their counts and one block's temporaries.
+    The upper triangle is <2n|S(2t)|2m> = (-1)^(m-n) <2m|S(2t)|2n>,
+    written by assignment so that underflowed -0.0 entries keep their
+    sign, and sign = -1 is the transpose: entries(S(2t)) ==
+    entries(S(-2t)).T bit-exactly.
     theta = 0 gives the identity.
     """
     check_count("n_max", n_max)
@@ -239,7 +247,8 @@ def squeeze_matrix(theta: float, n_max: int, sign: int = +1) -> SqueezeMatrix:
     if tanh2 == 0.0:
         return SqueezeMatrix(theta=theta, n_max=n_max, sign=sign, entries=np.eye(n_max))
 
-    entries, shifts = _legendre_sweep(beta, n_max)  # entries is assembled in place
+    entries, counts = _legendre_sweep(beta, n_max)  # entries is assembled in place
+    shifts = np.cumsum(np.r_[0.0, np.full(int(counts.max()), _LOG_RESCALE)])  # t[c], 0.0 + L + L ...
     orders = np.arange(n_max)
     log_fact = gammaln(2.0 * orders + 1.0)
     log_seed = np.array([log_double_factorial(2 * k - 1) + 0.5 * k * math.log(tanh2)
@@ -254,7 +263,7 @@ def squeeze_matrix(theta: float, n_max: int, sign: int = +1) -> SqueezeMatrix:
         p = entries[r0:r1, :r1]
         with np.errstate(divide="ignore"):
             log_p = np.log(np.abs(p))
-        log_p += shifts[r0:r1, :r1]
+        log_p += shifts[counts[r0:r1, :r1]]
         log_p += log_seed[k]
         vals = np.sign(p) * np.exp(half_log_beta + 0.5 * (log_fact[:r1] - log_fact[m]) + log_p)
         mirrored = np.where(k % 2 == 1, -1.0, 1.0) * vals

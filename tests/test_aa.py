@@ -1,9 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+
+from tpqrm import aa
 
 from tpqrm.aa import (
     aa_energy,
@@ -16,7 +19,8 @@ from tpqrm.aa import (
     k_factor,
     second_order_corrections,
 )
-from tpqrm.model import ModelParams, critical_params
+from tpqrm.model import ModelParams, critical_params, geometry
+from tpqrm.specfun import squeeze_matrix
 
 
 def at_beta(r: float, beta: float, delta: float | None = None) -> ModelParams:
@@ -100,6 +104,62 @@ def test_squeeze_operator_matrix_matches_legendre_elements_at_tiny_coupling(r):
     ref = np.array([[aa_matrix_element(m, n, p).value for n in range(40)] for m in range(40)])
     assert np.abs(mat - ref).max() <= 1e-12 * np.abs(ref).max()
     assert mat[1, 0] != 0.0  # the coupling to the next manifold survives
+
+
+def _aa_matrix_whole_array(params: ModelParams, n_max: int) -> np.ndarray:
+    """Oracle: M from whole-array expressions over a separate S (three n_max^2 arrays)."""
+    s = squeeze_matrix(geometry(params).theta, n_max + 1).entries[:n_max]
+    n = np.arange(n_max)
+    m = np.zeros((n_max, n_max))
+    np.multiply(s[:, : n_max - 1], np.sqrt(2.0 * n[1:] * (2.0 * n[1:] - 1.0)), out=m[:, 1:])
+    m -= s[:, 1:] * np.sqrt((2.0 * n + 1.0) * (2.0 * n + 2.0))
+    m *= -0.5 * params.g * (1.0 - params.r)
+    m += 0.5 * params.delta * s[:, :n_max]
+    m *= (-1.0) ** n[:, None]
+    return m
+
+
+@settings(max_examples=30, deadline=None)
+@given(r=st.floats(0.0, 1.0), beta=st.floats(0.0, 1.0, exclude_min=True),
+       delta=st.floats(0.0, 3.0), n_max=st.integers(1, 600))
+@example(r=0.0, beta=1.0, delta=0.0, n_max=1)
+@example(r=1.0, beta=0.005, delta=3.0, n_max=2)
+@example(r=0.6, beta=0.3, delta=0.25, n_max=480)
+@example(r=0.25, beta=0.005, delta=0.6, n_max=3)
+@example(r=0.0, beta=0.005, delta=1.0, n_max=480)
+def test_aa_matrix_is_bitwise_the_whole_array_expression(r, beta, delta, n_max):
+    # M is written over S's buffer in row blocks; every entry sees the same operations
+    g_c, _ = critical_params(r)
+    p = ModelParams(delta=delta, g=g_c * math.sqrt(1.0 - beta * beta), r=r)
+    assume(not geometry(p).at_collapse)
+    got = aa_matrix(p, n_max)
+    want = _aa_matrix_whole_array(p, n_max)
+    assert got.shape == (n_max, n_max) and got.flags.c_contiguous
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_aa_matrix_memory_is_one_squeeze_matrix():
+    # S, its rescale counts and one assembly block (3.22e6 bytes); M reuses S's buffer
+    p = at_beta(0.6, 0.3)
+    aa_matrix(p, 16)  # lazy imports and caches stay out of the count
+    tracemalloc.start()
+    try:
+        aa_matrix(p, 480)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.4e6
+
+
+@pytest.mark.parametrize("n_max,reason", [(-1, "must be >= 1"), (0, "must be >= 1"),
+                                          (2.0, "must be an integer"), (True, "must be an integer")])
+def test_aa_matrix_rejects_a_bad_n_max_by_name(monkeypatch, n_max, reason):
+    def unreachable(theta, n):
+        raise AssertionError("squeeze_matrix reached with a bad n_max")
+
+    monkeypatch.setattr(aa, "squeeze_matrix", unreachable)
+    with pytest.raises(ValueError, match=f"^n_max={n_max} {reason}$"):
+        aa_matrix(at_beta(0.6, 0.3), n_max)
 
 
 def test_matrix_is_symmetric_numerically():

@@ -152,12 +152,14 @@ def test_criterion_05_aa_asymptotic_exactness():
     """|E_ED - E_AA| vs beta for the lowest 6 levels: required slope >= 3.5.
 
     The measured slope is 1.0: the exact spectrum near the critical line is
-    E_n = (2n + 1/2) beta (1 - Delta_c^2/2 + ...) - 1/2 +- M_nn, i.e. the
-    closed form misses an O(Delta_c^2 beta) frequency renormalization
-    sourced by the manifold-coupling tail at m ~ 1/beta^2, which the
-    small-beta expansion (valid at fixed |m - n|) cannot see.  The banded
-    second-order sum reproduces the expansion's O(beta^4) scaling; the
-    exponents of every other criterion are untouched by the prefactor.
+    E_n = (2n + 1/2) beta sqrt(1 - Delta_c^2) - 1/2 +- M_nn + O(beta^2),
+    i.e. the closed form misses a frequency renormalization sourced by the
+    manifold-coupling tail at m ~ 1/beta^2, which the small-beta expansion
+    (valid at fixed |m - n|) cannot see.  Per level, (E_AA - E_ED) /
+    ((2n + 1/2) beta) tends to 1 - sqrt(1 - Delta_c^2) (0.031754 at
+    r = 0.6), not to Delta_c^2/2 (0.03125).  The banded second-order sum
+    reproduces the expansion's O(beta^4) scaling; the exponents of every
+    other criterion are untouched by the prefactor.
     """
     r = 0.60
     g_c, delta_c = critical_params(r)
@@ -174,7 +176,7 @@ def test_criterion_05_aa_asymptotic_exactness():
     slope = float(np.polyfit(np.log(betas), np.log(devs), 1)[0])
 
     # companion facts: the banded perturbative sum does scale as beta^4,
-    # and the deviation coefficient is the Delta_c^2/2 renormalization
+    # and the deviation coefficient is the 1 - sqrt(1 - Delta_c^2) renormalization
     banded = [
         abs(aa.second_order_corrections(
             ModelParams(delta=delta_c, g=g_c * math.sqrt(1 - b**2), r=r), 0)[1])
@@ -187,8 +189,9 @@ def test_criterion_05_aa_asymptotic_exactness():
     report(
         5, ok,
         f"log-log slope of |E_ED - E_AA| over beta in [0.02, 0.2]: {slope:.3f} "
-        f"(required >= 3.5). Deviation ~ (Delta_c^2/2)(2n+1/2) beta: coefficient "
-        f"{coeff:.4f} vs Delta_c^2/2 = {delta_c**2 / 2:.4f}; banded second-order sum "
+        f"(required >= 3.5). Deviation ~ (1 - sqrt(1 - Delta_c^2))(2n+1/2) beta: coefficient "
+        f"{coeff:.4f} vs 1 - sqrt(1 - Delta_c^2) = {1 - math.sqrt(1 - delta_c**2):.4f}; "
+        f"banded second-order sum "
         f"slope {banded_slope:.2f} (the expansion's beta^4 claim, window-limited)",
     )
     assert banded_slope >= 3.5  # the truncated-coupling scaling is real

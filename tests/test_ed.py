@@ -789,8 +789,9 @@ def test_frame_equivalence(beta):
 
 @pytest.mark.parametrize("parity", [+1, -1])
 def test_squeezed_frame_memory_is_set_by_its_n_max_squared_arrays(parity):
-    # aa_matrix and the eigensolve hold three n_max^2 arrays at once (5.69e6
-    # bytes at n_max = 480); the squeeze matrix's sweep and assembly stay below
+    # one (n_max+1)^2 buffer holds S, then M, then the full solve's workspace;
+    # the peak is the squeeze matrix's sweep (values, rescale counts and one
+    # assembly block, 3.22e6 bytes at n_max = 480), not a second full matrix
     g_c, delta_c = critical_params(0.6)
     p = ModelParams(delta=delta_c, g=g_c * math.sqrt(1 - 0.3**2), r=0.6)  # beta = 0.3
     ed.squeezed_frame_spectrum(p, parity, 16, k=6)  # lazy imports and caches stay out of the count
@@ -800,7 +801,7 @@ def test_squeezed_frame_memory_is_set_by_its_n_max_squared_arrays(parity):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 5.70e6
+    assert peak <= 3.4e6
 
 
 def test_squeezed_frame_wins_at_small_beta_moderate_accuracy():
@@ -831,6 +832,44 @@ def test_squeezed_frame_builds_one_matrix(monkeypatch, parity):
     monkeypatch.setattr(ed, "aa_matrix", recording_build)
     ed.squeezed_frame_spectrum(at_beta(0.6, 0.3), parity, 64)
     assert sizes == [64]  # the n_max/2 estimate reads the leading block
+
+
+@pytest.mark.parametrize("parity", [+1, -1])
+@pytest.mark.parametrize("beta", [0.3, 0.05])
+def test_frame_estimate_is_the_half_size_solve_of_the_leading_block(beta, parity):
+    # the estimate's half-size block must be read before the full solve overwrites M
+    p = at_beta(0.6, beta)
+
+    def levels(n):
+        a = parity * ed.aa_matrix(p, 480)[:n, :n]
+        a[np.diag_indices(n)] += (2 * np.arange(n) + 0.5) * geometry(p).beta - 0.5
+        return np.linalg.eigvalsh(a, UPLO="L")[:6]
+
+    frame = ed.squeezed_frame_spectrum(p, parity, 480, k=6)
+    assert np.abs(frame.energies - levels(480)).max() <= 1e-12
+    assert np.abs(frame.convergence_estimate - np.abs(levels(480) - levels(240))).max() <= 1e-12
+
+
+@pytest.mark.parametrize("args,message", [
+    ((0, 16, 2), r"parity must be \+1 or -1"),
+    ((2, 16, 2), r"parity must be \+1 or -1"),
+    ((-1, 16, 0), "k=0 must be >= 1"),
+    ((-1, 16, -2), "k=-2 must be >= 1"),
+    ((-1, 16, True), "k=True must be an integer"),
+    ((-1, 16, 2.0), "k=2.0 must be an integer"),
+    ((+1, 16.0, 2), "n_max=16.0 must be an integer"),
+    ((+1, True, 2), "n_max=True must be an integer"),
+    ((+1, 0, 2), "n_max=0 must be >= 1"),
+    ((+1, 7, 4), "n_max=7 too small for k=4 levels"),
+    ((+1, 3, 1), "n_max=3 too small for k=1 levels"),
+])
+def test_squeezed_frame_rejects_bad_inputs_by_name_before_any_work(monkeypatch, args, message):
+    def unreachable(params, n_max):
+        raise AssertionError("aa_matrix reached with a bad input")
+
+    monkeypatch.setattr(ed, "aa_matrix", unreachable)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ed.squeezed_frame_spectrum(at_beta(0.6, 0.3), *args)
 
 
 def test_squeezed_frame_imaginary_parts_negligible():

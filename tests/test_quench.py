@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import zgtsv
 
 from tpqrm.errors import ConvergenceError
 from tpqrm.model import ModelParams, critical_params
@@ -214,9 +215,9 @@ def test_default_step_is_sized_by_the_dt_gate(monkeypatch):
     calls = []
     zgtsv = quench.zgtsv
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(None)
-        return zgtsv(*args)
+        return zgtsv(*args, **kwargs)
 
     monkeypatch.setattr(quench, "zgtsv", counting)
     g_f = 0.99 * G_C
@@ -305,6 +306,39 @@ def test_magnus_step_is_fourth_order(frac):
               for dt in (0.2, 0.1, 0.05, 0.025)]
     for coarse, fine in zip(errors, errors[1:]):
         assert 14.0 < coarse / fine < 18.0
+
+
+def _per_root_magnus_run(protocol, n_max, dt, e0):
+    """Oracle: the Magnus steps with each root's off-diagonals and 2x - psi formed anew."""
+    block = ed.build_parity_block(protocol.params_final, -1, n_max)
+    diag, coupling = block.diag, block.coupling
+    psi = np.zeros(n_max, dtype=complex)
+    psi[0] = 1.0
+    n_steps = quench._n_steps(protocol.tau_q, dt)
+    dt = protocol.tau_q / n_steps
+    rate = protocol.g_f / protocol.tau_q
+    factors = [(1.0 + 1j * dt * (diag - e0) / d, 1j * dt * coupling / d,
+                (dt**3 * rate / 12.0) * coupling * np.diff(diag) / d) for d in quench._PADE_ROOTS]
+    for step in range(n_steps):
+        lam_mid = rate * (step + 0.5) * dt
+        for lhs_diag, ramp, skew in factors:
+            mid = lam_mid * ramp
+            *_, x, info = zgtsv(mid - skew, lhs_diag, mid + skew, psi)
+            assert info == 0
+            psi = 2.0 * x - psi
+    norm_drift = abs(float(np.linalg.norm(psi)) - 1.0)
+    leak = float(np.sum(np.abs(psi[int(0.9 * n_max):]) ** 2))
+    h_psi = ed.tridiag_apply(diag, protocol.g_f * coupling, psi)
+    return float(np.real(np.vdot(psi, h_psi))) - e0, norm_drift, leak
+
+
+@pytest.mark.parametrize("frac,tau_q,n_max,dt", [(0.9, 50.0, 64, 0.5), (0.5, 20.0, 32, 0.2)])
+def test_magnus_steps_are_bitwise_the_per_root_solves(frac, tau_q, n_max, dt):
+    # the step's shared off-diagonal buffer, overwritten by each solve, changes no bit
+    protocol = QuenchProtocol(g_f=frac * G_C, tau_q=tau_q, r=R, n_max=n_max)
+    e0 = ground_energy_final(protocol)
+    assert quench._propagate_once(protocol, n_max, dt, 0, e0)[:3] == _per_root_magnus_run(
+        protocol, n_max, dt, e0)
 
 
 @pytest.mark.parametrize("frac,n_max", [(0.5, 32), (0.9, 64)])
