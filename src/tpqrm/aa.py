@@ -33,10 +33,11 @@ The same coupling is the qubit term seen through the squeeze operator,
 
 with S = S(2 theta) and A = a^2 on the even manifolds and
 D = diag((-1)^m).  aa_matrix builds the dense block in this
-squeeze-operator form from specfun.squeeze_matrix; aa_matrix_element
-evaluates the Legendre form one element at a time, and the tests
-cross-check the two.  The small-beta expansion serves as a further
-oracle.
+squeeze-operator form from specfun.squeeze_matrix, and it is the only
+route by which this module computes M: every level, gap and element
+below reads it from one aa_matrix build.  The Legendre form above is the
+tests' oracle (tests/oracles.py), and the small-beta expansion a further
+one.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParams, check_count, geometry
-from .specfun import _BLOCK_ENTRIES, log_double_factorial, squeeze_matrix, squeeze_term
+from .specfun import _BLOCK_ENTRIES, log_double_factorial, squeeze_matrix
 
 
 @dataclass(frozen=True)
@@ -81,25 +82,17 @@ class GroundStateObservables:
 
 
 def _beta_of(params: ModelParams) -> float:
-    # beta = 1 (g = 0) evaluates exactly through the Legendre forms;
-    # only the collapse point itself is rejected.
+    # beta = 1 (g = 0) evaluates exactly: squeeze_matrix returns the
+    # identity at theta = 0.  Only the collapse point itself is rejected.
     geo = geometry(params)
     if geo.at_collapse:
         raise ValueError("beta = 0 at g = g_c: theta diverges, point rejected here")
     return geo.beta
 
 
-def _m_element_value(m: int, n: int, params: ModelParams) -> float:
-    """Exact Legendre form of M_mn; each term assembled in log space."""
-    geo = geometry(params)
-    beta, tanh2 = geo.beta, math.tanh(2.0 * geo.theta) ** 2
-    total = 0.5 * params.delta * squeeze_term(m, n, 0, beta, tanh2)
-    if params.g != 0.0 and params.r != 1.0:
-        total -= 0.5 * params.g * (1.0 - params.r) * (
-            squeeze_term(m, n, -1, beta, tanh2)
-            - (2 * n + 1) * (2 * n + 2) * squeeze_term(m, n, +1, beta, tanh2)
-        )
-    return (-1.0) ** m * total
+def _bare_level(n, beta: float):
+    """(2n + 1/2) beta - 1/2, the squeezed-frame ladder without M; n may be an array."""
+    return (2 * n + 0.5) * beta - 0.5
 
 
 def k_factor(m: int, n: int, beta: float) -> float:
@@ -123,10 +116,10 @@ def aa_matrix_element(m: int, n: int, params: ModelParams) -> AAMatrixElement:
     rejected).  The exact value and the expansion agree to relative
     O(beta^2) as beta -> 0.
     """
-    if m < 0 or n < 0:
-        raise ValueError("manifold indices must be >= 0")
+    check_count("m", m, 0)
+    check_count("n", n, 0)
     beta = _beta_of(params)
-    value = _m_element_value(m, n, params)
+    value = float(aa_matrix(params, max(m, n) + 1)[m, n])
     kf = k_factor(m, n, beta)
     al = alpha_coefficient(m, n, params.delta, params.delta_c)
     delta_det = params.delta - params.delta_c
@@ -139,8 +132,10 @@ def aa_matrix(params: ModelParams, n_max: int) -> np.ndarray:
 
     With A[n-1, n] = sqrt(2n(2n-1)), column n of S A reads column n - 1
     of S and column n of S A' reads column n + 1, so S is built one
-    column wider.  Term for term this is aa_matrix_element's Legendre
-    form: its shifted Legendre families are these column shifts of S.
+    column wider.  Term for term this is the Legendre form of the module
+    docstring: its shifted Legendre families are these column shifts of S.
+    An entry does not depend on n_max: every operation on it, in the
+    sweep and in the assembly, is elementwise.
 
     M is written over S's own (n_max+1)^2 buffer in row blocks: rows
     r0:r1 of M need only rows r0:r1 of S, and land at flat offsets
@@ -172,14 +167,13 @@ def aa_energy(n: int, parity: int, params: ModelParams) -> AALevel:
     """Closed-form level E_(n, parity); at g = g_c every level is -1/2."""
     if parity not in (+1, -1):
         raise ValueError("parity must be +1 or -1")
-    if n < 0:
-        raise ValueError("manifold index must be >= 0")
+    check_count("n", n, 0)
     geo = geometry(params)
     if geo.at_collapse:
         return AALevel(n=n, parity=parity, energy=-0.5, split_part=0.0)
-    diag = (2 * n + 0.5) * geo.beta - 0.5
-    m_nn = _m_element_value(n, n, params)
-    return AALevel(n=n, parity=parity, energy=diag + parity * m_nn, split_part=parity * m_nn)
+    m_nn = float(aa_matrix(params, n + 1)[n, n])
+    return AALevel(n=n, parity=parity, energy=_bare_level(n, geo.beta) + parity * m_nn,
+                   split_part=parity * m_nn)
 
 
 def aa_gaps(n: int, params: ModelParams) -> tuple[float, float]:
@@ -188,10 +182,17 @@ def aa_gaps(n: int, params: ModelParams) -> tuple[float, float]:
     eps_sp is the same-parity gap |E_(n+1,-) - E_(n,-)| (the soft mode,
     ~ 2 beta near collapse); eps_dp the parity splitting
     |E_(n,+) - E_(n,-)| = 2|M_nn| (~ beta^(5/2) on the critical line).
+    Both levels come from one aa_matrix build; at g = g_c both gaps are 0.
     """
-    e_minus = aa_energy(n, -1, params).energy
-    e_up = aa_energy(n + 1, -1, params).energy
-    e_plus = aa_energy(n, +1, params).energy
+    check_count("n", n, 0)
+    geo = geometry(params)
+    if geo.at_collapse:
+        return 0.0, 0.0
+    mat = aa_matrix(params, n + 2)
+    m_nn, m_up = float(mat[n, n]), float(mat[n + 1, n + 1])
+    e_minus = _bare_level(n, geo.beta) - m_nn
+    e_up = _bare_level(n + 1, geo.beta) - m_up
+    e_plus = _bare_level(n, geo.beta) + m_nn
     return abs(e_up - e_minus), abs(e_plus - e_minus)
 
 
@@ -226,18 +227,15 @@ def second_order_corrections(params: ModelParams, n: int) -> tuple[float, float]
     the band |m - n| <= 40.  The K_mn envelope (1-beta^2)^(|m-n|/2) bounds
     the omitted band tail geometrically at fixed band; note the full
     (untruncated) sum also carries an m ~ 1/beta^2 tail contribution
-    that this window deliberately measures without.
+    that this window deliberately measures without.  M_mn and the levels
+    E_m = (2m + 1/2) beta - 1/2 - M_mm all come from one aa_matrix build.
     """
-    _beta_of(params)  # rejects the collapse point
-    e_n = aa_energy(n, -1, params).energy
-    state_sq = 0.0
-    energy = 0.0
-    for m in range(max(0, n - 40), n + 41):
-        if m == n:
-            continue
-        m_mn = _m_element_value(m, n, params)
-        e_m = aa_energy(m, -1, params).energy
-        ratio = m_mn / (e_n - e_m)
-        state_sq += ratio * ratio
-        energy += m_mn * m_mn / (e_n - e_m)
-    return math.sqrt(state_sq), energy
+    check_count("n", n, 0)
+    beta = _beta_of(params)  # rejects the collapse point
+    mat = aa_matrix(params, n + 41)
+    ms = np.arange(max(0, n - 40), n + 41)
+    ms = ms[ms != n]
+    m_mn = mat[ms, n]
+    gaps = (_bare_level(n, beta) - mat[n, n]) - (_bare_level(ms, beta) - mat[ms, ms])
+    ratio = m_mn / gaps
+    return math.sqrt(float(np.sum(ratio * ratio))), float(np.sum(m_mn * m_mn / gaps))

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-# eig, eval_genlaguerre: bound only as perfbench tracer leaves (ROADMAP direction 4 retires them)
+# eig, eval_genlaguerre: bound only as perfbench tracer leaves (ROADMAP direction 2 retires them)
 from scipy.linalg import eig, eigh, eigh_tridiagonal  # noqa: F401
 from scipy.linalg.lapack import dgtsv, dpttrf, dpttrs, dstebz
 from scipy.special import eval_genlaguerre, gammaln, xlogy  # noqa: F401

@@ -33,6 +33,10 @@ are only exponentiated after all log factors have been combined.
 
 theta is rejected by name where it is not finite or cosh(2 theta)
 overflows a double.
+
+The per-element Legendre forms of S and M are the tests' oracle
+(tests/oracles.py); legendre_log_table and squeeze_element stay here
+because perfbench's tracer binds both.
 """
 
 from __future__ import annotations
@@ -119,29 +123,6 @@ def legendre_log_table(
     return np.sign(p), logs
 
 
-def legendre_pk_log(
-    l: int, k: int, x: float, one_minus_x2: float | None = None
-) -> tuple[float, float]:
-    """(sign, log|P_l^k(x)|) for any integer degree and order, x in [0, 1]."""
-    if l < 0:
-        l = -l - 1
-    signs, logs = legendre_log_table(k, l, x, one_minus_x2)
-    return float(signs[l]), float(logs[l])
-
-
-def squeeze_term(m: int, n: int, shift: int, beta: float, tanh2: float) -> float:
-    """sqrt(beta (2n)!/(2m)!) P_(m+n+shift)^(m-n-shift)(beta), assembled in log space.
-
-    tanh2 = tanh^2(2 theta) = 1 - beta^2 seeds the Legendre table; at
-    small theta beta rounds to 1 and 1 - beta^2 from beta keeps no digit.
-    """
-    sign, log_p = legendre_pk_log(m + n + shift, m - n - shift, beta, tanh2)
-    if sign == 0.0:
-        return 0.0
-    log_fac = 0.5 * (gammaln(2 * n + 1) - gammaln(2 * m + 1))
-    return sign * math.exp(0.5 * math.log(beta) + log_fac + log_p)
-
-
 def _squeeze_angle(theta: float) -> tuple[float, float]:
     """(beta, tanh^2(2 theta)) with beta = 1/cosh(2 theta), rejecting theta by name."""
     check_finite(theta=theta)
@@ -153,15 +134,23 @@ def _squeeze_angle(theta: float) -> tuple[float, float]:
 
 
 def squeeze_element(m: int, n: int, theta: float, sign: int = +1) -> float:
-    """<2m|S(sign * 2 theta)|2n> with S(s) = exp[(s/2)(a'^2 - a^2)]."""
-    if m < 0 or n < 0:
-        raise ValueError("Fock manifold indices must be >= 0")
+    """<2m|S(sign * 2 theta)|2n> with S(s) = exp[(s/2)(a'^2 - a^2)].
+
+    The table is seeded from tanh^2(2 theta) = 1 - beta^2, which keeps
+    its digits where beta rounds to 1.
+    """
+    check_count("m", m, 0)
+    check_count("n", n, 0)
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     beta, tanh2 = _squeeze_angle(theta)
     if tanh2 == 0.0:
         return float(m == n)  # S(0) is the identity; its zeros stay +0.0 for either sign
-    value = squeeze_term(m, n, 0, beta, tanh2)
+    signs, logs = legendre_log_table(m - n, m + n, beta, tanh2)
+    if signs[m + n] == 0.0:
+        return 0.0
+    log_fac = 0.5 * (gammaln(2 * n + 1) - gammaln(2 * m + 1))
+    value = float(signs[m + n]) * math.exp(0.5 * math.log(beta) + log_fac + float(logs[m + n]))
     s_eff = sign if theta >= 0.0 else -sign
     return (-1.0) ** (m - n) * value if s_eff == -1 else value
 

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from oracles import m_element_legendre, second_order_legendre
 from tpqrm import aa
-
 from tpqrm.aa import (
     aa_energy,
     aa_gaps,
@@ -73,23 +73,25 @@ def test_expansion_agrees_to_beta_squared():
 
 
 def test_matrix_builder_matches_scalar_path():
+    # the scalar path reads its entry of a smaller build; the Legendre form is the oracle
     p = at_beta(0.35, 0.17, 0.5)
     mat = aa_matrix(p, 12)
     for m in range(12):
         for n in range(12):
             assert mat[m, n] == pytest.approx(
-                aa_matrix_element(m, n, p).value, rel=1e-12, abs=1e-300
+                m_element_legendre(m, n, p), rel=1e-12, abs=1e-300
             )
+            assert aa_matrix_element(m, n, p).value == mat[m, n]
 
 
 @settings(max_examples=60)
 @given(r=st.floats(0.0, 1.0), delta=st.floats(0.0, 2.0), beta=st.floats(0.05, 1.0),
        n_max=st.integers(1, 16))
 def test_squeeze_operator_matrix_matches_legendre_elements(r, delta, beta, n_max):
-    # aa_matrix (squeeze-operator form) against aa_matrix_element (Legendre form)
+    # aa_matrix (squeeze-operator form) against the oracle's Legendre form
     p = at_beta(r, beta, delta)
     mat = aa_matrix(p, n_max)
-    ref = np.array([[aa_matrix_element(m, n, p).value for n in range(n_max)]
+    ref = np.array([[m_element_legendre(m, n, p) for n in range(n_max)]
                     for m in range(n_max)])
     assert np.abs(mat - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -101,7 +103,7 @@ def test_squeeze_operator_matrix_matches_legendre_elements_at_tiny_coupling(r):
     g_c, _ = critical_params(r)
     p = ModelParams(delta=1.0, g=1e-8 * g_c, r=r)
     mat = aa_matrix(p, 40)
-    ref = np.array([[aa_matrix_element(m, n, p).value for n in range(40)] for m in range(40)])
+    ref = np.array([[m_element_legendre(m, n, p) for n in range(40)] for m in range(40)])
     assert np.abs(mat - ref).max() <= 1e-12 * np.abs(ref).max()
     assert mat[1, 0] != 0.0  # the coupling to the next manifold survives
 
@@ -160,6 +162,52 @@ def test_aa_matrix_rejects_a_bad_n_max_by_name(monkeypatch, n_max, reason):
     monkeypatch.setattr(aa, "squeeze_matrix", unreachable)
     with pytest.raises(ValueError, match=f"^n_max={n_max} {reason}$"):
         aa_matrix(at_beta(0.6, 0.3), n_max)
+
+
+@settings(max_examples=30, deadline=None)
+@given(r=st.floats(0.0, 1.0), beta=st.floats(0.0, 1.0, exclude_min=True),
+       delta=st.floats(0.0, 3.0), n_max=st.integers(1, 200), extra=st.integers(1, 300))
+@example(r=0.6, beta=0.0025, delta=0.25, n_max=1, extra=40)
+@example(r=0.6, beta=0.02, delta=0.25, n_max=41, extra=439)
+@example(r=0.25, beta=1.0, delta=0.6, n_max=3, extra=1)
+def test_aa_matrix_entries_do_not_depend_on_the_build_size(r, beta, delta, n_max, extra):
+    # every AA level, gap and element reads its M from a build of the size it
+    # needs, so an entry must be bitwise the same entry of any larger build
+    g_c, _ = critical_params(r)
+    p = ModelParams(delta=delta, g=g_c * math.sqrt(1.0 - beta * beta), r=r)
+    assume(not geometry(p).at_collapse)
+    small = aa_matrix(p, n_max)
+    big = aa_matrix(p, n_max + extra)
+    assert np.array_equal(small.view(np.uint64), big[:n_max, :n_max].view(np.uint64))
+    n, beta_p = n_max - 1, geometry(p).beta
+    assert aa_energy(n, -1, p).energy == (2 * n + 0.5) * beta_p - 0.5 - big[n, n]
+    assert aa_matrix_element(n, 0, p).value == big[n, 0]
+    eps_sp, eps_dp = aa_gaps(n, p)
+    e_minus = aa_energy(n, -1, p).energy
+    assert eps_sp == abs(aa_energy(n + 1, -1, p).energy - e_minus)
+    assert eps_dp == abs(aa_energy(n, +1, p).energy - e_minus)
+
+
+_BAD_INDICES = [(2.5, "must be an integer"), (True, "must be an integer"), (-1, "must be >= 0")]
+_INDEXED_CALLS = {
+    "aa_energy": ("n", lambda v, p: aa_energy(v, -1, p)),
+    "aa_gaps": ("n", aa_gaps),
+    "second_order_corrections": ("n", lambda v, p: second_order_corrections(p, v)),
+    "aa_matrix_element-m": ("m", lambda v, p: aa_matrix_element(v, 0, p)),
+    "aa_matrix_element-n": ("n", lambda v, p: aa_matrix_element(0, v, p)),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_INDEXED_CALLS))
+@pytest.mark.parametrize("value,reason", _BAD_INDICES)
+def test_a_bad_manifold_index_is_rejected_by_name(monkeypatch, call, value, reason):
+    def unreachable(params, n_max):
+        raise AssertionError("aa_matrix reached with a bad manifold index")
+
+    monkeypatch.setattr(aa, "aa_matrix", unreachable)
+    name, fn = _INDEXED_CALLS[call]
+    with pytest.raises(ValueError, match=f"^{name}={value} {reason}$"):
+        fn(value, at_beta(0.6, 0.3))
 
 
 def test_matrix_is_symmetric_numerically():
@@ -268,6 +316,20 @@ def test_energy_correction_saturates_for_finite_detuning():
         assert e_small == pytest.approx(e_tiny, rel=0.05)  # beta-independent floor
         vals[det] = e_small
     assert vals[0.1] / vals[0.05] == pytest.approx(4.0, rel=0.1)  # proportional to detuning^2
+
+
+# criterion 05's betas on the critical line, and the detuned points of
+# test_energy_correction_saturates_for_finite_detuning
+_SECOND_ORDER_POINTS = ([(float(b), 0.0) for b in np.geomspace(0.02, 0.2, 6)]
+                        + [(b, det) for b in (0.01, 0.005) for det in (0.1, 0.05)])
+
+
+@pytest.mark.parametrize("n", [0, 2, 45])
+@pytest.mark.parametrize("beta,det", _SECOND_ORDER_POINTS)
+def test_second_order_corrections_match_the_sequential_legendre_loop(beta, det, n):
+    _, delta_c = critical_params(0.6)
+    p = at_beta(0.6, beta, delta_c + det)
+    assert second_order_corrections(p, n) == pytest.approx(second_order_legendre(p, n), rel=1e-12)
 
 
 def test_state_correction_scales_beta_three_halves():

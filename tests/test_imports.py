@@ -1,4 +1,4 @@
-"""Every name a tpqrm module imports is used in that module.
+"""Every name a tpqrm module, or the tests' oracle module, imports is used in it.
 
 The one exception is a name that perfbench's tracer wraps as a leaf
 (perfbench/tracer.py LEAVES): the module keeps it bound so that the
@@ -12,6 +12,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "tpqrm"
+CHECKED = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py") + [
+    ROOT / "tests" / "oracles.py"]
 
 
 def _tracer_leaves() -> set[tuple[str, str]]:
@@ -34,8 +36,7 @@ def _unused_imports(tree: ast.Module) -> list[str]:
     return sorted(set(imported) - used)
 
 
-@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"),
-                         ids=lambda p: p.stem)
+@pytest.mark.parametrize("path", CHECKED, ids=lambda p: p.stem)
 def test_every_imported_name_is_used(path):
     leaves = {name for module, name in _tracer_leaves() if module == path.stem}
     assert set(_unused_imports(ast.parse(path.read_text()))) - leaves == set()

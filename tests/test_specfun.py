@@ -7,9 +7,10 @@ from scipy.linalg import expm
 
 from scipy.special import gammaln
 
+from oracles import legendre_pk_log
+from tpqrm import specfun
 from tpqrm.specfun import (
     legendre_log_table,
-    legendre_pk_log,
     log_double_factorial,
     squeeze_element,
     squeeze_matrix,
@@ -310,3 +311,17 @@ def test_squeeze_matrix_memory_stays_below_three_matrices():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 481**2 * 8
+
+
+@pytest.mark.parametrize("name,value,reason", [(name, value, reason) for name in ("m", "n")
+                                               for value, reason in [(2.5, "must be an integer"),
+                                                                     (True, "must be an integer"),
+                                                                     (-1, "must be >= 0")]])
+def test_squeeze_element_rejects_a_bad_index_by_name(monkeypatch, name, value, reason):
+    def unreachable(*args):
+        raise AssertionError("legendre_log_table reached with a bad index")
+
+    monkeypatch.setattr(specfun, "legendre_log_table", unreachable)
+    indices = {"m": 1, "n": 0, name: value}
+    with pytest.raises(ValueError, match=f"^{name}={value} {reason}$"):
+        squeeze_element(indices["m"], indices["n"], 0.3)
