@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, check_count, geometry
+from .model import ModelParams, check_count, check_parity, geometry
 from .specfun import _BLOCK_ENTRIES, log_double_factorial, squeeze_matrix
 
 
@@ -165,8 +165,7 @@ def aa_matrix(params: ModelParams, n_max: int) -> np.ndarray:
 
 def aa_energy(n: int, parity: int, params: ModelParams) -> AALevel:
     """Closed-form level E_(n, parity); at g = g_c every level is -1/2."""
-    if parity not in (+1, -1):
-        raise ValueError("parity must be +1 or -1")
+    check_parity("parity", parity)
     check_count("n", n, 0)
     geo = geometry(params)
     if geo.at_collapse:
@@ -180,20 +179,18 @@ def aa_gaps(n: int, params: ModelParams) -> tuple[float, float]:
     """(eps_sp, eps_dp) at manifold n.
 
     eps_sp is the same-parity gap |E_(n+1,-) - E_(n,-)| (the soft mode,
-    ~ 2 beta near collapse); eps_dp the parity splitting
-    |E_(n,+) - E_(n,-)| = 2|M_nn| (~ beta^(5/2) on the critical line).
-    Both levels come from one aa_matrix build; at g = g_c both gaps are 0.
+    ~ 2 beta near collapse); eps_dp the parity splitting, read as 2|M_nn|
+    (~ beta^(5/2) on the critical line) as |E_(n,+) - E_(n,-)| near -1/2
+    would cancel its digits.  One aa_matrix build; at g = g_c both are 0.
     """
     check_count("n", n, 0)
     geo = geometry(params)
     if geo.at_collapse:
         return 0.0, 0.0
     mat = aa_matrix(params, n + 2)
-    m_nn, m_up = float(mat[n, n]), float(mat[n + 1, n + 1])
-    e_minus = _bare_level(n, geo.beta) - m_nn
-    e_up = _bare_level(n + 1, geo.beta) - m_up
-    e_plus = _bare_level(n, geo.beta) + m_nn
-    return abs(e_up - e_minus), abs(e_plus - e_minus)
+    e_minus = _bare_level(n, geo.beta) - float(mat[n, n])
+    e_up = _bare_level(n + 1, geo.beta) - float(mat[n + 1, n + 1])
+    return abs(e_up - e_minus), 2.0 * abs(float(mat[n, n]))
 
 
 def aa_observables(params: ModelParams) -> GroundStateObservables:

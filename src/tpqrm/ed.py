@@ -39,6 +39,7 @@ parity selection rule is one projection of dH/dg |0> onto every |n; +>.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +51,8 @@ from scipy.special import eval_genlaguerre, gammaln, xlogy  # noqa: F401
 
 from .aa import GroundStateObservables, aa_matrix
 from .errors import ConvergenceError
-from .model import ModelParams, SectorSpec, check_count, check_finite, check_positive, geometry
+from .model import (ModelParams, SectorSpec, check_count, check_finite, check_parity,
+                    check_positive, geometry)
 from .specfun import _BLOCK_ENTRIES, _LOG_RESCALE, _RESCALE
 
 N_MAX_CEILING = 16384
@@ -61,6 +63,7 @@ _INVERSE_ITERATIONS = 40  # cap on the shift search, and on the iteration steps 
 _RESPONSE_REL_TOL = 1e-6  # doubling gate of _response_sum
 _RESPONSE_NAMES = {2: "F_Q", 3: "chi_3"}  # _response_sum's powers, as its errors name them
 _WIGNER_MAX_ENTRIES = 2**23  # doubles in each y-lattice array of wigner_grid (64 MiB)
+_ARENA = threading.local()  # _ground_pair's work rows, one set per thread
 
 
 @dataclass(frozen=True)
@@ -117,8 +120,7 @@ def build_parity_block(
     params: ModelParams, parity: int, n_max: int, q: float = 0.25
 ) -> ParityBlock:
     """Tridiagonal Hamiltonian block for one (q, parity) sector, built in place."""
-    if parity not in (+1, -1):
-        raise ValueError("parity must be +1 or -1")
+    check_parity("parity", parity)
     check_count("n_max", n_max, 2)
     off = _fock_offset(q)
     diag = np.arange(off, off + 2 * n_max, 2, dtype=float)  # f_n until the loop
@@ -136,11 +138,12 @@ def build_parity_block(
     return ParityBlock(diag=diag, offdiag=offdiag, coupling=coupling)
 
 
-def tridiag_apply(diag: np.ndarray, offdiag: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Symmetric tridiagonal matrix (diag, offdiag) times v."""
-    out = diag * v
-    out[:-1] += offdiag * v[1:]
-    out[1:] += offdiag * v[:-1]
+def tridiag_apply(diag: np.ndarray, offdiag: np.ndarray, v: np.ndarray,
+                  out: np.ndarray | None = None, tmp: np.ndarray | None = None) -> np.ndarray:
+    """Symmetric tridiagonal matrix (diag, offdiag) times v, into out; tmp: n - 1 scratch."""
+    out = np.multiply(diag, v, out=out)
+    out[:-1] += np.multiply(offdiag, v[1:], out=tmp)
+    out[1:] += np.multiply(offdiag, v[:-1], out=tmp)
     return out
 
 
@@ -170,12 +173,13 @@ def _lowest_block_eigenvalues(block: ParityBlock, k: int) -> np.ndarray:
     )
 
 
-def _solve_residual(v: np.ndarray, norm: float, x: np.ndarray) -> tuple[float, float]:
-    """theta - sigma and r of v = y/norm, y solving (T - sigma) y = x, x unit; overwrites x.
+def _solve_residual(v: np.ndarray, norm: float, x: np.ndarray,
+                    tmp: np.ndarray | None = None) -> tuple[float, float]:
+    """theta - sigma and r of v = y/norm, y solving (T - sigma) y = x, x unit; overwrites x, tmp.
 
     T v = sigma v + x/norm: theta = v.Tv = sigma + v.x/norm, r = |x - (v.x) v|/norm."""
     c = float(v @ x)
-    x -= c * v
+    x -= np.multiply(v, c, out=tmp)
     return c / norm, float(np.linalg.norm(x)) / norm
 
 
@@ -204,6 +208,11 @@ def _ground_pair(diag: np.ndarray, off: np.ndarray,
     (vector=False skips it, returning the same E_0 and v0 None).  If the
     certificate fails, or _INVERSE_ITERATIONS passes without it, the pair
     is bisection's.  About 11 LAPACK calls at 2^15 and 2^16 rows.
+
+    Above _BISECTION_ROWS the n-sized work (held and trial factors, which
+    LAPACK overwrites, iterate and solve; the trial d doubles as temporary
+    between factorizations) is this thread's _ARENA rows, kept so that no
+    call faults in fresh pages; v0 is a new array.
     """
 
     def bisection() -> tuple[float, np.ndarray]:
@@ -213,9 +222,17 @@ def _ground_pair(diag: np.ndarray, off: np.ndarray,
     if len(diag) <= _BISECTION_ROWS:
         return bisection()
 
-    def certified_below(sigma: float) -> tuple | None:
-        d, e, info = dpttrf(diag - sigma, off, overwrite_d=1)
-        return (d, e) if info == 0 else None
+    if getattr(_ARENA, "rows", np.empty((6, 0))).shape[1] < len(diag):
+        _ARENA.rows = np.empty((6, len(diag)))  # grown to the largest T yet, sliced for the rest
+    work = _ARENA.rows[:, :len(diag)]
+    held, trial = (work[0], work[1, 1:]), (work[2], work[3, 1:])
+    x, y = work[4], work[5]
+
+    def certified_below(sigma: float) -> bool:  # factors T - sigma into the trial slot
+        d, e = trial
+        np.subtract(diag, sigma, out=d)
+        e[:] = off
+        return dpttrf(d, e, overwrite_d=1, overwrite_e=1)[2] == 0
 
     w, head = eigh_tridiagonal(diag[:_BISECTION_ROWS], off[:_BISECTION_ROWS - 1],
                                select="i", select_range=(0, 0))
@@ -223,35 +240,38 @@ def _ground_pair(diag: np.ndarray, off: np.ndarray,
     delta = 1e-3 * max(1.0, abs(top))
     for _ in range(_INVERSE_ITERATIONS):
         sigma = top - delta
-        if (factors := certified_below(sigma)) is not None:
+        if certified_below(sigma):
+            held, trial = trial, held
             break
         delta *= 4.0
     else:
         return bisection()
     eps = np.finfo(float).eps
-    tol = 8.0 * eps * max(float(np.abs(diag).max()), 2.0 * float(np.abs(off).max()))
-    x = np.full(len(diag), max(abs(float(head[-1, 0])), eps))
+    tol = 8.0 * eps * float(max(diag.max(), -diag.min(), 2.0 * off.max(), -2.0 * off.min()))
+    x.fill(max(abs(float(head[-1, 0])), eps))
     x[:_BISECTION_ROWS] = np.maximum(np.abs(head[:, 0]), eps)
     x[1::2] *= -1.0  # the ground state's signs when off >= 0
     x /= np.linalg.norm(x)
     for _ in range(_INVERSE_ITERATIONS):
-        y = dpttrs(*factors, x[:, None])[0][:, 0]
+        y[:] = x
+        dpttrs(*held, y, overwrite_b=1)
         y /= (norm := float(np.linalg.norm(y)))
-        shift, r = _solve_residual(y, norm, x)
-        theta, x = sigma + shift, y
+        shift, r = _solve_residual(y, norm, x, tmp := trial[0])
+        theta, x, y = sigma + shift, y, x
         if r <= tol:  # the solve's residual; the certificate reads T's
-            tx = tridiag_apply(diag, off, x)
+            tx = tridiag_apply(diag, off, x, out=y, tmp=tmp[1:])
             theta = float(x @ tx)
-            r = float(np.linalg.norm(tx - theta * x))
+            r = float(np.linalg.norm(np.subtract(tx, np.multiply(theta, x, out=tmp), out=tmp)))
             if r <= tol:
-                if certified_below(theta - r - tol) is None:
+                if not certified_below(theta - r - tol):
                     return bisection()
                 if not vector:
                     return theta, None
-                x = dpttrs(*factors, x[:, None])[0][:, 0]
-                return theta, x / np.linalg.norm(x)
-        if theta - r > sigma and (lifted := certified_below(theta - r)) is not None:
-            sigma, factors = theta - r, lifted
+                y[:] = x
+                dpttrs(*held, y, overwrite_b=1)
+                return theta, y / np.linalg.norm(y)
+        if theta - r > sigma and certified_below(theta - r):
+            sigma, held, trial = theta - r, trial, held
     return bisection()
 
 
@@ -472,8 +492,7 @@ def squeezed_frame_spectrum(
     high accuracy: at beta = 0.1 it is still 1.9e-2 off at 240 rows.
     Parity, k and n_max are rejected by name before M is built.
     """
-    if parity not in (+1, -1):
-        raise ValueError("parity must be +1 or -1")
+    check_parity("parity", parity)
     check_count("k", k)
     check_count("n_max", n_max)
     geo = geometry(params)

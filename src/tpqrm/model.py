@@ -90,8 +90,7 @@ class SectorSpec:
     def __post_init__(self):
         if self.q not in (0.25, 0.75):
             raise ValueError(f"Bargmann index q={self.q} must be 1/4 or 3/4")
-        if self.parity not in (+1, -1):
-            raise ValueError(f"parity={self.parity} must be +1 or -1")
+        check_parity("parity", self.parity)
 
 
 def check_finite(**fields: float | None) -> None:
@@ -114,6 +113,12 @@ def check_count(name: str, value: int, least: int = 1) -> None:
         raise ValueError(f"{name}={value} must be an integer")
     if value < least:
         raise ValueError(f"{name}={value} must be >= {least}")
+
+
+def check_parity(name: str, value: int) -> None:
+    """Reject a Z2 label that is not the integer +1 or -1 (bool included), by name."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value not in (1, -1):
+        raise ValueError(f"{name} must be +1 or -1")
 
 
 def critical_params(r: float) -> tuple[float, float]:

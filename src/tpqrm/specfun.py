@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .model import check_count, check_finite
+from .model import check_count, check_finite, check_parity
 
 _RESCALE = 1e250
 _LOG_RESCALE = math.log(_RESCALE)
@@ -141,8 +141,7 @@ def squeeze_element(m: int, n: int, theta: float, sign: int = +1) -> float:
     """
     check_count("m", m, 0)
     check_count("n", n, 0)
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
+    check_parity("sign", sign)
     beta, tanh2 = _squeeze_angle(theta)
     if tanh2 == 0.0:
         return float(m == n)  # S(0) is the identity; its zeros stay +0.0 for either sign
@@ -230,8 +229,7 @@ def squeeze_matrix(theta: float, n_max: int, sign: int = +1) -> SqueezeMatrix:
     theta = 0 gives the identity.
     """
     check_count("n_max", n_max)
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
+    check_parity("sign", sign)
     beta, tanh2 = _squeeze_angle(theta)
     if tanh2 == 0.0:
         return SqueezeMatrix(theta=theta, n_max=n_max, sign=sign, entries=np.eye(n_max))

@@ -185,7 +185,7 @@ def test_aa_matrix_entries_do_not_depend_on_the_build_size(r, beta, delta, n_max
     eps_sp, eps_dp = aa_gaps(n, p)
     e_minus = aa_energy(n, -1, p).energy
     assert eps_sp == abs(aa_energy(n + 1, -1, p).energy - e_minus)
-    assert eps_dp == abs(aa_energy(n, +1, p).energy - e_minus)
+    assert eps_dp == 2 * abs(big[n, n])
 
 
 _BAD_INDICES = [(2.5, "must be an integer"), (True, "must be an integer"), (-1, "must be >= 0")]

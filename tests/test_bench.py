@@ -1,5 +1,7 @@
 import importlib.util
+import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -50,3 +52,25 @@ def test_the_bound_is_relative_and_faces_the_worse_direction():
     edge = _side([x * 1.2 for x in PARENT["end_to_end"]["pass_s"]["runs"]], [0.995] * 10)
     got = bench.compare(PARENT, edge, METRICS)
     assert got["pass_s"]["within_bound"] and got["ok_frac"]["within_bound"]
+
+
+def test_minor_faults_are_counted_per_pass_of_each_run(monkeypatch, tmp_path):
+    # the RUSAGE_CHILDREN delta around run.py, over the passes its result file lists
+    out = tmp_path / "perfbench" / "out"
+    out.mkdir(parents=True)
+    (out / "collapse-point-seed3-trace0.json").write_text(
+        json.dumps({"machine": {"seed": 3}, "passes": [[0.5, 0.5]] * 4}))
+    faults = iter([1000, 41000])
+    monkeypatch.setattr(bench.resource, "getrusage",
+                        lambda who: SimpleNamespace(ru_minflt=next(faults)))
+    summary = {"correct": True, "metrics": {"pass_s": {"value": 0.5, "unit": "s"}}}
+    monkeypatch.setattr(bench.subprocess, "run",
+                        lambda *a, **k: SimpleNamespace(stdout="log\n" + json.dumps(summary)))
+    run = bench.run_perfbench(tmp_path, "collapse-point", 3, 10.0, trace=0)
+    assert run["minflt_per_pass"] == 10000.0 and run["machine"] == {"seed": 3}
+
+    runs = [{**run, "minflt_per_pass": f} for f in (9000.0, 10000.0, 30000.0)]
+    got = bench.summarize(runs, {"metrics": {}}, ["pass_s"])
+    assert got["minflt_per_pass"]["median"] == 10000.0
+    assert got["minflt_per_pass"]["runs"] == [9000.0, 10000.0, 30000.0]
+    assert "minflt_per_pass" not in got["end_to_end"]

@@ -1,5 +1,6 @@
 import math
 import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -248,6 +249,57 @@ def test_ground_pair_work_on_the_collapse_blocks(monkeypatch):
                 for parity in (+1, -1):
                     ed.lowest_level(ModelParams(delta=delta_c - off, g=g_c, r=r), parity, n)
     assert len(factored) <= 281 and len(solved) <= 233
+
+
+def _collapse_block(parity: int, n: int, off: float = 0.06) -> ed.ParityBlock:
+    g_c, delta_c = critical_params(0.6)
+    return ed.build_parity_block(ModelParams(delta=delta_c - off, g=g_c, r=0.6), parity, n)
+
+
+@pytest.mark.parametrize("parity", [+1, -1])
+def test_a_warm_lowest_level_allocates_little_more_than_its_block(parity):
+    # the arena outlives each call, so a second 65536-row call allocates the
+    # block's three arrays and nothing n-sized of its own (fresh work arrays: 9 n)
+    n, (g_c, delta_c) = 65536, critical_params(0.6)
+    p = ModelParams(delta=delta_c - 0.06, g=g_c, r=0.6)
+    ed.lowest_level(p, parity, n)
+    tracemalloc.start()
+    try:
+        ed.lowest_level(p, parity, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * n * 8
+
+
+def test_a_ground_vector_belongs_to_the_caller(monkeypatch):
+    solved = []
+    _record_calls(monkeypatch, "dpttrs", solved)
+    block = _collapse_block(-1, 4096)
+    vector = ed._ground_pair(block.diag, block.offdiag)[1]
+    kept = vector.copy()
+    assert not np.shares_memory(vector, ed._ARENA.rows)
+    calls = len(solved)
+    other = _collapse_block(+1, 8192, off=0.11)
+    ed._ground_pair(other.diag, other.offdiag)
+    assert calls and len(solved) > calls  # both calls iterated in the arena
+    assert np.array_equal(vector.view(np.uint64), kept.view(np.uint64))
+
+
+def test_ground_pairs_do_not_depend_on_the_arena_size():
+    # a new thread starts with an empty arena: it grows to 1024 rows, then to
+    # 65536, then serves 1024 rows as a slice; every pair is the main thread's
+    blocks = [_collapse_block(parity, n) for n in (1024, 65536, 1024) for parity in (+1, -1)]
+    main = [ed._ground_pair(b.diag, b.offdiag) for b in blocks]
+    found = []
+    worker = threading.Thread(
+        target=lambda: found.extend(ed._ground_pair(b.diag, b.offdiag) for b in blocks))
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive() and len(found) == len(blocks)
+    for (level, vector), (again, again_vector) in zip(main, found):
+        assert again == level
+        assert np.array_equal(again_vector.view(np.uint64), vector.view(np.uint64))
 
 
 @pytest.mark.parametrize("n", [1024, 2048])

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from tpqrm import ed
+from tpqrm.aa import aa_energy
 from tpqrm.model import (
     ModelParams,
     SectorSpec,
@@ -10,6 +12,7 @@ from tpqrm.model import (
     geometry,
     params_from_dict,
 )
+from tpqrm.specfun import squeeze_element, squeeze_matrix
 
 
 def test_critical_params_values():
@@ -95,6 +98,28 @@ def test_sector_spec_validation():
         SectorSpec(0.5, +1)
     with pytest.raises(ValueError):
         SectorSpec(0.25, 0)
+
+
+_P = ModelParams(delta=0.6, g=0.3, r=0.25)
+_PARITY_CALLS = {  # every entry point that takes a Z2 label: (its name, a call with it)
+    "SectorSpec": ("parity", lambda v: SectorSpec(0.25, v)),
+    "build_parity_block": ("parity", lambda v: ed.build_parity_block(_P, v, 8)),
+    "squeezed_frame_spectrum": ("parity", lambda v: ed.squeezed_frame_spectrum(_P, v, 16, k=2)),
+    "aa_energy": ("parity", lambda v: aa_energy(0, v, _P)),
+    "squeeze_element": ("sign", lambda v: squeeze_element(1, 0, 0.3, v)),
+    "squeeze_matrix": ("sign", lambda v: squeeze_matrix(0.3, 4, v)),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_PARITY_CALLS))
+def test_a_parity_must_be_the_integer_plus_or_minus_one(call):
+    # True == 1 and 1.0 == 1 used to pass `parity in (+1, -1)`
+    name, entry = _PARITY_CALLS[call]
+    for bad in (True, False, np.bool_(True), 1.0, -1.0, 0, 2, None):
+        with pytest.raises(ValueError, match=rf"^{name} must be \+1 or -1$"):
+            entry(bad)
+    for good in (+1, -1, np.int64(-1), np.int8(1)):
+        entry(good)
 
 
 def test_params_from_dict_critical_delta():

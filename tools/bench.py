@@ -13,7 +13,10 @@ written next to BENCHMARK.json.
 BENCH_<pr>.json holds, per checkout: the machine record and commit that
 run.py wrote, and per workload the median and quartiles of the five
 end-to-end metrics over the untraced runs, every run's values, whether
-every run was correct, and the traced per-layer metrics.  With exactly
+every run was correct, and the traced per-layer metrics.  It also holds,
+for information only, the minor page faults per pass of the untraced
+runs: the faults of every process run.py waited for (its setup probes'
+imports included), over the run's passes.  With exactly
 two checkouts it also compares the second checkout with the first, per
 workload and metric: the seeds on which it did better, the ratio of the
 medians, the first checkout's IQR, whether a claimed gain would hold (at
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import statistics
 import subprocess
 import sys
@@ -36,15 +40,19 @@ SEEDS = range(10)  # ten alternating pairs: the fewest that can back a claimed g
 
 
 def run_perfbench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One perfbench/run.py run in checkout: its summary line plus its machine record."""
+    """One perfbench/run.py run in checkout: its summary line, machine record and faults a pass."""
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout, stdout=subprocess.PIPE, text=True, check=True,
     )
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
     summary = json.loads(proc.stdout.strip().splitlines()[-1])
     result = checkout / "perfbench" / "out" / f"{workload}-seed{seed}-trace{trace}.json"
-    summary["machine"] = json.loads(result.read_text())["machine"]
+    record = json.loads(result.read_text())
+    summary["machine"] = record["machine"]
+    summary["minflt_per_pass"] = faults / len(record["passes"])
     return summary
 
 
@@ -56,11 +64,13 @@ def spread(values: list[float]) -> dict:
 
 def summarize(runs: list[dict], traced: dict, metrics: list[str]) -> dict:
     values = {m: [run["metrics"][m]["value"] for run in runs] for m in metrics}
+    faults = [run["minflt_per_pass"] for run in runs]
     return {
         "seeds": [run["machine"]["seed"] for run in runs],
         "correct": all(run["correct"] for run in runs),
         "end_to_end": {m: {**spread(v), "unit": runs[0]["metrics"][m]["unit"], "runs": v}
                        for m, v in values.items()},
+        "minflt_per_pass": {**spread(faults), "runs": faults},  # informational, not gated
         "per_layer": {m: entry["value"] for m, entry in traced["metrics"].items()},
     }
 
