@@ -12,8 +12,11 @@ runner; `--validate` runs the same resolver and stops before any computation.
 Runs are deterministic: data go to `<out>.csv` at full double precision,
 fits to `<out>_fit.json`, and a manifest with every default materialized
 to `<out>_manifest.json`; `tpqrm --config <manifest>` reproduces the run
-bit for bit.  Exit codes: 0 success, 1 configuration or usage error
-(unknown subcommand or flag, malformed value), 2 convergence failure.
+bit for bit.  A config value is checked as argparse checks the flag's
+text (type, nargs, choices), by key.  Exit codes: 0 success, 1
+configuration or usage error (unknown subcommand or flag, malformed
+value), 2 convergence failure.  Each runner ends in _write, which writes
+its files and turns the run's outcome into exit code 0 or 2.
 """
 
 from __future__ import annotations
@@ -49,19 +52,6 @@ def _fmt(value) -> str:
         return str(int(value))
     v = float(value)
     return f"{v:.17g}"
-
-
-def write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _floats(items: list[str], where: str) -> list[float]:
@@ -210,15 +200,30 @@ def _manifest(ns) -> dict:
     return out
 
 
-def _write(ns, header: list[str] | None, rows: list[list], **extra_json) -> str:
-    """Write <out>.csv (unless header is None), the manifest and <out>_<name>.json per extra."""
+def _write(ns, ok: bool, tables: dict[str, tuple[list[str], list[list]]], **payloads) -> int:
+    """Write <out><suffix>.csv per table, the manifest and <out>_<name>.json per payload.
+
+    tables maps a file suffix ("" for <out>.csv) to (header, rows).
+    Returns the run's exit code: EXIT_OK if ok, else EXIT_CONVERGENCE.
+    """
     out = ns.out if ns.out else ns.command
-    if header is not None:
-        write_csv(f"{out}.csv", header, rows)
-    write_json(f"{out}_manifest.json", _manifest(ns))
-    for name, payload in extra_json.items():
-        write_json(f"{out}_{name}.json", payload)
-    return out
+    for suffix, (header, rows) in tables.items():
+        with open(f"{out}{suffix}.csv", "w", encoding="utf-8") as fh:
+            fh.write(",".join(header) + "\n")
+            fh.writelines(",".join(_fmt(v) for v in row) + "\n" for row in rows)
+    for name, payload in {"manifest": _manifest(ns), **payloads}.items():
+        with open(f"{out}_{name}.json", "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    return EXIT_OK if ok else EXIT_CONVERGENCE
+
+
+def _converged_fit(fit, points: list[tuple[float, float]], key: str | None = None) -> dict:
+    """fit(x, y) over the converged (x, y) points, under key if given; an error below 5 points."""
+    if len(points) < analysis.MIN_FIT_POINTS:
+        return {"error": f"fewer than {analysis.MIN_FIT_POINTS} converged points"}
+    result = fit(*zip(*points)).to_dict()
+    return {key: result} if key else result
 
 
 def _sweep(ns, model, grid, fit_cols, header: list[str], point_rows, ok_col: str | None) -> int:
@@ -231,15 +236,11 @@ def _sweep(ns, model, grid, fit_cols, header: list[str], point_rows, ok_col: str
     rows = [[g / model.g_c, x, *row]
             for x, g in zip(grid.x_values, grid.g_values)
             for row in point_rows(replace(model, g=float(g)))]
-    out = _write(ns, header, rows)
-    if fit_cols:
-        u = np.array([1.0 - row[0] for row in rows])
-        write_json(f"{out}_fit.json", {
-            name: analysis.fit_powerlaw(u, [row[header.index(name)] for row in rows]).to_dict()
-            for name in fit_cols
-        })
+    u = np.array([1.0 - row[0] for row in rows])
+    fits = {name: analysis.fit_powerlaw(u, [row[header.index(name)] for row in rows]).to_dict()
+            for name in fit_cols}
     ok = ok_col is None or all(bool(row[header.index(ok_col)]) for row in rows)
-    return EXIT_OK if ok else EXIT_CONVERGENCE
+    return _write(ns, ok, {"": (header, rows)}, **({"fit": fits} if fit_cols else {}))
 
 
 def run_spectrum(ns, model, grid, fit_cols) -> int:
@@ -296,12 +297,12 @@ def run_wigner(ns, model: ModelParams) -> int:
                           conditioning=ns.conditioning, tol=ns.tol)
     rows = [[x, p, grid.values[i, j]] for i, p in enumerate(grid.p_axis)
             for j, x in enumerate(grid.x_axis)]
-    _write(ns, ["x", "p", "w"], rows, report={"normalization": grid.normalization})
-    if abs(grid.normalization - 1.0) > _WIGNER_NORM_TOL:
+    ok = abs(grid.normalization - 1.0) <= _WIGNER_NORM_TOL
+    if not ok:
         print(f"convergence failure: Wigner normalization {grid.normalization:.6g} is not within "
               f"{_WIGNER_NORM_TOL:.0e} of 1; raise --grid-points or --half-width", file=sys.stderr)
-        return EXIT_CONVERGENCE
-    return EXIT_OK
+    return _write(ns, ok, {"": (["x", "p", "w"], rows)},
+                  report={"normalization": grid.normalization})
 
 
 def run_quench(ns, model: ModelParams, protocols: list, n_samples: int) -> int:
@@ -314,21 +315,12 @@ def run_quench(ns, model: ModelParams, protocols: list, n_samples: int) -> int:
         pred = quench.kz_predict(row["tau_q"], model) if row["tau_q"] > 1 else None
         preds = [pred.e_r_adiabatic, pred.e_r_kz] if pred else [math.nan, math.nan]
         rows.append([row[c] for c in cols] + preds)
-    out = _write(ns, cols + ["e_r_adiabatic_pred", "e_r_kz_pred"], rows)
-
-    good = [row for row in table if row["converged"]]
-    if ns.fit:
-        if len(good) >= analysis.MIN_FIT_POINTS:
-            fit = analysis.fit_powerlaw([r["tau_q"] for r in good], [r["e_r"] for r in good])
-            write_json(f"{out}_fit.json", {"e_r_vs_tau": fit.to_dict()})
-        else:
-            write_json(f"{out}_fit.json",
-                       {"error": f"fewer than {analysis.MIN_FIT_POINTS} converged points"})
-
+    tables = {"": (cols + ["e_r_adiabatic_pred", "e_r_kz_pred"], rows)}
     if n_samples and table[0]["samples"] is not None:
-        write_csv(f"{out}_trajectory.csv", ["t", "g", "energy", "ground_overlap"],
-                  [list(s) for s in table[0]["samples"]])
-    return EXIT_OK if len(good) == len(table) else EXIT_CONVERGENCE
+        tables["_trajectory"] = (["t", "g", "energy"], [list(s) for s in table[0]["samples"]])
+    good = [(row["tau_q"], row["e_r"]) for row in table if row["converged"]]
+    fit = {"fit": _converged_fit(analysis.fit_powerlaw, good, "e_r_vs_tau")} if ns.fit else {}
+    return _write(ns, len(good) == len(table), tables, **fit)
 
 
 def run_collapse1d(ns, model: collapse1d.Collapse1DProblem) -> int:
@@ -341,10 +333,10 @@ def run_collapse1d(ns, model: collapse1d.Collapse1DProblem) -> int:
     report = {"ratio_plateau": ladder.ratio_plateau, "rows": ladder.rows,
               "refinement": ladder.refinement.tolist(),
               "bound_states": int(ladder.converged.sum())}
-    status = EXIT_OK
+    ok = True
     if not ladder.converged.any():
         if model.delta > 1.0:  # the tail binds a whole tower: a level must converge
-            status = EXIT_CONVERGENCE
+            ok = False
         else:
             report["reason"] = (f"no level passes the refinement gate at delta={model.delta}; "
                                 "the inverse-square tail binds a tower only for delta > 1")
@@ -354,17 +346,14 @@ def run_collapse1d(ns, model: collapse1d.Collapse1DProblem) -> int:
             report["hamiltonian_check"] = asdict(check)
         except CollapseMappingError as exc:
             report["hamiltonian_check"] = {"error": str(exc)}
-            status = EXIT_CONVERGENCE
-    out = _write(ns, ["n", "kappa4", "ratio", "converged"], rows)
-    write_json(f"{out}_report.json", report)
-    return status
+            ok = False
+    return _write(ns, ok, {"": (["n", "kappa4", "ratio", "converged"], rows)}, report=report)
 
 
 def run_fit(ns, u: np.ndarray, y: np.ndarray, window: tuple[float, float] | None) -> int:
-    fit = analysis.fit_powerlaw(u, y, window=window)
-    _write(ns, None, [], fit=fit.to_dict())
-    print(json.dumps(fit.to_dict(), indent=2, sort_keys=True))
-    return EXIT_OK
+    fit = analysis.fit_powerlaw(u, y, window=window).to_dict()
+    print(json.dumps(fit, indent=2, sort_keys=True))
+    return _write(ns, True, {}, fit=fit)
 
 
 def run_gap_opening(ns, delta_c: float, points: list) -> int:
@@ -372,13 +361,10 @@ def run_gap_opening(ns, delta_c: float, points: list) -> int:
     for off, params in points:
         gap, n_max, conv = ed.collapse_point_gap(params, ns.n_max_final, 4 * ns.n_max_final)
         rows.append([params.delta, off * off, gap, conv, n_max])
-    good = [r for r in rows if r[3]]
-    fit = {"error": f"fewer than {analysis.MIN_FIT_POINTS} converged points"}
-    if len(good) >= analysis.MIN_FIT_POINTS:
-        deltas, gaps = [r[0] for r in good], [r[2] for r in good]
-        fit = analysis.fit_quadratic_gap(deltas, gaps, delta_c).to_dict()
-    _write(ns, ["delta", "delta_sq_offset", "eps_dp", "converged", "n_max"], rows, fit=fit)
-    return EXIT_OK if len(good) == len(rows) else EXIT_CONVERGENCE
+    good = [(r[0], r[2]) for r in rows if r[3]]
+    fit = _converged_fit(partial(analysis.fit_quadratic_gap, delta_c=delta_c), good)
+    header = ["delta", "delta_sq_offset", "eps_dp", "converged", "n_max"]
+    return _write(ns, len(good) == len(rows), {"": (header, rows)}, fit=fit)
 
 
 class Command(NamedTuple):
@@ -407,7 +393,7 @@ COMMANDS = {
         _R, _DELTA, _N_MAX, _TOL,
         ("--g", dict(type=float, default=None, help="absolute coupling")),
         ("--g-over-gc", dict(type=float, default=None, help="coupling in units of g_c")),
-        ("--conditioning", dict(choices=["reduced", "qubit-up", "qubit-down"], default="reduced")),
+        ("--conditioning", dict(choices=["reduced", *ed.QUBIT_COMPONENTS], default="reduced")),
         ("--half-width", dict(type=float, default=None)),
         ("--grid-points", dict(type=int, default=161)),
     ), _resolve_wigner, run_wigner),
@@ -497,11 +483,23 @@ def _load_config(argv: list[str]) -> argparse.Namespace:
     unknown = set(cfg) - {flag[2:].replace("-", "_") for flag, _ in COMMANDS[argv[0]].flags}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    for flag, kwargs in COMMANDS[argv[0]].flags:  # argparse parses no config value as text
-        value = cfg.get(key := flag[2:].replace("-", "_"))
-        if not ("type" in kwargs or "action" in kwargs or isinstance(value, (str, type(None)))):
+    for flag, kwargs in COMMANDS[argv[0]].flags:  # argparse parses no config value: check it here
+        value, nargs = cfg.get(key := flag[2:].replace("-", "_")), kwargs.get("nargs")
+        if value is None or "action" in kwargs:
+            continue
+        if "type" not in kwargs and not isinstance(value, str):
             raise ValueError(f"config key {key!r} must be a string, as on the command line; "
                              f"got {value!r}")
+        if nargs and not (isinstance(value, list) and len(value) == nargs):
+            raise ValueError(f"config key {key!r} must be a list of {nargs} values; got {value!r}")
+        try:  # each value's text through the flag's type, as argparse parses the command line
+            for item in value if nargs else [value]:
+                kwargs.get("type", str)(str(item))
+        except ValueError:
+            raise ValueError(f"config key {key!r}: invalid {kwargs['type'].__name__} value: "
+                             f"{item!r}") from None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            raise ValueError(f"config key {key!r} must be one of {kwargs['choices']}; got {value!r}")
     return build_parser({argv[0]: cfg}).parse_args(argv)
 
 

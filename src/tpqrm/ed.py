@@ -19,16 +19,16 @@ Hamiltonian projected onto these combinations, across the parameter space.
 A second, independent route diagonalizes the squeezed-frame matrix
 diag[(2m+1/2) beta - 1/2] + p M_mn (couplings from aa); the two frames
 cross-validate each other.  Every truncation ladder runs on converge,
-which hands each rung the rung below's result.  A block's lowest
-eigenpairs come from two certified kernels: _ground_pair solves a
-ground pair with no rung below (bisection up to 512 rows; above, certified
-inverse iteration from the ground state's sign pattern, residuals read
-off each solve: lowest_level and each ground ladder's first rung), and
-above 256 rows every later rung of ed_spectrum and of the ground ladders
-starts from the rung below's eigenpairs (_warm_pairs: Rayleigh-quotient
-iteration certified by Sturm counts, level 0's residuals read off each
-solve, bisection when a certificate fails; only the ground ladders solve
-once more for vectors).  Ground-state observables and Wigner grids are
+which hands each rung the rung below's result.  Every rung takes its
+block's lowest eigenpairs through one door, _lowest_pairs, which picks a
+certified kernel or bisection: _ground_pair for one pair with no rung
+below (bisection up to 512 rows; above, certified inverse iteration from
+the ground state's sign pattern, residuals read off each solve; also
+lowest_level's kernel), and above 256 rows every later rung starts from
+the rung below's eigenpairs (_warm_pairs: Rayleigh-quotient iteration
+certified by Sturm counts, level 0's residuals read off each solve,
+bisection when a certificate fails; only the ground ladders solve once
+more for vectors).  Ground-state observables and Wigner grids are
 computed from the bare-Fock ground vector mapped back to spin (x) Fock.
 The coupling quantum Fisher information and quench's chi_3 need no
 excited states: each is one truncation ladder of tridiagonal solves with
@@ -64,6 +64,7 @@ _RESPONSE_REL_TOL = 1e-6  # doubling gate of _response_sum
 _RESPONSE_NAMES = {2: "F_Q", 3: "chi_3"}  # _response_sum's powers, as its errors name them
 _WIGNER_MAX_ENTRIES = 2**23  # doubles in each y-lattice array of wigner_grid (64 MiB)
 _ARENA = threading.local()  # _ground_pair's work rows, one set per thread
+QUBIT_COMPONENTS = {"qubit-up": 0, "qubit-down": 1}  # conditioning -> index into (psi_up, psi_dn)
 
 
 @dataclass(frozen=True)
@@ -102,11 +103,8 @@ class WignerGrid:
 
 
 def _fock_offset(q: float) -> int:
-    if q == 0.25:
-        return 0
-    if q == 0.75:
-        return 1
-    raise ValueError(f"Bargmann index q={q} must be 1/4 or 3/4")
+    """f_0 of the Bargmann index q (SectorSpec rejects any other q): 0 for 1/4, 1 for 3/4."""
+    return 0 if SectorSpec(q).q == 0.25 else 1
 
 
 def _signs(parity: int, n_max: int) -> np.ndarray:
@@ -165,12 +163,6 @@ def converge(solve, n_max: int, n_max_ceiling: int, held):
         if held(new, old):
             break
     return new, old, n_max
-
-
-def _lowest_block_eigenvalues(block: ParityBlock, k: int) -> np.ndarray:
-    return eigh_tridiagonal(
-        block.diag, block.offdiag, eigvals_only=True, select="i", select_range=(0, k - 1)
-    )
 
 
 def _solve_residual(v: np.ndarray, norm: float, x: np.ndarray,
@@ -356,24 +348,19 @@ def _lowest_pairs(diag: np.ndarray, off: np.ndarray, k: int,
                   vector_solve: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """Lowest k eigenpairs (levels, vectors as columns) of T = (diag, off) on one ladder rung.
 
-    previous is the rung below's pairs, or None on a first rung.  Above
-    _WARM_ROWS a rung with a previous one runs _warm_pairs (vector_solve
-    passed on); any other rung, and a warm one whose certificate fails,
-    is LAPACK bisection and inverse iteration (stebz then stein).
+    previous is the rung below's pairs, or None on a first rung.  A first
+    rung asking for one pair runs _ground_pair.  Above _WARM_ROWS a rung
+    with a previous one runs _warm_pairs (vector_solve passed on); any
+    other rung, and a warm one whose certificate fails, is LAPACK
+    bisection and inverse iteration (stebz then stein).
     """
+    if previous is None and k == 1:
+        e0, v0 = _ground_pair(diag, off)
+        return np.array([e0]), v0[:, None]
     if previous is not None and len(diag) > _WARM_ROWS:
         if (warm := _warm_pairs(diag, off, *previous, vector_solve)) is not None:
             return warm
     return eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1))
-
-
-def _ground_rung(block: ParityBlock,
-                 previous: tuple[np.ndarray, np.ndarray] | None) -> tuple[np.ndarray, np.ndarray]:
-    """The block's ground pair, shaped as _lowest_pairs returns it; _ground_pair on a first rung."""
-    if previous is None:
-        e0, v0 = _ground_pair(block.diag, block.offdiag)
-        return np.array([e0]), v0[:, None]
-    return _lowest_pairs(block.diag, block.offdiag, 1, previous)
 
 
 def lowest_level(params: ModelParams, parity: int, n_max: int) -> float:
@@ -532,14 +519,16 @@ def ground_state_block(
 
     Truncation doubles until the energy is stable to tol or the next
     rung would pass the ceiling; the estimate is inf when only one rung
-    fits.  The first rung runs _ground_pair, each later one starts from
-    the rung below's pair (_ground_rung).  The coefficient vector's
-    overall sign is fixed so its largest entry is positive.
+    fits.  Each rung's pair comes from _lowest_pairs: _ground_pair on the
+    first, a start from the rung below's pair on each later one.  The
+    coefficient vector's overall sign is fixed so its largest entry is
+    positive.
     """
     check_positive(tol=tol)
 
     def solve(n: int, previous: tuple | None) -> tuple[np.ndarray, np.ndarray]:
-        return _ground_rung(build_parity_block(params, -1, n), previous)
+        block = build_parity_block(params, -1, n)
+        return _lowest_pairs(block.diag, block.offdiag, 1, previous)
 
     (levels, vectors), old, n_used = converge(
         solve, max(n_max, 8), n_max_ceiling, lambda new, old: abs(new[0][0] - old[0][0]) < tol
@@ -679,13 +668,14 @@ def _response_sum(
     the (q=1/4, parity=-1) block.  Truncation doubles from n_max until
     the sum is stable to 1e-6 relative, else ConvergenceError naming F_Q
     or chi_3 at the ceiling.  Each rung's ground pair comes from
-    _ground_rung, so a rung after the first starts from the rung below's.
+    _lowest_pairs, so a rung after the first starts from the rung below's.
     |0> is the last rung's ground vector.
     """
 
     def solve(n: int, previous: tuple | None) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
         block = build_parity_block(params, -1, n)
-        pairs = _ground_rung(block, None if previous is None else previous[1])
+        pairs = _lowest_pairs(block.diag, block.offdiag, 1,
+                              None if previous is None else previous[1])
         e0, v0 = float(pairs[0][0]), pairs[1][:, 0]
         b = tridiag_apply(np.zeros(n), block.coupling, v0)
         b -= (v0 @ b) * v0
@@ -742,7 +732,7 @@ def qfi_fidelity_oracle(params: ModelParams, n_max: int = 256, eps: float = 1e-5
     """QFI from the fidelity drop between ground states at g and g + eps.
 
     F_Q ~ 8 (1 - |<psi(g)|psi(g+eps)>|) / eps^2, apart from the spectral sum's
-    resolvent but on the same ground ladders (_ground_rung).  Both ground states
+    resolvent but on the same ground ladders (_lowest_pairs).  Both ground states
     pass the gate of the other ground-state consumers, else ConvergenceError.
     """
     if params.g + eps >= params.g_c:
@@ -770,14 +760,13 @@ def squeezed_vacuum_coeffs(theta: float, n_states: int) -> np.ndarray:
 def conditional_photon_state(
     params: ModelParams, conditioning: str, n_max: int = 64, tol: float = 1e-10
 ) -> np.ndarray:
-    """Normalized photon state after projecting the qubit, over the Fock index."""
-    psi_up, psi_dn = _ground_spinfock(params, n_max, tol)
-    if conditioning == "qubit-up":
-        comp = psi_up
-    elif conditioning == "qubit-down":
-        comp = psi_dn
-    else:
+    """Normalized photon state after projecting the qubit, over the Fock index.
+
+    An unknown conditioning is rejected before the ground-state solve.
+    """
+    if conditioning not in QUBIT_COMPONENTS:
         raise ValueError(f"conditioning must be 'qubit-up' or 'qubit-down', got {conditioning!r}")
+    comp = _ground_spinfock(params, n_max, tol)[QUBIT_COMPONENTS[conditioning]]
     return comp / np.linalg.norm(comp)
 
 
@@ -874,18 +863,16 @@ def wigner_grid(
     q: the integrand decays in y as the state does in q, so stopping at
     half of it leaves errors of the size of W on the boundary.  A lattice
     past 2^23 entries an array raises ValueError (check_wigner_lattice),
-    before the ground-state solve when half_width is given.
+    before the ground-state solve when half_width is given; an unknown
+    conditioning always does.
     """
     check_count("points", points, 3)  # the integral needs an interior point
     check_positive(half_width=half_width)
     check_wigner_lattice(half_width, points)
-    psi_up, psi_dn = _ground_spinfock(params, n_max, tol)
-
     if conditioning == "reduced":
-        components = [psi_up, psi_dn]
-    elif conditioning in ("qubit-up", "qubit-down"):
-        comp = psi_up if conditioning == "qubit-up" else psi_dn
-        components = [comp / np.linalg.norm(comp)]
+        components = list(_ground_spinfock(params, n_max, tol))
+    elif conditioning in QUBIT_COMPONENTS:
+        components = [conditional_photon_state(params, conditioning, n_max, tol)]
     else:
         raise ValueError(f"unknown conditioning {conditioning!r}")
 

@@ -49,12 +49,12 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+# eigh_tridiagonal: bound only as a perfbench tracer leaf (ROADMAP direction 2 retires it)
+from scipy.linalg import eigh_tridiagonal  # noqa: F401
 from scipy.linalg.lapack import zgtsv
 
 from .ed import (
-    _lowest_block_eigenvalues, _response_sum, build_parity_block, converge, ground_state_block,
-    tridiag_apply,
+    _lowest_pairs, _response_sum, build_parity_block, converge, ground_state_block, tridiag_apply,
 )
 from .errors import ConvergenceError
 from .model import ModelParams, check_count, check_finite, check_positive, critical_params
@@ -130,9 +130,7 @@ class QuenchResult:
     n_max: int
     dt: float
     ground_energy: float
-    # columns: t, g, <H(g)>, |<ground(g)|psi>|, with ground(g) that of the propagation
-    # basis (n_max rows), not a converged ground state
-    samples: np.ndarray | None = None
+    samples: np.ndarray | None = None  # columns: t, g, <H(g)>
 
 
 @dataclass(frozen=True)
@@ -160,7 +158,7 @@ def abrupt_start_bound(params: ModelParams) -> float:
     except ConvergenceError:  # g_f within about 1e-7 of g_c
         return math.inf
     block = build_parity_block(params, -1, 256)  # gap_f needs no truncation ladder
-    e0, e1 = _lowest_block_eigenvalues(block, 2)
+    e0, e1 = _lowest_pairs(block.diag, block.offdiag, 2, None)[0]
     omega01 = block.diag[1] - block.diag[0]
     return 2.0 * math.sqrt(block.coupling[0] ** 2 * (e1 - e0) / (omega01**4 * chi_3))
 
@@ -171,7 +169,7 @@ def _n_steps(tau_q: float, dt: float) -> int:
 
 def _propagate_once(
     protocol: QuenchProtocol, n_max: int, dt: float, n_samples: int, e0: float
-) -> tuple[float, float, float, list[tuple[float, float, float, float]]]:
+) -> tuple[float, float, float, list[tuple[float, float, float]]]:
     """One run of fourth-order Magnus steps; returns (E_r, norm_drift, leak, samples)."""
     block = build_parity_block(protocol.params_final, -1, n_max)
     diag, coupling = block.diag, block.coupling
@@ -195,7 +193,7 @@ def _propagate_once(
 
     # n_samples evenly spaced steps, the last one at t = tau_q
     sample_at = {(k + 1) * n_steps // n_samples for k in range(n_samples)}
-    samples: list[tuple[float, float, float, float]] = []
+    samples: list[tuple[float, float, float]] = []
 
     for step in range(n_steps):
         np.multiply(ramps, rate * (step + 0.5) * dt, out=offdiags)
@@ -211,11 +209,8 @@ def _propagate_once(
         if step + 1 in sample_at:
             t_now = (step + 1) * dt
             g_now = rate * t_now
-            t_vec = g_now * coupling
-            _, v = eigh_tridiagonal(diag, t_vec, select="i", select_range=(0, 0))
-            overlap = abs(complex(np.vdot(v[:, 0], psi)))
-            energy = float(np.real(np.vdot(psi, tridiag_apply(diag, t_vec, psi))))
-            samples.append((t_now, g_now, energy, overlap))
+            energy = float(np.real(np.vdot(psi, tridiag_apply(diag, g_now * coupling, psi))))
+            samples.append((t_now, g_now, energy))
 
     norm_drift = abs(float(np.linalg.norm(psi)) - 1.0)
     leak = float(np.sum(np.abs(psi[int(0.9 * n_max):]) ** 2))

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -74,3 +75,33 @@ def test_minor_faults_are_counted_per_pass_of_each_run(monkeypatch, tmp_path):
     assert got["minflt_per_pass"]["median"] == 10000.0
     assert got["minflt_per_pass"]["runs"] == [9000.0, 10000.0, 30000.0]
     assert "minflt_per_pass" not in got["end_to_end"]
+
+
+def test_src_lines_is_the_wc_total_of_the_package(tmp_path):
+    package = tmp_path / "src" / "tpqrm"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\ny = 2\n")
+    (package / "b.py").write_text("z = 3")  # no final newline, which wc -l does not count
+    (package / "notes.txt").write_text("not\ncounted\n")
+    assert bench.src_lines(tmp_path) == 2
+
+
+def test_each_checkout_records_its_src_line_count(monkeypatch, tmp_path):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"workloads": [{"name": "w"}], "run_seconds": 1, "end_to_end": METRICS}))
+    for label, source in (("parent", "a\nb\nc\n"), ("change", "a\n")):
+        (tmp_path / label / "perfbench").mkdir(parents=True)
+        (tmp_path / label / "perfbench" / "run.py").write_text("")
+        (tmp_path / label / "src" / "tpqrm").mkdir(parents=True)
+        (tmp_path / label / "src" / "tpqrm" / "m.py").write_text(source)
+    metrics = {"pass_s": {"value": 0.5, "unit": "s"}, "ok_frac": {"value": 1.0, "unit": "frac"}}
+    run = {"correct": True, "machine": {"seed": 0}, "minflt_per_pass": 0.0, "metrics": metrics}
+    monkeypatch.setattr(bench, "ROOT", tmp_path)
+    monkeypatch.setattr(bench, "run_perfbench", lambda *args, **kwargs: run)
+    monkeypatch.setattr(sys, "argv", ["bench.py", "--pr", "t", "--checkout",
+                                      f"parent={tmp_path / 'parent'}", "--checkout",
+                                      f"change={tmp_path / 'change'}"])
+    assert bench.main() == 0
+    report = json.loads((tmp_path / "BENCH_t.json").read_text())["checkouts"]
+    lines = {label: side["src_lines"] for label, side in report.items()}
+    assert lines == {"parent": 3, "change": 1}

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from tpqrm import cli
+from tpqrm.errors import ConvergenceError
 
 
 def run_cli(args, cwd):
@@ -141,17 +142,45 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key,value", [("gf", 0.99), ("tau_list", 5)])
-def test_config_number_for_a_text_flag_is_rejected_by_key(tmp_path, capsys, key, value):
-    # argparse never parses a config value, and these two flags are read as text
+_QUENCH_CONFIG = {"command": "quench", "r": 0.25, "gf": "0.5", "tau_list": "5", "n_max": 16}
+# configs whose values argparse would reject as command-line text
+_BAD_CONFIGS = {
+    "conditioning.json": {"command": "wigner", "r": 0.25, "g_over_gc": 0.5, "n_max": 16,
+                          "grid_points": 21, "conditioning": "bogus"},
+    "r_list.json": {"command": "spectrum", "r": [1, 2], "points": 2},
+    "x_range_number.json": {"command": "spectrum", "x_range": 3, "points": 2},
+}
+
+
+@pytest.mark.parametrize("config,message", [
+    pytest.param({**_QUENCH_CONFIG, "gf": 0.99},
+                 "config key 'gf' must be a string, as on the command line; got 0.99",
+                 id="gf-0.99"),
+    pytest.param({**_QUENCH_CONFIG, "tau_list": 5},
+                 "config key 'tau_list' must be a string, as on the command line; got 5",
+                 id="tau_list-5"),
+    pytest.param(_BAD_CONFIGS["conditioning.json"], "config key 'conditioning' must be one of "
+                 "['reduced', 'qubit-up', 'qubit-down']; got 'bogus'", id="conditioning-bogus"),
+    pytest.param(_BAD_CONFIGS["r_list.json"], "config key 'r': invalid float value: [1, 2]",
+                 id="r-list"),
+    pytest.param(_BAD_CONFIGS["x_range_number.json"],
+                 "config key 'x_range' must be a list of 2 values; got 3", id="x_range-3"),
+    pytest.param({"command": "spectrum", "x_range": [1, "a"]},
+                 "config key 'x_range': invalid float value: 'a'", id="x_range-text"),
+    pytest.param({"command": "spectrum", "points": 2.5},
+                 "config key 'points': invalid int value: 2.5", id="points-2.5"),
+    pytest.param({"command": "spectrum", "r": True},
+                 "config key 'r': invalid float value: True", id="r-true"),
+])
+def test_a_config_value_the_command_line_would_reject_is_rejected_by_key(
+        tmp_path, capsys, config, message):
+    # argparse never parses a config value, so the loader checks each one as argparse
+    # checks the flag's text: a string for a text flag, then nargs, type and choices
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"command": "quench", "r": 0.25, "gf": "0.5", "tau_list": "5",
-                               "n_max": 16, key: value}))
-    message = (f"config error: config key {key!r} must be a string, as on the command line; "
-               f"got {value!r}\n")
+    cfg.write_text(json.dumps(config))
     for extra in (["--validate"], ["--out", "o"]):
         assert run_cli(["--config", str(cfg), *extra], tmp_path) == cli.EXIT_CONFIG
-        assert capsys.readouterr().err == message
+        assert capsys.readouterr().err == f"config error: {message}\n"
     assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
 
 
@@ -202,7 +231,7 @@ def test_quench_trajectory_samples(tmp_path, monkeypatch):
     assert len(calls) == 1  # the run that yields E_r also records the trajectory
     data = np.genfromtxt(tmp_path / "qt_trajectory.csv", delimiter=",", names=True)
     assert len(data) == 5
-    assert set(data.dtype.names) == {"t", "g", "energy", "ground_overlap"}
+    assert set(data.dtype.names) == {"t", "g", "energy"}
 
 
 def test_fit_command_roundtrip(tmp_path):
@@ -308,6 +337,35 @@ def test_gap_opening_doubles_to_the_gate(tmp_path):
     assert run_cli(args, tmp_path) == cli.EXIT_CONVERGENCE
 
 
+@pytest.mark.parametrize("name", ["quench", "gap-opening"])
+def test_a_fit_over_fewer_than_five_converged_points_is_an_error(tmp_path, monkeypatch, name):
+    # five points, the last unconverged: the fit file names the shortfall and the run exits 2
+    from tpqrm import ed, quench
+
+    if name == "quench":
+        propagate = quench.propagate
+
+        def solve(protocol, *args, **kwargs):
+            if protocol.tau_q == 6.0:
+                raise ConvergenceError("forced")
+            return propagate(protocol, *args, **kwargs)
+
+        monkeypatch.setattr(quench, "propagate", solve)
+        args = ["quench", "--r", "0.25", "--gf", "0.5", "--tau-list", "2,3,4,5,6", "--n-max", "16",
+                "--dt", "0.05", "--fit"]
+    else:
+        held = iter([True] * 4 + [False])
+        monkeypatch.setattr(ed, "collapse_point_gap",
+                            lambda params, n_max, ceiling: (1.0 + params.delta, n_max, next(held)))
+        args = ["gap-opening", "--r", "0.25", "--window", "0.15", "0.2", "--points", "5",
+                "--n-max-final", "64"]
+    assert run_cli(args + ["--out", "o"], tmp_path) == cli.EXIT_CONVERGENCE
+    data = np.genfromtxt(tmp_path / "o.csv", delimiter=",", names=True)
+    assert list(data["converged"]) == [1, 1, 1, 1, 0]
+    fit = json.loads((tmp_path / "o_fit.json").read_text())
+    assert fit == {"error": "fewer than 5 converged points"}
+
+
 def test_unknown_subcommand_fails():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
@@ -363,6 +421,8 @@ def test_unknown_subcommand_fails():
     ["spectrum", "--tol", "0", "--points", "2"],
     ["observables", "--tol", "inf", "--points", "2"],
     ["wigner", "--g-over-gc", "0.5", "--tol", "nan"],
+    # config values that argparse would reject on the command line
+    *[["--config", name] for name in _BAD_CONFIGS],
 ])
 def test_validate_agrees_with_the_run(tmp_path, capsys, args):
     u = np.geomspace(1e-3, 1e-1, 6)
@@ -370,13 +430,18 @@ def test_validate_agrees_with_the_run(tmp_path, capsys, args):
     for name, y in inputs.items():
         rows = "".join(f"{a:.17g},{b:.17g}\n" for a, b in zip(u, y))
         (tmp_path / name).write_text("u,y\n" + rows)
+    for name, config in _BAD_CONFIGS.items():
+        (tmp_path / name).write_text(json.dumps(config))
     validate = run_cli(args + ["--validate"], tmp_path)
-    payload = json.loads(capsys.readouterr().out)
+    out, err = capsys.readouterr()
+    # a config that does not load is reported on stderr, with no payload
+    diagnostics = (json.loads(out)["diagnostics"] if out
+                   else [err.replace("config error:", "error:")])
     run = run_cli(args + ["--out", "o"], tmp_path)
     assert validate == run
-    assert (validate == cli.EXIT_CONFIG) == any(d.startswith("error:") for d in payload["diagnostics"])
+    assert (validate == cli.EXIT_CONFIG) == any(d.startswith("error:") for d in diagnostics)
     if run == cli.EXIT_CONFIG:  # rejected before any computation or output
-        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(inputs)
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted([*inputs, *_BAD_CONFIGS])
 
 
 _FLAG_READ_RUNS = {

@@ -202,9 +202,14 @@ def test_collapse_point_gap_doubles_until_gate_holds():
     assert not converged and n_max == 2048
 
 
+def _block_levels(block: ed.ParityBlock, k: int) -> np.ndarray:
+    """The block's lowest k eigenvalues by LAPACK bisection, eigenvalues only."""
+    return eigh_tridiagonal(block.diag, block.offdiag, eigvals_only=True,
+                            select="i", select_range=(0, k - 1))
+
+
 def _bisection(block: ed.ParityBlock) -> float:
-    return float(eigh_tridiagonal(block.diag, block.offdiag, eigvals_only=True,
-                                  select="i", select_range=(0, 0))[0])
+    return float(_block_levels(block, 1)[0])
 
 
 @pytest.mark.parametrize("n", [32768, 65536])
@@ -568,6 +573,26 @@ def test_forged_ground_start_fails_its_certificate_and_bisects(r, delta, frac, p
     assert np.array_equal(ed._lowest_pairs(block.diag, block.offdiag, 1, forged)[0], w)
 
 
+@pytest.mark.parametrize("n", [256, 512, 513, 4096])
+def test_a_first_rung_ground_pair_comes_from_ground_pair(monkeypatch, n):
+    # _lowest_pairs is the one door to a rung's pairs: one pair with no rung
+    # below is _ground_pair's, bisection up to 512 rows and certified inverse
+    # iteration (bisecting only the 512-row leading block) above
+    g_c, delta_c = critical_params(0.6)
+    block = ed.build_parity_block(ModelParams(delta=delta_c, g=0.99 * g_c, r=0.6), -1, n)
+    bisected = []
+    _record_calls(monkeypatch, "eigh_tridiagonal", bisected)
+    levels, vectors = ed._lowest_pairs(block.diag, block.offdiag, 1, None)
+    assert bisected == [min(n, 512)]
+    monkeypatch.undo()
+    e0, v0 = ed._ground_pair(block.diag, block.offdiag)
+    assert levels.shape == (1,) and vectors.shape == (n, 1)
+    assert levels[0] == e0 and np.array_equal(vectors[:, 0], v0)
+    if n <= 512:
+        w, v = eigh_tridiagonal(block.diag, block.offdiag, select="i", select_range=(0, 0))
+        assert np.array_equal(levels, w) and np.array_equal(vectors, v)
+
+
 @pytest.mark.parametrize("r,delta,frac,parity,n2", _FORGE_POINTS)
 def test_warm_rung_deflates_a_repeated_start(r, delta, frac, parity, n2):
     # level 1 starts from level 0's vector: with level 0's vector projected
@@ -632,7 +657,7 @@ def test_gap_ladder_bisects_only_its_first_rung(monkeypatch, r, parity):
     monkeypatch.undo()
     assert bisected == [256] and spectrum.n_max_used > 256 and spectrum.converged.all()
     block = ed.build_parity_block(params, parity, spectrum.n_max_used)
-    assert np.abs(spectrum.energies - ed._lowest_block_eigenvalues(block, 2)).max() <= 1e-12
+    assert np.abs(spectrum.energies - _block_levels(block, 2)).max() <= 1e-12
 
 
 def test_warm_certificate_failures_fall_back_to_bisection(monkeypatch):
@@ -650,7 +675,7 @@ def test_warm_certificate_failures_fall_back_to_bisection(monkeypatch):
     assert [n for n, pairs in warm if pairs is None] == [512, 1024]
     assert bisected == [256, 512, 1024] and spectrum.converged.all()
     block = ed.build_parity_block(params, -1, spectrum.n_max_used)
-    assert np.abs(spectrum.energies - ed._lowest_block_eigenvalues(block, 6)).max() <= 1e-11
+    assert np.abs(spectrum.energies - _block_levels(block, 6)).max() <= 1e-11
 
 
 def test_level_zero_reads_t_once_a_warm_rung(monkeypatch):
@@ -754,8 +779,8 @@ def test_doubling_never_raises_the_lowest_levels(r, delta, frac, parity, q, n):
     # Cauchy interlacing: the n-block is a leading principal block of the
     # 2n-block, so no level rises when the truncation doubles
     p = ModelParams(delta=delta, g=frac / (1.0 + r), r=r)
-    small = ed._lowest_block_eigenvalues(ed.build_parity_block(p, parity, n, q), 6)
-    large = ed._lowest_block_eigenvalues(ed.build_parity_block(p, parity, 2 * n, q), 6)
+    small = _block_levels(ed.build_parity_block(p, parity, n, q), 6)
+    large = _block_levels(ed.build_parity_block(p, parity, 2 * n, q), 6)
     assert np.all(large - small <= 1e-12 * (1.0 + np.abs(small)))
 
 
@@ -788,6 +813,16 @@ def test_ground_state_consumers_share_the_convergence_gate(compute):
 def test_bad_counts_rejected_early_by_name(compute, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
         compute(ModelParams(delta=0.3, g=0.2, r=0.6))
+
+
+@pytest.mark.parametrize("compute", [
+    lambda: ed.build_parity_block(ModelParams(delta=0.3, g=0.2, r=0.6), -1, 8, q=0.5),
+    lambda: ed.block_to_spinfock(np.ones(4), -1, q=0.5),
+    lambda: SectorSpec(q=0.5),
+], ids=["build_parity_block", "block_to_spinfock", "SectorSpec"])
+def test_a_bargmann_index_is_rejected_as_sector_spec_rejects_it(compute):
+    with pytest.raises(ValueError, match="^Bargmann index q=0.5 must be 1/4 or 3/4$"):
+        compute()
 
 
 def test_numpy_integer_counts_accepted():
@@ -865,7 +900,7 @@ def test_squeezed_frame_wins_at_small_beta_moderate_accuracy():
         ed.squeezed_frame_spectrum(p, -1, 16, k=6).energies - reference.energies
     ).max()
     bare_err = np.abs(
-        ed._lowest_block_eigenvalues(ed.build_parity_block(p, -1, 128), 6)
+        _block_levels(ed.build_parity_block(p, -1, 128), 6)
         - reference.energies
     ).max()
     assert frame_err < 2e-2
@@ -1159,6 +1194,20 @@ def test_wigner_rejects_a_bad_half_width_before_the_ground_solve(monkeypatch, ba
     monkeypatch.setattr(ed, "_ground_spinfock", None)  # a ground solve would raise TypeError
     with pytest.raises(ValueError, match=f"^half_width={bad} must be finite and positive$"):
         ed.wigner_grid(ModelParams(delta=0.3, g=0.2, r=0.6), half_width=bad)
+
+
+@pytest.mark.parametrize("compute,message", [
+    (lambda p: ed.wigner_grid(p, conditioning="bogus"), "unknown conditioning 'bogus'"),
+    (lambda p: ed.conditional_photon_state(p, "reduced"),
+     "conditioning must be 'qubit-up' or 'qubit-down', got 'reduced'"),
+], ids=["wigner_grid", "conditional_photon_state"])
+def test_an_unknown_conditioning_is_rejected_before_the_ground_solve(monkeypatch, compute, message):
+    def unreached(*args, **kwargs):
+        raise AssertionError("the ground state was solved")
+
+    monkeypatch.setattr(ed, "ground_state_block", unreached)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        compute(ModelParams(delta=0.3, g=0.2, r=0.6))
 
 
 @pytest.mark.parametrize("half_width,points,entries", [

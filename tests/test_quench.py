@@ -129,11 +129,10 @@ def test_adiabatic_limit_residual_energy_vanishes():
 def test_trajectory_samples():
     protocol = QuenchProtocol(g_f=0.8 * G_C, tau_q=40.0, r=R, n_max=128, dt=0.002)
     res = propagate(protocol, n_samples=8)
-    assert res.samples.shape == (8, 4)
-    t, g, energy, overlap = res.samples.T
+    assert res.samples.shape == (8, 3)
+    t, g, energy = res.samples.T
     assert np.all(np.diff(t) > 0)
     assert g[-1] == pytest.approx(0.8 * G_C, rel=1e-12)
-    assert np.all((overlap > 0.0) & (overlap <= 1.0 + 1e-9))
     # energy along the ramp is continuous: no jump larger than the total rise
     assert np.abs(np.diff(energy)).max() < max(energy.max() - energy.min(), 1e-12)
 
@@ -159,7 +158,7 @@ def test_trajectory_comes_from_the_reported_rung():
     protocol = QuenchProtocol(g_f=0.9 * G_C, tau_q=20.0, r=R, n_max=8, dt=1.0)
     res = propagate(protocol, n_samples=4)
     assert res.dt < 1.0
-    t, g, energy, _ = res.samples[-1]
+    t, g, energy = res.samples[-1]
     assert (t, g) == pytest.approx((20.0, 0.9 * G_C), rel=1e-12)
     assert energy == pytest.approx(res.residual_energy + res.ground_energy, rel=1e-12)
 

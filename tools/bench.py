@@ -16,7 +16,8 @@ end-to-end metrics over the untraced runs, every run's values, whether
 every run was correct, and the traced per-layer metrics.  It also holds,
 for information only, the minor page faults per pass of the untraced
 runs: the faults of every process run.py waited for (its setup probes'
-imports included), over the run's passes.  With exactly
+imports included), over the run's passes, and each checkout's
+src/tpqrm line count (the total `wc -l src/tpqrm/*.py` prints).  With exactly
 two checkouts it also compares the second checkout with the first, per
 workload and metric: the seeds on which it did better, the ratio of the
 medians, the first checkout's IQR, whether a claimed gain would hold (at
@@ -54,6 +55,11 @@ def run_perfbench(checkout: Path, workload: str, seed: int, seconds: float, trac
     summary["machine"] = record["machine"]
     summary["minflt_per_pass"] = faults / len(record["passes"])
     return summary
+
+
+def src_lines(checkout: Path) -> int:
+    """Newlines in checkout's src/tpqrm/*.py: the total `wc -l src/tpqrm/*.py` prints."""
+    return sum(path.read_bytes().count(b"\n") for path in (checkout / "src" / "tpqrm").glob("*.py"))
 
 
 def spread(values: list[float]) -> dict:
@@ -119,7 +125,9 @@ def main() -> int:
             ap.error(f"--checkout {item!r}: want LABEL=DIR with DIR/perfbench/run.py")
         checkouts[label] = Path(path).resolve()
 
-    report = {label: {"workloads": {}} for label in checkouts}
+    # informational, like minflt_per_pass: the package size the ROADMAP tracks
+    report = {label: {"src_lines": src_lines(path), "workloads": {}}
+              for label, path in checkouts.items()}
     for workload in workloads:
         runs = {label: [] for label in checkouts}
         for i, seed in enumerate(SEEDS):
