@@ -7,16 +7,18 @@ energy vs quench time), `collapse1d` and `gap-opening` (collapse-point
 structure), and `fit` (standalone log-log regression on any CSV).
 
 One table, COMMANDS, declares each subcommand's flags, input resolver and
-runner; `--validate` runs the same resolver and stops before any computation.
+runner; `--validate` runs the same resolver and stops before any computation,
+printing its diagnostics as JSON, a config that fails to load included.
 
 Runs are deterministic: data go to `<out>.csv` at full double precision,
 fits to `<out>_fit.json`, and a manifest with every default materialized
 to `<out>_manifest.json`; `tpqrm --config <manifest>` reproduces the run
 bit for bit.  A config value is checked as argparse checks the flag's
-text (type, nargs, choices), by key.  Exit codes: 0 success, 1
-configuration or usage error (unknown subcommand or flag, malformed
-value), 2 convergence failure.  Each runner ends in _write, which writes
-its files and turns the run's outcome into exit code 0 or 2.
+text (type, nargs, choices), by key; a switch's value must be a JSON
+boolean.  Exit codes: 0 success, 1 configuration or usage error
+(unknown subcommand or flag, malformed value), 2 convergence failure.
+Each runner ends in _write, which writes its files and turns the run's
+outcome into exit code 0 or 2.
 """
 
 from __future__ import annotations
@@ -485,6 +487,8 @@ def _load_config(argv: list[str]) -> argparse.Namespace:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     for flag, kwargs in COMMANDS[argv[0]].flags:  # argparse parses no config value: check it here
         value, nargs = cfg.get(key := flag[2:].replace("-", "_")), kwargs.get("nargs")
+        if "action" in kwargs and key in cfg and not isinstance(value, bool):
+            raise ValueError(f"config key {key!r} must be true or false; got {value!r}")
         if value is None or "action" in kwargs:
             continue
         if "type" not in kwargs and not isinstance(value, str):
@@ -513,9 +517,13 @@ def _validate(ns, command: Command) -> int:
     else:
         if getattr(ns, "delta", None) == "critical":
             diagnostics.append(f"delta 'critical' resolves to {inputs['model'].delta:.17g}")
-    payload = {"diagnostics": diagnostics, "manifest": _manifest(ns)}
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    _print_payload(diagnostics, _manifest(ns))
     return code
+
+
+def _print_payload(diagnostics: list[str], manifest: dict | None) -> None:
+    """--validate's stdout: the diagnostics and the manifest (None when the config fails to load)."""
+    print(json.dumps({"diagnostics": diagnostics, "manifest": manifest}, indent=2, sort_keys=True))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -524,6 +532,8 @@ def main(argv: list[str] | None = None) -> int:
         ns = _load_config(argv)
     except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
+        if "--validate" in argv:
+            _print_payload([f"error: {exc}"], None)
         return EXIT_CONFIG
 
     command = COMMANDS[ns.command]

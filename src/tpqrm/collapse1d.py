@@ -39,7 +39,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import CollapseMappingError
-from .model import ModelParams, check_count, check_finite, check_positive
+from .model import CONTINUUM_EDGE, ModelParams, check_count, check_finite, check_positive
 from . import ed
 
 _CONTINUUM_LEVELS = 20  # levels the delta = 0 check compares at each truncation
@@ -101,7 +101,8 @@ def _steps(L: float, h: float) -> int:
     return round(math.asinh(L) / h)
 
 
-def _solve_grid(delta: float, L: float, h: float, k: int):
+def _solve_grid(delta: float, L: float, h: float, k: int, eigvals_only: bool = False):
+    """Lowest k levels (and, unless eigvals_only, vectors) on the (L, h) sinh-mapped grid."""
     n = _steps(L, h)
     du = math.asinh(L) / n
     u = np.arange(1 - n, n) * du  # symmetric nodes, walls at u = +-n du
@@ -110,8 +111,8 @@ def _solve_grid(delta: float, L: float, h: float, k: int):
     diag = (inv_mid[:-1] + inv_mid[1:]) / jac + effective_potential(delta, np.sinh(u))
     off = -inv_mid[1:-1] / np.sqrt(jac[:-1] * jac[1:])
     k_solve = min(k, len(u) - 1)
-    w, v = eigh_tridiagonal(diag, off, select="i", select_range=(0, k_solve - 1))
-    return w, v
+    return eigh_tridiagonal(diag, off, eigvals_only=eigvals_only, select="i",
+                            select_range=(0, k_solve - 1))
 
 
 def bound_states(problem: Collapse1DProblem, k: int = 6) -> BoundStateLadder:
@@ -126,7 +127,7 @@ def bound_states(problem: Collapse1DProblem, k: int = 6) -> BoundStateLadder:
     """
     check_count("k", k)
     w, v = _solve_grid(problem.delta, problem.L, problem.h, k)
-    w_ref, _ = _solve_grid(problem.delta, 2 * problem.L, problem.h / 2, k)
+    w_ref = _solve_grid(problem.delta, 2 * problem.L, problem.h / 2, k, eigvals_only=True)
 
     bound = w < 0
     kappa4 = -w[bound]
@@ -191,9 +192,8 @@ def _collapse_levels(delta: float, n_max: int, q: float) -> np.ndarray:
     levels = []
     for parity in (+1, -1):
         block = ed.build_parity_block(params, parity, n_max, q=q)
-        w = eigh_tridiagonal(
-            block.diag, block.offdiag, eigvals_only=True, select="v", select_range=(-np.inf, -0.5)
-        )
+        w = eigh_tridiagonal(block.diag, block.offdiag, eigvals_only=True, select="v",
+                             select_range=(-np.inf, CONTINUUM_EDGE))
         levels.extend(w.tolist())
     return np.sort(np.array(levels))
 
@@ -252,7 +252,7 @@ def collapse_hamiltonian_check(delta: float, n_max: int = 16384) -> CollapseChec
     ladder = bound_states(Collapse1DProblem(delta=delta, L=400.0, h=0.025), k=6)
     kappa4 = ladder.binding_energies[ladder.converged]
     parities = ladder.parities[ladder.converged]
-    mapped = -0.5 - np.sqrt(kappa4)
+    mapped = CONTINUUM_EDGE - np.sqrt(kappa4)
 
     matched = {+1: [], -1: []}
     for q, xpar in ((0.25, +1), (0.75, -1)):
@@ -261,8 +261,8 @@ def collapse_hamiltonian_check(delta: float, n_max: int = 16384) -> CollapseChec
             continue
         levels = _collapse_levels(delta, n_max, q)
         for i in range(min(3, len(targets), len(levels))):
-            k2_block = -0.5 - levels[i]
-            k2_map = -0.5 - targets[i]
+            k2_block = CONTINUUM_EDGE - levels[i]
+            k2_map = CONTINUUM_EDGE - targets[i]
             rel = abs(k2_block - k2_map) / abs(k2_map)
             matched[xpar].append((float(levels[i]), float(targets[i]), float(rel)))
 

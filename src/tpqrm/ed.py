@@ -24,7 +24,8 @@ block's lowest eigenpairs through one door, _lowest_pairs, which picks a
 certified kernel or bisection: _ground_pair for one pair with no rung
 below (bisection up to 512 rows; above, certified inverse iteration from
 the ground state's sign pattern, residuals read off each solve; also
-lowest_level's kernel), and above 256 rows every later rung starts from
+lowest_level's kernel, which at g = g_c first tries the continuum edge
+-1/2 as its shift), and above 256 rows every later rung starts from
 the rung below's eigenpairs (_warm_pairs: Rayleigh-quotient iteration
 certified by Sturm counts, level 0's residuals read off each solve,
 bisection when a certificate fails; only the ground ladders solve once
@@ -51,8 +52,8 @@ from scipy.special import eval_genlaguerre, gammaln, xlogy  # noqa: F401
 
 from .aa import GroundStateObservables, aa_matrix
 from .errors import ConvergenceError
-from .model import (ModelParams, SectorSpec, check_count, check_finite, check_parity,
-                    check_positive, geometry)
+from .model import (CONTINUUM_EDGE, ModelParams, SectorSpec, check_count, check_finite,
+                    check_parity, check_positive, geometry)
 from .specfun import _BLOCK_ENTRIES, _LOG_RESCALE, _RESCALE
 
 N_MAX_CEILING = 16384
@@ -127,12 +128,16 @@ def build_parity_block(
     np.sqrt(coupling, out=coupling)  # root
     # g * root * mix / 2 rounds differently from g * coupling; keep this order
     np.multiply(params.g, coupling, out=offdiag)
+    # x * (mix / 2) is (x * mix) / 2 bit for bit while x * mix / 2 stays normal: always for
+    # root * mix (root > 1, a nonzero mix >= 2^-53), for g root mix once g >= 2^-968
+    fused = params.g >= 2.0**-968
     for first, s in ((0, -float(parity)), (1, float(parity))):  # s_n on even and odd n
         diag[first::2] -= 0.5 * params.delta * s
-        for part in (coupling, offdiag):
-            part[first::2] *= (1 + params.r) - (1 - params.r) * s
-    coupling /= 2.0
-    offdiag /= 2.0
+        mix = (1 + params.r) - (1 - params.r) * s
+        coupling[first::2] *= mix / 2.0
+        offdiag[first::2] *= mix / 2.0 if fused else mix
+    if not fused:
+        offdiag /= 2.0
     return ParityBlock(diag=diag, offdiag=offdiag, coupling=coupling)
 
 
@@ -175,17 +180,22 @@ def _solve_residual(v: np.ndarray, norm: float, x: np.ndarray,
     return c / norm, float(np.linalg.norm(x)) / norm
 
 
-def _ground_pair(diag: np.ndarray, off: np.ndarray,
-                 vector: bool = True) -> tuple[float, np.ndarray | None]:
+def _ground_pair(diag: np.ndarray, off: np.ndarray, vector: bool = True,
+                 first_shift: float | None = None) -> tuple[float, np.ndarray | None]:
     """Lowest eigenpair (E_0, unit v0) of the symmetric tridiagonal matrix T = (diag, off).
 
     Up to _BISECTION_ROWS rows this is LAPACK bisection and inverse
     iteration (eigh_tridiagonal, stebz then stein).  A bigger T runs
     shifted inverse iteration, with every shift certified below E_0: dpttrf
     factors T - sigma as L D L^T with D > 0 (info 0) only when T - sigma is
-    positive definite.  The leading block's lowest pair (E_top, head)
-    bounds E_0 from above (Cauchy interlacing), so the first shift is
-    E_top - delta, delta = 1e-3 max(1, |E_top|) growing 4x until
+    positive definite.  A first_shift (lowest_level passes the continuum
+    edge at g = g_c) is tried first: if dpttrf certifies it, it is the
+    first shift, and the start is flat, (-1)^n / sqrt(n), as a level just
+    above it spreads over the whole block.  Otherwise T has a level below
+    it, dpttrf stops at the first non-positive pivot (33 to 171 rows in
+    on criterion 06's blocks), and the leading block's lowest pair
+    (E_top, head) bounds E_0 from above (Cauchy interlacing), so the first
+    shift is E_top - delta, delta = 1e-3 max(1, |E_top|) growing 4x until
     certified.  With off >= 0 the ground state alternates in sign, so the
     start is (-1)^n |head_n| continued by (-1)^n |head_last|, no entry
     below eps (off may vanish: r = 0, g = 0).  Each solve gives an iterate
@@ -199,7 +209,8 @@ def _ground_pair(diag: np.ndarray, off: np.ndarray,
     factors gives v0, as the stopping iterate errs by up to r / gap
     (vector=False skips it, returning the same E_0 and v0 None).  If the
     certificate fails, or _INVERSE_ITERATIONS passes without it, the pair
-    is bisection's.  About 11 LAPACK calls at 2^15 and 2^16 rows.
+    is bisection's.  About 11 LAPACK calls at 2^15 and 2^16 rows, 9 from
+    the edge.
 
     Above _BISECTION_ROWS the n-sized work (held and trial factors, which
     LAPACK overwrites, iterate and solve; the trial d doubles as temporary
@@ -226,22 +237,26 @@ def _ground_pair(diag: np.ndarray, off: np.ndarray,
         e[:] = off
         return dpttrf(d, e, overwrite_d=1, overwrite_e=1)[2] == 0
 
-    w, head = eigh_tridiagonal(diag[:_BISECTION_ROWS], off[:_BISECTION_ROWS - 1],
-                               select="i", select_range=(0, 0))
-    top = float(w[0])
-    delta = 1e-3 * max(1.0, abs(top))
-    for _ in range(_INVERSE_ITERATIONS):
-        sigma = top - delta
-        if certified_below(sigma):
-            held, trial = trial, held
-            break
-        delta *= 4.0
-    else:
-        return bisection()
     eps = np.finfo(float).eps
+    if first_shift is not None and certified_below(first_shift):
+        sigma, held, trial = first_shift, trial, held
+        x.fill(1.0)  # flat weights: a level just above first_shift spreads over the block
+    else:
+        w, head = eigh_tridiagonal(diag[:_BISECTION_ROWS], off[:_BISECTION_ROWS - 1],
+                                   select="i", select_range=(0, 0))
+        top = float(w[0])
+        delta = 1e-3 * max(1.0, abs(top))
+        for _ in range(_INVERSE_ITERATIONS):
+            sigma = top - delta
+            if certified_below(sigma):
+                held, trial = trial, held
+                break
+            delta *= 4.0
+        else:
+            return bisection()
+        x.fill(max(abs(float(head[-1, 0])), eps))
+        x[:_BISECTION_ROWS] = np.maximum(np.abs(head[:, 0]), eps)
     tol = 8.0 * eps * float(max(diag.max(), -diag.min(), 2.0 * off.max(), -2.0 * off.min()))
-    x.fill(max(abs(float(head[-1, 0])), eps))
-    x[:_BISECTION_ROWS] = np.maximum(np.abs(head[:, 0]), eps)
     x[1::2] *= -1.0  # the ground state's signs when off >= 0
     x /= np.linalg.norm(x)
     for _ in range(_INVERSE_ITERATIONS):
@@ -364,9 +379,16 @@ def _lowest_pairs(diag: np.ndarray, off: np.ndarray, k: int,
 
 
 def lowest_level(params: ModelParams, parity: int, n_max: int) -> float:
-    """Lowest eigenvalue of one q = 1/4 block at fixed truncation (no doubling)."""
+    """Lowest eigenvalue of one q = 1/4 block at fixed truncation (no doubling).
+
+    At g = g_c the levels above the continuum edge E_c = -1/2 crowd
+    together, so a block with no bound level has its lowest level, a box
+    state, just above E_c: _ground_pair tries E_c as its first shift
+    there, and skips the leading-block bisection when it certifies.
+    """
     block = build_parity_block(params, parity, n_max)
-    return _ground_pair(block.diag, block.offdiag, vector=False)[0]
+    edge = CONTINUUM_EDGE if geometry(params).at_collapse else None
+    return _ground_pair(block.diag, block.offdiag, vector=False, first_shift=edge)[0]
 
 
 def collapse_point_gap(

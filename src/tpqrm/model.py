@@ -26,6 +26,8 @@ import math
 import numbers
 from dataclasses import dataclass
 
+CONTINUUM_EDGE = -0.5  # E_c: at g = g_c the spectrum above it is a continuum
+
 
 @dataclass(frozen=True)
 class ModelParams:

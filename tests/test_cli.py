@@ -36,6 +36,26 @@ def test_validate_flags_bad_coupling(tmp_path, capsys):
     assert any("0.625" in d for d in payload["diagnostics"])
 
 
+@pytest.mark.parametrize("text,message", [
+    ('{"command": "spectrum", "bogus": 1}', "unknown config keys: ['bogus']"),
+    ("[1, 2]", "config must be a JSON object"),
+])
+def test_validate_prints_its_payload_when_the_config_fails_to_load(
+        tmp_path, capsys, text, message):
+    (tmp_path / "cfg.json").write_text(text)
+    assert run_cli(["--config", "cfg.json", "--validate"], tmp_path) == cli.EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert json.loads(out) == {"diagnostics": [f"error: {message}"], "manifest": None}
+    assert err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("fit", [True, False])
+def test_a_switch_key_takes_a_json_boolean(tmp_path, capsys, fit):
+    (tmp_path / "cfg.json").write_text(json.dumps({"command": "gap-scan", "fit": fit}))
+    assert run_cli(["--config", "cfg.json", "--validate"], tmp_path) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["manifest"]["fit"] is fit
+
+
 def test_validate_resolves_critical_delta(tmp_path, capsys):
     code = run_cli(
         ["spectrum", "--r", "0.6", "--delta", "critical", "--validate"], tmp_path
@@ -149,6 +169,8 @@ _BAD_CONFIGS = {
                           "grid_points": 21, "conditioning": "bogus"},
     "r_list.json": {"command": "spectrum", "r": [1, 2], "points": 2},
     "x_range_number.json": {"command": "spectrum", "x_range": 3, "points": 2},
+    "fit_text.json": {"command": "gap-scan", "x_range": [1.0, 2.0], "points": 5, "n_max": 64,
+                      "fit": "no"},
 }
 
 
@@ -171,6 +193,12 @@ _BAD_CONFIGS = {
                  "config key 'points': invalid int value: 2.5", id="points-2.5"),
     pytest.param({"command": "spectrum", "r": True},
                  "config key 'r': invalid float value: True", id="r-true"),
+    pytest.param(_BAD_CONFIGS["fit_text.json"], "config key 'fit' must be true or false; got 'no'",
+                 id="fit-no"),
+    pytest.param({"command": "gap-scan", "fit": 1}, "config key 'fit' must be true or false; "
+                 "got 1", id="fit-1"),
+    pytest.param({"command": "qfi", "oracle": None}, "config key 'oracle' must be true or "
+                 "false; got None", id="oracle-null"),
 ])
 def test_a_config_value_the_command_line_would_reject_is_rejected_by_key(
         tmp_path, capsys, config, message):
@@ -433,10 +461,7 @@ def test_validate_agrees_with_the_run(tmp_path, capsys, args):
     for name, config in _BAD_CONFIGS.items():
         (tmp_path / name).write_text(json.dumps(config))
     validate = run_cli(args + ["--validate"], tmp_path)
-    out, err = capsys.readouterr()
-    # a config that does not load is reported on stderr, with no payload
-    diagnostics = (json.loads(out)["diagnostics"] if out
-                   else [err.replace("config error:", "error:")])
+    diagnostics = json.loads(capsys.readouterr().out)["diagnostics"]
     run = run_cli(args + ["--out", "o"], tmp_path)
     assert validate == run
     assert (validate == cli.EXIT_CONFIG) == any(d.startswith("error:") for d in diagnostics)

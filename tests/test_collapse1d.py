@@ -135,6 +135,25 @@ def test_ladder_reports_its_refinement_and_grid_size():
     assert ladder.refinement == pytest.approx(change, rel=1e-9)
 
 
+@pytest.mark.parametrize("delta,L,h,k", [(3.0, 3200.0, 0.0125, 7), (3.0, 6400.0, 0.0125, 7),
+                                         (0.0, 100.0, 0.05, 4)])
+def test_the_refinement_solve_asks_for_eigenvalues_only(monkeypatch, delta, L, h, k):
+    # criterion 09's ladders: the (2L, h/2) solve computes no vectors, and its
+    # levels are bitwise those of the solve that does
+    calls, original = [], collapse1d.eigh_tridiagonal
+
+    def recording(d, e, **kwargs):
+        calls.append((len(d), kwargs.get("eigvals_only", False)))
+        return original(d, e, **kwargs)
+
+    monkeypatch.setattr(collapse1d, "eigh_tridiagonal", recording)
+    ladder = bound_states(Collapse1DProblem(delta=delta, L=L, h=h), k=k)
+    assert calls == [(ladder.rows, False), (2 * round(math.asinh(2 * L) / (h / 2)) - 1, True)]
+    monkeypatch.undo()
+    levels = collapse1d._solve_grid(delta, 2 * L, h / 2, k, eigvals_only=True)
+    assert levels.tobytes() == collapse1d._solve_grid(delta, 2 * L, h / 2, k)[0].tobytes()
+
+
 def test_collapse_check_continuum_at_zero_delta():
     report = collapse_hamiltonian_check(0.0, n_max=8192)
     assert report.consistent

@@ -15,7 +15,7 @@ from tpqrm import ed
 from tpqrm.aa import aa_energy, aa_observables, aa_qfi_leading
 from tpqrm.analysis import make_grid
 from tpqrm.errors import ConvergenceError
-from tpqrm.model import ModelParams, SectorSpec, critical_params, geometry
+from tpqrm.model import CONTINUUM_EDGE, ModelParams, SectorSpec, critical_params, geometry
 from tpqrm.quench import adiabatic_reference
 from tpqrm.specfun import squeeze_element
 
@@ -148,6 +148,19 @@ def test_block_build_is_bitwise_the_whole_array_expressions(r, delta, frac, pari
         assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("g", [5e-324, 2.2250738585072014e-308, 1e-300, 2.0**-969, 2.0**-968])
+@pytest.mark.parametrize("r", [0.6, 2.220446049250313e-16])
+def test_block_build_is_bitwise_at_a_subnormal_coupling(g, r):
+    # a fused (x * mix / 2) would round g root mix / 2 once where the
+    # expressions round twice, in the subnormal range
+    p = ModelParams(delta=0.3, g=g, r=r)
+    for parity in (+1, -1):
+        block = ed.build_parity_block(p, parity, 64)
+        for got, want in zip((block.diag, block.offdiag, block.coupling),
+                             _whole_array_block(p, parity, 64, 0.25)):
+            assert got.tobytes() == want.tobytes()
+
+
 def test_block_first_offdiagonal():
     p = ModelParams(delta=0.3, g=0.2, r=0.6)
     t_minus = ed.build_parity_block(p, -1, 4).offdiag[0]
@@ -243,17 +256,65 @@ def _record_calls(monkeypatch, name: str, log: list, fail_after: int | None = No
 def test_ground_pair_work_on_the_collapse_blocks(monkeypatch):
     # criterion 06's 48 lowest_level calls; a start of ones took 328
     # factorizations and 306 solves, the ground state's sign pattern from
-    # the leading block's vector takes 281 and 233
-    factored, solved = [], []
+    # the leading block's vector 281 and 233; starting the 24 box-state
+    # blocks at the continuum edge takes 252 and 180, and bisects only the
+    # 24 bound blocks' leading 512 rows
+    factored, solved, bisected = [], [], []
     _record_calls(monkeypatch, "dpttrf", factored)
     _record_calls(monkeypatch, "dpttrs", solved)
+    _record_calls(monkeypatch, "eigh_tridiagonal", bisected)
     for r in (0.25, 0.6):
         g_c, delta_c = critical_params(r)
         for n in (32768, 65536):
             for off in np.linspace(0.06, 0.11, 6):
                 for parity in (+1, -1):
                     ed.lowest_level(ModelParams(delta=delta_c - off, g=g_c, r=r), parity, n)
-    assert len(factored) <= 281 and len(solved) <= 233
+    assert len(factored) <= 252 and len(solved) <= 180
+    assert bisected == [512] * 24
+
+
+def _edge_blocks():
+    """(params, parity, n) at g = g_c: r in {0, 0.25, 0.6, 1}, Delta = Delta_c +- {0.06, 0.11}."""
+    for r in (0.0, 0.25, 0.6, 1.0):
+        g_c, delta_c = critical_params(r)
+        for delta in (delta_c + d for d in (-0.11, -0.06, 0.06, 0.11) if delta_c + d >= 0):
+            for n in (1024, 32768):
+                for parity in (+1, -1):
+                    yield ModelParams(delta=delta, g=g_c, r=r), parity, n
+
+
+def test_lowest_level_starts_at_the_continuum_edge_exactly_when_no_level_lies_below(monkeypatch):
+    # E_c = -1/2 is the first shift when T - E_c factors (no level below the
+    # edge): then nothing is bisected, else only the leading 512 rows; either
+    # way the level is bisection's within the certificate's r + tol <= 2 tol
+    paths = set()
+    for p, parity, n in _edge_blocks():
+        block = ed.build_parity_block(p, parity, n)
+        below_edge = ed.dpttrf(block.diag - CONTINUUM_EDGE, block.offdiag)[2] != 0
+        bisected = []
+        _record_calls(monkeypatch, "eigh_tridiagonal", bisected)
+        level = ed.lowest_level(p, parity, n)
+        monkeypatch.undo()
+        assert bisected == ([512] if below_edge else [])
+        scale = max(np.abs(block.diag).max(), 2 * np.abs(block.offdiag).max())
+        assert abs(level - _bisection(block)) <= 16 * np.finfo(float).eps * scale
+        paths.add(below_edge)
+    assert paths == {True, False}
+
+
+def test_lowest_level_passes_the_edge_only_at_the_collapse_point(monkeypatch):
+    shifts = []
+    ground_pair = ed._ground_pair
+
+    def recording(diag, off, vector=True, first_shift=None):
+        shifts.append(first_shift)
+        return ground_pair(diag, off, vector, first_shift)
+
+    monkeypatch.setattr(ed, "_ground_pair", recording)
+    g_c, delta_c = critical_params(0.6)
+    for g in (g_c, 0.999 * g_c, 0.0):
+        ed.lowest_level(ModelParams(delta=delta_c - 0.06, g=g, r=0.6), -1, 1024)
+    assert shifts == [CONTINUUM_EDGE, None, None]
 
 
 def _collapse_block(parity: int, n: int, off: float = 0.06) -> ed.ParityBlock:
@@ -362,7 +423,7 @@ def test_lowest_level_skips_only_the_vector_solve(monkeypatch, n):
         block = ed.build_parity_block(p, -1, n)
         with_vector, level_only = [], []
         _record_calls(monkeypatch, "dpttrs", with_vector)
-        level = ed._ground_pair(block.diag, block.offdiag)[0]
+        level = ed._ground_pair(block.diag, block.offdiag, first_shift=CONTINUUM_EDGE)[0]
         monkeypatch.undo()
         _record_calls(monkeypatch, "dpttrs", level_only)
         assert ed.lowest_level(p, -1, n) == level
