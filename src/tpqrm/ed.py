@@ -128,16 +128,12 @@ def build_parity_block(
     np.sqrt(coupling, out=coupling)  # root
     # g * root * mix / 2 rounds differently from g * coupling; keep this order
     np.multiply(params.g, coupling, out=offdiag)
-    # x * (mix / 2) is (x * mix) / 2 bit for bit while x * mix / 2 stays normal: always for
-    # root * mix (root > 1, a nonzero mix >= 2^-53), for g root mix once g >= 2^-968
-    fused = params.g >= 2.0**-968
     for first, s in ((0, -float(parity)), (1, float(parity))):  # s_n on even and odd n
         diag[first::2] -= 0.5 * params.delta * s
         mix = (1 + params.r) - (1 - params.r) * s
-        coupling[first::2] *= mix / 2.0
-        offdiag[first::2] *= mix / 2.0 if fused else mix
-    if not fused:
-        offdiag /= 2.0
+        coupling[first::2] *= mix / 2.0  # (root * mix) / 2 bit for bit: never subnormal
+        offdiag[first::2] *= mix
+    offdiag /= 2.0
     return ParityBlock(diag=diag, offdiag=offdiag, coupling=coupling)
 
 
