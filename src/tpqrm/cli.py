@@ -402,7 +402,7 @@ COMMANDS = {
     "quench": Command("linear quench residual energy vs quench time", _RUN + (
         _R, _DELTA, _FIT,
         ("--n-max", dict(type=int, default=256,
-                         help="the propagation basis climbs from min(n_max, 32) rows to at most "
+                         help="the propagation basis climbs from min(n_max, 64) rows to at most "
                               "4 n_max until it stops leaking; the CSV's n_max is the basis used")),
         ("--gf", dict(default="0.99", help="final coupling over g_c; accepts '1-1e-6'")),
         ("--tau-range", dict(type=float, nargs=2, default=None, metavar=("TMIN", "TMAX"),
@@ -482,6 +482,9 @@ def _load_config(argv: list[str]) -> argparse.Namespace:
     if not argv or argv[0] not in COMMANDS:
         raise ValueError("no subcommand given and none found in the config")
     cfg = {k.replace("-", "_"): v for k, v in cfg.items() if k != "package_version"}
+    if "validate" in cfg:  # a manifest never writes it; a dry run is asked for on the command line
+        raise ValueError("config key 'validate' is not read from a config; pass --validate "
+                         "on the command line")
     unknown = set(cfg) - {flag[2:].replace("-", "_") for flag, _ in COMMANDS[argv[0]].flags}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")

@@ -10,7 +10,9 @@ Rep. 470, 151 (2009)): Omega = -i h (D - E_0(g_f) + lambda_mid C) - (h^3 rate
 / 12) [C, D], anti-Hermitian and tridiagonal since [C, D] is real
 antisymmetric with upper entries C_j (D_(j+1) - D_j).  exp(Omega) is
 Padé(2,2), the product over d in {3 +- i sqrt 3} of (1 + Omega/d)(1 - Omega/d)^-1:
-two tridiagonal solves a step, exactly unitary.  The shift by E_0(g_f) moves
+two tridiagonal solves a step, exactly unitary.  Each factor solves with
+(1 - Omega/d)/2, which returns 2 (1 - Omega/d)^-1 psi bit for bit since
+halving is exact, and takes one subtraction.  The shift by E_0(g_f) moves
 only the global phase, and keeps the Padé phase error, x^5/720 a step at
 x = h (E - E_0), small on the occupied levels.
 
@@ -26,8 +28,11 @@ the ladder starts at min(1, tau_q/100), elsewhere at min(tau_q/100,
 truncation doubling (near collapse the true ground state needs a far
 larger basis than the propagated, frozen-out state ever occupies).  The
 propagation basis is gated by requiring the occupancy of its top 10% of
-states to stay below 1e-8: it starts at min(n_max, 32) rows and doubles
+states to stay below 1e-8: it starts at min(n_max, 64) rows and doubles
 until the gate holds, up to 4 n_max, so a row's n_max is the basis used.
+Runs that share a step advance in lockstep, as the blocks of one
+block-diagonal system: with the truncation check, each basis of the ladder
+runs with its double, the next basis if it leaks and the check if it holds.
 
 Freeze-out bookkeeping (zv = 1/2 fixed):
 
@@ -63,7 +68,8 @@ Z_NU = 0.5  # soft-mode gap exponent entering every closed form here
 
 _NORM_DRIFT_TARGET = 1e-9
 _LEAK_TARGET = 1e-8
-_BASIS_START = 32  # the leakage ladder's first basis, when n_max is larger
+_BASIS_START = 64  # the leakage ladder's first basis, when n_max is larger
+_STEP_BUFFER_ENTRIES = 2**14  # off-diagonal entries built at once, for a chunk of steps
 _ER_REL_TOL = 1e-2
 _E0_CEILING = 131072
 _E0_TOL = 1e-10  # ground_energy_final's doubling gate
@@ -75,7 +81,7 @@ class QuenchProtocol:
     """Linear ramp g(t) = g_f t / tau_q at fixed Delta (default: critical).
 
     n_max scales the propagation basis: propagate's leakage ladder climbs
-    from min(n_max, 32) rows to at most 4 n_max.
+    from min(n_max, 64) rows to at most 4 n_max.
     """
 
     g_f: float
@@ -168,75 +174,99 @@ def _n_steps(tau_q: float, dt: float) -> int:
 
 
 def _propagate_once(
-    protocol: QuenchProtocol, n_max: int, dt: float, n_samples: int, e0: float
-) -> tuple[float, float, float, list[tuple[float, float, float]]]:
-    """One run of fourth-order Magnus steps; returns (E_r, norm_drift, leak, samples)."""
-    block = build_parity_block(protocol.params_final, -1, n_max)
-    diag, coupling = block.diag, block.coupling
-    psi = np.zeros(n_max, dtype=complex)
-    psi[0] = 1.0
+    protocol: QuenchProtocol, bases: tuple[int, ...], dt: float, n_samples: int, e0: float
+) -> list[tuple[float, float, float, list[tuple[float, float, float]]]]:
+    """Runs of fourth-order Magnus steps, one per basis, advanced in lockstep at one dt.
+
+    The bases are the blocks of one block-diagonal system whose coupling and
+    skew are zero at each junction, so a step is one zgtsv per Padé factor for
+    all of them.  A zero subdiagonal never pivots and eliminates nothing, so
+    each block is bitwise its own run.  Returns (E_r, norm_drift, leak,
+    samples) per basis.
+    """
+    blocks = [build_parity_block(protocol.params_final, -1, n) for n in bases]
+    edges = np.cumsum((0, *bases))
+    parts = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+    diag = np.concatenate([block.diag for block in blocks])
+    coupling = np.concatenate([np.append(block.coupling, 0.0) for block in blocks])[:-1]
+    psi = np.zeros(edges[-1], dtype=complex)
+    psi[edges[:-1]] = 1.0
+
+    def energy(block, v: np.ndarray, g: float) -> float:  # <v|H(g)|v> on one block
+        return float(np.real(np.vdot(v, tridiag_apply(block.diag, g * block.coupling, v))))
 
     n_steps = _n_steps(protocol.tau_q, dt)
     dt = protocol.tau_q / n_steps
     rate = protocol.g_f / protocol.tau_q
-    # 1 - Omega/d: the diagonal 1 + i dt (D - E_0) / d, built once; off-diagonals
-    # lambda_mid ramp -+ skew (lower, upper), skew from the [C, D] term.  Rows of
-    # ramps and skews: lower and upper for the first root, then for the second
-    lhs_diags = [1.0 + 1j * dt * (diag - e0) / d for d in _PADE_ROOTS]
+    # (1 - Omega/d) / 2: the diagonal (1 + i dt (D - E_0) / d) / 2, built once; off-diagonals
+    # (lambda_mid ramp -+ skew) / 2 (lower, upper), skew from the [C, D] term.  Rows of ramps
+    # and skews: lower and upper for the first root, then for the second.  Halving is exact,
+    # so each solve returns 2 (1 - Omega/d)^-1 psi bit for bit
+    half_diags = [0.5 * (1.0 + 1j * dt * (diag - e0) / d) for d in _PADE_ROOTS]
     ramps, skews = [], []
     for d in _PADE_ROOTS:
         skew = (dt**3 * rate / 12.0) * coupling * np.diff(diag) / d
         ramps += [1j * dt * coupling / d] * 2
         skews += [-skew, skew]
-    ramps, skews = np.array(ramps), np.array(skews)
-    offdiags = np.empty_like(ramps)  # overwritten by each solve
+    ramps, skews = 0.5 * np.array(ramps), 0.5 * np.array(skews)
+    # the off-diagonals of a chunk of steps, built by one multiply-add; each solve overwrites
+    # its step's rows
+    offdiags = np.empty((max(1, _STEP_BUFFER_ENTRIES // ramps.size), *ramps.shape), dtype=complex)
 
     # n_samples evenly spaced steps, the last one at t = tau_q
     sample_at = {(k + 1) * n_steps // n_samples for k in range(n_samples)}
-    samples: list[tuple[float, float, float]] = []
+    samples: list[list[tuple[float, float, float]]] = [[] for _ in bases]
 
-    for step in range(n_steps):
-        np.multiply(ramps, rate * (step + 0.5) * dt, out=offdiags)
-        offdiags += skews
-        for lhs_diag, lower, upper in zip(lhs_diags, offdiags[::2], offdiags[1::2]):
-            # (1 + Omega/d)(1 - Omega/d)^-1 psi = 2 (1 - Omega/d)^-1 psi - psi
-            *_, x, info = zgtsv(lower, lhs_diag, upper, psi, overwrite_dl=True, overwrite_du=True)
-            if info != 0:
-                raise RuntimeError(f"tridiagonal solve failed (LAPACK info={info})")
-            x *= 2.0
-            x -= psi
-            psi = x
-        if step + 1 in sample_at:
-            t_now = (step + 1) * dt
-            g_now = rate * t_now
-            energy = float(np.real(np.vdot(psi, tridiag_apply(diag, g_now * coupling, psi))))
-            samples.append((t_now, g_now, energy))
+    for start in range(0, n_steps, len(offdiags)):
+        steps = np.arange(start, min(start + len(offdiags), n_steps))
+        chunk = offdiags[:len(steps)]
+        np.multiply.outer(rate * (steps + 0.5) * dt, ramps, out=chunk)
+        chunk += skews
+        for step, step_offdiags in enumerate(chunk, start):
+            for half_diag, lower, upper in zip(half_diags, step_offdiags[::2], step_offdiags[1::2]):
+                # (1 + Omega/d)(1 - Omega/d)^-1 psi = 2 (1 - Omega/d)^-1 psi - psi
+                *_, y, info = zgtsv(lower, half_diag, upper, psi, overwrite_dl=True,
+                                    overwrite_du=True)
+                if info != 0:
+                    raise RuntimeError(f"tridiagonal solve failed (LAPACK info={info})")
+                y -= psi
+                psi = y
+            if step + 1 in sample_at:
+                t_now = (step + 1) * dt
+                for block, part, trajectory in zip(blocks, parts, samples):
+                    trajectory.append((t_now, rate * t_now, energy(block, psi[part], rate * t_now)))
 
-    norm_drift = abs(float(np.linalg.norm(psi)) - 1.0)
-    leak = float(np.sum(np.abs(psi[int(0.9 * n_max):]) ** 2))
-    h_psi = tridiag_apply(diag, protocol.g_f * coupling, psi)
-    return float(np.real(np.vdot(psi, h_psi))) - e0, norm_drift, leak, samples
+    return [(energy(block, psi[part], protocol.g_f) - e0,
+             abs(float(np.linalg.norm(psi[part])) - 1.0),  # norm drift
+             float(np.sum(np.abs(psi[part][int(0.9 * len(block.diag)):]) ** 2)),  # leak
+             trajectory) for block, part, trajectory in zip(blocks, parts, samples)]
 
 
 def propagate(protocol: QuenchProtocol, n_samples: int = 0,
               check_truncation: bool = False) -> QuenchResult:
     """Run the quench; report E_r only once dt-halving moves it by < 1%.
 
-    The basis starts at min(n_max, 32) rows and doubles until its top
+    The basis starts at min(n_max, 64) rows and doubles until its top
     decile holds below 1e-8; the result's n_max is the basis it reached.
-    E_r, the trajectory and the norm drift all come from the reported
-    run.  Raises ConvergenceError on basis leakage (still above 1e-8 at the
-    last basis not above 4 n_max), on dt non-convergence (three halvings),
-    on norm drift above 1e-9, and, with check_truncation, when doubling
-    the basis reached moves E_r by more than 1%.
+    With check_truncation each basis of that ladder runs in lockstep with
+    its double (one block-diagonal system), which is the next basis if it
+    leaks and the truncation check's run if it holds; without it, one
+    basis runs at a time.  E_r, the trajectory and the norm drift all come
+    from the reported run.  Raises ConvergenceError on basis leakage (still
+    above 1e-8 at the last basis not above 4 n_max), on dt non-convergence
+    (three halvings), on norm drift above 1e-9, and, with check_truncation,
+    when doubling the basis reached moves E_r by more than 1%.
     """
     dt = protocol.start_dt()
     replace(protocol, dt=dt).check_samples(n_samples)  # with dt resolved: B is not solved again
     e0 = ground_energy_final(protocol)
 
-    n_max = min(protocol.n_max, _BASIS_START)
+    n_max, runs = min(protocol.n_max, _BASIS_START), {}  # runs at dt, by basis
     while True:
-        e_r, drift, leak, samples = _propagate_once(protocol, n_max, dt, n_samples, e0)
+        if n_max not in runs:
+            bases = (n_max, 2 * n_max) if check_truncation else (n_max,)
+            runs.update(zip(bases, _propagate_once(protocol, bases, dt, n_samples, e0)))
+        e_r, drift, leak, samples = runs[n_max]
         if leak <= _LEAK_TARGET:
             break
         if 2 * n_max > 4 * protocol.n_max:
@@ -250,7 +280,8 @@ def propagate(protocol: QuenchProtocol, n_samples: int = 0,
         # (E_r, drift, samples) at dt / halvings; the first rung is the leakage run above
         if halvings == 1:
             return first
-        e_r, drift, _, samples = _propagate_once(protocol, n_max, dt / halvings, n_samples, e0)
+        e_r, drift, _, samples = _propagate_once(protocol, (n_max,), dt / halvings, n_samples,
+                                                 e0)[0]
         return e_r, drift, samples
 
     def held(new: float, old: float) -> bool:
@@ -268,7 +299,9 @@ def propagate(protocol: QuenchProtocol, n_samples: int = 0,
     dt /= halvings // 2  # report the coarser step of the held pair
 
     if check_truncation:
-        e_r_dbl = _propagate_once(protocol, 2 * n_max, dt, 0, e0)[0]
+        # the doubled basis' lockstep run is at the reported dt if the first pair held
+        doubled = runs.get(2 * n_max) if halvings == 2 else None
+        e_r_dbl = (doubled or _propagate_once(protocol, (2 * n_max,), dt, 0, e0)[0])[0]
         if not held(e_r_dbl, e_r):
             raise ConvergenceError(
                 f"E_r moves by {abs(e_r_dbl - e_r):.2e} (> 1%) when doubling n_max={n_max}"
@@ -327,9 +360,11 @@ def kz_sweep(
     params supplies (delta, r); g_f is the common endpoint.  Each point
     carries its own dt-halving and truncation checks; failures mark the
     row converged=False rather than aborting the sweep.  A converged row's
-    n_max is the basis propagate reached, from min(n_max, 32) up to at
-    most 4 n_max; an unconverged row keeps the caller's n_max.  "samples" holds
-    the run's n_samples trajectory samples (None if 0 or unconverged).
+    n_max is the basis propagate reached, from min(n_max, 64) up to at
+    most 4 n_max, each basis run in lockstep with its double, the
+    truncation check; an unconverged row keeps the caller's n_max.
+    "samples" holds the run's n_samples trajectory samples (None if 0 or
+    unconverged).
     n_samples must fit every point's start step; a count the shortest
     tau_q cannot give raises ValueError before any point runs.
     """

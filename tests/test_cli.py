@@ -163,7 +163,8 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
 
 
 _QUENCH_CONFIG = {"command": "quench", "r": 0.25, "gf": "0.5", "tau_list": "5", "n_max": 16}
-# configs whose values argparse would reject as command-line text
+# configs whose values argparse would reject as command-line text, and a config that asks
+# for a dry run itself
 _BAD_CONFIGS = {
     "conditioning.json": {"command": "wigner", "r": 0.25, "g_over_gc": 0.5, "n_max": 16,
                           "grid_points": 21, "conditioning": "bogus"},
@@ -171,6 +172,7 @@ _BAD_CONFIGS = {
     "x_range_number.json": {"command": "spectrum", "x_range": 3, "points": 2},
     "fit_text.json": {"command": "gap-scan", "x_range": [1.0, 2.0], "points": 5, "n_max": 64,
                       "fit": "no"},
+    "validate.json": {"command": "spectrum", "validate": True, "points": 2},
 }
 
 
@@ -199,6 +201,11 @@ _BAD_CONFIGS = {
                  "got 1", id="fit-1"),
     pytest.param({"command": "qfi", "oracle": None}, "config key 'oracle' must be true or "
                  "false; got None", id="oracle-null"),
+    pytest.param(_BAD_CONFIGS["validate.json"], "config key 'validate' is not read from a "
+                 "config; pass --validate on the command line", id="validate-true"),
+    pytest.param({"command": "spectrum", "validate": True, "bogus": 1}, "config key "
+                 "'validate' is not read from a config; pass --validate on the command line",
+                 id="validate-and-unknown"),
 ])
 def test_a_config_value_the_command_line_would_reject_is_rejected_by_key(
         tmp_path, capsys, config, message):

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -172,9 +173,9 @@ def test_norm_drift_comes_from_the_reported_rung(monkeypatch, drifts, raises):
     # replaced by the one given for its step, so only the reported one may count
     once = quench._propagate_once
 
-    def forged(protocol, n_max, dt, n_samples, e0):
-        e_r, _, leak, samples = once(protocol, n_max, dt, n_samples, e0)
-        return e_r, drifts[{1.0: 0, 0.5: 1, 0.25: 2}[dt]], leak, samples
+    def forged(protocol, bases, dt, n_samples, e0):
+        return [(e_r, drifts[{1.0: 0, 0.5: 1, 0.25: 2}[dt]], leak, samples)
+                for e_r, _, leak, samples in once(protocol, bases, dt, n_samples, e0)]
 
     monkeypatch.setattr(quench, "_propagate_once", forged)
     protocol = QuenchProtocol(g_f=0.9 * G_C, tau_q=20.0, r=R, n_max=8, dt=1.0)
@@ -194,7 +195,8 @@ def test_right_sized_basis_agrees_with_the_callers(frac, tau_q, n_max):
     (row,) = kz_sweep(g_f, [tau_q], ModelParams(delta=DELTA_C, g=g_f, r=R), n_max=n_max)
     assert row["converged"] and row["n_max"] == 64
     protocol = QuenchProtocol(g_f=g_f, tau_q=tau_q, r=R, n_max=n_max)
-    full = quench._propagate_once(protocol, n_max, row["dt"], 0, ground_energy_final(protocol))[0]
+    full = quench._propagate_once(protocol, (n_max,), row["dt"], 0,
+                                  ground_energy_final(protocol))[0][0]
     assert row["e_r"] == pytest.approx(full, rel=1e-6)
 
 
@@ -208,21 +210,22 @@ def test_sweep_rejects_a_sample_count_before_any_point_runs(monkeypatch):
 
 def test_default_step_is_sized_by_the_dt_gate(monkeypatch):
     # B = 9.3e-4 here, so the ladder starts at dt = 1 and the gate holds at the first
-    # pair: 10^3 steps at 32 rows, which leak, then 10^3 + 2 x 10^3 at 64 rows, plus
-    # 10^3 for the truncation check at 128, at two solves a step (a start at the phase
-    # bound, dt = 0.16, makes six times as many)
+    # pair: 10^3 steps of 64 and 128 rows in lockstep, where 64 holds and 128 is the
+    # truncation check, then 2 x 10^3 at 64 rows, at two solves a step (a start at the
+    # phase bound, dt = 0.16, makes six times as many)
     calls = []
     zgtsv = quench.zgtsv
 
-    def counting(*args, **kwargs):
-        calls.append(None)
-        return zgtsv(*args, **kwargs)
+    def counting(lower, diag, *args, **kwargs):
+        calls.append(len(diag))
+        return zgtsv(lower, diag, *args, **kwargs)
 
     monkeypatch.setattr(quench, "zgtsv", counting)
     g_f = 0.99 * G_C
     (row,) = kz_sweep(g_f, [1000.0], ModelParams(delta=DELTA_C, g=g_f, r=R), n_max=256)
     assert row["converged"]
-    assert len(calls) == 10_000
+    assert len(calls) == 6_000
+    assert Counter(calls) == {192: 2_000, 64: 4_000}
     assert row["e_r"] == pytest.approx(1.0709408e-3, rel=1e-2)  # E_r at dt = 0.01
 
 
@@ -272,10 +275,11 @@ def test_propagate_dt_ladder_gives_up_after_three_halvings():
 
 
 def test_propagate_leakage_error_names_the_last_truncation_run():
-    # n_max = 2, 4 and 8 all leak; 16 was never run
+    # n_max = 2, 4 and 8 all leak; 16 was never run, or ran only as 8's truncation check
     protocol = QuenchProtocol(g_f=0.999 * G_C, tau_q=50.0, r=R, n_max=2, dt=1.0)
-    with pytest.raises(ConvergenceError, match=r"basis leakage .* at n_max=8$"):
-        propagate(protocol)
+    for check_truncation in (False, True):
+        with pytest.raises(ConvergenceError, match=r"basis leakage .* at n_max=8$"):
+            propagate(protocol, check_truncation=check_truncation)
 
 
 @pytest.mark.parametrize("frac,tau_q,n_max", [(0.5, 200.0, 64), (0.5, 200.0, 128)])
@@ -291,7 +295,7 @@ def test_adiabatic_point_converges_from_the_phase_bound(frac, tau_q, n_max):
 def test_adiabatic_residual_energy_agrees_with_a_fine_step_run():
     protocol = QuenchProtocol(g_f=0.4 * G_C, tau_q=200.0, r=R, n_max=128)
     res = propagate(protocol)
-    fine = quench._propagate_once(protocol, res.n_max, 0.005, 0, res.ground_energy)[0]
+    fine = quench._propagate_once(protocol, (res.n_max,), 0.005, 0, res.ground_energy)[0][0]
     assert res.residual_energy == pytest.approx(fine, rel=1e-2)
 
 
@@ -300,8 +304,8 @@ def test_magnus_step_is_fourth_order(frac):
     # on a tau_q = 5 ramp, each halving of dt from 0.2 to 0.025 cuts the E_r error 16x
     protocol = QuenchProtocol(g_f=frac * G_C, tau_q=5.0, r=R, n_max=32)
     e0 = ground_energy_final(protocol)
-    ref = quench._propagate_once(protocol, 32, 0.001, 0, e0)[0]
-    errors = [abs(quench._propagate_once(protocol, 32, dt, 0, e0)[0] - ref)
+    ref = quench._propagate_once(protocol, (32,), 0.001, 0, e0)[0][0]
+    errors = [abs(quench._propagate_once(protocol, (32,), dt, 0, e0)[0][0] - ref)
               for dt in (0.2, 0.1, 0.05, 0.025)]
     for coarse, fine in zip(errors, errors[1:]):
         assert 14.0 < coarse / fine < 18.0
@@ -333,18 +337,55 @@ def _per_root_magnus_run(protocol, n_max, dt, e0):
 
 @pytest.mark.parametrize("frac,tau_q,n_max,dt", [(0.9, 50.0, 64, 0.5), (0.5, 20.0, 32, 0.2)])
 def test_magnus_steps_are_bitwise_the_per_root_solves(frac, tau_q, n_max, dt):
-    # the step's shared off-diagonal buffer, overwritten by each solve, changes no bit
+    # the shared off-diagonal buffer, overwritten by each solve, and the halved system
+    # change no bit, alone and as either half of a lockstep pair
     protocol = QuenchProtocol(g_f=frac * G_C, tau_q=tau_q, r=R, n_max=n_max)
     e0 = ground_energy_final(protocol)
-    assert quench._propagate_once(protocol, n_max, dt, 0, e0)[:3] == _per_root_magnus_run(
-        protocol, n_max, dt, e0)
+    for bases in ((n_max,), (n_max, 2 * n_max), (n_max // 2, n_max)):
+        run = quench._propagate_once(protocol, bases, dt, 0, e0)[bases.index(n_max)]
+        assert run[:3] == _per_root_magnus_run(protocol, n_max, dt, e0)
+
+
+@pytest.mark.parametrize("r", [0.0, R])
+@pytest.mark.parametrize("frac,tau_q,n_max", [(0.5, 20.0, 32), (0.99, 50.0, 64)])
+def test_lockstep_runs_are_bitwise_the_single_runs(r, frac, tau_q, n_max):
+    # a zero subdiagonal at the junction never pivots and eliminates nothing
+    protocol = QuenchProtocol(g_f=frac * critical_params(r)[0], tau_q=tau_q, r=r, n_max=n_max)
+    e0 = ground_energy_final(protocol)
+    pair = quench._propagate_once(protocol, (n_max, 2 * n_max), 0.5, 5, e0)
+    singles = [quench._propagate_once(protocol, (n,), 0.5, 5, e0)[0] for n in (n_max, 2 * n_max)]
+    assert pair == singles
+    assert all(len(samples) == 5 for *_, samples in pair)
+
+
+@pytest.mark.parametrize("check_truncation,rows", [
+    # 6, 12 and 24 rows at dt = 1 (30 steps), then 24 at dt = 0.5 and 0.25
+    (False, {6: 60, 12: 60, 24: 60 + 120 + 240}),
+    # (6, 12) and (24, 48) in lockstep at dt = 1; the ladder holds at its second
+    # pair, so the check runs 48 alone at the reported dt = 0.5
+    (True, {18: 60, 72: 60, 24: 120 + 240, 48: 120}),
+])
+def test_propagate_pairs_bases_only_for_the_truncation_check(monkeypatch, check_truncation,
+                                                             rows):
+    calls = []
+    zgtsv = quench.zgtsv
+
+    def counting(lower, diag, *args, **kwargs):
+        calls.append(len(diag))
+        return zgtsv(lower, diag, *args, **kwargs)
+
+    monkeypatch.setattr(quench, "zgtsv", counting)
+    protocol = QuenchProtocol(g_f=0.95 * G_C, tau_q=30.0, r=R, n_max=6, dt=1.0)
+    res = propagate(protocol, check_truncation=check_truncation)
+    assert (res.n_max, res.dt) == (24, 0.5)
+    assert Counter(calls) == rows
 
 
 @pytest.mark.parametrize("frac,n_max", [(0.5, 32), (0.9, 64)])
 def test_magnus_step_keeps_the_norm_at_dt_one(frac, n_max):
     protocol = QuenchProtocol(g_f=frac * G_C, tau_q=20.0, r=R, n_max=n_max)
     e0 = ground_energy_final(protocol)
-    assert quench._propagate_once(protocol, n_max, 1.0, 0, e0)[1] <= 1e-14
+    assert quench._propagate_once(protocol, (n_max,), 1.0, 0, e0)[0][1] <= 1e-14
 
 
 def test_propagate_where_chi_3_does_not_converge():
