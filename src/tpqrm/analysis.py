@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import critical_params
+from .model import check_finite, critical_params
 
 MIN_FIT_POINTS = 5  # fewest points either fit accepts
 
@@ -60,7 +60,8 @@ def powerlaw_points(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The finite points inside window (inclusive) that fit_powerlaw fits.
 
-    Raises ValueError unless there are >= 5 of them, all strictly positive.
+    Raises ValueError unless there are >= 5 of them, all strictly positive,
+    or if a window bound is not finite.
     """
     u = np.asarray(abscissa, dtype=float)
     y = np.asarray(ordinate, dtype=float)
@@ -69,6 +70,7 @@ def powerlaw_points(
     mask = np.isfinite(u) & np.isfinite(y)
     if window is not None:
         lo, hi = window
+        check_finite(window_lo=lo, window_hi=hi)
         mask &= (u >= lo) & (u <= hi)
     u, y = u[mask], y[mask]
     if len(u) < MIN_FIT_POINTS:
@@ -128,6 +130,7 @@ def fit_quadratic_gap(delta_values, gaps, delta_c: float) -> FitResult:
 
 def make_grid(x_min: float, x_max: float, n: int, r: float) -> SampleGrid:
     """n couplings uniform in x = -log10(1 - g/g_c), mapped to g = g_c (1 - 10^-x)."""
+    check_finite(x_min=x_min, x_max=x_max)
     if not 0.0 <= x_min < x_max:
         raise ValueError("need 0 <= x_min < x_max")
     if n < 2:

@@ -8,17 +8,19 @@ structure), and `fit` (standalone log-log regression on any CSV).
 
 One table, COMMANDS, declares each subcommand's flags, input resolver and
 runner; `--validate` runs the same resolver and stops before any computation,
-printing its diagnostics as JSON, a config that fails to load included.
+printing its diagnostics as JSON, flags or a config that fail to parse included.
 
 Runs are deterministic: data go to `<out>.csv` at full double precision,
 fits to `<out>_fit.json`, and a manifest with every default materialized
-to `<out>_manifest.json`; `tpqrm --config <manifest>` reproduces the run
-bit for bit.  A config value is checked as argparse checks the flag's
-text (type, nargs, choices), by key; a switch's value must be a JSON
-boolean.  Exit codes: 0 success, 1 configuration or usage error
-(unknown subcommand or flag, malformed value), 2 convergence failure.
-Each runner ends in _write, which writes its files and turns the run's
-outcome into exit code 0 or 2.
+to `<out>_manifest.json`, as strict JSON (a non-finite float is null);
+`tpqrm --config <manifest>` reproduces the run bit for bit.  A config
+value is parsed as its flag's command-line text (`--flag=value`,
+`--flag v1 v2` for a list, a bare `--flag` for true), put ahead of the
+command line, which wins; each flag checks its own value in its type=.
+Exit codes: 0 success, 1 configuration or usage error, as one line on
+stderr (and --validate's payload), 2 convergence failure.  Each runner
+ends in _write, which writes its files and turns the run's outcome into
+exit code 0 or 2.
 """
 
 from __future__ import annotations
@@ -37,8 +39,7 @@ import numpy as np
 
 from . import __version__, aa, analysis, collapse1d, ed, quench
 from .errors import CollapseMappingError, ConvergenceError
-from .model import (ModelParams, SectorSpec, check_count, check_positive, critical_params,
-                    params_from_dict)
+from .model import ModelParams, SectorSpec, critical_params, params_from_dict
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -75,6 +76,24 @@ def parse_gf(text: str) -> float:
     return _floats([text], "--gf")[0]
 
 
+def _checked(convert: Callable[[str], float], ok: Callable[[float], bool], rule: str):
+    """argparse type=: the text through convert, rejected unless ok(value)."""
+    def parse(text: str):
+        if not ok(value := convert(text)):
+            raise argparse.ArgumentTypeError(f"{value} {rule}")
+        return value
+    parse.__name__ = convert.__name__  # argparse names it in "invalid float value: 'abc'"
+    return parse
+
+
+_positive = _checked(float, lambda value: 0.0 < value < math.inf, "must be finite and positive")
+
+
+def _count(least: int):
+    """argparse type=: an integer no less than least."""
+    return _checked(int, lambda value: value >= least, f"must be >= {least}")
+
+
 # -- flags: (flag, add_argument keywords), shared where subcommands share them --
 _RUN = (("--config", dict(default=None, help="JSON config; CLI flags override")),
         ("--out", dict(default=None, help="output path prefix")),
@@ -82,12 +101,12 @@ _RUN = (("--config", dict(default=None, help="JSON config; CLI flags override"))
 _R = ("--r", dict(type=float, default=0.6, help="anisotropy in [0, 1]"))
 _DELTA = ("--delta", dict(default="critical", help="qubit frequency, or 'critical': Delta_c(r)"))
 _N_MAX = ("--n-max", dict(type=int, default=256, help="starting truncation"))
-_TOL = ("--tol", dict(type=float, default=1e-10, help="per-level convergence target"))
+_TOL = ("--tol", dict(type=_positive, default=1e-10, help="per-level convergence target"))
 _FIT = ("--fit", dict(action="store_true", help="also fit log-log exponents"))
-_GRID = (_R, _DELTA, _N_MAX,
+_GRID = (_R, _DELTA,
          ("--x-range", dict(type=float, nargs=2, default=[1.5, 3.0], metavar=("XMIN", "XMAX"),
                             help="range in x = -log10(1 - g/gc)")),
-         ("--points", dict(type=int, default=7, help="grid points in x")))
+         ("--points", dict(type=_count(1), default=7, help="grid points in x")))
 
 
 def _params(ns, **coupling) -> ModelParams:
@@ -98,22 +117,6 @@ def _params(ns, **coupling) -> ModelParams:
 
 
 # -- resolvers: flags -> the run's inputs, raising ValueError on bad input --
-# The least value of each count flag, as the library call it feeds demands.
-# argparse's type= never sees --config values, so _resolve checks these.
-_LEAST_COUNT = {"points": 1, "levels": 1, "grid_points": 3, "tau_points": 1, "samples": 0, "k": 1,
-                "n_max_final": 4}
-
-
-def _resolve(ns, command: Command) -> dict:
-    """The subcommand's inputs from its resolver, once its count flags and --tol are checked."""
-    for name, least in _LEAST_COUNT.items():
-        if name in vars(ns):
-            check_count("--" + name.replace("_", "-"), getattr(ns, name), least)
-    if "tol" in vars(ns):
-        check_positive(**{"--tol": ns.tol})
-    return command.resolve(ns)
-
-
 def _resolve_grid(ns, fit_cols: tuple[str, ...] = ()) -> dict:
     """The model at g = 0, the coupling grid, and the columns --fit fits against 1 - g/g_c."""
     fit_cols = fit_cols if fit_cols and ns.fit else ()
@@ -123,33 +126,27 @@ def _resolve_grid(ns, fit_cols: tuple[str, ...] = ()) -> dict:
     return {"model": _params(ns, g=0.0), "grid": grid, "fit_cols": fit_cols}
 
 
-def _resolve_qfi(ns) -> dict:
-    check_count("n_max", ns.n_max, 2)  # the F_Q ladder's first rung is a block of n_max rows
-    return _resolve_grid(ns, fit_cols=("f_q",))
-
-
 def _resolve_quench(ns) -> dict:
     model = _params(ns, g_over_gc=parse_gf(ns.gf))
     if ns.tau_list:
         taus = _floats(ns.tau_list.split(","), "--tau-list")
     elif ns.tau_range:
-        for end in ns.tau_range:
-            check_positive(**{"--tau-range": end})
         taus = list(np.logspace(math.log10(ns.tau_range[0]), math.log10(ns.tau_range[1]),
                                 ns.tau_points))
     else:
         raise ValueError("quench needs --tau-range or --tau-list")
     if ns.fit and len(taus) < analysis.MIN_FIT_POINTS:
         raise ValueError(f"--fit needs at least {analysis.MIN_FIT_POINTS} points, got {len(taus)}")
+    if ns.samples and len(taus) > 1:
+        raise ValueError(f"--samples records the trajectory of a single quench time; "
+                         f"got {len(taus)} quench times")
     protocols = [quench.QuenchProtocol(g_f=model.g, tau_q=tau, r=model.r, delta=model.delta,
                                        n_max=ns.n_max, dt=ns.dt) for tau in taus]
-    n_samples = ns.samples if len(protocols) == 1 else 0  # only a single-tau run records them
-    protocols[0].check_samples(n_samples)
-    return {"model": model, "protocols": protocols, "n_samples": n_samples}
+    protocols[0].check_samples(ns.samples)
+    return {"model": model, "protocols": protocols, "n_samples": ns.samples}
 
 
 def _resolve_wigner(ns) -> dict:
-    check_positive(**{"--half-width": ns.half_width})  # before any ground-state solve
     ed.check_wigner_lattice(ns.half_width, ns.grid_points, ("--half-width", "--grid-points"))
     return {"model": _params(ns, g=ns.g, g_over_gc=ns.g_over_gc)}
 
@@ -215,9 +212,14 @@ def _write(ns, ok: bool, tables: dict[str, tuple[list[str], list[list]]], **payl
             fh.writelines(",".join(_fmt(v) for v in row) + "\n" for row in rows)
     for name, payload in {"manifest": _manifest(ns), **payloads}.items():
         with open(f"{out}_{name}.json", "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(_json(payload) + "\n")
     return EXIT_OK if ok else EXIT_CONVERGENCE
+
+
+def _json(payload) -> str:
+    """payload as strict JSON (RFC 8259): a non-finite float is written as null."""
+    plain = json.loads(json.dumps(payload), parse_constant=lambda _: None)  # NaN, Infinity
+    return json.dumps(plain, indent=2, sort_keys=True, allow_nan=False)
 
 
 def _converged_fit(fit, points: list[tuple[float, float]], key: str | None = None) -> dict:
@@ -354,7 +356,7 @@ def run_collapse1d(ns, model: collapse1d.Collapse1DProblem) -> int:
 
 def run_fit(ns, u: np.ndarray, y: np.ndarray, window: tuple[float, float] | None) -> int:
     fit = analysis.fit_powerlaw(u, y, window=window).to_dict()
-    print(json.dumps(fit, indent=2, sort_keys=True))
+    print(_json(fit))
     return _write(ns, True, {}, fit=fit)
 
 
@@ -379,25 +381,27 @@ class Command(NamedTuple):
 
 COMMANDS = {
     "spectrum": Command("level diagram vs coupling, both parities, AA alongside", _RUN + _GRID + (
-        _TOL, ("--levels", dict(type=int, default=8, help="levels per parity block")),
+        _N_MAX, _TOL, ("--levels", dict(type=_count(1), default=8, help="levels per parity block")),
     ), _resolve_grid, run_spectrum),
-    "gap-scan": Command("soft-mode and parity gaps vs coupling", _RUN + _GRID + (_TOL, _FIT),
+    "gap-scan": Command("soft-mode and parity gaps vs coupling",
+                        _RUN + _GRID + (_N_MAX, _TOL, _FIT),
                         partial(_resolve_grid, fit_cols=("eps_sp", "eps_dp")), run_gap_scan),
     "observables": Command(
-        "photon number, polarization, quadratures vs coupling", _RUN + _GRID + (_TOL, _FIT),
+        "photon number, polarization, quadratures vs coupling", _RUN + _GRID + (_N_MAX, _TOL, _FIT),
         partial(_resolve_grid, fit_cols=("photon", "sigma_x", "dx", "dp")), run_observables),
     "qfi": Command("quantum Fisher information vs coupling", _RUN + _GRID + (
+        ("--n-max", dict(_N_MAX[1], type=_count(2))),  # F_Q's first rung is a block of n_max rows
         _FIT,
         ("--oracle", dict(action="store_true",
                           help="add the fidelity-susceptibility cross check column")),
-    ), _resolve_qfi, run_qfi),
+    ), partial(_resolve_grid, fit_cols=("f_q",)), run_qfi),
     "wigner": Command("Wigner distribution of the ground-state photon mode", _RUN + (
         _R, _DELTA, _N_MAX, _TOL,
         ("--g", dict(type=float, default=None, help="absolute coupling")),
         ("--g-over-gc", dict(type=float, default=None, help="coupling in units of g_c")),
         ("--conditioning", dict(choices=["reduced", *ed.QUBIT_COMPONENTS], default="reduced")),
-        ("--half-width", dict(type=float, default=None)),
-        ("--grid-points", dict(type=int, default=161)),
+        ("--half-width", dict(type=_positive, default=None)),
+        ("--grid-points", dict(type=_count(3), default=161)),
     ), _resolve_wigner, run_wigner),
     "quench": Command("linear quench residual energy vs quench time", _RUN + (
         _R, _DELTA, _FIT,
@@ -405,11 +409,11 @@ COMMANDS = {
                          help="the propagation basis climbs from min(n_max, 64) rows to at most "
                               "4 n_max until it stops leaking; the CSV's n_max is the basis used")),
         ("--gf", dict(default="0.99", help="final coupling over g_c; accepts '1-1e-6'")),
-        ("--tau-range", dict(type=float, nargs=2, default=None, metavar=("TMIN", "TMAX"),
+        ("--tau-range", dict(type=_positive, nargs=2, default=None, metavar=("TMIN", "TMAX"),
                              help="log-spaced quench-time range")),
-        ("--tau-points", dict(type=int, default=6)),
+        ("--tau-points", dict(type=_count(1), default=6)),
         ("--tau-list", dict(default=None, help="comma-separated quench times")),
-        ("--samples", dict(type=int, default=0, help="trajectory samples (single-tau runs)")),
+        ("--samples", dict(type=_count(0), default=0, help="trajectory samples (single-tau runs)")),
         ("--dt", dict(type=float, default=None,
                       help="time step override (the halving check still applies)")),
     ), _resolve_quench, run_quench),
@@ -420,7 +424,7 @@ COMMANDS = {
         ("--L", dict(type=float, default=400.0, help="half width of the Dirichlet box")),
         ("--h", dict(type=float, default=0.05,
                      help="x-spacing at the origin of the sinh-mapped grid")),
-        ("--k", dict(type=int, default=6, help="levels requested")),
+        ("--k", dict(type=_count(1), default=6, help="levels requested")),
         ("--check-hc", dict(action="store_true",
                             help="cross-check against the quadrature-form Hamiltonian")),
     ), _resolve_collapse1d, run_collapse1d),
@@ -432,8 +436,8 @@ COMMANDS = {
         _R,
         ("--window", dict(type=float, nargs=2, default=[0.06, 0.11], metavar=("DLO", "DHI"),
                           help="|Delta - Delta_c| fit window")),
-        ("--points", dict(type=int, default=6)),
-        ("--n-max-final", dict(type=int, default=65536,
+        ("--points", dict(type=_count(1), default=6)),
+        ("--n-max-final", dict(type=_count(4), default=65536,
                                help="first truncation; doubles up to 4x until the 2%% gate "
                                     "against n_max/2 holds")),
     ), _resolve_gap_opening, run_gap_opening),
@@ -441,19 +445,18 @@ COMMANDS = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors exit 1 (argparse's 2 means convergence failure here), and no prefix
+    """Errors raise ValueError, for main to report as any other bad input, and no prefix
     matching: a removed flag such as gap-opening's --n-max must not stand for --n-max-final."""
 
     def __init__(self, **kwargs):
         super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+        raise ValueError(message)
 
 
-def build_parser(defaults: dict[str, dict] | None = None) -> argparse.ArgumentParser:
-    """argparse view of COMMANDS; defaults[name] replaces that subcommand's flag defaults."""
+def build_parser() -> argparse.ArgumentParser:
+    """argparse view of COMMANDS."""
     parser = _Parser(prog="tpqrm", description="Anisotropic two-photon Rabi model: spectra, "
                                                "scaling, quenches, collapse.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -461,12 +464,14 @@ def build_parser(defaults: dict[str, dict] | None = None) -> argparse.ArgumentPa
         p = sub.add_parser(name, help=command.help)
         for flag, kwargs in command.flags:
             p.add_argument(flag, **kwargs)
-        p.set_defaults(**(defaults or {}).get(name, {}))
     return parser
 
 
 def _load_config(argv: list[str]) -> argparse.Namespace:
-    # first pass only to find --config; config fills defaults, CLI overrides
+    """argv parsed in one pass, after a --config file's keys as their flags' command-line words.
+
+    The config's own checks are the by-key ones argparse cannot make.
+    """
     probe = _Parser(add_help=False)
     probe.add_argument("--config", default=None)
     known, _ = probe.parse_known_args(argv)
@@ -477,75 +482,62 @@ def _load_config(argv: list[str]) -> argparse.Namespace:
     if not isinstance(cfg, dict):
         raise ValueError("config must be a JSON object")
     command = cfg.pop("command", None)
-    if command and (not argv or argv[0] not in COMMANDS):
-        argv = [command] + argv
-    if not argv or argv[0] not in COMMANDS:
+    if argv and argv[0] in COMMANDS:
+        command, argv = argv[0], argv[1:]
+    if not isinstance(command, str) or command not in COMMANDS:
         raise ValueError("no subcommand given and none found in the config")
     cfg = {k.replace("-", "_"): v for k, v in cfg.items() if k != "package_version"}
     if "validate" in cfg:  # a manifest never writes it; a dry run is asked for on the command line
         raise ValueError("config key 'validate' is not read from a config; pass --validate "
                          "on the command line")
-    unknown = set(cfg) - {flag[2:].replace("-", "_") for flag, _ in COMMANDS[argv[0]].flags}
-    if unknown:
+    flags = {flag[2:].replace("-", "_"): (flag, kwargs) for flag, kwargs in COMMANDS[command].flags}
+    if unknown := set(cfg) - set(flags):
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    for flag, kwargs in COMMANDS[argv[0]].flags:  # argparse parses no config value: check it here
-        value, nargs = cfg.get(key := flag[2:].replace("-", "_")), kwargs.get("nargs")
-        if "action" in kwargs and key in cfg and not isinstance(value, bool):
-            raise ValueError(f"config key {key!r} must be true or false; got {value!r}")
-        if value is None or "action" in kwargs:
-            continue
-        if "type" not in kwargs and not isinstance(value, str):
+    words = [command]
+    for key, value in cfg.items():
+        flag, kwargs = flags[key]
+        if "action" in kwargs:  # a switch: the bare flag for true, nothing for false
+            if not isinstance(value, bool):
+                raise ValueError(f"config key {key!r} must be true or false; got {value!r}")
+            words += [flag] * value
+        elif value is None:  # a manifest writes null only for a flag whose default is null
+            if kwargs.get("default") is not None:
+                raise ValueError(f"config key {key!r} cannot be null: {flag} has a default")
+        elif "type" not in kwargs and not isinstance(value, str):
             raise ValueError(f"config key {key!r} must be a string, as on the command line; "
                              f"got {value!r}")
-        if nargs and not (isinstance(value, list) and len(value) == nargs):
-            raise ValueError(f"config key {key!r} must be a list of {nargs} values; got {value!r}")
-        try:  # each value's text through the flag's type, as argparse parses the command line
-            for item in value if nargs else [value]:
-                kwargs.get("type", str)(str(item))
-        except ValueError:
-            raise ValueError(f"config key {key!r}: invalid {kwargs['type'].__name__} value: "
-                             f"{item!r}") from None
-        if "choices" in kwargs and value not in kwargs["choices"]:
-            raise ValueError(f"config key {key!r} must be one of {kwargs['choices']}; got {value!r}")
-    return build_parser({argv[0]: cfg}).parse_args(argv)
+        elif "nargs" in kwargs and isinstance(value, list):
+            words += [flag, *map(str, value)]
+        else:
+            words.append(f"{flag}={value}")
+    return build_parser().parse_args(words + argv)
 
 
-def _validate(ns, command: Command) -> int:
-    """Run the subcommand's resolver, print its diagnostics and the manifest; compute nothing."""
-    code, diagnostics = EXIT_OK, []
-    try:
-        inputs = _resolve(ns, command)
-    except (ValueError, OSError) as exc:
-        code, diagnostics = EXIT_CONFIG, [f"error: {exc}"]
-    else:
-        if getattr(ns, "delta", None) == "critical":
-            diagnostics.append(f"delta 'critical' resolves to {inputs['model'].delta:.17g}")
+def _validate(ns, inputs: dict) -> int:
+    """--validate once the inputs resolve: print diagnostics and manifest, compute nothing."""
+    diagnostics = []
+    if getattr(ns, "delta", None) == "critical":
+        diagnostics.append(f"delta 'critical' resolves to {inputs['model'].delta:.17g}")
     _print_payload(diagnostics, _manifest(ns))
-    return code
+    return EXIT_OK
 
 
 def _print_payload(diagnostics: list[str], manifest: dict | None) -> None:
-    """--validate's stdout: the diagnostics and the manifest (None when the config fails to load)."""
-    print(json.dumps({"diagnostics": diagnostics, "manifest": manifest}, indent=2, sort_keys=True))
+    """--validate's stdout: the diagnostics and the manifest (None when the flags fail to parse)."""
+    print(_json({"diagnostics": diagnostics, "manifest": manifest}))
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+    argv, ns = list(sys.argv[1:] if argv is None else argv), None
     try:
         ns = _load_config(argv)
+        command = COMMANDS[ns.command]
+        inputs = command.resolve(ns)
+        return _validate(ns, inputs) if ns.validate else command.run(ns, **inputs)
     except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         if "--validate" in argv:
-            _print_payload([f"error: {exc}"], None)
-        return EXIT_CONFIG
-
-    command = COMMANDS[ns.command]
-    if ns.validate:
-        return _validate(ns, command)
-    try:
-        return command.run(ns, **_resolve(ns, command))
-    except (ValueError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+            _print_payload([f"error: {exc}"], None if ns is None else _manifest(ns))
         return EXIT_CONFIG
     except (ConvergenceError, CollapseMappingError) as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)

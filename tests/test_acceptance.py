@@ -275,7 +275,8 @@ def test_criterion_07_kibble_zurek():
         f"{ratio:.3f} (required within 20%); ratio at each adiabatic tau_q: "
         f"{[round(x, 3) for x in ratios]} (a drift means the window is pre-asymptotic, "
         "see ACCEPTANCE.md); adiabatic reference (g_f/tau_q)^2 chi_3 / closed form: "
-        f"{ref_over_closed:.6f}; E_r / reference at each adiabatic tau_q: "
+        f"{ref_over_closed:.6f} vs its g -> g_c limit (1 - Delta_c^2)^(-1/2) = "
+        f"{1 / math.sqrt(1 - delta_c**2):.6f}; E_r / reference at each adiabatic tau_q: "
         f"{[round(row['e_r'] / ref, 3) for row, ref in zip(table2, references)]}",
     )
     assert abs(kz_fit.exponent + 1.0 / 3.0) <= 0.05, f"KZ slope {kz_fit.exponent:+.4f}"

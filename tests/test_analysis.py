@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tpqrm.analysis import fit_powerlaw, fit_quadratic_gap, make_grid
+from tpqrm.analysis import fit_powerlaw, fit_quadratic_gap, make_grid, powerlaw_points
 
 
 def test_powerlaw_exact_on_synthetic_data():
@@ -74,3 +74,17 @@ def test_make_grid_validation():
         make_grid(2.0, 1.0, 5, r=0.6)
     with pytest.raises(ValueError):
         make_grid(0.0, 1.0, 1, r=0.6)
+
+
+@pytest.mark.parametrize("bounds,name", [((1.5, np.inf), "x_max"), ((np.nan, 3.0), "x_min")])
+def test_make_grid_rejects_a_non_finite_bound_by_name(bounds, name):
+    with pytest.raises(ValueError, match=f"^{name}=(inf|nan) must be finite$"):
+        make_grid(*bounds, 3, r=0.6)
+
+
+@pytest.mark.parametrize("window,name", [((0.0, np.inf), "window_hi"),
+                                         ((-np.inf, 1.0), "window_lo")])
+def test_powerlaw_points_rejects_a_non_finite_window_bound_by_name(window, name):
+    u = np.geomspace(1e-3, 1e-1, 6)
+    with pytest.raises(ValueError, match=f"^{name}=-?inf must be finite$"):
+        powerlaw_points(u, u**2, window)

@@ -39,11 +39,26 @@ def test_validate_flags_bad_coupling(tmp_path, capsys):
 @pytest.mark.parametrize("text,message", [
     ('{"command": "spectrum", "bogus": 1}', "unknown config keys: ['bogus']"),
     ("[1, 2]", "config must be a JSON object"),
+    ('{"command": ["spectrum"]}', "no subcommand given and none found in the config"),
 ])
 def test_validate_prints_its_payload_when_the_config_fails_to_load(
         tmp_path, capsys, text, message):
     (tmp_path / "cfg.json").write_text(text)
     assert run_cli(["--config", "cfg.json", "--validate"], tmp_path) == cli.EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert json.loads(out) == {"diagnostics": [f"error: {message}"], "manifest": None}
+    assert err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("args,message", [
+    (["spectrum", "--n-max", "abc"], "argument --n-max: invalid int value: 'abc'"),
+    (["qfi", "--tol", "1e-9"], "unrecognized arguments: --tol 1e-9"),
+    (["frobnicate"], "argument command: invalid choice: 'frobnicate' (choose from 'spectrum', "
+                     "'gap-scan', 'observables', 'qfi', 'wigner', 'quench', 'collapse1d', 'fit', "
+                     "'gap-opening')"),
+], ids=["n_max-abc", "qfi-tol", "frobnicate"])
+def test_validate_prints_its_payload_on_a_usage_error(tmp_path, capsys, args, message):
+    assert run_cli([*args, "--validate"], tmp_path) == cli.EXIT_CONFIG
     out, err = capsys.readouterr()
     assert json.loads(out) == {"diagnostics": [f"error: {message}"], "manifest": None}
     assert err == f"config error: {message}\n"
@@ -145,11 +160,11 @@ def test_config_file_overridden_by_cli(tmp_path):
 
 
 def test_config_count_below_least_is_rejected(tmp_path, capsys):
-    # a manifest value never passes argparse's type=, so the resolve step checks it
+    # a config value is parsed as its flag's text, so the flag's type= checks it
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"command": "qfi", "points": 0, "n_max": 16}))
     assert run_cli(["--config", str(cfg), "--validate"], tmp_path) == cli.EXIT_CONFIG
-    assert "--points=0 must be >= 1" in capsys.readouterr().out
+    assert "argument --points: 0 must be >= 1" in capsys.readouterr().out
     assert run_cli(["--config", str(cfg), "--out", "o"], tmp_path) == cli.EXIT_CONFIG
     assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
 
@@ -163,8 +178,8 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
 
 
 _QUENCH_CONFIG = {"command": "quench", "r": 0.25, "gf": "0.5", "tau_list": "5", "n_max": 16}
-# configs whose values argparse would reject as command-line text, and a config that asks
-# for a dry run itself
+# configs whose values argparse rejects as command-line text, a config that asks for a dry run
+# itself, and nulls for flags whose default is not null
 _BAD_CONFIGS = {
     "conditioning.json": {"command": "wigner", "r": 0.25, "g_over_gc": 0.5, "n_max": 16,
                           "grid_points": 21, "conditioning": "bogus"},
@@ -173,6 +188,10 @@ _BAD_CONFIGS = {
     "fit_text.json": {"command": "gap-scan", "x_range": [1.0, 2.0], "points": 5, "n_max": 64,
                       "fit": "no"},
     "validate.json": {"command": "spectrum", "validate": True, "points": 2},
+    "delta_null.json": {"command": "spectrum", "delta": None},
+    "gf_null.json": {"command": "quench", "gf": None, "tau_list": "10"},
+    "x_range_null.json": {"command": "spectrum", "x_range": None},
+    "n_max_null.json": {"command": "spectrum", "n_max": None, "points": 2},
 }
 
 
@@ -183,18 +202,19 @@ _BAD_CONFIGS = {
     pytest.param({**_QUENCH_CONFIG, "tau_list": 5},
                  "config key 'tau_list' must be a string, as on the command line; got 5",
                  id="tau_list-5"),
-    pytest.param(_BAD_CONFIGS["conditioning.json"], "config key 'conditioning' must be one of "
-                 "['reduced', 'qubit-up', 'qubit-down']; got 'bogus'", id="conditioning-bogus"),
-    pytest.param(_BAD_CONFIGS["r_list.json"], "config key 'r': invalid float value: [1, 2]",
+    pytest.param(_BAD_CONFIGS["conditioning.json"], "argument --conditioning: invalid choice: "
+                 "'bogus' (choose from 'reduced', 'qubit-up', 'qubit-down')",
+                 id="conditioning-bogus"),
+    pytest.param(_BAD_CONFIGS["r_list.json"], "argument --r: invalid float value: '[1, 2]'",
                  id="r-list"),
-    pytest.param(_BAD_CONFIGS["x_range_number.json"],
-                 "config key 'x_range' must be a list of 2 values; got 3", id="x_range-3"),
+    pytest.param(_BAD_CONFIGS["x_range_number.json"], "argument --x-range: expected 2 arguments",
+                 id="x_range-3"),
     pytest.param({"command": "spectrum", "x_range": [1, "a"]},
-                 "config key 'x_range': invalid float value: 'a'", id="x_range-text"),
+                 "argument --x-range: invalid float value: 'a'", id="x_range-text"),
     pytest.param({"command": "spectrum", "points": 2.5},
-                 "config key 'points': invalid int value: 2.5", id="points-2.5"),
+                 "argument --points: invalid int value: '2.5'", id="points-2.5"),
     pytest.param({"command": "spectrum", "r": True},
-                 "config key 'r': invalid float value: True", id="r-true"),
+                 "argument --r: invalid float value: 'True'", id="r-true"),
     pytest.param(_BAD_CONFIGS["fit_text.json"], "config key 'fit' must be true or false; got 'no'",
                  id="fit-no"),
     pytest.param({"command": "gap-scan", "fit": 1}, "config key 'fit' must be true or false; "
@@ -206,11 +226,14 @@ _BAD_CONFIGS = {
     pytest.param({"command": "spectrum", "validate": True, "bogus": 1}, "config key "
                  "'validate' is not read from a config; pass --validate on the command line",
                  id="validate-and-unknown"),
+    *[pytest.param(_BAD_CONFIGS[f"{key}_null.json"], f"config key '{key}' cannot be null: "
+                   f"--{key.replace('_', '-')} has a default", id=f"{key}-null")
+      for key in ("delta", "gf", "x_range", "n_max")],
 ])
 def test_a_config_value_the_command_line_would_reject_is_rejected_by_key(
         tmp_path, capsys, config, message):
-    # argparse never parses a config value, so the loader checks each one as argparse
-    # checks the flag's text: a string for a text flag, then nargs, type and choices
+    # a config value is parsed as its flag's command-line text, so argparse rejects it by flag;
+    # the loader itself checks only what argparse cannot: a switch, a text flag, a null
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     for extra in (["--validate"], ["--out", "o"]):
@@ -285,9 +308,9 @@ def test_fit_command_roundtrip(tmp_path):
     (["quench", "--r", "0.25", "--gf", "0.5", "--tau-list", "50", "--dt", "-0.1"],
      "dt=-0.1 must be finite and positive"),
     (["quench", "--r", "0.25", "--gf", "0.5", "--tau-range", "-1", "10"],
-     "--tau-range=-1.0 must be finite and positive"),
+     "argument --tau-range: -1.0 must be finite and positive"),
     (["wigner", "--g-over-gc", "0.5", "--half-width", "nan"],
-     "--half-width=nan must be finite and positive"),
+     "argument --half-width: nan must be finite and positive"),
     (["wigner", "--g-over-gc", "0.5", "--half-width", "1000"],
      "--grid-points=161 with --half-width=1000.0 needs a y-lattice of 2.05e+08 entries per "
      "array, above 8388608"),
@@ -306,6 +329,24 @@ def test_bad_lengths_are_rejected_by_name(tmp_path, capsys, args, message):
 ], ids=["tau_list_empty", "tau_list_word", "gf", "gf_complement", "delta", "collapse1d_delta"])
 def test_a_bad_number_is_quoted_with_its_flag(tmp_path, capsys, args, flag, bad):
     _rejected_alike(tmp_path, capsys, args, f"{flag}: {bad} is not a number")
+
+
+@pytest.mark.parametrize("args,message", [
+    (["spectrum", "--x-range", "1.5", "inf"], "x_max=inf must be finite"),
+    (["fit", "--input", "data.csv", "--xcol", "u", "--ycol", "y", "--window", "0", "inf"],
+     "window_hi=inf must be finite"),
+    (["quench", "--gf", "0.5", "--tau-list", "5,10", "--samples", "3"],
+     "--samples records the trajectory of a single quench time; got 2 quench times"),
+], ids=["x_range-inf", "fit_window-inf", "samples-sweep"])
+def test_an_input_the_run_cannot_use_is_rejected_by_name(tmp_path, capsys, args, message):
+    _write_data_csv(tmp_path)
+    _rejected_alike(tmp_path, capsys, args, message)
+
+
+def _write_data_csv(tmp_path):
+    """data.csv: y = u^2 at six log-spaced u in [1e-3, 1e-1], the fit subcommand's input."""
+    u = np.geomspace(1e-3, 1e-1, 6)
+    (tmp_path / "data.csv").write_text("u,y\n" + "".join(f"{a:.17g},{a**2:.17g}\n" for a in u))
 
 
 def _rejected_alike(tmp_path, capsys, args, message):
@@ -401,16 +442,18 @@ def test_a_fit_over_fewer_than_five_converged_points_is_an_error(tmp_path, monke
     assert fit == {"error": "fewer than 5 converged points"}
 
 
-def test_unknown_subcommand_fails():
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["frobnicate"])
-    assert exc.value.code == cli.EXIT_CONFIG  # 2 is reserved for convergence failure
+def test_unknown_subcommand_fails(capsys):
+    assert cli.main(["frobnicate"]) == cli.EXIT_CONFIG  # 2 is reserved for convergence failure
+    assert capsys.readouterr().err.startswith("config error: argument command: invalid choice: "
+                                              "'frobnicate'")
     # a removed flag is a usage error too, also where it prefixes a declared one
-    for args in (["qfi", "--tol", "1e-9"], ["gap-opening", "--n-max", "64"],
-                 ["collapse1d", "--r", "0.5"], ["spectrum", "--points", "abc"]):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(args)
-        assert exc.value.code == cli.EXIT_CONFIG, args
+    for args, message in ((["qfi", "--tol", "1e-9"], "unrecognized arguments: --tol 1e-9"),
+                          (["gap-opening", "--n-max", "64"], "unrecognized arguments: --n-max 64"),
+                          (["collapse1d", "--r", "0.5"], "unrecognized arguments: --r 0.5"),
+                          (["spectrum", "--points", "abc"],
+                           "argument --points: invalid int value: 'abc'")):
+        assert cli.main(args) == cli.EXIT_CONFIG, args
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 @pytest.mark.parametrize("args", [
@@ -458,6 +501,13 @@ def test_unknown_subcommand_fails():
     ["wigner", "--g-over-gc", "0.5", "--tol", "nan"],
     # config values that argparse would reject on the command line
     *[["--config", name] for name in _BAD_CONFIGS],
+    # a flag value that is not a number, non-finite grid and fit bounds, and trajectory
+    # samples over a sweep of quench times
+    ["spectrum", "--n-max", "abc"],
+    ["spectrum", "--x-range", "1.5", "inf"],
+    ["fit", "--input", "data.csv", "--xcol", "u", "--ycol", "y", "--window", "0", "inf"],
+    ["quench", "--r", "0.25", "--gf", "0.5", "--tau-list", "5,10", "--samples", "3", "--n-max",
+     "32", "--dt", "0.05"],
 ])
 def test_validate_agrees_with_the_run(tmp_path, capsys, args):
     u = np.geomspace(1e-3, 1e-1, 6)
@@ -494,8 +544,7 @@ _FLAG_READ_RUNS = {
 
 @pytest.mark.parametrize("name", list(cli.COMMANDS))
 def test_every_declared_flag_is_read(tmp_path, monkeypatch, name):
-    u = np.geomspace(1e-3, 1e-1, 6)
-    (tmp_path / "data.csv").write_text("u,y\n" + "".join(f"{a:.17g},{a**2:.17g}\n" for a in u))
+    _write_data_csv(tmp_path)
     monkeypatch.chdir(tmp_path)
     reads = set()
 
@@ -510,6 +559,50 @@ def test_every_declared_flag_is_read(tmp_path, monkeypatch, name):
     declared = {flag[2:].replace("-", "_") for flag, _ in command.flags}
     assert declared - {"config", "out", "validate"} - reads == set()
 
+
+@pytest.mark.parametrize("name", list(cli.COMMANDS))
+def test_a_manifest_reloads_to_the_same_manifest(tmp_path, capsys, name):
+    _write_data_csv(tmp_path)
+    assert run_cli([name, *_FLAG_READ_RUNS[name], "--validate"], tmp_path) == cli.EXIT_OK
+    manifest = json.loads(capsys.readouterr().out)["manifest"]
+    (tmp_path / "m.json").write_text(json.dumps(manifest))
+    assert run_cli(["--config", "m.json", "--validate"], tmp_path) == cli.EXIT_OK
+    reloaded = json.loads(capsys.readouterr().out)["manifest"]
+    assert reloaded.pop("config") == "m.json" and manifest.pop("config") is None
+    assert reloaded == manifest
+
+
+def test_config_text_values_parse_as_the_command_line(tmp_path):
+    flags = ["--x-range", "0.2", "0.4", "--points", "2", "--levels", "2", "--n-max", "16"]
+    assert run_cli(["spectrum", *flags, "--out", "flags"], tmp_path) == cli.EXIT_OK
+    (tmp_path / "cfg.json").write_text(json.dumps(
+        {"command": "spectrum", "x_range": ["0.2", "0.4"], "points": "2", "levels": 2,
+         "n_max": "16", "out": "text"}))
+    assert run_cli(["--config", "cfg.json"], tmp_path) == cli.EXIT_OK
+    assert (tmp_path / "text.csv").read_bytes() == (tmp_path / "flags.csv").read_bytes()
+    from_flags, from_text = (json.loads((tmp_path / f"{out}_manifest.json").read_text())
+                             for out in ("flags", "text"))
+    for manifest in (from_flags, from_text):
+        del manifest["config"], manifest["out"]
+    assert from_text == from_flags and from_text["x_range"] == [0.2, 0.4]
+
+
+def _raise_on_constant(name):
+    raise ValueError(f"{name} is not JSON (RFC 8259)")
+
+
+@pytest.mark.parametrize("args,key", [
+    (["--delta", "0", "--L", "50", "--h", "0.2", "--k", "2"], "ratio_plateau"),
+    (["--delta", "3", "--k", "3", "--check-hc", "--n-max", "2048"], "hamiltonian_check"),
+], ids=["no-bound-state", "check-hc"])
+def test_collapse1d_report_is_strict_json(tmp_path, args, key):
+    # a non-finite float is written as null, which every RFC 8259 reader accepts
+    assert run_cli(["collapse1d", *args, "--out", "c"], tmp_path) == cli.EXIT_OK
+    report = json.loads((tmp_path / "c_report.json").read_text(), parse_constant=_raise_on_constant)
+    if key == "ratio_plateau":
+        assert report["ratio_plateau"] is None and report["refinement"] == [None, None]
+    else:
+        assert report["hamiltonian_check"]["degeneracy_gap"] is None
 
 
 def test_missing_g_is_config_error(tmp_path, capsys):
