@@ -100,7 +100,7 @@ _RUN = (("--config", dict(default=None, help="JSON config; CLI flags override"))
         ("--validate", dict(action="store_true", help="dry-run: resolve the inputs, then stop")))
 _R = ("--r", dict(type=float, default=0.6, help="anisotropy in [0, 1]"))
 _DELTA = ("--delta", dict(default="critical", help="qubit frequency, or 'critical': Delta_c(r)"))
-_N_MAX = ("--n-max", dict(type=int, default=256, help="starting truncation"))
+_N_MAX = ("--n-max", dict(type=_count(2), default=256, help="starting truncation"))
 _TOL = ("--tol", dict(type=_positive, default=1e-10, help="per-level convergence target"))
 _FIT = ("--fit", dict(action="store_true", help="also fit log-log exponents"))
 _GRID = (_R, _DELTA,
@@ -234,17 +234,19 @@ def _sweep(ns, model, grid, fit_cols, header: list[str], point_rows, ok_col: str
     """Coupling-grid runner shared by spectrum, gap-scan, observables and qfi.
 
     point_rows(params) gives one grid point's rows without the leading
-    (g/g_c, x) columns.  Each of fit_cols is fitted against 1 - g/g_c;
-    a falsy ok_col value in any row makes the exit code 2.
+    (g/g_c, x) columns.  Each of fit_cols is fitted against 1 - g/g_c over
+    the rows whose ok_col holds (all rows if None), as _converged_fit
+    fits; a falsy ok_col value in any row makes the exit code 2.
     """
     rows = [[g / model.g_c, x, *row]
             for x, g in zip(grid.x_values, grid.g_values)
             for row in point_rows(replace(model, g=float(g)))]
-    u = np.array([1.0 - row[0] for row in rows])
-    fits = {name: analysis.fit_powerlaw(u, [row[header.index(name)] for row in rows]).to_dict()
+    good = [row for row in rows if ok_col is None or row[header.index(ok_col)]]
+    fits = {name: _converged_fit(analysis.fit_powerlaw,
+                                 [(1.0 - row[0], row[header.index(name)]) for row in good])
             for name in fit_cols}
-    ok = ok_col is None or all(bool(row[header.index(ok_col)]) for row in rows)
-    return _write(ns, ok, {"": (header, rows)}, **({"fit": fits} if fit_cols else {}))
+    return _write(ns, len(good) == len(rows), {"": (header, rows)},
+                  **({"fit": fits} if fit_cols else {}))
 
 
 def run_spectrum(ns, model, grid, fit_cols) -> int:
@@ -390,7 +392,7 @@ COMMANDS = {
         "photon number, polarization, quadratures vs coupling", _RUN + _GRID + (_N_MAX, _TOL, _FIT),
         partial(_resolve_grid, fit_cols=("photon", "sigma_x", "dx", "dp")), run_observables),
     "qfi": Command("quantum Fisher information vs coupling", _RUN + _GRID + (
-        ("--n-max", dict(_N_MAX[1], type=_count(2))),  # F_Q's first rung is a block of n_max rows
+        _N_MAX,  # F_Q's first rung is a block of n_max rows
         _FIT,
         ("--oracle", dict(action="store_true",
                           help="add the fidelity-susceptibility cross check column")),
@@ -405,7 +407,7 @@ COMMANDS = {
     ), _resolve_wigner, run_wigner),
     "quench": Command("linear quench residual energy vs quench time", _RUN + (
         _R, _DELTA, _FIT,
-        ("--n-max", dict(type=int, default=256,
+        ("--n-max", dict(_N_MAX[1],
                          help="the propagation basis climbs from min(n_max, 64) rows to at most "
                               "4 n_max until it stops leaking; the CSV's n_max is the basis used")),
         ("--gf", dict(default="0.99", help="final coupling over g_c; accepts '1-1e-6'")),
@@ -420,7 +422,7 @@ COMMANDS = {
     "collapse1d": Command("collapse-point 1D bound-state ladder", _RUN + (
         ("--delta", dict(default="critical",
                          help="qubit frequency, or 'critical' for the isotropic Delta_c = 0")),
-        ("--n-max", dict(type=int, default=256, help="truncation of --check-hc")),
+        ("--n-max", dict(_N_MAX[1], help="truncation of --check-hc")),
         ("--L", dict(type=float, default=400.0, help="half width of the Dirichlet box")),
         ("--h", dict(type=float, default=0.05,
                      help="x-spacing at the origin of the sinh-mapped grid")),
@@ -507,6 +509,9 @@ def _load_config(argv: list[str]) -> argparse.Namespace:
             raise ValueError(f"config key {key!r} must be a string, as on the command line; "
                              f"got {value!r}")
         elif "nargs" in kwargs and isinstance(value, list):
+            if len(value) != kwargs["nargs"]:  # argparse would read the rest as stray words
+                raise ValueError(f"config key {key!r} takes {kwargs['nargs']} values; "
+                                 f"got {len(value)}")
             words += [flag, *map(str, value)]
         else:
             words.append(f"{flag}={value}")

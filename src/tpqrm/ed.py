@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-# eig, eval_genlaguerre: bound only as perfbench tracer leaves (ROADMAP direction 2 retires them)
+# eig, eval_genlaguerre: bound only as perfbench tracer leaves until ROADMAP direction 1, part A
 from scipy.linalg import eig, eigh, eigh_tridiagonal  # noqa: F401
 from scipy.linalg.lapack import dgtsv, dpttrf, dpttrs, dstebz
 from scipy.special import eval_genlaguerre, gammaln, xlogy  # noqa: F401
@@ -428,6 +428,7 @@ def ed_spectrum(
     vector solve and keeps its certified iterates.  At g = g_c only
     levels below the continuum threshold -1/2 are physically meaningful.
     """
+    check_count("n_max", n_max, 2)
     check_count("k", k)
     check_positive(tol=tol)
 
@@ -542,6 +543,7 @@ def ground_state_block(
     coefficient vector's overall sign is fixed so its largest entry is
     positive.
     """
+    check_count("n_max", n_max, 2)
     check_positive(tol=tol)
 
     def solve(n: int, previous: tuple | None) -> tuple[np.ndarray, np.ndarray]:

@@ -32,7 +32,8 @@ states to stay below 1e-8: it starts at min(n_max, 64) rows and doubles
 until the gate holds, up to 4 n_max, so a row's n_max is the basis used.
 Runs that share a step advance in lockstep, as the blocks of one
 block-diagonal system: with the truncation check, each basis of the ladder
-runs with its double, the next basis if it leaks and the check if it holds.
+runs with its double, the next basis if it leaks and the check if it holds;
+the check compares the two at the start step.
 
 Freeze-out bookkeeping (zv = 1/2 fixed):
 
@@ -54,7 +55,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-# eigh_tridiagonal: bound only as a perfbench tracer leaf (ROADMAP direction 2 retires it)
+# eigh_tridiagonal: bound only as a perfbench tracer leaf until ROADMAP direction 1, part A
 from scipy.linalg import eigh_tridiagonal  # noqa: F401
 from scipy.linalg.lapack import zgtsv
 
@@ -255,63 +256,53 @@ def propagate(protocol: QuenchProtocol, n_samples: int = 0,
     from the reported run.  Raises ConvergenceError on basis leakage (still
     above 1e-8 at the last basis not above 4 n_max), on dt non-convergence
     (three halvings), on norm drift above 1e-9, and, with check_truncation,
-    when doubling the basis reached moves E_r by more than 1%.
+    when doubling the basis reached moves E_r by more than 1% at the start
+    step (the lockstep pair).
     """
     dt = protocol.start_dt()
     replace(protocol, dt=dt).check_samples(n_samples)  # with dt resolved: B is not solved again
     e0 = ground_energy_final(protocol)
 
-    n_max, runs = min(protocol.n_max, _BASIS_START), {}  # runs at dt, by basis
-    while True:
-        if n_max not in runs:
-            bases = (n_max, 2 * n_max) if check_truncation else (n_max,)
-            runs.update(zip(bases, _propagate_once(protocol, bases, dt, n_samples, e0)))
-        e_r, drift, leak, samples = runs[n_max]
-        if leak <= _LEAK_TARGET:
-            break
+    runs = {}  # (basis, dt halvings) -> (E_r, norm_drift, leak, samples), each run once
+
+    def run(n: int, halvings: int, paired: bool = False) -> tuple:  # paired: 2n in lockstep
+        if (n, halvings) not in runs:
+            bases = (n, 2 * n) if paired else (n,)
+            runs.update(((basis, halvings), out) for basis, out in
+                        zip(bases, _propagate_once(protocol, bases, dt / halvings, n_samples, e0)))
+        return runs[n, halvings]
+
+    n_max = min(protocol.n_max, _BASIS_START)
+    while (leak := run(n_max, 1, check_truncation)[2]) > _LEAK_TARGET:
         if 2 * n_max > 4 * protocol.n_max:
             raise ConvergenceError(
                 f"basis leakage {leak:.2e} above {_LEAK_TARGET:.0e} at n_max={n_max}")
         n_max *= 2
 
-    first = (e_r, drift, samples)
-
-    def rung(halvings: int, _previous: tuple | None) -> tuple:
-        # (E_r, drift, samples) at dt / halvings; the first rung is the leakage run above
-        if halvings == 1:
-            return first
-        e_r, drift, _, samples = _propagate_once(protocol, (n_max,), dt / halvings, n_samples,
-                                                 e0)[0]
-        return e_r, drift, samples
-
     def held(new: float, old: float) -> bool:
         return abs(new - old) <= _ER_REL_TOL * max(abs(new), 1e-300)
 
     # E_r, its drift and the trajectory all come from the coarser rung of the held pair
-    (e_r_fine, *_), (e_r, drift, samples), halvings = converge(
-        rung, 1, 8, lambda new, old: held(new[0], old[0]))
+    (e_r_fine, *_), (e_r, drift, _, samples), halvings = converge(
+        lambda h, _previous: run(n_max, h), 1, 8, lambda new, old: held(new[0], old[0]))
     if not held(e_r_fine, e_r):
         raise ConvergenceError(
             f"E_r not stable to {_ER_REL_TOL:.0%} under dt halving (last dt={dt / halvings:.2e})"
         )
     if drift > _NORM_DRIFT_TARGET:
         raise ConvergenceError(f"norm drift {drift:.2e} above {_NORM_DRIFT_TARGET:.0e}")
-    dt /= halvings // 2  # report the coarser step of the held pair
 
-    if check_truncation:
-        # the doubled basis' lockstep run is at the reported dt if the first pair held
-        doubled = runs.get(2 * n_max) if halvings == 2 else None
-        e_r_dbl = (doubled or _propagate_once(protocol, (2 * n_max,), dt, 0, e0)[0])[0]
-        if not held(e_r_dbl, e_r):
+    if check_truncation:  # n_max and its double at the start step: the leakage ladder's pair
+        e_r_start, e_r_dbl = run(n_max, 1)[0], run(2 * n_max, 1)[0]
+        if not held(e_r_dbl, e_r_start):
             raise ConvergenceError(
-                f"E_r moves by {abs(e_r_dbl - e_r):.2e} (> 1%) when doubling n_max={n_max}"
-            )
+                f"E_r moves by {abs(e_r_dbl - e_r_start):.2e} (> 1%) when doubling n_max={n_max}")
 
     return QuenchResult(
         residual_energy=e_r,
         norm_drift=drift,
         n_max=n_max,
-        dt=dt,
+        dt=dt / (halvings // 2),  # the coarser step of the held pair
         ground_energy=e0,
         samples=np.array(samples) if n_samples else None,
     )

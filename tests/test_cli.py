@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import math
 
@@ -192,6 +193,7 @@ _BAD_CONFIGS = {
     "gf_null.json": {"command": "quench", "gf": None, "tau_list": "10"},
     "x_range_null.json": {"command": "spectrum", "x_range": None},
     "n_max_null.json": {"command": "spectrum", "n_max": None, "points": 2},
+    "n_max_negative.json": {"command": "gap-scan", "n_max": -4, "points": 2},
 }
 
 
@@ -209,6 +211,11 @@ _BAD_CONFIGS = {
                  id="r-list"),
     pytest.param(_BAD_CONFIGS["x_range_number.json"], "argument --x-range: expected 2 arguments",
                  id="x_range-3"),
+    pytest.param({"command": "spectrum", "x_range": [1, 2, 3]},
+                 "config key 'x_range' takes 2 values; got 3", id="x_range-long"),
+    pytest.param({"command": "fit", "input": "data.csv", "xcol": "u", "ycol": "y",
+                  "window": [0.1]}, "config key 'window' takes 2 values; got 1",
+                 id="window-short"),
     pytest.param({"command": "spectrum", "x_range": [1, "a"]},
                  "argument --x-range: invalid float value: 'a'", id="x_range-text"),
     pytest.param({"command": "spectrum", "points": 2.5},
@@ -226,6 +233,8 @@ _BAD_CONFIGS = {
     pytest.param({"command": "spectrum", "validate": True, "bogus": 1}, "config key "
                  "'validate' is not read from a config; pass --validate on the command line",
                  id="validate-and-unknown"),
+    pytest.param(_BAD_CONFIGS["n_max_negative.json"], "argument --n-max: -4 must be >= 2",
+                 id="n_max-negative"),
     *[pytest.param(_BAD_CONFIGS[f"{key}_null.json"], f"config key '{key}' cannot be null: "
                    f"--{key.replace('_', '-')} has a default", id=f"{key}-null")
       for key in ("delta", "gf", "x_range", "n_max")],
@@ -413,12 +422,26 @@ def test_gap_opening_doubles_to_the_gate(tmp_path):
     assert run_cli(args, tmp_path) == cli.EXIT_CONVERGENCE
 
 
-@pytest.mark.parametrize("name", ["quench", "gap-opening"])
+@pytest.mark.parametrize("name", ["quench", "gap-opening", "gap-scan"])
 def test_a_fit_over_fewer_than_five_converged_points_is_an_error(tmp_path, monkeypatch, name):
     # five points, the last unconverged: the fit file names the shortfall and the run exits 2
     from tpqrm import ed, quench
 
-    if name == "quench":
+    shortfall = {"error": "fewer than 5 converged points"}
+    expected = shortfall
+    if name == "gap-scan":
+        spectrum = ed.ed_spectrum
+
+        def solve(params, *args, **kwargs):  # the last point, at g = 0.60 g_c, is unconverged
+            spec = spectrum(params, *args, **kwargs)
+            if params.g > 0.58 * params.g_c:
+                spec = dataclasses.replace(spec, converged=np.zeros_like(spec.converged))
+            return spec
+
+        monkeypatch.setattr(ed, "ed_spectrum", solve)
+        args = ["gap-scan", "--x-range", "0.2", "0.4", "--points", "5", "--n-max", "16", "--fit"]
+        expected = {"eps_sp": shortfall, "eps_dp": shortfall}
+    elif name == "quench":
         propagate = quench.propagate
 
         def solve(protocol, *args, **kwargs):
@@ -438,8 +461,7 @@ def test_a_fit_over_fewer_than_five_converged_points_is_an_error(tmp_path, monke
     assert run_cli(args + ["--out", "o"], tmp_path) == cli.EXIT_CONVERGENCE
     data = np.genfromtxt(tmp_path / "o.csv", delimiter=",", names=True)
     assert list(data["converged"]) == [1, 1, 1, 1, 0]
-    fit = json.loads((tmp_path / "o_fit.json").read_text())
-    assert fit == {"error": "fewer than 5 converged points"}
+    assert json.loads((tmp_path / "o_fit.json").read_text()) == expected
 
 
 def test_unknown_subcommand_fails(capsys):
@@ -454,6 +476,14 @@ def test_unknown_subcommand_fails(capsys):
                            "argument --points: invalid int value: 'abc'")):
         assert cli.main(args) == cli.EXIT_CONFIG, args
         assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("name", [name for name, command in cli.COMMANDS.items()
+                                  if any(flag == "--n-max" for flag, _ in command.flags)])
+def test_every_n_max_flag_rejects_a_truncation_below_two_rows(capsys, name):
+    for n in ("-5", "0", "1"):
+        assert cli.main([name, "--n-max", n]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: argument --n-max: {n} must be >= 2\n"
 
 
 @pytest.mark.parametrize("args", [
@@ -508,6 +538,10 @@ def test_unknown_subcommand_fails(capsys):
     ["fit", "--input", "data.csv", "--xcol", "u", "--ycol", "y", "--window", "0", "inf"],
     ["quench", "--r", "0.25", "--gf", "0.5", "--tau-list", "5,10", "--samples", "3", "--n-max",
      "32", "--dt", "0.05"],
+    # a truncation below 2 rows, on each grid command and wigner
+    *[[name, "--n-max", n, "--points", "2"] for name in ("spectrum", "gap-scan", "observables")
+      for n in ("-5", "0")],
+    ["wigner", "--g-over-gc", "0.5", "--n-max", "0"],
 ])
 def test_validate_agrees_with_the_run(tmp_path, capsys, args):
     u = np.geomspace(1e-3, 1e-1, 6)

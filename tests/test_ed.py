@@ -868,9 +868,16 @@ def test_ground_state_consumers_share_the_convergence_gate(compute):
     (lambda p: ed.build_parity_block(p, -1, 1), "n_max=1 must be >= 2"),
     (lambda p: ed.ed_spectrum(p, k=True), "k=True must be an integer"),
     (lambda p: ed.wigner_grid(p, points=9.0), "points=9.0 must be an integer"),
+    # a truncation below 2 rows, which the doubling ladders once raised to their floor
+    (lambda p: ed.ed_spectrum(p, n_max=-5), "n_max=-5 must be >= 2"),
+    (lambda p: ed.full_spectrum(p, n_max=0), "n_max=0 must be >= 2"),
+    (lambda p: ed.ground_state_block(p, n_max=2.5), "n_max=2.5 must be an integer"),
+    (lambda p: ed.ed_ground_observables(p, n_max=1), "n_max=1 must be >= 2"),
+    (lambda p: ed.wigner_grid(p, n_max=-4), "n_max=-4 must be >= 2"),
 ], ids=["ed_spectrum", "full_spectrum", "qfi_spectral", "wigner_grid", "collapse_point_gap",
         "lowest_level_fraction", "collapse_point_gap_float", "build_parity_block",
-        "ed_spectrum_bool", "wigner_grid_float"])
+        "ed_spectrum_bool", "wigner_grid_float", "ed_spectrum_n_max", "full_spectrum_n_max",
+        "ground_state_block_n_max", "observables_n_max", "wigner_grid_n_max"])
 def test_bad_counts_rejected_early_by_name(compute, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
         compute(ModelParams(delta=0.3, g=0.2, r=0.6))

@@ -292,6 +292,46 @@ def test_adiabatic_point_converges_from_the_phase_bound(frac, tau_q, n_max):
     assert res.residual_energy == pytest.approx(1.9742e-7, rel=1e-2)  # dt = 0.005
 
 
+def test_a_halving_point_reuses_the_lockstep_pair_for_the_check(monkeypatch):
+    # (64, 128) in lockstep at the phase bound dt = 0.235 (852 steps), then 64 alone at
+    # dt / 2 and dt / 4; the check reads the lockstep 128, so 128 runs at no other step
+    calls = []
+    zgtsv = quench.zgtsv
+
+    def counting(lower, diag, *args, **kwargs):
+        calls.append(len(diag))
+        return zgtsv(lower, diag, *args, **kwargs)
+
+    monkeypatch.setattr(quench, "zgtsv", counting)
+    protocol = QuenchProtocol(g_f=0.5 * G_C, tau_q=200.0, r=R)
+    res = propagate(protocol, check_truncation=True)
+    assert (len(calls), sum(calls)) == (11_934, 981_888)
+    assert Counter(calls) == {192: 1_704, 64: 3_410 + 6_820}
+    assert (res.n_max, res.dt) == (64, protocol.start_dt() / 2)
+    assert res.residual_energy == pytest.approx(1.9699079090162996e-07, rel=1e-12)
+    monkeypatch.setattr(quench, "zgtsv", zgtsv)
+    single = quench._propagate_once(protocol, (64,), res.dt, 0, res.ground_energy)[0]
+    assert res.residual_energy == single[0]
+
+
+@pytest.mark.parametrize("r,frac,tau_q", [(0.6, 0.3, 1000.0), (0.6, 0.5, 1000.0),
+                                          (R, 0.5, 200.0), (R, 0.5, 1000.0)])
+def test_truncation_check_verdict_holds_at_the_reported_step(r, frac, tau_q):
+    # the check moves from n_max to 2 n_max at the start step; where the dt ladder
+    # halves, the same move at the reported step gives the same verdict (both stay
+    # below 1e-6 here)
+    protocol = QuenchProtocol(g_f=frac * critical_params(r)[0], tau_q=tau_q, r=r)
+    res = propagate(protocol, check_truncation=True)
+    assert res.dt < protocol.start_dt()
+
+    def move(dt):
+        e_r, e_r_dbl = (run[0] for run in quench._propagate_once(
+            protocol, (res.n_max, 2 * res.n_max), dt, 0, res.ground_energy))
+        return abs(e_r_dbl - e_r) / abs(e_r_dbl)
+
+    assert move(protocol.start_dt()) <= 1e-6 and move(res.dt) <= 1e-6
+
+
 def test_adiabatic_residual_energy_agrees_with_a_fine_step_run():
     protocol = QuenchProtocol(g_f=0.4 * G_C, tau_q=200.0, r=R, n_max=128)
     res = propagate(protocol)
@@ -361,9 +401,9 @@ def test_lockstep_runs_are_bitwise_the_single_runs(r, frac, tau_q, n_max):
 @pytest.mark.parametrize("check_truncation,rows", [
     # 6, 12 and 24 rows at dt = 1 (30 steps), then 24 at dt = 0.5 and 0.25
     (False, {6: 60, 12: 60, 24: 60 + 120 + 240}),
-    # (6, 12) and (24, 48) in lockstep at dt = 1; the ladder holds at its second
-    # pair, so the check runs 48 alone at the reported dt = 0.5
-    (True, {18: 60, 72: 60, 24: 120 + 240, 48: 120}),
+    # (6, 12) and (24, 48) in lockstep at dt = 1; 24 holds, and the check reads its
+    # lockstep 48 at the start step, so no basis runs twice at one dt
+    (True, {18: 60, 72: 60, 24: 120 + 240}),
 ])
 def test_propagate_pairs_bases_only_for_the_truncation_check(monkeypatch, check_truncation,
                                                              rows):
