@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import asdict, replace
 from functools import partial
@@ -351,7 +352,7 @@ def run_collapse1d(ns, model: collapse1d.Collapse1DProblem) -> int:
             check = collapse1d.collapse_hamiltonian_check(model.delta, n_max=ns.n_max)
             report["hamiltonian_check"] = asdict(check)
         except CollapseMappingError as exc:
-            report["hamiltonian_check"] = {"error": str(exc)}
+            report["hamiltonian_check"] = {"error": str(exc), **asdict(exc.report)}
             ok = False
     return _write(ns, ok, {"": (["n", "kappa4", "ratio", "converged"], rows)}, report=report)
 
@@ -422,7 +423,8 @@ COMMANDS = {
     "collapse1d": Command("collapse-point 1D bound-state ladder", _RUN + (
         ("--delta", dict(default="critical",
                          help="qubit frequency, or 'critical' for the isotropic Delta_c = 0")),
-        ("--n-max", dict(_N_MAX[1], help="truncation of --check-hc")),
+        ("--n-max", dict(_N_MAX[1], default=16384,
+                         help="ceiling of --check-hc's truncation ladder")),
         ("--L", dict(type=float, default=400.0, help="half width of the Dirichlet box")),
         ("--h", dict(type=float, default=0.05,
                      help="x-spacing at the origin of the sinh-mapped grid")),
@@ -452,6 +454,8 @@ class _Parser(argparse.ArgumentParser):
 
     def __init__(self, **kwargs):
         super().__init__(allow_abbrev=False, **kwargs)
+        # -1e-05 and -inf are values, for the flag's type= to check, not flags
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message):
         raise ValueError(message)

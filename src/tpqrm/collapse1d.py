@@ -42,7 +42,7 @@ from .errors import CollapseMappingError
 from .model import CONTINUUM_EDGE, ModelParams, check_count, check_finite, check_positive
 from . import ed
 
-_CONTINUUM_LEVELS = 20  # levels the delta = 0 check compares at each truncation
+_CONTINUUM_LEVELS = 20  # the delta = 0 check reads the widest spacing of this many levels
 
 
 @dataclass(frozen=True)
@@ -182,6 +182,7 @@ class CollapseCheckReport:
     # Delta > 1 path: rows (E_block, E_mapped_from_1d, rel_err on kappa^2)
     matched_even: list
     matched_odd: list
+    n_max_used: dict  # x-parity -> the ladder rung its levels came from, n_max the ceiling
     # Delta = 0 path; degeneracy_gap is the largest entry difference of the parity blocks
     spacings_by_n_max: list
     degeneracy_gap: float
@@ -192,17 +193,16 @@ def _collapse_levels(delta: float, n_max: int, q: float) -> np.ndarray:
     levels = []
     for parity in (+1, -1):
         block = ed.build_parity_block(params, parity, n_max, q=q)
-        w = eigh_tridiagonal(block.diag, block.offdiag, eigvals_only=True, select="v",
-                             select_range=(-np.inf, CONTINUUM_EDGE))
-        levels.extend(w.tolist())
-    return np.sort(np.array(levels))
+        levels.append(eigh_tridiagonal(block.diag, block.offdiag, eigvals_only=True, select="v",
+                                       select_range=(-np.inf, CONTINUUM_EDGE)))
+    return np.sort(np.concatenate(levels))
 
 
 def check_collapse_inputs(delta: float, n_max: int) -> None:
     """Reject, by name, a delta or n_max that collapse_hamiltonian_check cannot take.
 
-    delta must be 0 or above 1.  At delta = 0 the continuum ladder takes
-    _CONTINUUM_LEVELS levels from a block of n_max // 4 rows.
+    delta must be 0 or above 1.  At delta = 0 the continuum ladder reads
+    level _CONTINUUM_LEVELS - 1 of a block of n_max // 4 rows.
     """
     check_finite(delta=delta)
     if delta == 0.0:
@@ -217,15 +217,17 @@ def check_collapse_inputs(delta: float, n_max: int) -> None:
 def collapse_hamiltonian_check(delta: float, n_max: int = 16384) -> CollapseCheckReport:
     """Cross-validate the quadrature-form collapse Hamiltonian against the 1D solver.
 
-    Delta = 0: the discrete levels above -1/2 crowd together as n_max
-    grows (loss of confinement -> continuum) and every level is doubly
-    degenerate across parity: the two blocks at n_max differ by at most
-    degeneracy_gap in any entry, so no level by more than 3 times it
-    (Weyl).  Delta > 1: the bound levels below -1/2 must reproduce
-    -1/2 - kappa_n^2 from the 1D ladder, even-x levels in the even photon
-    sector and odd-x in the odd one.  Disagreement beyond 1e-3 relative on
-    kappa^2 raises CollapseMappingError with the report attached.  Inputs
-    check_collapse_inputs rejects raise ValueError before any solve.
+    Delta = 0: the discrete levels above -1/2 crowd together as n_max grows (loss of
+    confinement -> continuum): the widest spacing of the lowest _CONTINUUM_LEVELS
+    parity -1 levels, the top pair's as the levels are squared Hermite zeros less 1/2,
+    shrinks over n_max/4, n_max/2, n_max.  Every level is doubly degenerate across
+    parity: the two blocks at n_max differ by at most degeneracy_gap in any entry, so no
+    level by more than 3 times it (Weyl).  Delta > 1: the bound levels below -1/2, on blocks
+    doubled from 1,024 rows up to n_max until they move by at most 1e-6 of kappa^2, must
+    reproduce -1/2 - kappa_n^2 from the 1D ladder, even-x levels in the even photon
+    sector and odd-x in the odd one.  Disagreement beyond 1e-3 relative on kappa^2
+    raises CollapseMappingError with the report attached.  Inputs check_collapse_inputs
+    rejects raise ValueError before any solve.
     """
     check_collapse_inputs(delta, n_max)
     if delta == 0.0:
@@ -233,16 +235,16 @@ def collapse_hamiltonian_check(delta: float, n_max: int = 16384) -> CollapseChec
         spacings = []
         for nm in (n_max // 4, n_max // 2, n_max):
             block = ed.build_parity_block(params, -1, nm)
-            w = eigh_tridiagonal(block.diag, block.offdiag, eigvals_only=True,
-                                 select="i", select_range=(0, _CONTINUUM_LEVELS - 1))
-            spacings.append(float(np.diff(w).max()))
+            w = eigh_tridiagonal(block.diag, block.offdiag, eigvals_only=True, select="i",
+                                 select_range=(_CONTINUUM_LEVELS - 2, _CONTINUUM_LEVELS - 1))
+            spacings.append(float(w[1] - w[0]))
         # the ladder's top rung is the parity -1 side of the degeneracy check
         block_p = ed.build_parity_block(params, +1, n_max)
         gap = max(float(np.abs(getattr(block_p, name) - getattr(block, name)).max())
                   for name in ("diag", "offdiag"))
         consistent = all(b < a for a, b in zip(spacings, spacings[1:])) and gap < 1e-10
         report = CollapseCheckReport(
-            delta=delta, n_max=n_max, consistent=consistent,
+            delta=delta, n_max=n_max, consistent=consistent, n_max_used={},
             matched_even=[], matched_odd=[], spacings_by_n_max=spacings, degeneracy_gap=gap,
         )
         if not consistent:
@@ -254,23 +256,26 @@ def collapse_hamiltonian_check(delta: float, n_max: int = 16384) -> CollapseChec
     parities = ladder.parities[ladder.converged]
     mapped = CONTINUUM_EDGE - np.sqrt(kappa4)
 
-    matched = {+1: [], -1: []}
+    matched, n_used = {+1: [], -1: []}, {}
     for q, xpar in ((0.25, +1), (0.75, -1)):
         targets = mapped[parities == xpar]
         if not len(targets):
             continue
-        levels = _collapse_levels(delta, n_max, q)
-        for i in range(min(3, len(targets), len(levels))):
-            k2_block = CONTINUUM_EDGE - levels[i]
-            k2_map = CONTINUUM_EDGE - targets[i]
+        m = min(3, len(targets))
+        levels, _, n_used[xpar] = ed.converge(
+            lambda n, _: _collapse_levels(delta, n, q), min(1024, n_max), n_max,
+            lambda new, old: min(len(new), len(old)) >= m and bool(np.all(
+                np.abs(new[:m] - old[:m]) <= 1e-6 * (CONTINUUM_EDGE - new[:m]))))
+        for e_block, e_map in zip(levels[:m], targets):
+            k2_block, k2_map = CONTINUUM_EDGE - e_block, CONTINUUM_EDGE - e_map
             rel = abs(k2_block - k2_map) / abs(k2_map)
-            matched[xpar].append((float(levels[i]), float(targets[i]), float(rel)))
+            matched[xpar].append((float(e_block), float(e_map), float(rel)))
 
     all_rows = matched[+1] + matched[-1]
     consistent = bool(all_rows) and all(rel < 1e-3 for _, _, rel in all_rows)
     report = CollapseCheckReport(
         delta=delta, n_max=n_max, consistent=consistent,
-        matched_even=matched[+1], matched_odd=matched[-1],
+        matched_even=matched[+1], matched_odd=matched[-1], n_max_used=n_used,
         spacings_by_n_max=[], degeneracy_gap=math.nan,
     )
     if not consistent:

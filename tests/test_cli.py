@@ -313,6 +313,24 @@ def test_fit_command_roundtrip(tmp_path):
     assert fit["amplitude"] == pytest.approx(3.0, rel=1e-10)
 
 
+@pytest.mark.parametrize("config", [False, True], ids=["flags", "config"])
+def test_a_negative_value_in_exponent_form_is_a_value(tmp_path, config):
+    # argparse's own pattern takes -1e-05 for a flag; -0.00001 it reads as a number
+    _write_data_csv(tmp_path)
+    args = ["fit", "--input", "data.csv", "--xcol", "u", "--ycol", "y"]
+    assert run_cli([*args, "--window", "-0.00001", "1", "--out", "plain"], tmp_path) == cli.EXIT_OK
+    if config:
+        (tmp_path / "cfg.json").write_text(json.dumps(
+            {"command": "fit", "input": "data.csv", "xcol": "u", "ycol": "y",
+             "window": [-1e-05, 1], "out": "exp"}))
+        assert run_cli(["--config", "cfg.json"], tmp_path) == cli.EXIT_OK
+    else:
+        assert run_cli([*args, "--window", "-1e-05", "1", "--out", "exp"], tmp_path) == cli.EXIT_OK
+    assert (tmp_path / "exp_fit.json").read_bytes() == (tmp_path / "plain_fit.json").read_bytes()
+    manifest = json.loads((tmp_path / "exp_manifest.json").read_text())
+    assert manifest["window"] == [-1e-05, 1.0]
+
+
 @pytest.mark.parametrize("args,message", [
     (["quench", "--r", "0.25", "--gf", "0.5", "--tau-list", "50", "--dt", "-0.1"],
      "dt=-0.1 must be finite and positive"),
@@ -344,9 +362,11 @@ def test_a_bad_number_is_quoted_with_its_flag(tmp_path, capsys, args, flag, bad)
     (["spectrum", "--x-range", "1.5", "inf"], "x_max=inf must be finite"),
     (["fit", "--input", "data.csv", "--xcol", "u", "--ycol", "y", "--window", "0", "inf"],
      "window_hi=inf must be finite"),
+    (["fit", "--input", "data.csv", "--xcol", "u", "--ycol", "y", "--window", "-inf", "1"],
+     "window_lo=-inf must be finite"),
     (["quench", "--gf", "0.5", "--tau-list", "5,10", "--samples", "3"],
      "--samples records the trajectory of a single quench time; got 2 quench times"),
-], ids=["x_range-inf", "fit_window-inf", "samples-sweep"])
+], ids=["x_range-inf", "fit_window-inf", "fit_window-minus-inf", "samples-sweep"])
 def test_an_input_the_run_cannot_use_is_rejected_by_name(tmp_path, capsys, args, message):
     _write_data_csv(tmp_path)
     _rejected_alike(tmp_path, capsys, args, message)
@@ -393,6 +413,26 @@ def test_collapse1d_tower_without_a_converged_level_fails(tmp_path):
     assert code == cli.EXIT_CONVERGENCE
     report = json.loads((tmp_path / "c_report.json").read_text())
     assert report["bound_states"] == 0 and "reason" not in report
+
+
+@pytest.mark.parametrize("delta", ["3", "critical"])
+def test_collapse1d_check_hc_holds_at_its_defaults(tmp_path, delta):
+    # --n-max defaults to the library's 16,384-row ceiling of the check's ladder
+    assert run_cli(["collapse1d", "--delta", delta, "--check-hc", "--out", "c"],
+                   tmp_path) == cli.EXIT_OK
+    check = json.loads((tmp_path / "c_report.json").read_text())["hamiltonian_check"]
+    assert check["consistent"] and check["n_max"] == 16384
+
+
+def test_a_failed_collapse_check_writes_its_report(tmp_path):
+    # a 256-row ceiling leaves the third even level 1% off the 1D mapping
+    code = run_cli(["collapse1d", "--delta", "3", "--check-hc", "--n-max", "256", "--out", "c"],
+                   tmp_path)
+    assert code == cli.EXIT_CONVERGENCE
+    check = json.loads((tmp_path / "c_report.json").read_text())["hamiltonian_check"]
+    assert check["error"] == "collapse-point levels disagree with the 1D mapping beyond tolerance"
+    assert not check["consistent"] and check["n_max_used"] == {"1": 256, "-1": 256}
+    assert [row[2] > 1e-3 for row in check["matched_even"]] == [False, False, True]
 
 
 def test_collapse1d_command(tmp_path):

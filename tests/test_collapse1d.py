@@ -135,18 +135,24 @@ def test_ladder_reports_its_refinement_and_grid_size():
     assert ladder.refinement == pytest.approx(change, rel=1e-9)
 
 
+def _recorded_solves(monkeypatch, *keys):
+    """(rows, *those keywords) of every collapse1d.eigh_tridiagonal call from now on."""
+    calls, original = [], collapse1d.eigh_tridiagonal
+
+    def recording(d, e, **kwargs):
+        calls.append((len(d), *(kwargs.get(key) for key in keys)))
+        return original(d, e, **kwargs)
+
+    monkeypatch.setattr(collapse1d, "eigh_tridiagonal", recording)
+    return calls
+
+
 @pytest.mark.parametrize("delta,L,h,k", [(3.0, 3200.0, 0.0125, 7), (3.0, 6400.0, 0.0125, 7),
                                          (0.0, 100.0, 0.05, 4)])
 def test_the_refinement_solve_asks_for_eigenvalues_only(monkeypatch, delta, L, h, k):
     # criterion 09's ladders: the (2L, h/2) solve computes no vectors, and its
     # levels are bitwise those of the solve that does
-    calls, original = [], collapse1d.eigh_tridiagonal
-
-    def recording(d, e, **kwargs):
-        calls.append((len(d), kwargs.get("eigvals_only", False)))
-        return original(d, e, **kwargs)
-
-    monkeypatch.setattr(collapse1d, "eigh_tridiagonal", recording)
+    calls = _recorded_solves(monkeypatch, "eigvals_only")
     ladder = bound_states(Collapse1DProblem(delta=delta, L=L, h=h), k=k)
     assert calls == [(ladder.rows, False), (2 * round(math.asinh(2 * L) / (h / 2)) - 1, True)]
     monkeypatch.undo()
@@ -207,6 +213,53 @@ def test_collapse_check_bound_levels_match_1d_mapping():
         assert rel < 1e-3
     # ground level of the collapse Hamiltonian, cross-solved two ways
     assert report.matched_even[0][0] == pytest.approx(-1.621399, abs=2e-5)
+
+
+@pytest.mark.parametrize("rows", [20, 80, 512, 2048, 8192])
+def test_the_continuum_ladder_widest_spacing_is_its_top_pair(rows):
+    # the levels are xi_j^2 - 1/2 over the positive zeros of H_2rows, whose
+    # squared spacings grow with j: the top pair alone gives the widest spacing,
+    # to the bisection's width eps |T|_1 on each of the four levels compared
+    block = collapse1d.ed.build_parity_block(ModelParams(delta=0.0, g=0.5, r=1.0), -1, rows)
+    top = collapse1d._CONTINUUM_LEVELS
+    lowest = eigh_tridiagonal(block.diag, block.offdiag, eigvals_only=True, select="i",
+                              select_range=(0, top - 1))
+    pair = eigh_tridiagonal(block.diag, block.offdiag, eigvals_only=True, select="i",
+                            select_range=(top - 2, top - 1))
+    width = np.finfo(float).eps * (np.abs(block.diag).max() + 2 * np.abs(block.offdiag).max())
+    assert abs(pair[1] - pair[0] - np.diff(lowest).max()) <= 4 * width
+    zeros = roots_hermite(2 * rows)[0]
+    assert np.all(np.diff(np.diff(np.sort(zeros[zeros > 0.0])[:top] ** 2)) > 0.0)
+
+
+def test_the_continuum_ladder_bisects_two_levels_a_rung(monkeypatch):
+    calls = _recorded_solves(monkeypatch, "select", "select_range")
+    collapse_hamiltonian_check(0.0, n_max=256)
+    top = collapse1d._CONTINUUM_LEVELS
+    assert calls == [(rows, "i", (top - 2, top - 1)) for rows in (64, 128, 256)]
+
+
+@pytest.mark.parametrize("n_max,rungs", [
+    (16384, {+1: 4096, -1: 2048}),
+    (3000, {+1: 2048, -1: 2048}),  # the next rung, 4,096, would pass the ceiling
+    (1024, {+1: 1024, -1: 1024}),  # a start at n_max is one rung
+    (512, {+1: 512, -1: 512}),
+])
+def test_the_bound_tower_ladder_climbs_to_n_max_at_most(monkeypatch, n_max, rungs):
+    calls = _recorded_solves(monkeypatch, "select")
+    report = collapse_hamiltonian_check(3.0, n_max=n_max)
+    assert report.n_max == n_max and report.n_max_used == rungs
+    block_rows = [rows for rows, select in calls if select == "v"]
+    assert max(block_rows) == max(rungs.values()) <= n_max
+    if n_max <= 1024:
+        assert block_rows == [n_max] * 4  # two parity blocks in each of two sectors
+
+
+def test_the_bound_tower_ladder_matches_a_fixed_ceiling_solve():
+    report = collapse_hamiltonian_check(3.0, n_max=16384)
+    for rows, q in ((report.matched_even, 0.25), (report.matched_odd, 0.75)):
+        fixed = collapse1d._collapse_levels(3.0, 16384, q)[:len(rows)]
+        assert np.abs(np.array([row[0] for row in rows]) - fixed).max() <= 1e-10
 
 
 def test_collapse_check_rejects_intermediate_delta():
