@@ -416,9 +416,14 @@ COMMANDS = {
                              help="log-spaced quench-time range")),
         ("--tau-points", dict(type=_count(1), default=6)),
         ("--tau-list", dict(default=None, help="comma-separated quench times")),
-        ("--samples", dict(type=_count(0), default=0, help="trajectory samples (single-tau runs)")),
+        ("--samples", dict(type=_count(0), default=0,
+                           help="trajectory samples (single-tau runs); at most the start step's "
+                                "step count, tau_q / dt")),
         ("--dt", dict(type=float, default=None,
-                      help="time step override (the halving check still applies)")),
+                      help="start step override (the halving check still applies); by default "
+                           "the Pade phase bound on the soft-mode gap at g_f where the ramp is "
+                           "adiabatic there, min(1, tau_q/100) where it is impulsive, or the "
+                           "bound on 2 + Delta where the abrupt start can move E_r")),
     ), _resolve_quench, run_quench),
     "collapse1d": Command("collapse-point 1D bound-state ladder", _RUN + (
         ("--delta", dict(default="critical",

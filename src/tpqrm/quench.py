@@ -18,18 +18,23 @@ x = h (E - E_0), small on the occupied levels.
 
 The step is certified, not chosen: the run is repeated at half the step
 until E_r is stable to 1%, and E_r is reported from the coarser step of
-that pair.  The start step matters for one term: the abrupt start at g = 0
-excites omega01 = D_1 - D_0 with amplitude rate T01 / omega01^2 (T01 = C_0),
-whose interference can move E_r by B = 2 sqrt(T01^2 gap_f / (omega01^4
-chi_3)) relative (abrupt_start_bound).  Where B is below a tenth of the gate
-the ladder starts at min(1, tau_q/100), elsewhere at min(tau_q/100,
-(72 / (tau_q omega01^5))^(1/4)), where that term's Padé phase stays below
-0.1 rad.  E_0(g_f) comes from ed.ground_state_block, with its own
-truncation doubling (near collapse the true ground state needs a far
-larger basis than the propagated, frozen-out state ever occupies).  The
-propagation basis is gated by requiring the occupancy of its top 10% of
-states to stay below 1e-8: it starts at min(n_max, 64) rows and doubles
-until the gate holds, up to 4 n_max, so a row's n_max is the basis used.
+that pair.  The ladder starts at min(tau_q/100, (72 / (tau_q w^5))^(1/4)),
+where the Padé phase of a mode of frequency w stays below 0.1 rad over the
+run, with w the mode whose phase error can move E_r.  The abrupt start at
+g = 0 excites omega01 = D_1 - D_0 with amplitude rate T01 / omega01^2
+(T01 = C_0), whose interference can move E_r by B = 2 sqrt(T01^2 gap_f /
+(omega01^4 chi_3)) relative (abrupt_start_bound), gap_f = E_1 - E_0 at g_f.
+Where B is above a tenth of the gate, w = omega01.  Below it that term
+cannot move E_r, and w = gap_f, the soft mode that carries the end-point
+term (g_f/tau_q)^2 chi_3, as long as that term is at most gap_f (the ramp
+is adiabatic at g_f).  Where it exceeds gap_f the ramp is impulsive at g_f
+and the ladder starts at min(1, tau_q/100).  E_0(g_f) comes from
+ed.ground_state_block, with its own truncation doubling (near collapse the
+true ground state needs a far larger basis than the propagated, frozen-out
+state ever occupies).  The propagation basis is gated by requiring the
+occupancy of its top 10% of states to stay below 1e-8: it starts at
+min(n_max, 64) rows and doubles until the gate holds, up to 4 n_max, so a
+row's n_max is the basis used.
 Runs that share a step advance in lockstep, as the blocks of one
 block-diagonal system: with the truncation check, each basis of the ladder
 runs with its double, the next basis if it leaks and the check if it holds;
@@ -78,6 +83,15 @@ _PADE_ROOTS = (3.0 + 1j * math.sqrt(3.0), 3.0 - 1j * math.sqrt(3.0))  # -d: root
 
 
 @dataclass(frozen=True)
+class StartBound:
+    """B of the module docstring and the two inputs abrupt_start_bound solved for it."""
+
+    bound: float
+    gap_f: float = math.nan  # E_1 - E_0 at g_f; nan where chi_3 did not converge
+    chi_3: float = math.nan
+
+
+@dataclass(frozen=True)
 class QuenchProtocol:
     """Linear ramp g(t) = g_f t / tau_q at fixed Delta (default: critical).
 
@@ -106,15 +120,23 @@ class QuenchProtocol:
     def params_final(self) -> ModelParams:
         return ModelParams(delta=self.delta, g=self.g_f, r=self.r)
 
-    def default_dt(self, bound: float) -> float:
-        """Where the dt-halving ladder starts, given B = abrupt_start_bound(params_final)."""
-        if bound <= 0.1 * _ER_REL_TOL:
+    def default_dt(self, start: StartBound) -> float:
+        """Where the dt-halving ladder starts, given start = abrupt_start_bound(params_final).
+
+        The Padé phase bound on omega01 = 2 + Delta where B is above a tenth
+        of the gate, on gap_f where it is not and the end-point term is at
+        most gap_f, else min(1, tau_q/100) (module docstring).
+        """
+        if start.bound > 0.1 * _ER_REL_TOL:
+            mode = 2.0 + self.delta  # omega01 = D_1 - D_0 of the block
+        elif (self.g_f / self.tau_q) ** 2 * start.chi_3 > start.gap_f:  # impulsive at g_f
             return min(1.0, self.tau_q / 100.0)
-        omega01 = 2.0 + self.delta  # D_1 - D_0 of the block
-        return min(self.tau_q / 100.0, (720.0 * 0.1 / (self.tau_q * omega01**5)) ** 0.25)
+        else:
+            mode = start.gap_f
+        return min(self.tau_q / 100.0, (720.0 * 0.1 / (self.tau_q * mode**5)) ** 0.25)
 
     def start_dt(self) -> float:
-        """dt if given, else default_dt at this g_f's abrupt_start_bound."""
+        """dt if given, else default_dt at this g_f's abrupt_start_bound (one solve of it)."""
         return self.dt if self.dt is not None else self.default_dt(
             abrupt_start_bound(self.params_final))
 
@@ -158,16 +180,21 @@ def ground_energy_final(protocol: QuenchProtocol) -> float:
     return e0
 
 
-def abrupt_start_bound(params: ModelParams) -> float:
-    """B of the module docstring for the model params at g_f; inf if chi_3 does not converge."""
+def abrupt_start_bound(params: ModelParams) -> StartBound:
+    """B of the module docstring at g_f, with the gap_f and chi_3 it was solved from.
+
+    B is inf, and gap_f and chi_3 are nan, if chi_3 does not converge.
+    """
     try:
         chi_3 = _response_sum(params, 3)[0]
     except ConvergenceError:  # g_f within about 1e-7 of g_c
-        return math.inf
+        return StartBound(math.inf)
     block = build_parity_block(params, -1, 256)  # gap_f needs no truncation ladder
     e0, e1 = _lowest_pairs(block.diag, block.offdiag, 2, None)[0]
+    gap_f = float(e1 - e0)
     omega01 = block.diag[1] - block.diag[0]
-    return 2.0 * math.sqrt(block.coupling[0] ** 2 * (e1 - e0) / (omega01**4 * chi_3))
+    return StartBound(2.0 * math.sqrt(block.coupling[0] ** 2 * gap_f / (omega01**4 * chi_3)),
+                      gap_f, chi_3)
 
 
 def _n_steps(tau_q: float, dt: float) -> int:
@@ -356,14 +383,17 @@ def kz_sweep(
     truncation check; an unconverged row keeps the caller's n_max.
     "samples" holds the run's n_samples trajectory samples (None if 0 or
     unconverged).
-    n_samples must fit every point's start step; a count the shortest
-    tau_q cannot give raises ValueError before any point runs.
+    Without dt each point starts at its default_dt, from one
+    abrupt_start_bound solve for the sweep; the adiabatic or impulsive
+    branch is chosen per tau_q.  n_samples must fit every point's start
+    step; a count one point's step count cannot give raises ValueError
+    before any point runs.
     """
     protocols = [QuenchProtocol(g_f=g_f, tau_q=float(t), r=params.r, delta=params.delta,
                                 n_max=n_max, dt=dt) for t in tau_list]
-    if protocols and dt is None:  # B depends on g_f alone: one solve for the sweep
-        bound = abrupt_start_bound(protocols[0].params_final)
-        protocols = [replace(p, dt=p.default_dt(bound)) for p in protocols]
+    if protocols and dt is None:  # B, gap_f and chi_3 depend on g_f alone: one solve
+        start = abrupt_start_bound(protocols[0].params_final)
+        protocols = [replace(p, dt=p.default_dt(start)) for p in protocols]
     for protocol in protocols:
         protocol.check_samples(n_samples)
 

@@ -582,6 +582,8 @@ def test_every_n_max_flag_rejects_a_truncation_below_two_rows(capsys, name):
     *[[name, "--n-max", n, "--points", "2"] for name in ("spectrum", "gap-scan", "observables")
       for n in ("-5", "0")],
     ["wigner", "--g-over-gc", "0.5", "--n-max", "0"],
+    # more samples than the start step's 273 steps at an adiabatic near-critical point
+    ["quench", "--r", "0.25", "--gf", "0.99", "--tau-list", "1000", "--samples", "274"],
 ])
 def test_validate_agrees_with_the_run(tmp_path, capsys, args):
     u = np.geomspace(1e-3, 1e-1, 6)

@@ -3,12 +3,14 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import zgtsv
 
 from tpqrm.errors import ConvergenceError
 from tpqrm.model import ModelParams, critical_params
 from tpqrm.quench import (
     QuenchProtocol,
+    StartBound,
     adiabatic_reference,
     ground_energy_final,
     kz_predict,
@@ -24,18 +26,30 @@ G_C, DELTA_C = critical_params(R)
 
 def test_protocol_validation_and_defaults():
     protocol = QuenchProtocol(g_f=0.5 * G_C, tau_q=100.0, r=R)
+    short = QuenchProtocol(g_f=0.5 * G_C, tau_q=5.0, r=R)
     assert protocol.delta == DELTA_C
-    # below a tenth of the 1% gate the abrupt-start term cannot move E_r: min(1, tau_q/100)
-    assert protocol.default_dt(1e-3) == 1.0
-    assert QuenchProtocol(g_f=0.5 * G_C, tau_q=1e7, r=R).default_dt(0.0) == 1.0
-    assert QuenchProtocol(g_f=0.5 * G_C, tau_q=5.0, r=R).default_dt(0.0) == pytest.approx(0.05)
-    # above it, the Pade phase bound (72 / (tau_q omega01^5))^(1/4), omega01 = 2 + Delta_c
+    # above a tenth of the 1% gate, B = inf included, the Pade phase bound
+    # (72 / (tau_q omega01^5))^(1/4), omega01 = 2 + Delta_c, whatever gap_f and chi_3 are
     phase = (72.0 / (100.0 * (2.0 + DELTA_C) ** 5)) ** 0.25
-    assert protocol.default_dt(math.inf) == pytest.approx(phase, rel=1e-12)
-    assert QuenchProtocol(g_f=0.5 * G_C, tau_q=5.0, r=R).default_dt(1.0) == pytest.approx(0.05)
-    # start_dt solves for B: 0.65 at 0.5 g_c, 9.3e-4 at 0.99 g_c
-    assert protocol.start_dt() == protocol.default_dt(math.inf)
+    assert protocol.default_dt(StartBound(math.inf)) == pytest.approx(phase, rel=1e-12)
+    assert protocol.default_dt(StartBound(1.0, 0.2, 1.0)) == pytest.approx(phase, rel=1e-12)
+    assert short.default_dt(StartBound(1.0)) == pytest.approx(0.05)
+    # below it and adiabatic at g_f, (g_f/tau_q)^2 chi_3 <= gap_f: the same bound on gap_f
+    soft = StartBound(1e-3, gap_f=1.0, chi_3=1.0)
+    assert protocol.default_dt(soft) == pytest.approx(0.72**0.25, rel=1e-12)
+    assert short.default_dt(soft) == pytest.approx(0.05)
+    # below it and impulsive at g_f: min(1, tau_q/100)
+    impulse = StartBound(0.0, gap_f=0.2, chi_3=1e20)
+    assert protocol.default_dt(impulse) == 1.0
+    assert QuenchProtocol(g_f=0.5 * G_C, tau_q=1e7, r=R).default_dt(impulse) == 1.0
+    assert short.default_dt(impulse) == pytest.approx(0.05)
+    # start_dt solves for B: 0.65 at 0.5 g_c; 9.3e-4 at 0.99 g_c, where tau_q = 100 is
+    # adiabatic and the gap_f bound, 11.6, is capped at tau_q/100; 2.5e-9 at
+    # (1 - 1e-6) g_c, where the end-point term is 1e9 to 1e11 times gap_f (impulsive)
+    assert protocol.start_dt() == protocol.default_dt(StartBound(math.inf))
     assert QuenchProtocol(g_f=0.99 * G_C, tau_q=100.0, r=R).start_dt() == 1.0
+    for tau_q in (1e2, 1e3):
+        assert QuenchProtocol(g_f=(1 - 1e-6) * G_C, tau_q=tau_q, r=R).start_dt() == 1.0
     assert QuenchProtocol(g_f=0.5 * G_C, tau_q=100.0, r=R, dt=0.3).start_dt() == 0.3
     with pytest.raises(ValueError):
         QuenchProtocol(g_f=G_C, tau_q=10.0, r=R)
@@ -152,6 +166,10 @@ def test_more_samples_than_steps_rejected_before_any_step(monkeypatch):
     protocol = QuenchProtocol(g_f=0.5 * G_C, tau_q=5.0, r=R, n_max=32, dt=0.05)
     with pytest.raises(ValueError, match="^n_samples=150 exceeds the run's n_steps=100"):
         propagate(protocol, n_samples=150)
+    # without dt the cap is the start step's step count: 273 at the gap_f phase bound 3.66
+    protocol = QuenchProtocol(g_f=0.99 * G_C, tau_q=1000.0, r=R)
+    with pytest.raises(ValueError, match="^n_samples=274 exceeds the run's n_steps=273"):
+        propagate(protocol, n_samples=274)
 
 
 def test_trajectory_comes_from_the_reported_rung():
@@ -209,10 +227,11 @@ def test_sweep_rejects_a_sample_count_before_any_point_runs(monkeypatch):
 
 
 def test_default_step_is_sized_by_the_dt_gate(monkeypatch):
-    # B = 9.3e-4 here, so the ladder starts at dt = 1 and the gate holds at the first
-    # pair: 10^3 steps of 64 and 128 rows in lockstep, where 64 holds and 128 is the
-    # truncation check, then 2 x 10^3 at 64 rows, at two solves a step (a start at the
-    # phase bound, dt = 0.16, makes six times as many)
+    # B = 9.3e-4 and the ramp is adiabatic at g_f, so the ladder starts at the gap_f
+    # phase bound, dt = 3.66, and the gate holds at the first pair: 273 steps of 64 and
+    # 128 rows in lockstep, where 64 holds and 128 is the truncation check, then 546 at
+    # 64 rows, at two solves a step (a start at dt = 1 makes 3.7 times as many, one at
+    # the omega01 phase bound, dt = 0.16, 22 times)
     calls = []
     zgtsv = quench.zgtsv
 
@@ -224,8 +243,8 @@ def test_default_step_is_sized_by_the_dt_gate(monkeypatch):
     g_f = 0.99 * G_C
     (row,) = kz_sweep(g_f, [1000.0], ModelParams(delta=DELTA_C, g=g_f, r=R), n_max=256)
     assert row["converged"]
-    assert len(calls) == 6_000
-    assert Counter(calls) == {192: 2_000, 64: 4_000}
+    assert len(calls) == 1_638
+    assert Counter(calls) == {192: 546, 64: 1_092}
     assert row["e_r"] == pytest.approx(1.0709408e-3, rel=1e-2)  # E_r at dt = 0.01
 
 
@@ -339,6 +358,26 @@ def test_adiabatic_residual_energy_agrees_with_a_fine_step_run():
     assert res.residual_energy == pytest.approx(fine, rel=1e-2)
 
 
+@pytest.mark.parametrize("r,frac,tau_q", [(R, 0.99, 1e3), (R, 0.999, 1e4), (0.6, 0.999, 1e4)])
+def test_adiabatic_endpoint_starts_at_the_soft_mode_phase_bound(r, frac, tau_q):
+    # B <= 9.3e-4 and (g_f/tau_q)^2 chi_3 / gap_f <= 0.064 here, so the ladder starts at
+    # the Pade phase bound on gap_f = E_1 - E_0 at g_f (dt = 3.66, 8.01 and 6.23) and
+    # the gate holds at the first pair; E_r reads +0.29%, +0.19% and -0.03% from dt = 0.25
+    g_c, delta_c = critical_params(r)
+    params = ModelParams(delta=delta_c, g=frac * g_c, r=r)
+    block = ed.build_parity_block(params, -1, 256)
+    e0, e1 = eigh_tridiagonal(block.diag, block.offdiag, eigvals_only=True, select="i",
+                              select_range=(0, 1))
+    protocol = QuenchProtocol(g_f=frac * g_c, tau_q=tau_q, r=r)
+    assert protocol.start_dt() == pytest.approx((72.0 / (tau_q * (e1 - e0) ** 5)) ** 0.25,
+                                                rel=1e-12)
+    (row,) = kz_sweep(frac * g_c, [tau_q], params)
+    assert row["converged"] and row["dt"] == protocol.start_dt()
+    e0_f = ground_energy_final(protocol)
+    fine = quench._propagate_once(protocol, (row["n_max"],), 0.25, 0, e0_f)[0][0]
+    assert row["e_r"] == pytest.approx(fine, rel=1e-2)
+
+
 @pytest.mark.parametrize("frac", [0.5, 0.9])
 def test_magnus_step_is_fourth_order(frac):
     # on a tau_q = 5 ramp, each halving of dt from 0.2 to 0.025 cuts the E_r error 16x
@@ -432,7 +471,7 @@ def test_propagate_where_chi_3_does_not_converge():
     # 1 - g_f/g_c = 1e-7: chi_3 raises at its ceiling, so B is inf and the ladder
     # starts at the phase bound, min(tau_q/100, ...) = 0.1 here
     protocol = QuenchProtocol(g_f=(1 - 1e-7) * G_C, tau_q=10.0, r=R, n_max=256)
-    assert quench.abrupt_start_bound(protocol.params_final) == math.inf
+    assert quench.abrupt_start_bound(protocol.params_final).bound == math.inf
     assert protocol.start_dt() == pytest.approx(0.1)
     res = propagate(protocol, check_truncation=True)
     assert res.residual_energy > 0.0
