@@ -7,8 +7,10 @@ energy vs quench time), `collapse1d` and `gap-opening` (collapse-point
 structure), and `fit` (standalone log-log regression on any CSV).
 
 One table, COMMANDS, declares each subcommand's flags, input resolver and
-runner; `--validate` runs the same resolver and stops before any computation,
-printing its diagnostics as JSON, flags or a config that fail to parse included.
+runner; `--validate` runs the same resolver and stops before the run, printing
+its diagnostics as JSON, flags or a config that fail to parse included.  The
+resolvers compute nothing, save `quench --samples` without `--dt`, which solves
+its start step's bound to check the sample count.
 
 Runs are deterministic: data go to `<out>.csv` at full double precision,
 fits to `<out>_fit.json`, and a manifest with every default materialized
@@ -40,7 +42,7 @@ import numpy as np
 
 from . import __version__, aa, analysis, collapse1d, ed, quench
 from .errors import CollapseMappingError, ConvergenceError
-from .model import ModelParams, SectorSpec, critical_params, params_from_dict
+from .model import ModelParams, SectorSpec, critical_params
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -110,11 +112,17 @@ _GRID = (_R, _DELTA,
          ("--points", dict(type=_count(1), default=7, help="grid points in x")))
 
 
-def _params(ns, **coupling) -> ModelParams:
-    """ModelParams from --delta and --r plus the coupling keys that are set."""
-    delta = ns.delta if ns.delta == "critical" else _floats([ns.delta], "--delta")[0]
-    cfg = {"delta": delta, "r": ns.r, **coupling}
-    return params_from_dict({k: v for k, v in cfg.items() if v is not None})
+def _delta(text: str, r: float) -> float:
+    """--delta: a number, or 'critical' for Delta_c(r)."""
+    return critical_params(r)[1] if text == "critical" else _floats([text], "--delta")[0]
+
+
+def _params(ns, g: float | None = None, g_over_gc: float | None = None) -> ModelParams:
+    """ModelParams from --delta and --r at exactly one of g and g/g_c."""
+    delta, g_c = _delta(ns.delta, ns.r), critical_params(ns.r)[0]
+    if (g is None) == (g_over_gc is None):
+        raise ValueError("exactly one of --g and --g-over-gc is required")
+    return ModelParams(delta=delta, g=g_over_gc * g_c if g is None else g, r=ns.r)
 
 
 # -- resolvers: flags -> the run's inputs, raising ValueError on bad input --
@@ -143,6 +151,8 @@ def _resolve_quench(ns) -> dict:
                          f"got {len(taus)} quench times")
     protocols = [quench.QuenchProtocol(g_f=model.g, tau_q=tau, r=model.r, delta=model.delta,
                                        n_max=ns.n_max, dt=ns.dt) for tau in taus]
+    if ns.samples:  # one quench time: its start step, solved here, is the run's
+        protocols[0] = replace(protocols[0], dt=protocols[0].start_dt())
     protocols[0].check_samples(ns.samples)
     return {"model": model, "protocols": protocols, "n_samples": ns.samples}
 
@@ -153,8 +163,7 @@ def _resolve_wigner(ns) -> dict:
 
 
 def _resolve_collapse1d(ns) -> dict:
-    # the isotropic collapse point has Delta_c = 0, so 'critical' means 0 here
-    delta = 0.0 if ns.delta == "critical" else _floats([ns.delta], "--delta")[0]
+    delta = _delta(ns.delta, 1.0)  # the isotropic collapse point: 'critical' is Delta_c = 0
     model = collapse1d.Collapse1DProblem(delta=delta, L=ns.L, h=ns.h)
     if ns.check_hc:
         collapse1d.check_collapse_inputs(delta, ns.n_max)
@@ -528,7 +537,10 @@ def _load_config(argv: list[str]) -> argparse.Namespace:
 
 
 def _validate(ns, inputs: dict) -> int:
-    """--validate once the inputs resolve: print diagnostics and manifest, compute nothing."""
+    """--validate once the inputs resolve: print diagnostics and manifest, run nothing.
+
+    The resolvers compute nothing, save quench's start step under --samples without --dt.
+    """
     diagnostics = []
     if getattr(ns, "delta", None) == "critical":
         diagnostics.append(f"delta 'critical' resolves to {inputs['model'].delta:.17g}")

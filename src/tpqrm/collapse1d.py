@@ -183,6 +183,7 @@ class CollapseCheckReport:
     matched_even: list
     matched_odd: list
     n_max_used: dict  # x-parity -> the ladder rung its levels came from, n_max the ceiling
+    held: dict  # x-parity -> whether its levels moved by at most 1e-6 of kappa^2 at that rung
     # Delta = 0 path; degeneracy_gap is the largest entry difference of the parity blocks
     spacings_by_n_max: list
     degeneracy_gap: float
@@ -223,9 +224,10 @@ def collapse_hamiltonian_check(delta: float, n_max: int = 16384) -> CollapseChec
     shrinks over n_max/4, n_max/2, n_max.  Every level is doubly degenerate across
     parity: the two blocks at n_max differ by at most degeneracy_gap in any entry, so no
     level by more than 3 times it (Weyl).  Delta > 1: the bound levels below -1/2, on blocks
-    doubled from 1,024 rows up to n_max until they move by at most 1e-6 of kappa^2, must
-    reproduce -1/2 - kappa_n^2 from the 1D ladder, even-x levels in the even photon
-    sector and odd-x in the odd one.  Disagreement beyond 1e-3 relative on kappa^2
+    doubled from 1,024 rows up to n_max until they move by at most 1e-6 of kappa^2 (held
+    says per x-parity whether they did, n_max_used at which rung), must reproduce
+    -1/2 - kappa_n^2 from the 1D ladder, even-x levels in the even photon sector and
+    odd-x in the odd one.  Disagreement beyond 1e-3 relative on kappa^2
     raises CollapseMappingError with the report attached.  Inputs check_collapse_inputs
     rejects raise ValueError before any solve.
     """
@@ -244,7 +246,7 @@ def collapse_hamiltonian_check(delta: float, n_max: int = 16384) -> CollapseChec
                   for name in ("diag", "offdiag"))
         consistent = all(b < a for a, b in zip(spacings, spacings[1:])) and gap < 1e-10
         report = CollapseCheckReport(
-            delta=delta, n_max=n_max, consistent=consistent, n_max_used={},
+            delta=delta, n_max=n_max, consistent=consistent, n_max_used={}, held={},
             matched_even=[], matched_odd=[], spacings_by_n_max=spacings, degeneracy_gap=gap,
         )
         if not consistent:
@@ -256,16 +258,20 @@ def collapse_hamiltonian_check(delta: float, n_max: int = 16384) -> CollapseChec
     parities = ladder.parities[ladder.converged]
     mapped = CONTINUUM_EDGE - np.sqrt(kappa4)
 
-    matched, n_used = {+1: [], -1: []}, {}
+    matched, n_used, held = {+1: [], -1: []}, {}, {}
     for q, xpar in ((0.25, +1), (0.75, -1)):
         targets = mapped[parities == xpar]
         if not len(targets):
             continue
         m = min(3, len(targets))
-        levels, _, n_used[xpar] = ed.converge(
-            lambda n, _: _collapse_levels(delta, n, q), min(1024, n_max), n_max,
-            lambda new, old: min(len(new), len(old)) >= m and bool(np.all(
-                np.abs(new[:m] - old[:m]) <= 1e-6 * (CONTINUUM_EDGE - new[:m]))))
+
+        def still(new, old):  # the first m levels moved by at most 1e-6 of their kappa^2
+            return min(len(new), len(old)) >= m and bool(np.all(
+                np.abs(new[:m] - old[:m]) <= 1e-6 * (CONTINUUM_EDGE - new[:m])))
+
+        levels, previous, n_used[xpar] = ed.converge(
+            lambda n, _: _collapse_levels(delta, n, q), min(1024, n_max), n_max, still)
+        held[xpar] = previous is not None and still(levels, previous)
         for e_block, e_map in zip(levels[:m], targets):
             k2_block, k2_map = CONTINUUM_EDGE - e_block, CONTINUUM_EDGE - e_map
             rel = abs(k2_block - k2_map) / abs(k2_map)
@@ -275,7 +281,7 @@ def collapse_hamiltonian_check(delta: float, n_max: int = 16384) -> CollapseChec
     consistent = bool(all_rows) and all(rel < 1e-3 for _, _, rel in all_rows)
     report = CollapseCheckReport(
         delta=delta, n_max=n_max, consistent=consistent,
-        matched_even=matched[+1], matched_odd=matched[-1], n_max_used=n_used,
+        matched_even=matched[+1], matched_odd=matched[-1], n_max_used=n_used, held=held,
         spacings_by_n_max=[], degeneracy_gap=math.nan,
     )
     if not consistent:

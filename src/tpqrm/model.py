@@ -43,24 +43,21 @@ class ModelParams:
 
     def __post_init__(self):
         check_finite(delta=self.delta, g=self.g, r=self.r)
-        if not 0.0 <= self.r <= 1.0:
-            raise ValueError(f"anisotropy r={self.r} outside [0, 1]")
+        g_c = self.g_c  # critical_params rejects an r outside [0, 1]
         if self.delta < 0.0:
             raise ValueError(f"qubit frequency delta={self.delta} must be >= 0")
         if self.g < 0.0:
             raise ValueError(f"coupling g={self.g} must be >= 0")
-        if self.g > self.g_c:
-            raise ValueError(
-                f"coupling g={self.g} exceeds g_c={self.g_c} (spectrum unbounded below)"
-            )
+        if self.g > g_c:
+            raise ValueError(f"coupling g={self.g} exceeds g_c={g_c} (spectrum unbounded below)")
 
     @property
     def g_c(self) -> float:
-        return 1.0 / (1.0 + self.r)
+        return critical_params(self.r)[0]
 
     @property
     def delta_c(self) -> float:
-        return (1.0 - self.r) / (1.0 + self.r)
+        return critical_params(self.r)[1]
 
 
 @dataclass(frozen=True)
@@ -144,29 +141,3 @@ def geometry(params: ModelParams) -> CriticalGeometry:
         theta = 0.5 * math.atanh(x)  # = (1/4) ln[(1+x)/(1-x)], without its 1e-16/x rounding
     return CriticalGeometry(beta=beta, theta=theta, at_collapse=at_collapse)
 
-
-def params_from_dict(cfg: dict) -> ModelParams:
-    """Build ModelParams from the JSON parameter schema.
-
-    Accepted keys: "delta" (float, or the string "critical"), "r",
-    and exactly one of "g" / "g_over_gc".  Unknown keys are rejected.
-    """
-    allowed = {"delta", "g", "g_over_gc", "r"}
-    unknown = set(cfg) - allowed
-    if unknown:
-        raise ValueError(f"unknown parameter keys: {sorted(unknown)}")
-    if "r" not in cfg:
-        raise ValueError("missing required parameter 'r'")
-    r = float(cfg["r"])
-    g_c, delta_c = critical_params(r)
-
-    if ("g" in cfg) == ("g_over_gc" in cfg):
-        raise ValueError("exactly one of 'g' and 'g_over_gc' is required")
-    g = float(cfg["g"]) if "g" in cfg else float(cfg["g_over_gc"]) * g_c
-
-    if "delta" not in cfg:
-        raise ValueError("missing required parameter 'delta'")
-    delta = cfg["delta"]
-    if delta == "critical":
-        delta = delta_c
-    return ModelParams(delta=float(delta), g=g, r=r)

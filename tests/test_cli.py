@@ -366,7 +366,10 @@ def test_a_bad_number_is_quoted_with_its_flag(tmp_path, capsys, args, flag, bad)
      "window_lo=-inf must be finite"),
     (["quench", "--gf", "0.5", "--tau-list", "5,10", "--samples", "3"],
      "--samples records the trajectory of a single quench time; got 2 quench times"),
-], ids=["x_range-inf", "fit_window-inf", "fit_window-minus-inf", "samples-sweep"])
+    *[(args, "exactly one of --g and --g-over-gc is required")
+      for args in (["wigner", "--g", "0.1", "--g-over-gc", "0.5"], ["wigner"])],
+], ids=["x_range-inf", "fit_window-inf", "fit_window-minus-inf", "samples-sweep", "coupling-both",
+        "coupling-neither"])
 def test_an_input_the_run_cannot_use_is_rejected_by_name(tmp_path, capsys, args, message):
     _write_data_csv(tmp_path)
     _rejected_alike(tmp_path, capsys, args, message)
@@ -422,6 +425,7 @@ def test_collapse1d_check_hc_holds_at_its_defaults(tmp_path, delta):
                    tmp_path) == cli.EXIT_OK
     check = json.loads((tmp_path / "c_report.json").read_text())["hamiltonian_check"]
     assert check["consistent"] and check["n_max"] == 16384
+    assert check["held"] == ({"1": True, "-1": True} if delta == "3" else {})
 
 
 def test_a_failed_collapse_check_writes_its_report(tmp_path):
@@ -432,6 +436,7 @@ def test_a_failed_collapse_check_writes_its_report(tmp_path):
     check = json.loads((tmp_path / "c_report.json").read_text())["hamiltonian_check"]
     assert check["error"] == "collapse-point levels disagree with the 1D mapping beyond tolerance"
     assert not check["consistent"] and check["n_max_used"] == {"1": 256, "-1": 256}
+    assert check["held"] == {"1": False, "-1": False}  # one rung each: nothing to hold against
     assert [row[2] > 1e-3 for row in check["matched_even"]] == [False, False, True]
 
 
@@ -584,6 +589,9 @@ def test_every_n_max_flag_rejects_a_truncation_below_two_rows(capsys, name):
     ["wigner", "--g-over-gc", "0.5", "--n-max", "0"],
     # more samples than the start step's 273 steps at an adiabatic near-critical point
     ["quench", "--r", "0.25", "--gf", "0.99", "--tau-list", "1000", "--samples", "274"],
+    # both couplings, and neither
+    ["wigner", "--g", "0.1", "--g-over-gc", "0.5"],
+    ["wigner"],
 ])
 def test_validate_agrees_with_the_run(tmp_path, capsys, args):
     u = np.geomspace(1e-3, 1e-1, 6)
@@ -598,8 +606,49 @@ def test_validate_agrees_with_the_run(tmp_path, capsys, args):
     run = run_cli(args + ["--out", "o"], tmp_path)
     assert validate == run
     assert (validate == cli.EXIT_CONFIG) == any(d.startswith("error:") for d in diagnostics)
-    if run == cli.EXIT_CONFIG:  # rejected before any computation or output
+    if run == cli.EXIT_CONFIG:  # rejected before the run, with no output
         assert sorted(path.name for path in tmp_path.iterdir()) == sorted([*inputs, *_BAD_CONFIGS])
+
+
+def test_quench_samples_solve_the_start_bound_once(tmp_path, capsys, monkeypatch):
+    # --samples takes one quench time, so the start step the resolver solves to check the
+    # sample count is the one the run steps from; the manifest keeps dt null
+    from tpqrm import quench
+
+    calls = []
+    response_sum = quench._response_sum
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return response_sum(*args, **kwargs)
+
+    monkeypatch.setattr(quench, "_response_sum", counting)
+    args = ["quench", "--r", "0.25", "--gf", "0.99", "--tau-list", "1000", "--samples", "5"]
+    assert run_cli(args + ["--validate"], tmp_path) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["manifest"]["dt"] is None
+    assert len(calls) == 1
+    assert run_cli(args + ["--out", "o"], tmp_path) == cli.EXIT_OK
+    assert len(calls) == 2
+    assert json.loads((tmp_path / "o_manifest.json").read_text())["dt"] is None
+    assert len((tmp_path / "o_trajectory.csv").read_text().splitlines()) == 1 + 5
+
+
+@pytest.mark.parametrize("name,written", [("observables", []), ("qfi", []),
+                                          ("gap-scan", ["o.csv", "o_manifest.json"])])
+def test_a_convergence_failure_exits_2(tmp_path, capsys, name, written):
+    # deep in the critical window the ground-state ladder (observables) and the F_Q ladder
+    # (qfi) raise at their ceilings: main reports it in one line, without a traceback, and
+    # no file is written, not even the grid points before; gap-scan flags its points instead
+    args = [name, "--x-range", "7", "7.5", "--points", "2", "--out", "o"]
+    assert run_cli(args, tmp_path) == cli.EXIT_CONVERGENCE
+    err = capsys.readouterr().err
+    assert sorted(path.name for path in tmp_path.iterdir()) == written
+    if written:
+        assert err == ""
+        data = np.genfromtxt(tmp_path / "o.csv", delimiter=",", names=True)
+        assert list(data["converged"]) == [0, 0]
+    else:
+        assert err.startswith("convergence failure: ") and err.count("\n") == 1
 
 
 _FLAG_READ_RUNS = {

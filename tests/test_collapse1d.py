@@ -262,6 +262,16 @@ def test_the_bound_tower_ladder_matches_a_fixed_ceiling_solve():
         assert np.abs(np.array([row[0] for row in rows]) - fixed).max() <= 1e-10
 
 
+@pytest.mark.parametrize("n_max,held", [
+    (2048, {+1: False, -1: True}),  # the even ladder stops at its ceiling still moving
+    (16384, {+1: True, -1: True}),
+])
+def test_the_bound_tower_report_says_whether_each_ladder_held(n_max, held):
+    report = collapse_hamiltonian_check(3.0, n_max=n_max)
+    assert report.held == held and report.consistent
+    assert collapse_hamiltonian_check(0.0, n_max=256).held == {}
+
+
 def test_collapse_check_rejects_intermediate_delta():
     with pytest.raises(ValueError):
         collapse_hamiltonian_check(0.7)

@@ -5,13 +5,7 @@ import pytest
 
 from tpqrm import ed
 from tpqrm.aa import aa_energy
-from tpqrm.model import (
-    ModelParams,
-    SectorSpec,
-    critical_params,
-    geometry,
-    params_from_dict,
-)
+from tpqrm.model import ModelParams, SectorSpec, critical_params, geometry
 from tpqrm.specfun import squeeze_element, squeeze_matrix
 
 
@@ -60,6 +54,9 @@ def test_supercritical_coupling_rejected():
         ModelParams(delta=0.25, g=0.626, r=0.6)
     with pytest.raises(ValueError):
         ModelParams(delta=-0.1, g=0.1, r=0.6)
+    for r in (-0.1, 1.5):
+        with pytest.raises(ValueError, match=rf"^anisotropy r={r} outside \[0, 1\]$"):
+            ModelParams(delta=0.1, g=0.1, r=r)
     with pytest.raises(TypeError):  # the mode frequency is the unit; there is no omega field
         ModelParams(delta=0.1, g=0.1, r=0.6, omega=2.0)
     for field, bad in (("delta", math.nan), ("delta", math.inf), ("g", math.nan)):
@@ -120,18 +117,3 @@ def test_a_parity_must_be_the_integer_plus_or_minus_one(call):
             entry(bad)
     for good in (+1, -1, np.int64(-1), np.int8(1)):
         entry(good)
-
-
-def test_params_from_dict_critical_delta():
-    p = params_from_dict({"delta": "critical", "g_over_gc": 0.9, "r": 0.6})
-    assert p.delta == 0.25
-    assert p.g == pytest.approx(0.9 * 0.625)
-
-
-def test_params_from_dict_rejects_bad_keys():
-    with pytest.raises(ValueError):
-        params_from_dict({"delta": 0.1, "g": 0.1, "g_over_gc": 0.5, "r": 0.6})
-    with pytest.raises(ValueError):
-        params_from_dict({"delta": 0.1, "r": 0.6})
-    with pytest.raises(ValueError):
-        params_from_dict({"delta": 0.1, "g": 0.1, "r": 0.6, "extra": 1})

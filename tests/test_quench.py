@@ -460,6 +460,26 @@ def test_propagate_pairs_bases_only_for_the_truncation_check(monkeypatch, check_
     assert Counter(calls) == rows
 
 
+def test_truncation_check_raises_where_doubling_moves_e_r(monkeypatch):
+    # the 32-row basis holds its leakage gate; its lockstep double, the check's run,
+    # is forged 2% off, so only the n -> 2n check can fail
+    once = quench._propagate_once
+
+    def forged(protocol, bases, dt, n_samples, e0):
+        runs = once(protocol, bases, dt, n_samples, e0)
+        return [(e_r * (1.02 if i else 1.0), *rest) for i, (e_r, *rest) in enumerate(runs)]
+
+    monkeypatch.setattr(quench, "_propagate_once", forged)
+    protocol = QuenchProtocol(g_f=0.5 * G_C, tau_q=5.0, r=R, n_max=32, dt=0.05)
+    assert propagate(protocol).n_max == 32  # unchecked, the point converges
+    with pytest.raises(ConvergenceError, match=r"^E_r moves by .* \(> 1%\) when doubling "
+                                               r"n_max=32$"):
+        propagate(protocol, check_truncation=True)
+    (row,) = kz_sweep(0.5 * G_C, [5.0], ModelParams(delta=DELTA_C, g=0.0, r=R), n_max=32,
+                      dt=0.05)
+    assert not row["converged"] and math.isnan(row["e_r"]) and row["n_max"] == 32
+
+
 @pytest.mark.parametrize("frac,n_max", [(0.5, 32), (0.9, 64)])
 def test_magnus_step_keeps_the_norm_at_dt_one(frac, n_max):
     protocol = QuenchProtocol(g_f=frac * G_C, tau_q=20.0, r=R, n_max=n_max)
