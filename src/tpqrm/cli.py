@@ -240,18 +240,30 @@ def _converged_fit(fit, points: list[tuple[float, float]], key: str | None = Non
     return {key: result} if key else result
 
 
-def _sweep(ns, model, grid, fit_cols, header: list[str], point_rows, ok_col: str | None) -> int:
+def _sweep(ns, model, grid, fit_cols, header: list[str], point_rows) -> int:
     """Coupling-grid runner shared by spectrum, gap-scan, observables and qfi.
 
     point_rows(params) gives one grid point's rows without the leading
-    (g/g_c, x) columns.  Each of fit_cols is fitted against 1 - g/g_c over
-    the rows whose ok_col holds (all rows if None), as _converged_fit
-    fits; a falsy ok_col value in any row makes the exit code 2.
+    (g/g_c, x) columns.  A point whose solve raises ConvergenceError is one
+    row of NaN with converged false, and its message goes to stderr.  Each
+    of fit_cols is fitted against 1 - g/g_c over the rows whose converged
+    column holds, as _converged_fit fits; a false one in any row makes the
+    exit code 2.
     """
+    ok = header.index("converged")
+
+    def rows_at(x: float, g: float) -> list[list]:
+        try:
+            return point_rows(replace(model, g=g))
+        except ConvergenceError as exc:
+            print(f"convergence failure at x={x:.17g}: {exc}", file=sys.stderr)
+            row = [math.nan] * (len(header) - 2)
+            row[ok - 2] = False
+            return [row]
+
     rows = [[g / model.g_c, x, *row]
-            for x, g in zip(grid.x_values, grid.g_values)
-            for row in point_rows(replace(model, g=float(g)))]
-    good = [row for row in rows if ok_col is None or row[header.index(ok_col)]]
+            for x, g in zip(grid.x_values, grid.g_values) for row in rows_at(x, float(g))]
+    good = [row for row in rows if row[ok]]
     fits = {name: _converged_fit(analysis.fit_powerlaw,
                                  [(1.0 - row[0], row[header.index(name)]) for row in good])
             for name in fit_cols}
@@ -271,7 +283,7 @@ def run_spectrum(ns, model, grid, fit_cols) -> int:
         ]
 
     header = ["g_over_gc", "x", "level_index", "parity", "energy_ed", "converged", "energy_aa"]
-    return _sweep(ns, model, grid, fit_cols, header, point_rows, "converged")
+    return _sweep(ns, model, grid, fit_cols, header, point_rows)
 
 
 def run_gap_scan(ns, model, grid, fit_cols) -> int:
@@ -283,18 +295,18 @@ def run_gap_scan(ns, model, grid, fit_cols) -> int:
         return [[eps_sp, eps_dp, bool(minus.converged.all() and plus.converged[0])]]
 
     header = ["g_over_gc", "x", "eps_sp", "eps_dp", "converged"]
-    return _sweep(ns, model, grid, fit_cols, header, point_rows, "converged")
+    return _sweep(ns, model, grid, fit_cols, header, point_rows)
 
 
 def run_observables(ns, model, grid, fit_cols) -> int:
     def point_rows(params):
         obs = ed.ed_ground_observables(params, ns.n_max, ns.tol)
         ref = aa.aa_observables(params)
-        return [[obs.photon, obs.sigma_x, obs.dx, obs.dp, ref.photon, ref.sigma_x, ref.dx]]
+        return [[obs.photon, obs.sigma_x, obs.dx, obs.dp, ref.photon, ref.sigma_x, ref.dx, True]]
 
     header = ["g_over_gc", "x", "photon", "sigma_x", "dx", "dp",
-              "photon_aa", "sigma_x_aa", "dx_aa"]
-    return _sweep(ns, model, grid, fit_cols, header, point_rows, None)
+              "photon_aa", "sigma_x_aa", "dx_aa", "converged"]
+    return _sweep(ns, model, grid, fit_cols, header, point_rows)
 
 
 def run_qfi(ns, model, grid, fit_cols) -> int:
@@ -302,10 +314,11 @@ def run_qfi(ns, model, grid, fit_cols) -> int:
         row = [ed.qfi_spectral(params, n_max=ns.n_max), aa.aa_qfi_leading(params)]
         if ns.oracle:
             row.append(ed.qfi_fidelity_oracle(params, n_max=ns.n_max))
-        return [row]
+        return [row + [True]]
 
-    header = ["g_over_gc", "x", "f_q", "f_q_aa"] + (["f_q_fidelity"] if ns.oracle else [])
-    return _sweep(ns, model, grid, fit_cols, header, point_rows, None)
+    header = ["g_over_gc", "x", "f_q", "f_q_aa", *(["f_q_fidelity"] if ns.oracle else []),
+              "converged"]
+    return _sweep(ns, model, grid, fit_cols, header, point_rows)
 
 
 def run_wigner(ns, model: ModelParams) -> int:

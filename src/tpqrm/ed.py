@@ -679,8 +679,8 @@ def _ground_resolvent(
 
 def _response_sum(
     params: ModelParams, power: int, n_max: int = 256, n_max_ceiling: int = N_MAX_CEILING
-) -> tuple[float, np.ndarray]:
-    """sum_(j!=0) |<j| dH/dg |0>|^2 / (E_j - E_0)^power over the ground block, and |0>.
+) -> tuple[float, np.ndarray, float, float]:
+    """sum_(j!=0) |<j| dH/dg |0>|^2 / (E_j - E_0)^power over the ground block, |0>, E_0, dE_0.
 
     x = (H - E_0)^+ (1 - P_0) dH/dg |0> is the ground state's first-order
     response to the coupling: power 2 is x.x (F_Q / 4), power 3 is
@@ -689,7 +689,9 @@ def _response_sum(
     the sum is stable to 1e-6 relative, else ConvergenceError naming F_Q
     or chi_3 at the ceiling.  Each rung's ground pair comes from
     _lowest_pairs, so a rung after the first starts from the rung below's.
-    |0> is the last rung's ground vector.
+    |0> and E_0 are the last rung's ground pair, and dE_0 is how far E_0
+    moved from the rung below: the ladder's own ground-energy doubling,
+    which quench.abrupt_start_bound keeps for the quench's E_0(g_f).
     """
 
     def solve(n: int, previous: tuple | None) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
@@ -709,7 +711,8 @@ def _response_sum(
     if old is None or not held(new, old):
         raise ConvergenceError(
             f"{_RESPONSE_NAMES[power]} not stable to {_RESPONSE_REL_TOL:.0e} at truncation ceiling {n_cur}")
-    return new[0], new[1][1][:, 0]
+    (levels, vectors), (levels_below, _) = new[1], old[1]
+    return new[0], vectors[:, 0], float(levels[0]), float(abs(levels[0] - levels_below[0]))
 
 
 def qfi_spectral(
@@ -728,7 +731,7 @@ def qfi_spectral(
     unused; it is still checked, so that callers that pass it keep working.
     """
     check_count("k_states", k_states)
-    total, ground = _response_sum(params, 2, n_max, n_max_ceiling)
+    total, ground, *_ = _response_sum(params, 2, n_max, n_max_ceiling)
     _assert_cross_parity_selection_rule(params, ground)
     return 4.0 * total
 

@@ -28,10 +28,14 @@ Where B is above a tenth of the gate, w = omega01.  Below it that term
 cannot move E_r, and w = gap_f, the soft mode that carries the end-point
 term (g_f/tau_q)^2 chi_3, as long as that term is at most gap_f (the ramp
 is adiabatic at g_f).  Where it exceeds gap_f the ramp is impulsive at g_f
-and the ladder starts at min(1, tau_q/100).  E_0(g_f) comes from
-ed.ground_state_block, with its own truncation doubling (near collapse the
-true ground state needs a far larger basis than the propagated, frozen-out
-state ever occupies).  The propagation basis is gated by requiring the
+and the ladder starts at min(1, tau_q/100).  E_0(g_f) needs a truncation
+ladder of its own (near collapse the true ground state needs a far larger
+basis than the propagated, frozen-out state ever occupies), held to 1e-10
+over a doubling.  chi_3's ladder solves the same block's ground pair rung
+by rung, so E_0 is its top rung's wherever E_0 moved by less than 1e-10
+over that ladder's last doubling.  ed.ground_state_block runs a ladder
+only where it did not, where chi_3 did not converge, or where dt was given
+and B never solved.  The propagation basis is gated by requiring the
 occupancy of its top 10% of states to stay below 1e-8: it starts at
 min(n_max, 64) rows and doubles until the gate holds, up to 4 n_max, so a
 row's n_max is the basis used.
@@ -84,11 +88,16 @@ _PADE_ROOTS = (3.0 + 1j * math.sqrt(3.0), 3.0 - 1j * math.sqrt(3.0))  # -d: root
 
 @dataclass(frozen=True)
 class StartBound:
-    """B of the module docstring and the two inputs abrupt_start_bound solved for it."""
+    """B of the module docstring, the two inputs abrupt_start_bound solved for it, and E_0.
+
+    e0 is E_0(g_f) from chi_3's ladder: its top rung's, where E_0 moved by
+    less than _E0_TOL over the last doubling, else nan.
+    """
 
     bound: float
     gap_f: float = math.nan  # E_1 - E_0 at g_f; nan where chi_3 did not converge
     chi_3: float = math.nan
+    e0: float = math.nan
 
 
 @dataclass(frozen=True)
@@ -169,8 +178,17 @@ class KZPrediction:
     e_r_kz: float
 
 
-def ground_energy_final(protocol: QuenchProtocol) -> float:
-    """E_0 at g_f from ed.ground_state_block, doubling from max(n_max, 256) to _E0_TOL."""
+def ground_energy_final(protocol: QuenchProtocol, start: StartBound | None = None) -> float:
+    """E_0 at g_f: start.e0 where the record holds one, else its own ladder.
+
+    The ladder is ed.ground_state_block's, doubling from max(n_max, 256)
+    until E_0 moves by less than _E0_TOL, else ConvergenceError at
+    _E0_CEILING.  It runs where there is no record (dt was given), where
+    chi_3 did not converge (B = inf), or where E_0 did not hold on chi_3's
+    rungs.
+    """
+    if start is not None and not math.isnan(start.e0):
+        return start.e0
     e0, _, estimate, _ = ground_state_block(protocol.params_final, max(protocol.n_max, 256),
                                             _E0_TOL, _E0_CEILING)
     if estimate >= _E0_TOL:
@@ -181,20 +199,20 @@ def ground_energy_final(protocol: QuenchProtocol) -> float:
 
 
 def abrupt_start_bound(params: ModelParams) -> StartBound:
-    """B of the module docstring at g_f, with the gap_f and chi_3 it was solved from.
+    """B of the module docstring at g_f, with the gap_f, chi_3 and E_0 of its solve.
 
-    B is inf, and gap_f and chi_3 are nan, if chi_3 does not converge.
+    B is inf, and gap_f, chi_3 and e0 are nan, if chi_3 does not converge.
     """
     try:
-        chi_3 = _response_sum(params, 3)[0]
+        chi_3, _, e0, e0_move = _response_sum(params, 3)
     except ConvergenceError:  # g_f within about 1e-7 of g_c
         return StartBound(math.inf)
     block = build_parity_block(params, -1, 256)  # gap_f needs no truncation ladder
-    e0, e1 = _lowest_pairs(block.diag, block.offdiag, 2, None)[0]
-    gap_f = float(e1 - e0)
+    levels = _lowest_pairs(block.diag, block.offdiag, 2, None)[0]
+    gap_f = float(levels[1] - levels[0])
     omega01 = block.diag[1] - block.diag[0]
     return StartBound(2.0 * math.sqrt(block.coupling[0] ** 2 * gap_f / (omega01**4 * chi_3)),
-                      gap_f, chi_3)
+                      gap_f, chi_3, e0 if e0_move < _E0_TOL else math.nan)
 
 
 def _n_steps(tau_q: float, dt: float) -> int:
@@ -270,8 +288,8 @@ def _propagate_once(
              trajectory) for block, part, trajectory in zip(blocks, parts, samples)]
 
 
-def propagate(protocol: QuenchProtocol, n_samples: int = 0,
-              check_truncation: bool = False) -> QuenchResult:
+def propagate(protocol: QuenchProtocol, n_samples: int = 0, check_truncation: bool = False,
+              e0: float | None = None) -> QuenchResult:
     """Run the quench; report E_r only once dt-halving moves it by < 1%.
 
     The basis starts at min(n_max, 64) rows and doubles until its top
@@ -284,11 +302,16 @@ def propagate(protocol: QuenchProtocol, n_samples: int = 0,
     above 1e-8 at the last basis not above 4 n_max), on dt non-convergence
     (three halvings), on norm drift above 1e-9, and, with check_truncation,
     when doubling the basis reached moves E_r by more than 1% at the start
-    step (the lockstep pair).
+    step (the lockstep pair).  e0 is E_0(g_f) where the caller has it
+    (kz_sweep solves it once a sweep); without it, ground_energy_final's,
+    from the start bound's record when dt is not given.
     """
-    dt = protocol.start_dt()
+    # without dt, one record sizes the start step and, where it holds one, gives E_0
+    start = abrupt_start_bound(protocol.params_final) if protocol.dt is None else None
+    dt = protocol.dt if start is None else protocol.default_dt(start)
     replace(protocol, dt=dt).check_samples(n_samples)  # with dt resolved: B is not solved again
-    e0 = ground_energy_final(protocol)
+    if e0 is None:
+        e0 = ground_energy_final(protocol, start)
 
     runs = {}  # (basis, dt halvings) -> (E_r, norm_drift, leak, samples), each run once
 
@@ -387,15 +410,23 @@ def kz_sweep(
     abrupt_start_bound solve for the sweep; the adiabatic or impulsive
     branch is chosen per tau_q.  n_samples must fit every point's start
     step; a count one point's step count cannot give raises ValueError
-    before any point runs.
+    before any point runs.  E_0(g_f) is solved once a sweep, after that
+    check: ground_energy_final takes it from the record, or runs its own
+    ladder (dt given, or no E_0 on the record); if that ladder does not
+    converge, every row is unconverged.
     """
     protocols = [QuenchProtocol(g_f=g_f, tau_q=float(t), r=params.r, delta=params.delta,
                                 n_max=n_max, dt=dt) for t in tau_list]
-    if protocols and dt is None:  # B, gap_f and chi_3 depend on g_f alone: one solve
+    start = None
+    if protocols and dt is None:  # B, gap_f, chi_3 and E_0 depend on g_f alone: one solve
         start = abrupt_start_bound(protocols[0].params_final)
         protocols = [replace(p, dt=p.default_dt(start)) for p in protocols]
     for protocol in protocols:
         protocol.check_samples(n_samples)
+    try:  # E_0 depends on g_f and n_max alone
+        e0 = ground_energy_final(protocols[0], start) if protocols else math.nan
+    except ConvergenceError:
+        e0 = math.nan
 
     def one(protocol: QuenchProtocol) -> dict:
         row = {
@@ -408,8 +439,10 @@ def kz_sweep(
             "converged": False,
             "samples": None,
         }
+        if math.isnan(e0):
+            return row
         try:
-            res = propagate(protocol, n_samples=n_samples, check_truncation=True)
+            res = propagate(protocol, n_samples=n_samples, check_truncation=True, e0=e0)
         except ConvergenceError:
             return row
         row.update(

@@ -47,6 +47,19 @@ def test_quadratic_gap_validation():
         fit_quadratic_gap([0.1, 0.2], [1.0, 2.0], 0.25)
 
 
+def test_quadratic_gap_rejects_mismatched_shapes_by_name():
+    with pytest.raises(ValueError, match="^delta_values and gaps must have matching shapes$"):
+        fit_quadratic_gap([0.1, 0.2, 0.3, 0.4, 0.5], [1.0, 2.0, 3.0, 4.0], 0.25)
+
+
+def test_flat_data_fit_exactly():
+    # log y = 0 at every point: no spread to explain, so R^2 is 1 by definition
+    u = np.geomspace(1e-3, 1e-1, 6)
+    fit = fit_powerlaw(u, np.ones_like(u))
+    assert (fit.exponent, fit.amplitude, fit.r_squared) == (pytest.approx(0.0, abs=1e-12),
+                                                            pytest.approx(1.0), 1.0)
+
+
 def test_fit_result_serialization():
     u = np.geomspace(1e-2, 1e-1, 6)
     payload = fit_powerlaw(u, u**2).to_dict()

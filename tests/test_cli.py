@@ -368,8 +368,11 @@ def test_a_bad_number_is_quoted_with_its_flag(tmp_path, capsys, args, flag, bad)
      "--samples records the trajectory of a single quench time; got 2 quench times"),
     *[(args, "exactly one of --g and --g-over-gc is required")
       for args in (["wigner", "--g", "0.1", "--g-over-gc", "0.5"], ["wigner"])],
+    (["fit", "--input", "data.csv", "--xcol", "v", "--ycol", "y"],
+     "column 'v' not in data.csv (has ['u', 'y'])"),
+    (["gap-opening", "--window", "0.11", "0.06"], "gap-opening window needs 0 < DLO < DHI"),
 ], ids=["x_range-inf", "fit_window-inf", "fit_window-minus-inf", "samples-sweep", "coupling-both",
-        "coupling-neither"])
+        "coupling-neither", "fit-missing-column", "gap-opening-window"])
 def test_an_input_the_run_cannot_use_is_rejected_by_name(tmp_path, capsys, args, message):
     _write_data_csv(tmp_path)
     _rejected_alike(tmp_path, capsys, args, message)
@@ -467,7 +470,7 @@ def test_gap_opening_doubles_to_the_gate(tmp_path):
     assert run_cli(args, tmp_path) == cli.EXIT_CONVERGENCE
 
 
-@pytest.mark.parametrize("name", ["quench", "gap-opening", "gap-scan"])
+@pytest.mark.parametrize("name", ["quench", "gap-opening", "gap-scan", "observables", "qfi"])
 def test_a_fit_over_fewer_than_five_converged_points_is_an_error(tmp_path, monkeypatch, name):
     # five points, the last unconverged: the fit file names the shortfall and the run exits 2
     from tpqrm import ed, quench
@@ -486,6 +489,19 @@ def test_a_fit_over_fewer_than_five_converged_points_is_an_error(tmp_path, monke
         monkeypatch.setattr(ed, "ed_spectrum", solve)
         args = ["gap-scan", "--x-range", "0.2", "0.4", "--points", "5", "--n-max", "16", "--fit"]
         expected = {"eps_sp": shortfall, "eps_dp": shortfall}
+    elif name in ("observables", "qfi"):  # the last point's ladder raises
+        solver = "ed_ground_observables" if name == "observables" else "qfi_spectral"
+        solve_point = getattr(ed, solver)
+
+        def solve(params, *args, **kwargs):
+            if params.g > 0.58 * params.g_c:
+                raise ConvergenceError("forced")
+            return solve_point(params, *args, **kwargs)
+
+        monkeypatch.setattr(ed, solver, solve)
+        args = [name, "--x-range", "0.2", "0.4", "--points", "5", "--n-max", "16", "--fit"]
+        cols = ("photon", "sigma_x", "dx", "dp") if name == "observables" else ("f_q",)
+        expected = {col: shortfall for col in cols}
     elif name == "quench":
         propagate = quench.propagate
 
@@ -633,22 +649,37 @@ def test_quench_samples_solve_the_start_bound_once(tmp_path, capsys, monkeypatch
     assert len((tmp_path / "o_trajectory.csv").read_text().splitlines()) == 1 + 5
 
 
-@pytest.mark.parametrize("name,written", [("observables", []), ("qfi", []),
-                                          ("gap-scan", ["o.csv", "o_manifest.json"])])
+@pytest.mark.parametrize("name,written", [(name, ["o.csv", "o_manifest.json"])
+                                          for name in ("observables", "qfi", "gap-scan")])
 def test_a_convergence_failure_exits_2(tmp_path, capsys, name, written):
     # deep in the critical window the ground-state ladder (observables) and the F_Q ladder
-    # (qfi) raise at their ceilings: main reports it in one line, without a traceback, and
-    # no file is written, not even the grid points before; gap-scan flags its points instead
+    # (qfi) raise at their ceilings: each such point is a NaN row flagged unconverged, with
+    # one line on stderr naming its x, and every row and the manifest are written, as
+    # gap-scan writes the points it flags
     args = [name, "--x-range", "7", "7.5", "--points", "2", "--out", "o"]
     assert run_cli(args, tmp_path) == cli.EXIT_CONVERGENCE
     err = capsys.readouterr().err
     assert sorted(path.name for path in tmp_path.iterdir()) == written
-    if written:
+    data = np.genfromtxt(tmp_path / "o.csv", delimiter=",", names=True)
+    assert list(data["converged"]) == [0, 0]
+    assert list(data["x"]) == [7.0, 7.5]
+    if name == "gap-scan":
         assert err == ""
-        data = np.genfromtxt(tmp_path / "o.csv", delimiter=",", names=True)
-        assert list(data["converged"]) == [0, 0]
     else:
-        assert err.startswith("convergence failure: ") and err.count("\n") == 1
+        assert [line.split(": ")[0] for line in err.splitlines()] == [
+            "convergence failure at x=7", "convergence failure at x=7.5"]
+        values = [col for col in data.dtype.names if col not in ("g_over_gc", "x", "converged")]
+        assert all(np.isnan(data[col]).all() for col in values)
+
+
+def test_a_wigner_ground_state_that_does_not_converge_exits_2(tmp_path, capsys):
+    # one point, no rows to flag: main reports the raise in one line and writes nothing
+    args = ["wigner", "--r", "0.25", "--g-over-gc", "0.99999999", "--grid-points", "21",
+            "--out", "w"]
+    assert run_cli(args, tmp_path) == cli.EXIT_CONVERGENCE
+    assert capsys.readouterr().err == ("convergence failure: ground state unconverged: "
+                                       "estimate 1.07e-05 at ceiling truncation\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 _FLAG_READ_RUNS = {

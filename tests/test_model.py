@@ -64,6 +64,11 @@ def test_supercritical_coupling_rejected():
             ModelParams(**{"delta": 0.1, "g": 0.1, "r": 0.6, field: bad})
 
 
+def test_negative_coupling_rejected_by_name():
+    with pytest.raises(ValueError, match=r"^coupling g=-0.1 must be >= 0$"):
+        ModelParams(delta=0.1, g=-0.1, r=0.6)
+
+
 def test_beta_theta_identity_random_sample():
     # beta * cosh(2 theta) == 1 across the whole parameter domain
     rng = np.random.default_rng(20250809)

@@ -123,6 +123,13 @@ def test_ground_energy_final_raises_at_its_ceiling(monkeypatch):
     protocol = QuenchProtocol(g_f=0.7 * G_C, tau_q=10.0, r=R)
     with pytest.raises(ConvergenceError, match="^ground energy at g_f not converged to 1e-10"):
         ground_energy_final(protocol)
+    # a sweep solves that ladder once and flags every row, before any step
+    monkeypatch.setattr(quench, "zgtsv", None)  # any step would raise TypeError
+    ladders = _count_ground_ladders(monkeypatch)
+    table = kz_sweep(0.7 * G_C, [10.0, 20.0], ModelParams(delta=DELTA_C, g=0.0, r=R), dt=0.1)
+    assert len(ladders) == 1
+    assert [row["converged"] for row in table] == [False, False]
+    assert all(math.isnan(row["e_r"]) for row in table)
 
 
 def test_adiabatic_reference_raises_at_the_ladder_ceiling():
@@ -487,12 +494,90 @@ def test_magnus_step_keeps_the_norm_at_dt_one(frac, n_max):
     assert quench._propagate_once(protocol, (n_max,), 1.0, 0, e0)[0][1] <= 1e-14
 
 
-def test_propagate_where_chi_3_does_not_converge():
+def test_propagate_where_chi_3_does_not_converge(monkeypatch):
     # 1 - g_f/g_c = 1e-7: chi_3 raises at its ceiling, so B is inf and the ladder
-    # starts at the phase bound, min(tau_q/100, ...) = 0.1 here
+    # starts at the phase bound, min(tau_q/100, ...) = 0.1 here; the record holds
+    # no E_0, so ground_energy_final runs its own ladder
     protocol = QuenchProtocol(g_f=(1 - 1e-7) * G_C, tau_q=10.0, r=R, n_max=256)
-    assert quench.abrupt_start_bound(protocol.params_final).bound == math.inf
+    start = quench.abrupt_start_bound(protocol.params_final)
+    assert start.bound == math.inf and math.isnan(start.e0)
     assert protocol.start_dt() == pytest.approx(0.1)
+    ladders = _count_ground_ladders(monkeypatch)
     res = propagate(protocol, check_truncation=True)
+    assert len(ladders) == 1
     assert res.residual_energy > 0.0
     assert res.norm_drift <= 1e-9
+
+
+def _count_ground_ladders(monkeypatch) -> list:
+    """Record each ground_state_block ladder that ground_energy_final runs."""
+    calls = []
+    ground_state_block = quench.ground_state_block
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return ground_state_block(*args, **kwargs)
+
+    monkeypatch.setattr(quench, "ground_state_block", counting)
+    return calls
+
+
+@pytest.mark.parametrize("frac,tau_q,n_max,rungs", [(1 - 1e-6, 100.0, 512, 7),
+                                                    (0.99, 1000.0, 256, 2)])
+def test_kz_sweep_solves_the_endpoint_ground_ladder_once(monkeypatch, frac, tau_q, n_max, rungs):
+    # the two benchmark points: chi_3's ladder climbs 256 -> 16384 and 256 -> 512,
+    # and its top rung's E_0 serves the run, bitwise the standalone E_0 ladder's
+    g_f = frac * G_C
+    params = ModelParams(delta=DELTA_C, g=g_f, r=R)
+    standalone = ed.ground_state_block(params, max(n_max, 256), quench._E0_TOL,
+                                       quench._E0_CEILING)[0]
+    ground_rungs, e0s = [], set()
+    lowest_pairs, propagate_once = ed._lowest_pairs, quench._propagate_once
+
+    def counting(diag, off, k, *args):
+        if k == 1:
+            ground_rungs.append(len(diag))
+        return lowest_pairs(diag, off, k, *args)
+
+    def recording(*args):
+        e0s.add(args[-1])
+        return propagate_once(*args)
+
+    monkeypatch.setattr(ed, "_lowest_pairs", counting)
+    monkeypatch.setattr(quench, "_propagate_once", recording)
+    ladders = _count_ground_ladders(monkeypatch)
+    (row,) = kz_sweep(g_f, [tau_q], params, n_max=n_max)
+    assert row["converged"]
+    assert ground_rungs == [256 * 2**i for i in range(rungs)]
+    assert ladders == []
+    assert [e0.hex() for e0 in e0s] == [standalone.hex()]
+
+
+def test_a_sweep_with_a_given_dt_solves_e0_once(monkeypatch):
+    # no record: E_0 depends on g_f and n_max alone, so one ladder serves every tau_q
+    params = ModelParams(delta=DELTA_C, g=0.5 * G_C, r=R)
+    taus = [5.0, 10.0, 20.0]
+    alone = [propagate(QuenchProtocol(g_f=0.5 * G_C, tau_q=tau_q, r=R, n_max=32, dt=0.05),
+                       check_truncation=True).residual_energy for tau_q in taus]
+    ladders = _count_ground_ladders(monkeypatch)
+    table = kz_sweep(0.5 * G_C, taus, params, n_max=32, dt=0.05)
+    assert len(ladders) == 1
+    assert [row["e_r"] for row in table] == alone
+
+
+def test_an_e0_that_does_not_hold_on_chi_3s_rungs_runs_the_ground_ladder(monkeypatch):
+    # forge the chi_3 ladder's last E_0 move to the gate itself: the record drops its
+    # E_0, and the sweep falls back to ground_state_block's ladder, which at 0.99 g_c
+    # gives the same E_0, so the same E_r
+    g_f = 0.99 * G_C
+    params = ModelParams(delta=DELTA_C, g=g_f, r=R)
+    (held,) = kz_sweep(g_f, [1000.0], params, n_max=256)
+    response_sum = quench._response_sum
+    monkeypatch.setattr(quench, "_response_sum",
+                        lambda *args: (*response_sum(*args)[:3], quench._E0_TOL))
+    start = quench.abrupt_start_bound(params)
+    assert math.isnan(start.e0) and start.bound == pytest.approx(9.27e-4, rel=1e-3)
+    ladders = _count_ground_ladders(monkeypatch)
+    (row,) = kz_sweep(g_f, [1000.0], params, n_max=256)
+    assert len(ladders) == 1
+    assert row["converged"] and row["e_r"] == held["e_r"]

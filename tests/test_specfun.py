@@ -70,6 +70,12 @@ def test_double_factorial_small_values():
         double_factorial(-2)
 
 
+def test_log_double_factorial_rejects_n_below_minus_one_by_name():
+    assert log_double_factorial(-1) == 0.0
+    with pytest.raises(ValueError, match=r"^double factorial undefined for n=-2 < -1$"):
+        log_double_factorial(-2)
+
+
 def test_double_factorial_log_path_consistent():
     # ratio (n!!)/((n-2)!!) = n survives the switch to log space
     assert double_factorial(31) / double_factorial(29) == pytest.approx(31.0, rel=1e-12)
