@@ -3,11 +3,9 @@
 from .model import CriticalGeometry, ModelParams, SectorSpec, critical_params, geometry
 from .aa import (
     AALevel,
-    AAMatrixElement,
     GroundStateObservables,
     aa_energy,
     aa_gaps,
-    aa_matrix_element,
     aa_observables,
     aa_qfi_leading,
     second_order_corrections,

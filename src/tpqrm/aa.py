@@ -33,11 +33,11 @@ The same coupling is the qubit term seen through the squeeze operator,
 
 with S = S(2 theta) and A = a^2 on the even manifolds and
 D = diag((-1)^m).  aa_matrix builds the dense block in this
-squeeze-operator form from specfun.squeeze_matrix, and it is the only
-route by which this module computes M: every level, gap and element
-below reads it from one aa_matrix build.  The Legendre form above is the
-tests' oracle (tests/oracles.py), and the small-beta expansion a further
-one.
+squeeze-operator form from specfun.squeeze_matrix, and it is the
+package's only route to M: every level and gap below, and ed's
+squeezed-frame solve, read it from one aa_matrix build, and the frame's
+ladder from _bare_level.  The Legendre form and the small-beta expansion
+above are the tests' oracles (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -48,19 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParams, check_count, check_parity, geometry
-from .specfun import _BLOCK_ENTRIES, log_double_factorial, squeeze_matrix
-
-
-@dataclass(frozen=True)
-class AAMatrixElement:
-    """One manifold-coupling element, exact and expanded forms side by side."""
-
-    m: int
-    n: int
-    value: float
-    k_factor: float
-    alpha: float
-    small_beta_value: float
+from .specfun import _BLOCK_ENTRIES, squeeze_matrix
 
 
 @dataclass(frozen=True)
@@ -93,38 +81,6 @@ def _beta_of(params: ModelParams) -> float:
 def _bare_level(n, beta: float):
     """(2n + 1/2) beta - 1/2, the squeezed-frame ladder without M; n may be an array."""
     return (2 * n + 0.5) * beta - 0.5
-
-
-def k_factor(m: int, n: int, beta: float) -> float:
-    log_k = 0.5 * (
-        log_double_factorial(2 * m - 1)
-        + log_double_factorial(2 * n - 1)
-        - log_double_factorial(2 * m)
-        - log_double_factorial(2 * n)
-    )
-    return math.exp(log_k) * (1.0 - beta * beta) ** (abs(m - n) / 2.0)
-
-
-def alpha_coefficient(m: int, n: int, delta: float, delta_c: float) -> float:
-    return (2 * m + 1) * ((5 * n + 1) * delta_c - n * delta) - 2 * n * delta_c
-
-
-def aa_matrix_element(m: int, n: int, params: ModelParams) -> AAMatrixElement:
-    """Manifold-coupling element M_mn, with its small-beta companion.
-
-    Requires 0 <= g < g_c (beta in (0, 1]; the collapse point is
-    rejected).  The exact value and the expansion agree to relative
-    O(beta^2) as beta -> 0.
-    """
-    check_count("m", m, 0)
-    check_count("n", n, 0)
-    beta = _beta_of(params)
-    value = float(aa_matrix(params, max(m, n) + 1)[m, n])
-    kf = k_factor(m, n, beta)
-    al = alpha_coefficient(m, n, params.delta, params.delta_c)
-    delta_det = params.delta - params.delta_c
-    small = (-1.0) ** (m + n) * 0.5 * math.sqrt(beta) * kf * (delta_det + al * beta * beta)
-    return AAMatrixElement(m=m, n=n, value=value, k_factor=kf, alpha=al, small_beta_value=small)
 
 
 def aa_matrix(params: ModelParams, n_max: int) -> np.ndarray:

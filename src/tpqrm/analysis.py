@@ -29,15 +29,6 @@ class FitResult:
     window: tuple[float, float]
     n_points: int
 
-    def to_dict(self) -> dict:
-        return {
-            "exponent": self.exponent,
-            "amplitude": self.amplitude,
-            "r_squared": self.r_squared,
-            "window": list(self.window),
-            "n_points": self.n_points,
-        }
-
 
 @dataclass(frozen=True)
 class SampleGrid:

@@ -9,8 +9,9 @@ structure), and `fit` (standalone log-log regression on any CSV).
 One table, COMMANDS, declares each subcommand's flags, input resolver and
 runner; `--validate` runs the same resolver and stops before the run, printing
 its diagnostics as JSON, flags or a config that fail to parse included.  The
-resolvers compute nothing, save `quench --samples` without `--dt`, which solves
-its start step's bound to check the sample count.
+resolvers compute nothing, save `quench --validate --samples` without `--dt`,
+which solves its start step's bound to check the sample count; a run leaves that
+check to kz_sweep, which solves the bound anyway.
 
 Runs are deterministic: data go to `<out>.csv` at full double precision,
 fits to `<out>_fit.json`, and a manifest with every default materialized
@@ -109,7 +110,7 @@ _FIT = ("--fit", dict(action="store_true", help="also fit log-log exponents"))
 _GRID = (_R, _DELTA,
          ("--x-range", dict(type=float, nargs=2, default=[1.5, 3.0], metavar=("XMIN", "XMAX"),
                             help="range in x = -log10(1 - g/gc)")),
-         ("--points", dict(type=_count(1), default=7, help="grid points in x")))
+         ("--points", dict(type=_count(2), default=7, help="grid points in x")))
 
 
 def _delta(text: str, r: float) -> float:
@@ -151,9 +152,8 @@ def _resolve_quench(ns) -> dict:
                          f"got {len(taus)} quench times")
     protocols = [quench.QuenchProtocol(g_f=model.g, tau_q=tau, r=model.r, delta=model.delta,
                                        n_max=ns.n_max, dt=ns.dt) for tau in taus]
-    if ns.samples:  # one quench time: its start step, solved here, is the run's
-        protocols[0] = replace(protocols[0], dt=protocols[0].start_dt())
-    protocols[0].check_samples(ns.samples)
+    if ns.validate:  # a run's kz_sweep makes this check against the start step it solves
+        protocols[0].check_samples(ns.samples)
     return {"model": model, "protocols": protocols, "n_samples": ns.samples}
 
 
@@ -236,7 +236,7 @@ def _converged_fit(fit, points: list[tuple[float, float]], key: str | None = Non
     """fit(x, y) over the converged (x, y) points, under key if given; an error below 5 points."""
     if len(points) < analysis.MIN_FIT_POINTS:
         return {"error": f"fewer than {analysis.MIN_FIT_POINTS} converged points"}
-    result = fit(*zip(*points)).to_dict()
+    result = asdict(fit(*zip(*points)))
     return {key: result} if key else result
 
 
@@ -322,8 +322,12 @@ def run_qfi(ns, model, grid, fit_cols) -> int:
 
 
 def run_wigner(ns, model: ModelParams) -> int:
-    grid = ed.wigner_grid(model, n_max=ns.n_max, half_width=ns.half_width, points=ns.grid_points,
-                          conditioning=ns.conditioning, tol=ns.tol)
+    try:
+        grid = ed.wigner_grid(model, n_max=ns.n_max, half_width=ns.half_width,
+                              points=ns.grid_points, conditioning=ns.conditioning, tol=ns.tol)
+    except ConvergenceError as exc:  # the manifest still lets --config repeat the run
+        print(f"convergence failure: {exc}", file=sys.stderr)
+        return _write(ns, False, {}, report={"error": str(exc)})
     rows = [[x, p, grid.values[i, j]] for i, p in enumerate(grid.p_axis)
             for j, x in enumerate(grid.x_axis)]
     ok = abs(grid.normalization - 1.0) <= _WIGNER_NORM_TOL
@@ -380,7 +384,7 @@ def run_collapse1d(ns, model: collapse1d.Collapse1DProblem) -> int:
 
 
 def run_fit(ns, u: np.ndarray, y: np.ndarray, window: tuple[float, float] | None) -> int:
-    fit = analysis.fit_powerlaw(u, y, window=window).to_dict()
+    fit = asdict(analysis.fit_powerlaw(u, y, window=window))
     print(_json(fit))
     return _write(ns, True, {}, fit=fit)
 
@@ -552,7 +556,8 @@ def _load_config(argv: list[str]) -> argparse.Namespace:
 def _validate(ns, inputs: dict) -> int:
     """--validate once the inputs resolve: print diagnostics and manifest, run nothing.
 
-    The resolvers compute nothing, save quench's start step under --samples without --dt.
+    The resolvers compute nothing, save quench's start step under --samples without --dt,
+    whose sample-count check a run leaves to kz_sweep.
     """
     diagnostics = []
     if getattr(ns, "delta", None) == "critical":
@@ -578,9 +583,6 @@ def main(argv: list[str] | None = None) -> int:
         if "--validate" in argv:
             _print_payload([f"error: {exc}"], None if ns is None else _manifest(ns))
         return EXIT_CONFIG
-    except (ConvergenceError, CollapseMappingError) as exc:
-        print(f"convergence failure: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
 
 
 if __name__ == "__main__":

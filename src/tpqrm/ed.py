@@ -50,7 +50,7 @@ from scipy.linalg import eig, eigh, eigh_tridiagonal  # noqa: F401
 from scipy.linalg.lapack import dgtsv, dpttrf, dpttrs, dstebz
 from scipy.special import eval_genlaguerre, gammaln, xlogy  # noqa: F401
 
-from .aa import GroundStateObservables, aa_matrix
+from .aa import GroundStateObservables, _bare_level, aa_matrix
 from .errors import ConvergenceError
 from .model import (CONTINUUM_EDGE, ModelParams, SectorSpec, check_count, check_finite,
                     check_parity, check_positive, geometry)
@@ -475,7 +475,7 @@ def _squeezed_frame_eigs(m: np.ndarray, parity: int, beta: float, k: int) -> np.
     """
     m *= parity
     idx = np.arange(len(m))
-    m[idx, idx] += (2 * idx + 0.5) * beta - 0.5
+    m[idx, idx] += _bare_level(idx, beta)
     return eigh(m.T, lower=False, overwrite_a=True, eigvals_only=True, subset_by_index=[0, k - 1])
 
 
@@ -496,17 +496,16 @@ def squeezed_frame_spectrum(
     Near collapse the basis absorbs the squeezing, so this frame reaches
     moderate accuracy (2e-2) at much smaller n_max than bare Fock, but not
     high accuracy: at beta = 0.1 it is still 1.9e-2 off at 240 rows.
-    Parity, k and n_max are rejected by name before M is built.
+    Parity, k and n_max are rejected by name before M is built, and
+    g = g_c by aa_matrix before it builds S.
     """
     check_parity("parity", parity)
     check_count("k", k)
     check_count("n_max", n_max)
-    geo = geometry(params)
-    if geo.at_collapse:
-        raise ValueError("squeezed frame undefined at g = g_c (theta diverges)")
     if n_max < max(2 * k, 4):
         raise ValueError(f"n_max={n_max} too small for k={k} levels")
     m = aa_matrix(params, n_max)
+    beta = geometry(params).beta
     step = max(1, _BLOCK_ENTRIES // n_max)
     asymmetry = largest = 0.0
     for r0 in range(0, n_max, step):
@@ -515,8 +514,8 @@ def squeezed_frame_spectrum(
         largest = max(largest, np.abs(rows).max())
     symmetric = asymmetry <= 1e-9 * largest
     half = n_max // 2
-    estimate_levels = _squeezed_frame_eigs(m[:half, :half].copy(), parity, geo.beta, k)
-    lowest = _squeezed_frame_eigs(m, parity, geo.beta, k)
+    estimate_levels = _squeezed_frame_eigs(m[:half, :half].copy(), parity, beta, k)
+    lowest = _squeezed_frame_eigs(m, parity, beta, k)
     estimate = np.abs(lowest - estimate_levels)
     return SpectrumResult(
         energies=lowest,

@@ -6,17 +6,15 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import m_element_legendre, second_order_legendre
+from oracles import (alpha_coefficient, k_factor, m_element_legendre, m_element_small_beta,
+                     second_order_legendre)
 from tpqrm import aa
 from tpqrm.aa import (
     aa_energy,
     aa_gaps,
     aa_matrix,
-    aa_matrix_element,
     aa_observables,
     aa_qfi_leading,
-    alpha_coefficient,
-    k_factor,
     second_order_corrections,
 )
 from tpqrm.model import ModelParams, critical_params, geometry
@@ -35,45 +33,45 @@ def test_m00_closed_form_identity():
         _, delta_c = critical_params(r)
         for beta in (0.3, 0.1, 0.01):
             for det in (0.0, 0.1):
-                el = aa_matrix_element(0, 0, at_beta(r, beta, delta_c + det))
+                m00 = aa_matrix(at_beta(r, beta, delta_c + det), 1)[0, 0]
                 expected = 0.5 * math.sqrt(beta) * (det + delta_c * beta * beta)
-                assert el.value == pytest.approx(expected, rel=1e-12)
+                assert m00 == pytest.approx(expected, rel=1e-12)
 
 
 def test_mnn_at_zero_coupling():
-    p = ModelParams(delta=0.7, g=0.0, r=0.6)
+    mat = aa_matrix(ModelParams(delta=0.7, g=0.0, r=0.6), 5)
     for n in range(5):
-        el = aa_matrix_element(n, n, p)
-        assert el.value == pytest.approx((-1.0) ** n * 0.35, rel=1e-13)
+        assert mat[n, n] == pytest.approx((-1.0) ** n * 0.35, rel=1e-13)
 
 
 def test_alpha_and_k_factor_examples():
     _, delta_c = critical_params(0.6)
     p = at_beta(0.6, 0.1)
-    el = aa_matrix_element(0, 1, p)
-    assert el.alpha == pytest.approx(4 * delta_c - p.delta, rel=1e-14)
-    assert el.alpha == pytest.approx(3 * delta_c, rel=1e-14)
-    assert el.k_factor == pytest.approx(math.sqrt(0.5) * math.sqrt(1 - 0.1**2), rel=1e-13)
+    alpha = alpha_coefficient(0, 1, p.delta, p.delta_c)
+    assert alpha == pytest.approx(4 * delta_c - p.delta, rel=1e-14)
+    assert alpha == pytest.approx(3 * delta_c, rel=1e-14)
+    k01 = k_factor(0, 1, geometry(p).beta)
+    assert k01 == pytest.approx(math.sqrt(0.5) * math.sqrt(1 - 0.1**2), rel=1e-13)
     assert k_factor(3, 7, 0.2) == pytest.approx(k_factor(7, 3, 0.2), rel=1e-14)
     assert alpha_coefficient(1, 2, 0.3, 0.25) != alpha_coefficient(2, 1, 0.3, 0.25)
 
 
 def test_expansion_agrees_to_beta_squared():
     # relative gap between exact and expanded forms drops ~4x per beta halving
+    def relative_gap(m: int, n: int, p: ModelParams) -> float:
+        exact = aa_matrix(p, max(m, n) + 1)[m, n]
+        return abs(exact - m_element_small_beta(m, n, p)) / abs(exact)
+
     for (m, n) in [(1, 2), (2, 2), (3, 1)]:
-        gaps = []
-        for beta in (0.1, 0.05, 0.025):
-            el = aa_matrix_element(m, n, at_beta(0.6, beta))
-            gaps.append(abs(el.value - el.small_beta_value) / abs(el.value))
+        gaps = [relative_gap(m, n, at_beta(0.6, beta)) for beta in (0.1, 0.05, 0.025)]
         assert 3.0 < gaps[0] / gaps[1] < 5.0
         assert 3.0 < gaps[1] / gaps[2] < 5.0
     # first-row elements at delta = 0 are reproduced exactly by the expansion
-    el = aa_matrix_element(0, 1, at_beta(0.6, 0.01))
-    assert abs(el.value - el.small_beta_value) / abs(el.value) < 0.01**2
+    assert relative_gap(0, 1, at_beta(0.6, 0.01)) < 0.01**2
 
 
 def test_matrix_builder_matches_scalar_path():
-    # the scalar path reads its entry of a smaller build; the Legendre form is the oracle
+    # the Legendre form, one element at a time, is the oracle
     p = at_beta(0.35, 0.17, 0.5)
     mat = aa_matrix(p, 12)
     for m in range(12):
@@ -81,7 +79,6 @@ def test_matrix_builder_matches_scalar_path():
             assert mat[m, n] == pytest.approx(
                 m_element_legendre(m, n, p), rel=1e-12, abs=1e-300
             )
-            assert aa_matrix_element(m, n, p).value == mat[m, n]
 
 
 @settings(max_examples=60)
@@ -171,7 +168,7 @@ def test_aa_matrix_rejects_a_bad_n_max_by_name(monkeypatch, n_max, reason):
 @example(r=0.6, beta=0.02, delta=0.25, n_max=41, extra=439)
 @example(r=0.25, beta=1.0, delta=0.6, n_max=3, extra=1)
 def test_aa_matrix_entries_do_not_depend_on_the_build_size(r, beta, delta, n_max, extra):
-    # every AA level, gap and element reads its M from a build of the size it
+    # every AA level and gap reads its M from a build of the size it
     # needs, so an entry must be bitwise the same entry of any larger build
     g_c, _ = critical_params(r)
     p = ModelParams(delta=delta, g=g_c * math.sqrt(1.0 - beta * beta), r=r)
@@ -181,7 +178,6 @@ def test_aa_matrix_entries_do_not_depend_on_the_build_size(r, beta, delta, n_max
     assert np.array_equal(small.view(np.uint64), big[:n_max, :n_max].view(np.uint64))
     n, beta_p = n_max - 1, geometry(p).beta
     assert aa_energy(n, -1, p).energy == (2 * n + 0.5) * beta_p - 0.5 - big[n, n]
-    assert aa_matrix_element(n, 0, p).value == big[n, 0]
     eps_sp, eps_dp = aa_gaps(n, p)
     e_minus = aa_energy(n, -1, p).energy
     assert eps_sp == abs(aa_energy(n + 1, -1, p).energy - e_minus)
@@ -193,8 +189,6 @@ _INDEXED_CALLS = {
     "aa_energy": ("n", lambda v, p: aa_energy(v, -1, p)),
     "aa_gaps": ("n", aa_gaps),
     "second_order_corrections": ("n", lambda v, p: second_order_corrections(p, v)),
-    "aa_matrix_element-m": ("m", lambda v, p: aa_matrix_element(v, 0, p)),
-    "aa_matrix_element-n": ("n", lambda v, p: aa_matrix_element(0, v, p)),
 }
 
 
@@ -233,6 +227,9 @@ def test_energies_near_collapse_and_at_collapse():
     at_gc = ModelParams(delta=0.25, g=0.625, r=0.6)
     for n in range(4):
         assert aa_energy(n, +1, at_gc).energy == -0.5
+    assert aa_gaps(0, at_gc) == (0.0, 0.0)
+    with pytest.raises(ValueError, match="^beta = 0 at g = g_c"):
+        aa_observables(at_gc)
 
 
 def test_parity_order_alternates_near_collapse():

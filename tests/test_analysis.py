@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -62,7 +64,7 @@ def test_flat_data_fit_exactly():
 
 def test_fit_result_serialization():
     u = np.geomspace(1e-2, 1e-1, 6)
-    payload = fit_powerlaw(u, u**2).to_dict()
+    payload = asdict(fit_powerlaw(u, u**2))
     assert set(payload) == {"exponent", "amplitude", "r_squared", "window", "n_points"}
 
 

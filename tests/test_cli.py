@@ -2,6 +2,9 @@ import argparse
 import dataclasses
 import json
 import math
+import runpy
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -165,7 +168,7 @@ def test_config_count_below_least_is_rejected(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"command": "qfi", "points": 0, "n_max": 16}))
     assert run_cli(["--config", str(cfg), "--validate"], tmp_path) == cli.EXIT_CONFIG
-    assert "argument --points: 0 must be >= 1" in capsys.readouterr().out
+    assert "argument --points: 0 must be >= 2" in capsys.readouterr().out
     assert run_cli(["--config", str(cfg), "--out", "o"], tmp_path) == cli.EXIT_CONFIG
     assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
 
@@ -627,24 +630,29 @@ def test_validate_agrees_with_the_run(tmp_path, capsys, args):
 
 
 def test_quench_samples_solve_the_start_bound_once(tmp_path, capsys, monkeypatch):
-    # --samples takes one quench time, so the start step the resolver solves to check the
-    # sample count is the one the run steps from; the manifest keeps dt null
+    # --validate solves the start step to check the sample count; a run leaves the check to
+    # kz_sweep, whose one solve gives both the start step and E_0, so no E_0 ladder runs; the
+    # manifest keeps dt null
     from tpqrm import quench
 
-    calls = []
-    response_sum = quench._response_sum
+    calls, ground_ladders = [], []
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return response_sum(*args, **kwargs)
+    def counting(original, seen):
+        def call(*args, **kwargs):
+            seen.append(args)
+            return original(*args, **kwargs)
+        return call
 
-    monkeypatch.setattr(quench, "_response_sum", counting)
+    monkeypatch.setattr(quench, "_response_sum", counting(quench._response_sum, calls))
+    monkeypatch.setattr(quench, "ground_state_block",
+                        counting(quench.ground_state_block, ground_ladders))
     args = ["quench", "--r", "0.25", "--gf", "0.99", "--tau-list", "1000", "--samples", "5"]
     assert run_cli(args + ["--validate"], tmp_path) == cli.EXIT_OK
     assert json.loads(capsys.readouterr().out)["manifest"]["dt"] is None
     assert len(calls) == 1
     assert run_cli(args + ["--out", "o"], tmp_path) == cli.EXIT_OK
     assert len(calls) == 2
+    assert ground_ladders == []
     assert json.loads((tmp_path / "o_manifest.json").read_text())["dt"] is None
     assert len((tmp_path / "o_trajectory.csv").read_text().splitlines()) == 1 + 5
 
@@ -673,13 +681,21 @@ def test_a_convergence_failure_exits_2(tmp_path, capsys, name, written):
 
 
 def test_a_wigner_ground_state_that_does_not_converge_exits_2(tmp_path, capsys):
-    # one point, no rows to flag: main reports the raise in one line and writes nothing
+    # one point, no rows to flag: the run reports the raise in one line and writes the
+    # manifest and a report holding the message, and the manifest repeats the run
     args = ["wigner", "--r", "0.25", "--g-over-gc", "0.99999999", "--grid-points", "21",
             "--out", "w"]
+    message = "ground state unconverged: estimate 1.07e-05 at ceiling truncation"
     assert run_cli(args, tmp_path) == cli.EXIT_CONVERGENCE
-    assert capsys.readouterr().err == ("convergence failure: ground state unconverged: "
-                                       "estimate 1.07e-05 at ceiling truncation\n")
-    assert list(tmp_path.iterdir()) == []
+    assert capsys.readouterr().err == f"convergence failure: {message}\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["w_manifest.json",
+                                                                "w_report.json"]
+    assert json.loads((tmp_path / "w_report.json").read_text()) == {"error": message}
+    manifest = json.loads((tmp_path / "w_manifest.json").read_text())
+    assert run_cli(["--config", "w_manifest.json"], tmp_path) == cli.EXIT_CONVERGENCE
+    assert capsys.readouterr().err == f"convergence failure: {message}\n"
+    repeated = json.loads((tmp_path / "w_manifest.json").read_text())
+    assert repeated == {**manifest, "config": "w_manifest.json"}
 
 
 _FLAG_READ_RUNS = {
@@ -765,3 +781,15 @@ def test_missing_g_is_config_error(tmp_path, capsys):
     code = run_cli(["wigner", "--r", "0.25"], tmp_path)
     assert code == cli.EXIT_CONFIG
     assert "required" in capsys.readouterr().err
+
+
+def test_the_module_runs_as_a_script(monkeypatch, capsys):
+    # python -m tpqrm.cli exits with main's code; run in this process, over a fresh copy of
+    # the module (runpy warns that the package already holds one)
+    monkeypatch.setattr(sys, "argv", ["tpqrm", "spectrum", "--validate"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(SystemExit) as stop:
+            runpy.run_module("tpqrm.cli", run_name="__main__")
+    assert stop.value.code == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["manifest"]["command"] == "spectrum"

@@ -272,6 +272,14 @@ def test_the_bound_tower_report_says_whether_each_ladder_held(n_max, held):
     assert collapse_hamiltonian_check(0.0, n_max=256).held == {}
 
 
+def test_a_tower_with_no_odd_x_level_checks_the_even_sector_alone():
+    # just above Delta = 1 the 1D ladder converges only an x-even level, so the odd x-parity
+    # has no target and its photon sector is never solved
+    report = collapse_hamiltonian_check(1.1)
+    assert report.consistent and len(report.matched_even) == 1
+    assert report.matched_odd == [] and report.n_max_used == {1: 2048}
+
+
 def test_collapse_check_rejects_intermediate_delta():
     with pytest.raises(ValueError):
         collapse_hamiltonian_check(0.7)

@@ -1027,6 +1027,16 @@ def test_squeezed_frame_rejects_bad_inputs_by_name_before_any_work(monkeypatch, 
         ed.squeezed_frame_spectrum(at_beta(0.6, 0.3), *args)
 
 
+def test_squeezed_frame_rejects_the_collapse_point_before_s_is_built(monkeypatch):
+    def unreachable(theta, n):
+        raise AssertionError("squeeze_matrix reached at g = g_c")
+
+    monkeypatch.setattr("tpqrm.aa.squeeze_matrix", unreachable)
+    g_c, delta_c = critical_params(0.6)
+    with pytest.raises(ValueError, match="^beta = 0 at g = g_c"):
+        ed.squeezed_frame_spectrum(ModelParams(delta=delta_c, g=g_c, r=0.6), -1, 16, k=2)
+
+
 def test_squeezed_frame_imaginary_parts_negligible():
     # the frame matrix is symmetric to its gate, so the levels come out real
     p = at_beta(0.6, 0.3)
@@ -1234,6 +1244,13 @@ def test_fidelity_oracle_rejects_unconverged_ground_states():
     p = ModelParams(delta=delta_c, g=g_c * (1 - 1e-7), r=0.6)
     with pytest.raises(ConvergenceError, match="ground state unconverged"):
         ed.qfi_fidelity_oracle(p, eps=1e-9)
+
+
+def test_fidelity_oracle_rejects_a_step_across_the_collapse_point():
+    g_c, delta_c = critical_params(0.6)
+    p = ModelParams(delta=delta_c, g=g_c - 1e-6, r=0.6)
+    with pytest.raises(ValueError, match=r"^g \+ eps crosses the collapse point$"):
+        ed.qfi_fidelity_oracle(p, eps=1e-5)
 
 
 @pytest.mark.parametrize("error,raises", [(1e-6, True), (1e-9, False)])
