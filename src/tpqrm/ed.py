@@ -527,6 +527,16 @@ def squeezed_frame_spectrum(
     )
 
 
+def _ground_rung(params: ModelParams, n: int,
+                 previous: tuple[np.ndarray, np.ndarray] | None) -> tuple[np.ndarray, np.ndarray]:
+    """One rung of a ground ladder: the n-row (q=1/4, parity=-1) block's ground pair.
+
+    previous is the rung below's pair, or None on a first rung (_lowest_pairs).
+    """
+    block = build_parity_block(params, -1, n)
+    return _lowest_pairs(block.diag, block.offdiag, 1, previous)
+
+
 def ground_state_block(
     params: ModelParams,
     n_max: int = 64,
@@ -544,13 +554,9 @@ def ground_state_block(
     """
     check_count("n_max", n_max, 2)
     check_positive(tol=tol)
-
-    def solve(n: int, previous: tuple | None) -> tuple[np.ndarray, np.ndarray]:
-        block = build_parity_block(params, -1, n)
-        return _lowest_pairs(block.diag, block.offdiag, 1, previous)
-
     (levels, vectors), old, n_used = converge(
-        solve, max(n_max, 8), n_max_ceiling, lambda new, old: abs(new[0][0] - old[0][0]) < tol
+        lambda n, previous: _ground_rung(params, n, previous), max(n_max, 8), n_max_ceiling,
+        lambda new, old: abs(new[0][0] - old[0][0]) < tol,
     )
     energy, coeffs = float(levels[0]), vectors[:, 0]
     estimate = math.inf if old is None else abs(energy - old[0][0])
@@ -677,23 +683,29 @@ def _ground_resolvent(
 
 
 def _response_sum(
-    params: ModelParams, power: int, n_max: int = 256, n_max_ceiling: int = N_MAX_CEILING
-) -> tuple[float, np.ndarray, float, float]:
-    """sum_(j!=0) |<j| dH/dg |0>|^2 / (E_j - E_0)^power over the ground block, |0>, E_0, dE_0.
+    params: ModelParams, power: int, n_max: int = 256, n_max_ceiling: int = N_MAX_CEILING,
+    enough=None,
+) -> tuple[float, np.ndarray, float, float, bool]:
+    """(sum, |0>, E_0, dE_0, converged) of one ground-block response-sum ladder.
 
+    The sum is sum_(j!=0) |<j| dH/dg |0>|^2 / (E_j - E_0)^power, and
     x = (H - E_0)^+ (1 - P_0) dH/dg |0> is the ground state's first-order
     response to the coupling: power 2 is x.x (F_Q / 4), power 3 is
     x.(H - E_0)^+ x (chi_3), power - 1 _ground_resolvent solves a rung on
     the (q=1/4, parity=-1) block.  Truncation doubles from n_max until
     the sum is stable to 1e-6 relative, else ConvergenceError naming F_Q
-    or chi_3 at the ceiling.  Each rung's ground pair comes from
-    _lowest_pairs, so a rung after the first starts from the rung below's.
-    |0> and E_0 are the last rung's ground pair, and dE_0 is how far E_0
-    moved from the rung below: the ladder's own ground-energy doubling,
-    which quench.abrupt_start_bound keeps for the quench's E_0(g_f).
+    or chi_3 at the ceiling.  enough(sum, below), where given, judges each
+    rung's sum with the rung below's (None on the first rung): once it
+    holds on two consecutive rungs, the ladder stops there, and converged
+    is False (True wherever the sum held its gate).  Each rung's
+    ground pair comes from _lowest_pairs, so a rung after the first starts
+    from the rung below's.  |0> and E_0 are the last rung's ground pair,
+    and dE_0 is how far E_0 moved from the rung below: the ladder's own
+    ground-energy doubling, which quench.abrupt_start_bound keeps for the
+    quench's E_0(g_f).
     """
 
-    def solve(n: int, previous: tuple | None) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
+    def solve(n: int, previous: tuple | None) -> tuple[float, tuple[np.ndarray, np.ndarray], int]:
         block = build_parity_block(params, -1, n)
         pairs = _lowest_pairs(block.diag, block.offdiag, 1,
                               None if previous is None else previous[1])
@@ -701,17 +713,22 @@ def _response_sum(
         b = tridiag_apply(np.zeros(n), block.coupling, v0)
         b -= (v0 @ b) * v0
         x = _ground_resolvent(block, v0, e0, b)
-        return float(x @ (x if power == 2 else _ground_resolvent(block, v0, e0, x))), pairs
+        total = float(x @ (x if power == 2 else _ground_resolvent(block, v0, e0, x)))
+        below, streak = (None, 0) if previous is None else (previous[0], previous[2])
+        return total, pairs, streak + 1 if enough is not None and enough(total, below) else 0
 
     def held(new: tuple, old: tuple) -> bool:
         return abs(new[0] - old[0]) <= _RESPONSE_REL_TOL * new[0]
 
-    new, old, n_cur = converge(solve, n_max, n_max_ceiling, held)
-    if old is None or not held(new, old):
+    new, old, n_cur = converge(solve, n_max, n_max_ceiling,
+                               lambda new, old: held(new, old) or new[2] == 2)
+    converged = old is not None and held(new, old)
+    if not converged and new[2] < 2:
         raise ConvergenceError(
             f"{_RESPONSE_NAMES[power]} not stable to {_RESPONSE_REL_TOL:.0e} at truncation ceiling {n_cur}")
     (levels, vectors), (levels_below, _) = new[1], old[1]
-    return new[0], vectors[:, 0], float(levels[0]), float(abs(levels[0] - levels_below[0]))
+    return (new[0], vectors[:, 0], float(levels[0]), float(abs(levels[0] - levels_below[0])),
+            converged)
 
 
 def qfi_spectral(

@@ -28,17 +28,23 @@ Where B is above a tenth of the gate, w = omega01.  Below it that term
 cannot move E_r, and w = gap_f, the soft mode that carries the end-point
 term (g_f/tau_q)^2 chi_3, as long as that term is at most gap_f (the ramp
 is adiabatic at g_f).  Where it exceeds gap_f the ramp is impulsive at g_f
-and the ladder starts at min(1, tau_q/100).  E_0(g_f) needs a truncation
+and the ladder starts at min(1, tau_q/100).  A record serves every tau_q
+up to the caller's largest, tau_max: chi_3's ladder stops once two
+consecutive rungs, chi_3 rising, give an end-point term of at least
+1e3 gap_f at tau_max and B at most a tenth of the gate; as long as chi_3
+keeps rising, the rungs above would only raise the term and lower B, and
+the branch is impulsive either way.  E_0(g_f) needs a truncation
 ladder of its own (near collapse the true ground state needs a far larger
 basis than the propagated, frozen-out state ever occupies), held to 1e-10
 over a doubling.  chi_3's ladder solves the same block's ground pair rung
 by rung, so E_0 is its top rung's wherever E_0 moved by less than 1e-10
-over that ladder's last doubling.  ed.ground_state_block runs a ladder
-only where it did not, where chi_3 did not converge, or where dt was given
-and B never solved.  The propagation basis is gated by requiring the
-occupancy of its top 10% of states to stay below 1e-8: it starts at
-min(n_max, 64) rows and doubles until the gate holds, up to 4 n_max, so a
-row's n_max is the basis used.
+over that ladder's last doubling; after an early stop the ladder climbs
+on, on ground pairs alone, until E_0 holds.  ed.ground_state_block runs a
+ladder only where E_0 did not hold, where chi_3 did not converge, or
+where dt was given and B never solved.  The propagation basis is gated by
+requiring the occupancy of its top 10% of states to stay below 1e-8: it
+starts at min(n_max, 64) rows and doubles until the gate holds, up to
+4 n_max, so a row's n_max is the basis used.
 Runs that share a step advance in lockstep, as the blocks of one
 block-diagonal system: with the truncation check, each basis of the ladder
 runs with its double, the next basis if it leaks and the check if it holds;
@@ -69,7 +75,8 @@ from scipy.linalg import eigh_tridiagonal  # noqa: F401
 from scipy.linalg.lapack import zgtsv
 
 from .ed import (
-    _lowest_pairs, _response_sum, build_parity_block, converge, ground_state_block, tridiag_apply,
+    _ground_rung, _lowest_pairs, _response_sum, build_parity_block, converge, ground_state_block,
+    tridiag_apply,
 )
 from .errors import ConvergenceError
 from .model import ModelParams, check_count, check_finite, check_positive, critical_params
@@ -90,8 +97,10 @@ _PADE_ROOTS = (3.0 + 1j * math.sqrt(3.0), 3.0 - 1j * math.sqrt(3.0))  # -d: root
 class StartBound:
     """B of the module docstring, the two inputs abrupt_start_bound solved for it, and E_0.
 
-    e0 is E_0(g_f) from chi_3's ladder: its top rung's, where E_0 moved by
-    less than _E0_TOL over the last doubling, else nan.
+    Where chi_3's ladder stopped early (impulsive up to tau_max), chi_3 and
+    B are the stopping rung's: chi_3 a lower and B an upper estimate.  e0
+    is E_0(g_f) from that ladder: its top rung's, where E_0 moved by less
+    than _E0_TOL over the last doubling, else nan.
     """
 
     bound: float
@@ -130,11 +139,13 @@ class QuenchProtocol:
         return ModelParams(delta=self.delta, g=self.g_f, r=self.r)
 
     def default_dt(self, start: StartBound) -> float:
-        """Where the dt-halving ladder starts, given start = abrupt_start_bound(params_final).
+        """Where the dt-halving ladder starts, given start from abrupt_start_bound.
 
-        The Padé phase bound on omega01 = 2 + Delta where B is above a tenth
-        of the gate, on gap_f where it is not and the end-point term is at
-        most gap_f, else min(1, tau_q/100) (module docstring).
+        start = abrupt_start_bound(params_final, tau_max) with tau_max >=
+        tau_q, as an early-stopped record holds only up to its tau_max.  The
+        Padé phase bound on omega01 = 2 + Delta where B is above a tenth of
+        the gate, on gap_f where it is not and the end-point term is at most
+        gap_f, else min(1, tau_q/100) (module docstring).
         """
         if start.bound > 0.1 * _ER_REL_TOL:
             mode = 2.0 + self.delta  # omega01 = D_1 - D_0 of the block
@@ -145,9 +156,9 @@ class QuenchProtocol:
         return min(self.tau_q / 100.0, (720.0 * 0.1 / (self.tau_q * mode**5)) ** 0.25)
 
     def start_dt(self) -> float:
-        """dt if given, else default_dt at this g_f's abrupt_start_bound (one solve of it)."""
+        """dt if given, else default_dt at abrupt_start_bound(params_final, tau_q) (one solve)."""
         return self.dt if self.dt is not None else self.default_dt(
-            abrupt_start_bound(self.params_final))
+            abrupt_start_bound(self.params_final, self.tau_q))
 
     def check_samples(self, n_samples: int) -> None:
         """Reject a trajectory sample count the start step's run cannot give.
@@ -198,21 +209,46 @@ def ground_energy_final(protocol: QuenchProtocol, start: StartBound | None = Non
     return e0
 
 
-def abrupt_start_bound(params: ModelParams) -> StartBound:
+def abrupt_start_bound(params: ModelParams, tau_max: float = math.inf) -> StartBound:
     """B of the module docstring at g_f, with the gap_f, chi_3 and E_0 of its solve.
 
-    B is inf, and gap_f, chi_3 and e0 are nan, if chi_3 does not converge.
+    tau_max is the largest tau_q the record serves.  chi_3's ladder stops
+    early, unconverged, once two consecutive rungs are impulsive for every
+    tau_q <= tau_max: (g_f / tau_max)^2 chi_3 >= 1e3 gap_f, B <= a tenth of
+    the gate, and chi_3 above the rung below's.  There the record's chi_3
+    is a lower and its B an upper estimate (chi_3 still rises), and E_0
+    climbs on from the stopping rung on ground pairs alone until it moves
+    by less than _E0_TOL over a doubling, or _E0_CEILING.  With tau_max
+    = inf no rung is impulsive, and the ladder runs to chi_3's gate.  B is
+    inf, and gap_f, chi_3 and e0 are nan, if chi_3 does not converge.
     """
-    try:
-        chi_3, _, e0, e0_move = _response_sum(params, 3)
-    except ConvergenceError:  # g_f within about 1e-7 of g_c
-        return StartBound(math.inf)
-    block = build_parity_block(params, -1, 256)  # gap_f needs no truncation ladder
+    # gap_f from 256 rows: near collapse that overestimates it (0.0124 against 0.0023 at
+    # 1 - 1e-6 g_c, where 4,096 rows hold it; equal at 0.99 g_c).  B grows with gap_f, so
+    # it errs toward the omega01 phase bound, the smallest start; the impulsive test and
+    # the early exit weigh the end-point term against gap_f, so they err toward the
+    # adiabatic branch and the full ladder; that branch's Pade bound falls as gap_f rises
+    block = build_parity_block(params, -1, 256)
     levels = _lowest_pairs(block.diag, block.offdiag, 2, None)[0]
     gap_f = float(levels[1] - levels[0])
     omega01 = block.diag[1] - block.diag[0]
-    return StartBound(2.0 * math.sqrt(block.coupling[0] ** 2 * gap_f / (omega01**4 * chi_3)),
-                      gap_f, chi_3, e0 if e0_move < _E0_TOL else math.nan)
+
+    def bound(chi_3: float) -> float:
+        return 2.0 * math.sqrt(block.coupling[0] ** 2 * gap_f / (omega01**4 * chi_3))
+
+    def impulsive(chi_3: float, below: float | None) -> bool:
+        return ((params.g / tau_max) ** 2 * chi_3 >= 1e3 * gap_f
+                and bound(chi_3) <= 0.1 * _ER_REL_TOL and (below is None or chi_3 > below))
+
+    try:
+        chi_3, v0, e0, e0_move, converged = _response_sum(params, 3, enough=impulsive)
+    except ConvergenceError:  # g_f within about 1e-7 of g_c
+        return StartBound(math.inf)
+    n, pairs = len(v0), (np.array([e0]), v0[:, None])
+    while not converged and e0_move >= _E0_TOL and 2 * n <= _E0_CEILING:  # E_0 on the same ladder
+        n *= 2
+        pairs = _ground_rung(params, n, pairs)
+        e0, e0_move = float(pairs[0][0]), float(abs(pairs[0][0] - e0))
+    return StartBound(bound(chi_3), gap_f, chi_3, e0 if e0_move < _E0_TOL else math.nan)
 
 
 def _n_steps(tau_q: float, dt: float) -> int:
@@ -307,7 +343,8 @@ def propagate(protocol: QuenchProtocol, n_samples: int = 0, check_truncation: bo
     from the start bound's record when dt is not given.
     """
     # without dt, one record sizes the start step and, where it holds one, gives E_0
-    start = abrupt_start_bound(protocol.params_final) if protocol.dt is None else None
+    start = (abrupt_start_bound(protocol.params_final, protocol.tau_q) if protocol.dt is None
+             else None)
     dt = protocol.dt if start is None else protocol.default_dt(start)
     replace(protocol, dt=dt).check_samples(n_samples)  # with dt resolved: B is not solved again
     if e0 is None:
@@ -407,19 +444,19 @@ def kz_sweep(
     "samples" holds the run's n_samples trajectory samples (None if 0 or
     unconverged).
     Without dt each point starts at its default_dt, from one
-    abrupt_start_bound solve for the sweep; the adiabatic or impulsive
-    branch is chosen per tau_q.  n_samples must fit every point's start
-    step; a count one point's step count cannot give raises ValueError
-    before any point runs.  E_0(g_f) is solved once a sweep, after that
-    check: ground_energy_final takes it from the record, or runs its own
-    ladder (dt given, or no E_0 on the record); if that ladder does not
-    converge, every row is unconverged.
+    abrupt_start_bound solve for the sweep, whose tau_max is the largest
+    tau_q; the adiabatic or impulsive branch is chosen per tau_q.
+    n_samples must fit every point's start step; a count one point's step
+    count cannot give raises ValueError before any point runs.  E_0(g_f)
+    is solved once a sweep, after that check: ground_energy_final takes it
+    from the record, or runs its own ladder (dt given, or no E_0 on the
+    record); if that ladder does not converge, every row is unconverged.
     """
     protocols = [QuenchProtocol(g_f=g_f, tau_q=float(t), r=params.r, delta=params.delta,
                                 n_max=n_max, dt=dt) for t in tau_list]
     start = None
     if protocols and dt is None:  # B, gap_f, chi_3 and E_0 depend on g_f alone: one solve
-        start = abrupt_start_bound(protocols[0].params_final)
+        start = abrupt_start_bound(protocols[0].params_final, max(p.tau_q for p in protocols))
         protocols = [replace(p, dt=p.default_dt(start)) for p in protocols]
     for protocol in protocols:
         protocol.check_samples(n_samples)

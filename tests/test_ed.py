@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.hermite import hermval
 from scipy.linalg import eig, eigh_tridiagonal
+from scipy.optimize import minimize_scalar
 from scipy.special import eval_genlaguerre, gammaln
 
 from tpqrm import ed
@@ -737,6 +738,71 @@ def test_warm_certificate_failures_fall_back_to_bisection(monkeypatch):
     assert bisected == [256, 512, 1024] and spectrum.converged.all()
     block = ed.build_parity_block(params, -1, spectrum.n_max_used)
     assert np.abs(spectrum.energies - _block_levels(block, 6)).max() <= 1e-11
+
+
+def test_a_warm_solve_that_fails_after_the_first_bisects(monkeypatch):
+    # every dgtsv after the first reports info 1.  At 1 - g/g_c = 1e-6 the 512-row start
+    # is far from the 1,024-row ground state: level 0's first solve leaves r at 1e7 tol,
+    # the next one fails, and the rung is bisection's
+    block, previous = _rung_pair(0.25, 0.6, 1 - 1e-6, -1, 1024, 1)
+    solves = []
+    _record_calls(monkeypatch, "dgtsv", solves, fail_after=1)
+    assert ed._warm_pairs(block.diag, block.offdiag, *previous) is None
+    assert len(solves) == 2
+    w, v = eigh_tridiagonal(block.diag, block.offdiag, select="i", select_range=(0, 0))
+    levels, vectors = ed._lowest_pairs(block.diag, block.offdiag, 1, previous)
+    assert np.array_equal(levels, w) and np.array_equal(vectors, v)
+
+
+def test_an_iteration_that_never_settles_bisects(monkeypatch):
+    # every solve's residual is forged to inf, so neither _ground_pair nor a warm
+    # rung's level 0 ever stops: each runs _INVERSE_ITERATIONS solves, then bisects
+    block, previous = _rung_pair(*_FORGE_POINTS[0], 1)
+    w, v = eigh_tridiagonal(block.diag, block.offdiag, select="i", select_range=(0, 0))
+    solves = []
+    solve_residual = ed._solve_residual
+
+    def unsettled(*args):
+        solves.append(1)
+        return solve_residual(*args)[0], math.inf
+
+    monkeypatch.setattr(ed, "_solve_residual", unsettled)
+    assert ed._warm_pairs(block.diag, block.offdiag, *previous) is None
+    assert len(solves) == ed._INVERSE_ITERATIONS
+    solves.clear()
+    e0, v0 = ed._ground_pair(block.diag, block.offdiag)
+    assert len(solves) == ed._INVERSE_ITERATIONS
+    assert e0 == w[0] and np.array_equal(v0, v[:, 0])
+
+
+def test_a_level_read_below_the_gershgorin_floor_counts_none(monkeypatch):
+    # level 1's reads of T are forged to put its Rayleigh quotient below every
+    # eigenvalue's Gershgorin bound: no eigenvalue lies below it, so the count is 0
+    # without a dstebz call over an empty interval, and the rung fails its certificate
+    block, previous = _rung_pair(*_FORGE_POINTS[0], 2)
+    scale = max(np.abs(block.diag).max(), 2.0 * np.abs(block.offdiag).max())
+    floor = block.diag.min() - scale - 1.0
+    reads = []
+    apply = ed.tridiag_apply
+
+    def forged(diag, off, x, *args, **kwargs):
+        reads.append(1)
+        return apply(diag, off, x, *args, **kwargs) if len(reads) == 1 else (floor - 1.0) * x
+
+    def unreached(*args):
+        raise AssertionError("dstebz called")
+
+    monkeypatch.setattr(ed, "tridiag_apply", forged)
+    monkeypatch.setattr(ed, "dstebz", unreached)
+    assert ed._warm_pairs(block.diag, block.offdiag, *previous) is None
+    assert len(reads) == 2
+
+
+def test_a_failed_resolvent_solve_is_raised(monkeypatch):
+    # the 256-row first rung bisects its ground pair, so its resolvent is the first dgtsv
+    _record_calls(monkeypatch, "dgtsv", [], fail_after=0)
+    with pytest.raises(RuntimeError, match=r"^tridiagonal solve failed \(LAPACK info=1\)$"):
+        ed.qfi_spectral(at_beta(0.25, 0.5))
 
 
 def test_level_zero_reads_t_once_a_warm_rung(monkeypatch):
@@ -1514,3 +1580,29 @@ def test_conditional_state_approaches_squeezed_vacuum():
         fids[gfrac] = abs(float(cond[even] @ sq))
     assert 0.98 < fids[0.95] < 0.999
     assert fids[0.99] > fids[0.95]
+
+
+def _qubit_down_fidelity(r: float, distance: float):
+    """(theta, F) at Delta_c, g = g_c (1 - distance): F(a) = |<S(a) 0|qubit-down state>|."""
+    g_c, delta_c = critical_params(r)
+    p = ModelParams(delta=delta_c, g=g_c * (1.0 - distance), r=r)
+    even = ed.conditional_photon_state(p, "qubit-down", 256)[::2]
+    return geometry(p).theta, lambda a: abs(float(even @ ed.squeezed_vacuum_coeffs(a, len(even))))
+
+
+@pytest.mark.parametrize("r,least", [(0.25, 0.99998), (0.6, 0.99999)])
+def test_qubit_down_state_is_squeezed_by_the_renormalized_angle(r, least):
+    # at Delta = Delta_c the qubit-down state's squeeze angle is the frame's theta less
+    # the limit (1/4) ln[1/(1 - Delta_c^2)]: at 1 - g/g_c = 1e-4 the fidelity with
+    # S(theta_r)|0> reads 0.9999857 (r = 0.25) and 0.9999983 (r = 0.6).  The best angle's
+    # distance from that limit shrinks 5.6 to 5.8 times a decade from 1e-2 to 1e-4
+    limit = 0.25 * math.log(1.0 / (1.0 - critical_params(r)[1] ** 2))
+    theta, fidelity = _qubit_down_fidelity(r, 1e-4)
+    assert fidelity(theta - limit) >= least
+    misses = []
+    for distance in (1e-2, 1e-3, 1e-4):
+        theta, fidelity = _qubit_down_fidelity(r, distance)
+        best = minimize_scalar(lambda a: -fidelity(a), bounds=(0.0, theta), method="bounded",
+                               options={"xatol": 1e-10})
+        misses.append(abs(theta - best.x - limit))
+    assert misses[0] >= 4.0 * misses[1] and misses[1] >= 4.0 * misses[2]

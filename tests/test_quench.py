@@ -495,16 +495,25 @@ def test_magnus_step_keeps_the_norm_at_dt_one(frac, n_max):
 
 
 def test_propagate_where_chi_3_does_not_converge(monkeypatch):
-    # 1 - g_f/g_c = 1e-7: chi_3 raises at its ceiling, so B is inf and the ladder
-    # starts at the phase bound, min(tau_q/100, ...) = 0.1 here; the record holds
-    # no E_0, so ground_energy_final runs its own ladder
+    # 1 - g_f/g_c = 1e-7: chi_3 raises at its ceiling, so the record for every tau_q has
+    # B = inf and no E_0.  propagate's record serves its own tau_q = 10, where the rungs
+    # at 256 and 512 rows are impulsive: the ladder stops (B = 2.9e-8), the start is
+    # min(1, tau_q/100) = 0.1, and E_0 comes from the same ladder, climbed on to 32,768
+    # rows, bitwise the standalone E_0 ladder's, so ground_energy_final runs no ladder
     protocol = QuenchProtocol(g_f=(1 - 1e-7) * G_C, tau_q=10.0, r=R, n_max=256)
     start = quench.abrupt_start_bound(protocol.params_final)
     assert start.bound == math.inf and math.isnan(start.e0)
+    bounded = quench.abrupt_start_bound(protocol.params_final, protocol.tau_q)
+    assert bounded.bound == pytest.approx(2.913e-8, rel=1e-3)
+    assert bounded.e0 == pytest.approx(-0.499821116, abs=1e-9)
+    standalone = ed.ground_state_block(protocol.params_final, 256, quench._E0_TOL,
+                                       quench._E0_CEILING)
+    assert standalone[3] == 32_768 and bounded.e0.hex() == standalone[0].hex()
     assert protocol.start_dt() == pytest.approx(0.1)
     ladders = _count_ground_ladders(monkeypatch)
     res = propagate(protocol, check_truncation=True)
-    assert len(ladders) == 1
+    assert len(ladders) == 0
+    assert res.ground_energy == bounded.e0
     assert res.residual_energy > 0.0
     assert res.norm_drift <= 1e-9
 
@@ -522,11 +531,26 @@ def _count_ground_ladders(monkeypatch) -> list:
     return calls
 
 
+def _count_resolvents(monkeypatch) -> list:
+    """Record the rows of each ed._ground_resolvent solve."""
+    calls = []
+    ground_resolvent = ed._ground_resolvent
+
+    def counting(block, *args):
+        calls.append(len(block.diag))
+        return ground_resolvent(block, *args)
+
+    monkeypatch.setattr(ed, "_ground_resolvent", counting)
+    return calls
+
+
 @pytest.mark.parametrize("frac,tau_q,n_max,rungs", [(1 - 1e-6, 100.0, 512, 7),
                                                     (0.99, 1000.0, 256, 2)])
 def test_kz_sweep_solves_the_endpoint_ground_ladder_once(monkeypatch, frac, tau_q, n_max, rungs):
-    # the two benchmark points: chi_3's ladder climbs 256 -> 16384 and 256 -> 512,
-    # and its top rung's E_0 serves the run, bitwise the standalone E_0 ladder's
+    # the two benchmark points.  At (1 - 1e-6) g_c the rungs at 256 and 512 rows are
+    # impulsive, so chi_3's resolvents stop there and the ground ladder climbs on to
+    # 16,384 rows; at 0.99 g_c chi_3 holds at 512.  Either way two resolvent solves a
+    # rung, and the top rung's E_0 serves the run, bitwise the standalone E_0 ladder's
     g_f = frac * G_C
     params = ModelParams(delta=DELTA_C, g=g_f, r=R)
     standalone = ed.ground_state_block(params, max(n_max, 256), quench._E0_TOL,
@@ -545,10 +569,12 @@ def test_kz_sweep_solves_the_endpoint_ground_ladder_once(monkeypatch, frac, tau_
 
     monkeypatch.setattr(ed, "_lowest_pairs", counting)
     monkeypatch.setattr(quench, "_propagate_once", recording)
+    resolvents = _count_resolvents(monkeypatch)
     ladders = _count_ground_ladders(monkeypatch)
     (row,) = kz_sweep(g_f, [tau_q], params, n_max=n_max)
     assert row["converged"]
     assert ground_rungs == [256 * 2**i for i in range(rungs)]
+    assert resolvents == [256, 256, 512, 512]
     assert ladders == []
     assert [e0.hex() for e0 in e0s] == [standalone.hex()]
 
@@ -573,11 +599,77 @@ def test_an_e0_that_does_not_hold_on_chi_3s_rungs_runs_the_ground_ladder(monkeyp
     params = ModelParams(delta=DELTA_C, g=g_f, r=R)
     (held,) = kz_sweep(g_f, [1000.0], params, n_max=256)
     response_sum = quench._response_sum
-    monkeypatch.setattr(quench, "_response_sum",
-                        lambda *args: (*response_sum(*args)[:3], quench._E0_TOL))
+
+    def forged(*args, **kwargs):
+        chi_3, v0, e0, _, converged = response_sum(*args, **kwargs)
+        return chi_3, v0, e0, quench._E0_TOL, converged
+
+    monkeypatch.setattr(quench, "_response_sum", forged)
     start = quench.abrupt_start_bound(params)
     assert math.isnan(start.e0) and start.bound == pytest.approx(9.27e-4, rel=1e-3)
     ladders = _count_ground_ladders(monkeypatch)
     (row,) = kz_sweep(g_f, [1000.0], params, n_max=256)
     assert len(ladders) == 1
     assert row["converged"] and row["e_r"] == held["e_r"]
+
+
+def test_a_chi_3_that_falls_between_rungs_keeps_the_ladder_solving(monkeypatch):
+    # at (1 - 1e-6) g_c the 512-row rung's chi_3 is forged 100 times smaller, below the
+    # 256-row rung's: that rung is not impulsive, so the resolvents go on until two
+    # rising rungs, 1,024 and 2,048, are; the record still takes the impulsive branch
+    g_f = (1 - 1e-6) * G_C
+    params = ModelParams(delta=DELTA_C, g=g_f, r=R)
+    resolvents = []
+    ground_resolvent = ed._ground_resolvent
+
+    def forged(block, *args):
+        resolvents.append(n := len(block.diag))
+        x = ground_resolvent(block, *args)
+        return 0.01 * x if n == 512 and len(resolvents) % 2 == 0 else x
+
+    monkeypatch.setattr(ed, "_ground_resolvent", forged)
+    start = quench.abrupt_start_bound(params, 100.0)
+    assert resolvents == [256, 256, 512, 512, 1024, 1024, 2048, 2048]
+    assert start.chi_3 == pytest.approx(1.63e13, rel=1e-2)
+    assert start.bound <= 0.1 * quench._ER_REL_TOL
+    assert QuenchProtocol(g_f=g_f, tau_q=100.0, r=R).default_dt(start) == 1.0
+
+
+@pytest.mark.parametrize("tau_max,top", [(100.0, 512), (1e5, 2048), (1e7, 16_384)])
+def test_the_early_exit_needs_a_thousandfold_end_point_term(monkeypatch, tau_max, top):
+    # at (1 - 1e-6) g_c and tau_max = 1e5 the end-point term over gap_f reads 25 and 710
+    # on the first two rungs, then 1.4e4 and 8.4e4, so the resolvents stop at 2,048 rows;
+    # at 1e7 it stays below 1e3 (11 at the top) and chi_3 climbs to its gate.  The branch
+    # is impulsive at every tau_max: the start is min(1, tau_q/100)
+    g_f = (1 - 1e-6) * G_C
+    rungs = _count_resolvents(monkeypatch)
+    start = quench.abrupt_start_bound(ModelParams(delta=DELTA_C, g=g_f, r=R), tau_max)
+    assert rungs[::2] == rungs[1::2] == [256 * 2**i for i in range(top.bit_length() - 8)]
+    assert QuenchProtocol(g_f=g_f, tau_q=tau_max, r=R).default_dt(start) == 1.0
+
+
+@pytest.mark.parametrize("frac,small,big", [(1 - 1e-6, 0.0124166, 0.0022626),
+                                            (1 - 1e-7, 0.0123333, 0.0007155),
+                                            (0.99, 0.209214, 0.209214)])
+def test_the_start_bounds_gap_overestimates_gap_f_near_collapse(frac, small, big):
+    # gap_f comes from 256 rows; near collapse the 16,384-row gap is 5.5 and 17 times
+    # smaller, so B (which grows with gap_f), the impulsive test and the early exit
+    # (which gap_f must be small to pass) and the Pade bound on gap_f all lean toward
+    # the larger B, the adiabatic branch and the smaller step
+    params = ModelParams(delta=DELTA_C, g=frac * G_C, r=R)
+    gaps = []
+    for n in (256, 16_384):
+        block = ed.build_parity_block(params, -1, n)
+        e0, e1 = eigh_tridiagonal(block.diag, block.offdiag, eigvals_only=True, select="i",
+                                  select_range=(0, 1))
+        gaps.append(e1 - e0)
+    assert gaps == pytest.approx([small, big], rel=1e-4)  # the digits given
+    assert gaps[0] >= gaps[1] * (1 - 1e-9)
+    assert quench.abrupt_start_bound(params, 10.0).gap_f == gaps[0]
+
+
+def test_a_failed_crank_nicolson_solve_is_raised(monkeypatch):
+    monkeypatch.setattr(quench, "zgtsv", lambda *args, **kwargs: (*zgtsv(*args, **kwargs)[:-1], 2))
+    protocol = QuenchProtocol(g_f=0.5 * G_C, tau_q=5.0, r=R, n_max=32, dt=0.05)
+    with pytest.raises(RuntimeError, match=r"^tridiagonal solve failed \(LAPACK info=2\)$"):
+        propagate(protocol)

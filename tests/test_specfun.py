@@ -331,3 +331,19 @@ def test_squeeze_element_rejects_a_bad_index_by_name(monkeypatch, name, value, r
     indices = {"m": 1, "n": 0, name: value}
     with pytest.raises(ValueError, match=f"^{name}={value} {reason}$"):
         squeeze_element(indices["m"], indices["n"], 0.3)
+
+
+def test_a_zero_table_entry_gives_a_positive_zero(monkeypatch):
+    # P_l^k vanishes at its roots in (0, 1); a table entry that is exactly 0 gives +0.0
+    # for either sign, as S(0)'s zeros do, not the -0.0 of (-1)^(m-n) 0
+    table = specfun.legendre_log_table
+
+    def zero_top(k, l_max, *args):
+        signs, logs = table(k, l_max, *args)
+        signs[l_max], logs[l_max] = 0.0, -np.inf
+        return signs, logs
+
+    monkeypatch.setattr(specfun, "legendre_log_table", zero_top)
+    for sign in (+1, -1):
+        value = squeeze_element(2, 1, 0.3, sign)
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
