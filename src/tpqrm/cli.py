@@ -471,7 +471,7 @@ COMMANDS = {
         _R,
         ("--window", dict(type=float, nargs=2, default=[0.06, 0.11], metavar=("DLO", "DHI"),
                           help="|Delta - Delta_c| fit window")),
-        ("--points", dict(type=_count(1), default=6)),
+        ("--points", dict(type=_count(analysis.MIN_FIT_POINTS), default=6)),
         ("--n-max-final", dict(type=_count(4), default=65536,
                                help="first truncation; doubles up to 4x until the 2%% gate "
                                     "against n_max/2 holds")),

@@ -32,9 +32,10 @@ bisection when a certificate fails; only the ground ladders solve once
 more for vectors).  Ground-state observables and Wigner grids are
 computed from the bare-Fock ground vector mapped back to spin (x) Fock.
 The coupling quantum Fisher information and quench's chi_3 need no
-excited states: each is one truncation ladder of tridiagonal solves with
-the ground-state resolvent (H - E_0)^+ on the ground block.  F_Q's
-parity selection rule is one projection of dH/dg |0> onto every |n; +>.
+excited states: each is a truncation ladder of _response_rung's
+tridiagonal solves with the ground-state resolvent (H - E_0)^+ on the
+ground block, held by _response_held.  F_Q's parity selection rule is one
+projection of dH/dg |0> onto every |n; +>.
 """
 
 from __future__ import annotations
@@ -61,8 +62,7 @@ _RESOLVENT_RES_TOL = 1e-7  # |(H - E_0) x - rhs| / |rhs|; see _ground_resolvent
 _BISECTION_ROWS = 512  # _ground_pair bisects blocks up to this size, never iterates them
 _WARM_ROWS = 256  # a ladder rung above this size starts from the rung below's pairs
 _INVERSE_ITERATIONS = 40  # cap on the shift search, and on the iteration steps of each level
-_RESPONSE_REL_TOL = 1e-6  # doubling gate of _response_sum
-_RESPONSE_NAMES = {2: "F_Q", 3: "chi_3"}  # _response_sum's powers, as its errors name them
+_RESPONSE_REL_TOL = 1e-6  # doubling gate of _response_held
 _WIGNER_MAX_ENTRIES = 2**23  # doubles in each y-lattice array of wigner_grid (64 MiB)
 _ARENA = threading.local()  # _ground_pair's work rows, one set per thread
 QUBIT_COMPONENTS = {"qubit-up": 0, "qubit-down": 1}  # conditioning -> index into (psi_up, psi_dn)
@@ -151,12 +151,14 @@ def converge(solve, n_max: int, n_max_ceiling: int, held):
 
     Each rung after the first gets the previous rung's result as its
     second argument (None on the first), so that it can start from it.  Stops early when the
-    next rung would pass n_max_ceiling, and never solves above it (except
-    a start already above it).  Returns (new, old, n_max): the last two
-    rungs' results, old None when only one rung was solved, and the
-    truncation of new.  The caller decides whether an unheld result is
-    flagged or raised.
+    next rung would pass n_max_ceiling, and never solves above it: a start
+    above it raises ValueError before any solve.  Returns (new, old,
+    n_max): the last two rungs' results, old None when only one rung was
+    solved, and the truncation of new.  The caller decides whether an
+    unheld result is flagged or raised.
     """
+    if n_max > n_max_ceiling:
+        raise ValueError(f"first rung n_max={n_max} is above the ladder's ceiling {n_max_ceiling}")
     new, old = solve(n_max, None), None
     while 2 * n_max <= n_max_ceiling:
         n_max *= 2
@@ -682,53 +684,28 @@ def _ground_resolvent(
     return x
 
 
-def _response_sum(
-    params: ModelParams, power: int, n_max: int = 256, n_max_ceiling: int = N_MAX_CEILING,
-    enough=None,
-) -> tuple[float, np.ndarray, float, float, bool]:
-    """(sum, |0>, E_0, dE_0, converged) of one ground-block response-sum ladder.
+def _response_rung(params: ModelParams, n: int, previous: tuple[np.ndarray, np.ndarray] | None,
+                   power: int) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
+    """(sum, ground pair) of one response-sum rung on the n-row (q=1/4, parity=-1) block.
 
     The sum is sum_(j!=0) |<j| dH/dg |0>|^2 / (E_j - E_0)^power, and
     x = (H - E_0)^+ (1 - P_0) dH/dg |0> is the ground state's first-order
     response to the coupling: power 2 is x.x (F_Q / 4), power 3 is
-    x.(H - E_0)^+ x (chi_3), power - 1 _ground_resolvent solves a rung on
-    the (q=1/4, parity=-1) block.  Truncation doubles from n_max until
-    the sum is stable to 1e-6 relative, else ConvergenceError naming F_Q
-    or chi_3 at the ceiling.  enough(sum, below), where given, judges each
-    rung's sum with the rung below's (None on the first rung): once it
-    holds on two consecutive rungs, the ladder stops there, and converged
-    is False (True wherever the sum held its gate).  Each rung's
-    ground pair comes from _lowest_pairs, so a rung after the first starts
-    from the rung below's.  |0> and E_0 are the last rung's ground pair,
-    and dE_0 is how far E_0 moved from the rung below: the ladder's own
-    ground-energy doubling, which quench.abrupt_start_bound keeps for the
-    quench's E_0(g_f).
+    x.(H - E_0)^+ x (chi_3), power - 1 _ground_resolvent solves.  The
+    ground pair is _ground_rung's, from previous, the rung below's pair.
     """
+    block = build_parity_block(params, -1, n)
+    pairs = _lowest_pairs(block.diag, block.offdiag, 1, previous)
+    e0, v0 = float(pairs[0][0]), pairs[1][:, 0]
+    b = tridiag_apply(np.zeros(n), block.coupling, v0)
+    b -= (v0 @ b) * v0
+    x = _ground_resolvent(block, v0, e0, b)
+    return float(x @ (x if power == 2 else _ground_resolvent(block, v0, e0, x))), pairs
 
-    def solve(n: int, previous: tuple | None) -> tuple[float, tuple[np.ndarray, np.ndarray], int]:
-        block = build_parity_block(params, -1, n)
-        pairs = _lowest_pairs(block.diag, block.offdiag, 1,
-                              None if previous is None else previous[1])
-        e0, v0 = float(pairs[0][0]), pairs[1][:, 0]
-        b = tridiag_apply(np.zeros(n), block.coupling, v0)
-        b -= (v0 @ b) * v0
-        x = _ground_resolvent(block, v0, e0, b)
-        total = float(x @ (x if power == 2 else _ground_resolvent(block, v0, e0, x)))
-        below, streak = (None, 0) if previous is None else (previous[0], previous[2])
-        return total, pairs, streak + 1 if enough is not None and enough(total, below) else 0
 
-    def held(new: tuple, old: tuple) -> bool:
-        return abs(new[0] - old[0]) <= _RESPONSE_REL_TOL * new[0]
-
-    new, old, n_cur = converge(solve, n_max, n_max_ceiling,
-                               lambda new, old: held(new, old) or new[2] == 2)
-    converged = old is not None and held(new, old)
-    if not converged and new[2] < 2:
-        raise ConvergenceError(
-            f"{_RESPONSE_NAMES[power]} not stable to {_RESPONSE_REL_TOL:.0e} at truncation ceiling {n_cur}")
-    (levels, vectors), (levels_below, _) = new[1], old[1]
-    return (new[0], vectors[:, 0], float(levels[0]), float(abs(levels[0] - levels_below[0])),
-            converged)
+def _response_held(total: float, below: float) -> bool:
+    """The response-sum doubling gate: the sum moved by at most 1e-6 relative."""
+    return abs(total - below) <= _RESPONSE_REL_TOL * total
 
 
 def qfi_spectral(
@@ -740,16 +717,21 @@ def qfi_spectral(
     """Coupling quantum Fisher information from the ground-state resolvent.
 
     F_Q = 4 sum_(j!=0) |<j| dH/dg |0>|^2 / (E_j - E_0)^2, the power-2
-    _response_sum (truncation doubling from n_max to a 1e-6 gate, else
-    ConvergenceError at the ceiling; see _ground_resolvent for its
-    residual gate).  dH/dg |0> at the final truncation must project to
-    zero (1e-12 relative) on the whole opposite-parity block.  k_states is
-    unused; it is still checked, so that callers that pass it keep working.
+    _response_rung doubled from n_max until _response_held, else
+    ConvergenceError at the ceiling (see _ground_resolvent for its residual
+    gate).  dH/dg |0> at the final truncation must project to zero (1e-12
+    relative) on the whole opposite-parity block.  k_states is unused; it
+    is still checked, so that callers that pass it keep working.
     """
     check_count("k_states", k_states)
-    total, ground, *_ = _response_sum(params, 2, n_max, n_max_ceiling)
-    _assert_cross_parity_selection_rule(params, ground)
-    return 4.0 * total
+    new, old, n_cur = converge(
+        lambda n, below: _response_rung(params, n, None if below is None else below[1], 2),
+        n_max, n_max_ceiling, lambda new, old: _response_held(new[0], old[0]))
+    if old is None or not _response_held(new[0], old[0]):
+        raise ConvergenceError(
+            f"F_Q not stable to {_RESPONSE_REL_TOL:.0e} at truncation ceiling {n_cur}")
+    _assert_cross_parity_selection_rule(params, new[1][1][:, 0])
+    return 4.0 * new[0]
 
 
 def _opposite_parity_part(dup: np.ndarray, ddn: np.ndarray) -> np.ndarray:

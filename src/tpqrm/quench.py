@@ -29,22 +29,18 @@ cannot move E_r, and w = gap_f, the soft mode that carries the end-point
 term (g_f/tau_q)^2 chi_3, as long as that term is at most gap_f (the ramp
 is adiabatic at g_f).  Where it exceeds gap_f the ramp is impulsive at g_f
 and the ladder starts at min(1, tau_q/100).  A record serves every tau_q
-up to the caller's largest, tau_max: chi_3's ladder stops once two
+up to the caller's largest, tau_max: chi_3's resolvents stop once two
 consecutive rungs, chi_3 rising, give an end-point term of at least
 1e3 gap_f at tau_max and B at most a tenth of the gate; as long as chi_3
 keeps rising, the rungs above would only raise the term and lower B, and
-the branch is impulsive either way.  E_0(g_f) needs a truncation
-ladder of its own (near collapse the true ground state needs a far larger
-basis than the propagated, frozen-out state ever occupies), held to 1e-10
-over a doubling.  chi_3's ladder solves the same block's ground pair rung
-by rung, so E_0 is its top rung's wherever E_0 moved by less than 1e-10
-over that ladder's last doubling; after an early stop the ladder climbs
-on, on ground pairs alone, until E_0 holds.  ed.ground_state_block runs a
-ladder only where E_0 did not hold, where chi_3 did not converge, or
-where dt was given and B never solved.  The propagation basis is gated by
-requiring the occupancy of its top 10% of states to stay below 1e-8: it
-starts at min(n_max, 64) rows and doubles until the gate holds, up to
-4 n_max, so a row's n_max is the basis used.
+the branch is impulsive either way.  E_0(g_f) needs a truncation ladder
+(near collapse the true ground state needs a far larger basis than the
+propagated, frozen-out state ever occupies), held to 1e-10 over a
+doubling: chi_3's, whose rungs solve the same block's ground pair, and
+which climbs on with ground pairs alone once chi_3 has its verdict.  The
+propagation basis is gated by requiring the occupancy of its top 10% of
+states to stay below 1e-8: it starts at min(n_max, 64) rows and doubles
+until the gate holds, up to 4 n_max, so a row's n_max is the basis used.
 Runs that share a step advance in lockstep, as the blocks of one
 block-diagonal system: with the truncation check, each basis of the ladder
 runs with its double, the next basis if it leaks and the check if it holds;
@@ -75,8 +71,8 @@ from scipy.linalg import eigh_tridiagonal  # noqa: F401
 from scipy.linalg.lapack import zgtsv
 
 from .ed import (
-    _ground_rung, _lowest_pairs, _response_sum, build_parity_block, converge, ground_state_block,
-    tridiag_apply,
+    _RESPONSE_REL_TOL, N_MAX_CEILING, _ground_rung, _lowest_pairs, _response_held, _response_rung,
+    build_parity_block, converge, tridiag_apply,
 )
 from .errors import ConvergenceError
 from .model import ModelParams, check_count, check_finite, check_positive, critical_params
@@ -89,7 +85,7 @@ _BASIS_START = 64  # the leakage ladder's first basis, when n_max is larger
 _STEP_BUFFER_ENTRIES = 2**14  # off-diagonal entries built at once, for a chunk of steps
 _ER_REL_TOL = 1e-2
 _E0_CEILING = 131072
-_E0_TOL = 1e-10  # ground_energy_final's doubling gate
+_E0_TOL = 1e-10  # the record's E_0 doubling gate
 _PADE_ROOTS = (3.0 + 1j * math.sqrt(3.0), 3.0 - 1j * math.sqrt(3.0))  # -d: roots of 1+x/2+x^2/12
 
 
@@ -97,14 +93,12 @@ _PADE_ROOTS = (3.0 + 1j * math.sqrt(3.0), 3.0 - 1j * math.sqrt(3.0))  # -d: root
 class StartBound:
     """B of the module docstring, the two inputs abrupt_start_bound solved for it, and E_0.
 
-    Where chi_3's ladder stopped early (impulsive up to tau_max), chi_3 and
-    B are the stopping rung's: chi_3 a lower and B an upper estimate.  e0
-    is E_0(g_f) from that ladder: its top rung's, where E_0 moved by less
-    than _E0_TOL over the last doubling, else nan.
+    All four come from abrupt_start_bound's one ladder, which says where
+    each is an estimate or nan.
     """
 
     bound: float
-    gap_f: float = math.nan  # E_1 - E_0 at g_f; nan where chi_3 did not converge
+    gap_f: float = math.nan  # E_1 - E_0 at g_f; nan (as is chi_3) where chi_3 did not converge
     chi_3: float = math.nan
     e0: float = math.nan
 
@@ -113,8 +107,8 @@ class StartBound:
 class QuenchProtocol:
     """Linear ramp g(t) = g_f t / tau_q at fixed Delta (default: critical).
 
-    n_max scales the propagation basis: propagate's leakage ladder climbs
-    from min(n_max, 64) rows to at most 4 n_max.
+    n_max scales the propagation basis, not E_0's ladder: propagate's
+    leakage ladder climbs from min(n_max, 64) rows to at most 4 n_max.
     """
 
     g_f: float
@@ -190,37 +184,32 @@ class KZPrediction:
 
 
 def ground_energy_final(protocol: QuenchProtocol, start: StartBound | None = None) -> float:
-    """E_0 at g_f: start.e0 where the record holds one, else its own ladder.
+    """E_0 at g_f: the e0 of start, else of abrupt_start_bound(params_final, tau_q).
 
-    The ladder is ed.ground_state_block's, doubling from max(n_max, 256)
-    until E_0 moves by less than _E0_TOL, else ConvergenceError at
-    _E0_CEILING.  It runs where there is no record (dt was given), where
-    chi_3 did not converge (B = inf), or where E_0 did not hold on chi_3's
-    rungs.
+    ConvergenceError where that record holds none: E_0 still moved by
+    _E0_TOL over its last doubling at _E0_CEILING.
     """
-    if start is not None and not math.isnan(start.e0):
-        return start.e0
-    e0, _, estimate, _ = ground_state_block(protocol.params_final, max(protocol.n_max, 256),
-                                            _E0_TOL, _E0_CEILING)
-    if estimate >= _E0_TOL:
+    if start is None:
+        start = abrupt_start_bound(protocol.params_final, protocol.tau_q)
+    if math.isnan(start.e0):
         raise ConvergenceError(
             f"ground energy at g_f not converged to {_E0_TOL:.0e} below n_max={_E0_CEILING}"
         )
-    return e0
+    return start.e0
 
 
 def abrupt_start_bound(params: ModelParams, tau_max: float = math.inf) -> StartBound:
     """B of the module docstring at g_f, with the gap_f, chi_3 and E_0 of its solve.
 
-    tau_max is the largest tau_q the record serves.  chi_3's ladder stops
-    early, unconverged, once two consecutive rungs are impulsive for every
-    tau_q <= tau_max: (g_f / tau_max)^2 chi_3 >= 1e3 gap_f, B <= a tenth of
-    the gate, and chi_3 above the rung below's.  There the record's chi_3
-    is a lower and its B an upper estimate (chi_3 still rises), and E_0
-    climbs on from the stopping rung on ground pairs alone until it moves
-    by less than _E0_TOL over a doubling, or _E0_CEILING.  With tau_max
-    = inf no rung is impulsive, and the ladder runs to chi_3's gate.  B is
-    inf, and gap_f, chi_3 and e0 are nan, if chi_3 does not converge.
+    One ladder on the ground block, from 256 rows to _E0_CEILING, gives
+    chi_3 and E_0.  Its rungs solve chi_3 until it has a verdict: held to
+    1e-6, unconverged (at ed.N_MAX_CEILING rows, or a resolvent off its
+    residual gate), or impulsive for every tau_q <= tau_max on two
+    consecutive rungs, none at tau_max = inf: (g_f / tau_max)^2 chi_3 >=
+    1e3 gap_f, B <= a tenth of the gate and chi_3 above the rung below's
+    (chi_3 then a lower and B an upper estimate).  Later rungs solve the
+    ground pair alone, until E_0 moves by less than _E0_TOL.  B is inf and
+    gap_f, chi_3 nan if chi_3 is unconverged; e0 is nan if E_0 did not hold.
     """
     # gap_f from 256 rows: near collapse that overestimates it (0.0124 against 0.0023 at
     # 1 - 1e-6 g_c, where 4,096 rows hold it; equal at 0.99 g_c).  B grows with gap_f, so
@@ -232,23 +221,37 @@ def abrupt_start_bound(params: ModelParams, tau_max: float = math.inf) -> StartB
     gap_f = float(levels[1] - levels[0])
     omega01 = block.diag[1] - block.diag[0]
 
-    def bound(chi_3: float) -> float:
-        return 2.0 * math.sqrt(block.coupling[0] ** 2 * gap_f / (omega01**4 * chi_3))
+    def bound(chi_3: float) -> float:  # 0 where the start excites nothing (T01 = 0 at r = 0)
+        return 0.0 if block.coupling[0] == 0.0 else 2.0 * math.sqrt(
+            block.coupling[0] ** 2 * gap_f / (omega01**4 * chi_3))
 
     def impulsive(chi_3: float, below: float | None) -> bool:
         return ((params.g / tau_max) ** 2 * chi_3 >= 1e3 * gap_f
                 and bound(chi_3) <= 0.1 * _ER_REL_TOL and (below is None or chi_3 > below))
 
-    try:
-        chi_3, v0, e0, e0_move, converged = _response_sum(params, 3, enough=impulsive)
-    except ConvergenceError:  # g_f within about 1e-7 of g_c
-        return StartBound(math.inf)
-    n, pairs = len(v0), (np.array([e0]), v0[:, None])
-    while not converged and e0_move >= _E0_TOL and 2 * n <= _E0_CEILING:  # E_0 on the same ladder
-        n *= 2
-        pairs = _ground_rung(params, n, pairs)
-        e0, e0_move = float(pairs[0][0]), float(abs(pairs[0][0] - e0))
-    return StartBound(bound(chi_3), gap_f, chi_3, e0 if e0_move < _E0_TOL else math.nan)
+    def rung(n: int, below: tuple | None) -> tuple:  # (chi_3, ground pair, impulsive, verdict)
+        chi_below, pair_below, impulsive_below, verdict = below or (None, None, False, None)
+        if verdict:  # chi_3 settled: the ground pair alone
+            return chi_below, _ground_rung(params, n, pair_below), impulsive_below, verdict
+        try:
+            chi_3, pair = _response_rung(params, n, pair_below, 3)
+        except ConvergenceError:  # a resolvent missed its residual gate
+            return math.nan, _ground_rung(params, n, pair_below), False, "unconverged"
+        now = impulsive(chi_3, chi_below)
+        verdict = ("held" if chi_below is not None and _response_held(chi_3, chi_below)
+                   else "impulsive" if now and impulsive_below
+                   else "unconverged" if 2 * n > N_MAX_CEILING else None)
+        return chi_3, pair, now, verdict
+
+    def e0_held(new: tuple, old: tuple | None) -> bool:
+        return old is not None and abs(new[1][0][0] - old[1][0][0]) < _E0_TOL
+
+    new, old, _ = converge(rung, 256, _E0_CEILING, lambda new, old: new[3] and e0_held(new, old))
+    chi_3, pair, _, verdict = new
+    e0 = float(pair[0][0]) if e0_held(new, old) else math.nan
+    if verdict not in ("held", "impulsive"):
+        return StartBound(math.inf, e0=e0)
+    return StartBound(bound(chi_3), gap_f, chi_3, e0)
 
 
 def _n_steps(tau_q: float, dt: float) -> int:
@@ -339,10 +342,10 @@ def propagate(protocol: QuenchProtocol, n_samples: int = 0, check_truncation: bo
     (three halvings), on norm drift above 1e-9, and, with check_truncation,
     when doubling the basis reached moves E_r by more than 1% at the start
     step (the lockstep pair).  e0 is E_0(g_f) where the caller has it
-    (kz_sweep solves it once a sweep); without it, ground_energy_final's,
-    from the start bound's record when dt is not given.
+    (kz_sweep solves it once a sweep); without it, ground_energy_final's.
+    One abrupt_start_bound record at tau_q serves both the start step
+    (without dt) and E_0 (without e0).
     """
-    # without dt, one record sizes the start step and, where it holds one, gives E_0
     start = (abrupt_start_bound(protocol.params_final, protocol.tau_q) if protocol.dt is None
              else None)
     dt = protocol.dt if start is None else protocol.default_dt(start)
@@ -417,12 +420,16 @@ def adiabatic_reference(g_f: float, tau_q: float, params: ModelParams) -> float:
     This is the whole adiabatic E_r only where the gap at g_f dominates
     (g_f -> g_c); it leaves out the term from the abrupt start at g = 0 and
     its interference with this one.  chi_3 = sum_(j!=0) |<j| dH/dg |0>|^2 /
-    (E_j - E_0)^3 over the ground-state block is ed's power-3 response sum,
-    with its truncation doubling and its ConvergenceError.  params supplies
-    (delta, r).
+    (E_j - E_0)^3 over the ground-state block is abrupt_start_bound's, at
+    tau_max = inf (its full ladder to chi_3's 1e-6 gate); ConvergenceError
+    where chi_3 is unconverged.  params supplies (delta, r).
     """
     final = QuenchProtocol(g_f=g_f, tau_q=tau_q, r=params.r, delta=params.delta).params_final
-    return (g_f / tau_q) ** 2 * _response_sum(final, 3)[0]
+    chi_3 = abrupt_start_bound(final).chi_3
+    if math.isnan(chi_3):
+        raise ConvergenceError(
+            f"chi_3 not stable to {_RESPONSE_REL_TOL:.0e} at truncation ceiling {N_MAX_CEILING}")
+    return (g_f / tau_q) ** 2 * chi_3
 
 
 def kz_sweep(
@@ -443,27 +450,22 @@ def kz_sweep(
     truncation check; an unconverged row keeps the caller's n_max.
     "samples" holds the run's n_samples trajectory samples (None if 0 or
     unconverged).
-    Without dt each point starts at its default_dt, from one
-    abrupt_start_bound solve for the sweep, whose tau_max is the largest
-    tau_q; the adiabatic or impulsive branch is chosen per tau_q.
+    One abrupt_start_bound solve serves the sweep, dt given or not, with
+    tau_max the largest tau_q: without dt each point starts at its
+    default_dt, the adiabatic or impulsive branch chosen per tau_q.
     n_samples must fit every point's start step; a count one point's step
     count cannot give raises ValueError before any point runs.  E_0(g_f)
-    is solved once a sweep, after that check: ground_energy_final takes it
-    from the record, or runs its own ladder (dt given, or no E_0 on the
-    record); if that ladder does not converge, every row is unconverged.
+    is the record's; where it holds none, every row is unconverged.
     """
     protocols = [QuenchProtocol(g_f=g_f, tau_q=float(t), r=params.r, delta=params.delta,
                                 n_max=n_max, dt=dt) for t in tau_list]
-    start = None
-    if protocols and dt is None:  # B, gap_f, chi_3 and E_0 depend on g_f alone: one solve
-        start = abrupt_start_bound(protocols[0].params_final, max(p.tau_q for p in protocols))
+    if not protocols:
+        return []
+    start = abrupt_start_bound(protocols[0].params_final, max(p.tau_q for p in protocols))
+    if dt is None:
         protocols = [replace(p, dt=p.default_dt(start)) for p in protocols]
     for protocol in protocols:
         protocol.check_samples(n_samples)
-    try:  # E_0 depends on g_f and n_max alone
-        e0 = ground_energy_final(protocols[0], start) if protocols else math.nan
-    except ConvergenceError:
-        e0 = math.nan
 
     def one(protocol: QuenchProtocol) -> dict:
         row = {
@@ -476,10 +478,10 @@ def kz_sweep(
             "converged": False,
             "samples": None,
         }
-        if math.isnan(e0):
+        if math.isnan(start.e0):
             return row
         try:
-            res = propagate(protocol, n_samples=n_samples, check_truncation=True, e0=e0)
+            res = propagate(protocol, n_samples=n_samples, check_truncation=True, e0=start.e0)
         except ConvergenceError:
             return row
         row.update(

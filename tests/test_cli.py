@@ -537,7 +537,8 @@ def test_unknown_subcommand_fails(capsys):
                           (["gap-opening", "--n-max", "64"], "unrecognized arguments: --n-max 64"),
                           (["collapse1d", "--r", "0.5"], "unrecognized arguments: --r 0.5"),
                           (["spectrum", "--points", "abc"],
-                           "argument --points: invalid int value: 'abc'")):
+                           "argument --points: invalid int value: 'abc'"),
+                          (["gap-opening", "--points", "3"], "argument --points: 3 must be >= 5")):
         assert cli.main(args) == cli.EXIT_CONFIG, args
         assert capsys.readouterr().err == f"config error: {message}\n"
 
@@ -561,7 +562,7 @@ def test_every_n_max_flag_rejects_a_truncation_below_two_rows(capsys, name):
     # count flags below what the library call accepts
     ["collapse1d", "--delta", "3", "--L", "50", "--h", "0.2", "--k", "0"],
     ["spectrum", "--levels", "0", "--points", "2", "--n-max", "16"],
-    ["gap-opening", "--r", "0.25", "--window", "0.15", "0.2", "--points", "2",
+    ["gap-opening", "--r", "0.25", "--window", "0.15", "0.2", "--points", "5",
      "--n-max-final", "1"],
     ["qfi", "--n-max", "1", "--points", "2"],
     ["wigner", "--g-over-gc", "0.5", "--grid-points", "1"],
@@ -569,6 +570,8 @@ def test_every_n_max_flag_rejects_a_truncation_below_two_rows(capsys, name):
     ["quench", "--r", "0.25", "--gf", "0.5", "--tau-list", "5", "--samples", "-3", "--n-max",
      "32", "--dt", "0.05"],
     ["gap-opening", "--r", "0.25", "--window", "0.15", "0.2", "--points", "0"],
+    # fewer points than the fit that gap-opening always makes accepts
+    ["gap-opening", "--r", "0.25", "--window", "0.15", "0.2", "--points", "3"],
     # 150 samples from a run of 100 steps
     ["quench", "--r", "0.25", "--gf", "0.5", "--tau-list", "5", "--samples", "150", "--n-max",
      "32", "--dt", "0.05"],
@@ -631,9 +634,9 @@ def test_validate_agrees_with_the_run(tmp_path, capsys, args):
 
 def test_quench_samples_solve_the_start_bound_once(tmp_path, capsys, monkeypatch):
     # --validate solves the start step to check the sample count; a run leaves the check to
-    # kz_sweep, whose one solve gives both the start step and E_0, so no E_0 ladder runs; the
-    # manifest keeps dt null
-    from tpqrm import quench
+    # kz_sweep, whose one record gives both the start step and E_0, so no other E_0 ladder
+    # runs; the manifest keeps dt null
+    from tpqrm import ed, quench
 
     calls, ground_ladders = [], []
 
@@ -643,9 +646,8 @@ def test_quench_samples_solve_the_start_bound_once(tmp_path, capsys, monkeypatch
             return original(*args, **kwargs)
         return call
 
-    monkeypatch.setattr(quench, "_response_sum", counting(quench._response_sum, calls))
-    monkeypatch.setattr(quench, "ground_state_block",
-                        counting(quench.ground_state_block, ground_ladders))
+    monkeypatch.setattr(quench, "abrupt_start_bound", counting(quench.abrupt_start_bound, calls))
+    monkeypatch.setattr(ed, "ground_state_block", counting(ed.ground_state_block, ground_ladders))
     args = ["quench", "--r", "0.25", "--gf", "0.99", "--tau-list", "1000", "--samples", "5"]
     assert run_cli(args + ["--validate"], tmp_path) == cli.EXIT_OK
     assert json.loads(capsys.readouterr().out)["manifest"]["dt"] is None
@@ -709,7 +711,7 @@ _FLAG_READ_RUNS = {
     "collapse1d": ["--delta", "3.0", "--L", "50", "--h", "0.2", "--k", "2", "--check-hc",
                    "--n-max", "64"],
     "fit": ["--input", "data.csv", "--xcol", "u", "--ycol", "y", "--window", "0", "1"],
-    "gap-opening": ["--r", "0.25", "--window", "0.15", "0.2", "--points", "2",
+    "gap-opening": ["--r", "0.25", "--window", "0.15", "0.2", "--points", "5",
                     "--n-max-final", "64"],
 }
 

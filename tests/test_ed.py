@@ -521,6 +521,28 @@ def test_converge_reports_no_old_when_one_rung_fits():
     assert (new, old, n_max) == (64, None, 64) and rungs == [64]
 
 
+def test_converge_rejects_a_first_rung_above_its_ceiling(monkeypatch):
+    # such a ladder has one rung, which could never hold, and spectrum --levels 100000
+    # would ask one eigh_tridiagonal call for 100,000 vectors of a 200,000-row block:
+    # the ladder raises before any solve (both patched to raise, so none can run)
+    def never(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr(ed, "build_parity_block", never)
+    monkeypatch.setattr(ed, "eigh_tridiagonal", never)
+    params = ModelParams(delta=0.5, g=0.3, r=0.25)
+    for call, start in ((lambda: ed.ed_spectrum(params, k=100_000), 200_000),
+                        (lambda: ed.ed_spectrum(params, n_max=2**40), 2**40),
+                        (lambda: ed.qfi_spectral(params, n_max=2**20), 2**20)):
+        with pytest.raises(ValueError, match=f"^first rung n_max={start} is above the ladder's "
+                                             f"ceiling {ed.N_MAX_CEILING}$"):
+            call()
+    rungs = []
+    with pytest.raises(ValueError, match="^first rung n_max=128 is above the ladder's ceiling 127$"):
+        ed.converge(lambda n, _: rungs.append(n), 128, 127, lambda *_: True)
+    assert rungs == []
+
+
 def test_converge_hands_each_rung_the_previous_result():
     received = []
 

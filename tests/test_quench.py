@@ -1,4 +1,5 @@
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -123,11 +124,11 @@ def test_ground_energy_final_raises_at_its_ceiling(monkeypatch):
     protocol = QuenchProtocol(g_f=0.7 * G_C, tau_q=10.0, r=R)
     with pytest.raises(ConvergenceError, match="^ground energy at g_f not converged to 1e-10"):
         ground_energy_final(protocol)
-    # a sweep solves that ladder once and flags every row, before any step
+    # a sweep solves that record once and flags every row, before any step
     monkeypatch.setattr(quench, "zgtsv", None)  # any step would raise TypeError
-    ladders = _count_ground_ladders(monkeypatch)
+    records = _count_calls(monkeypatch, quench, "abrupt_start_bound")
     table = kz_sweep(0.7 * G_C, [10.0, 20.0], ModelParams(delta=DELTA_C, g=0.0, r=R), dt=0.1)
-    assert len(ladders) == 1
+    assert len(records) == 1
     assert [row["converged"] for row in table] == [False, False]
     assert all(math.isnan(row["e_r"]) for row in table)
 
@@ -265,13 +266,16 @@ def test_residual_energy_monotone_in_final_coupling():
     assert values[0] < values[1] < values[2]
 
 
-def test_kz_sweep_rows_and_flags():
+def test_kz_sweep_rows_and_flags(monkeypatch):
     params = ModelParams(delta=DELTA_C, g=0.5 * G_C, r=R)
     table = kz_sweep(0.5 * G_C, [20.0, 40.0], params, n_max=128, dt=0.002)
     assert [row["tau_q"] for row in table] == [20.0, 40.0]
     assert all(row["converged"] for row in table)
     assert all(row["e_r"] >= -1e-10 for row in table)
     assert all(row["norm_drift"] < 1e-9 for row in table)
+    # a sweep of no quench times has no rows, and solves no record
+    records = _count_calls(monkeypatch, quench, "abrupt_start_bound")
+    assert kz_sweep(0.5 * G_C, [], params) == [] and records == []
 
 
 @pytest.mark.parametrize("frac,tau_q,n_max,dt,n_used,dt_used", [
@@ -495,39 +499,42 @@ def test_magnus_step_keeps_the_norm_at_dt_one(frac, n_max):
 
 
 def test_propagate_where_chi_3_does_not_converge(monkeypatch):
-    # 1 - g_f/g_c = 1e-7: chi_3 raises at its ceiling, so the record for every tau_q has
-    # B = inf and no E_0.  propagate's record serves its own tau_q = 10, where the rungs
-    # at 256 and 512 rows are impulsive: the ladder stops (B = 2.9e-8), the start is
-    # min(1, tau_q/100) = 0.1, and E_0 comes from the same ladder, climbed on to 32,768
-    # rows, bitwise the standalone E_0 ladder's, so ground_energy_final runs no ladder
+    # 1 - g_f/g_c = 1e-7: chi_3 is unconverged at 16,384 rows, so the record for every
+    # tau_q has B = inf, and its E_0 climbs on to 32,768 rows.  propagate's record serves
+    # its own tau_q = 10, where the rungs at 256 and 512 rows are impulsive: the
+    # resolvents stop (B = 2.9e-8), the start is min(1, tau_q/100) = 0.1, and E_0 comes
+    # from the same ladder.  Both E_0 are bitwise the standalone E_0 ladder's, and
+    # propagate solves one record and no other ground ladder
     protocol = QuenchProtocol(g_f=(1 - 1e-7) * G_C, tau_q=10.0, r=R, n_max=256)
+    standalone = ed.ground_state_block(protocol.params_final, 256, quench._E0_TOL,
+                                       quench._E0_CEILING)
     start = quench.abrupt_start_bound(protocol.params_final)
-    assert start.bound == math.inf and math.isnan(start.e0)
+    assert start.bound == math.inf and math.isnan(start.gap_f) and math.isnan(start.chi_3)
+    assert start.e0.hex() == standalone[0].hex()
     bounded = quench.abrupt_start_bound(protocol.params_final, protocol.tau_q)
     assert bounded.bound == pytest.approx(2.913e-8, rel=1e-3)
     assert bounded.e0 == pytest.approx(-0.499821116, abs=1e-9)
-    standalone = ed.ground_state_block(protocol.params_final, 256, quench._E0_TOL,
-                                       quench._E0_CEILING)
     assert standalone[3] == 32_768 and bounded.e0.hex() == standalone[0].hex()
     assert protocol.start_dt() == pytest.approx(0.1)
-    ladders = _count_ground_ladders(monkeypatch)
+    records = _count_calls(monkeypatch, quench, "abrupt_start_bound")
+    ladders = _count_calls(monkeypatch, ed, "ground_state_block")
     res = propagate(protocol, check_truncation=True)
-    assert len(ladders) == 0
+    assert len(records) == 1 and len(ladders) == 0
     assert res.ground_energy == bounded.e0
     assert res.residual_energy > 0.0
     assert res.norm_drift <= 1e-9
 
 
-def _count_ground_ladders(monkeypatch) -> list:
-    """Record each ground_state_block ladder that ground_energy_final runs."""
+def _count_calls(monkeypatch, module, name: str) -> list:
+    """Record the positional arguments of each call to module.name."""
     calls = []
-    ground_state_block = quench.ground_state_block
+    original = getattr(module, name)
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return ground_state_block(*args, **kwargs)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(quench, "ground_state_block", counting)
+    monkeypatch.setattr(module, name, counting)
     return calls
 
 
@@ -550,7 +557,8 @@ def test_kz_sweep_solves_the_endpoint_ground_ladder_once(monkeypatch, frac, tau_
     # the two benchmark points.  At (1 - 1e-6) g_c the rungs at 256 and 512 rows are
     # impulsive, so chi_3's resolvents stop there and the ground ladder climbs on to
     # 16,384 rows; at 0.99 g_c chi_3 holds at 512.  Either way two resolvent solves a
-    # rung, and the top rung's E_0 serves the run, bitwise the standalone E_0 ladder's
+    # rung, and the top rung's E_0 serves the run, bitwise the standalone E_0 ladder's:
+    # one record, and no other ground ladder
     g_f = frac * G_C
     params = ModelParams(delta=DELTA_C, g=g_f, r=R)
     standalone = ed.ground_state_block(params, max(n_max, 256), quench._E0_TOL,
@@ -570,47 +578,128 @@ def test_kz_sweep_solves_the_endpoint_ground_ladder_once(monkeypatch, frac, tau_
     monkeypatch.setattr(ed, "_lowest_pairs", counting)
     monkeypatch.setattr(quench, "_propagate_once", recording)
     resolvents = _count_resolvents(monkeypatch)
-    ladders = _count_ground_ladders(monkeypatch)
+    records = _count_calls(monkeypatch, quench, "abrupt_start_bound")
+    ladders = _count_calls(monkeypatch, ed, "ground_state_block")
     (row,) = kz_sweep(g_f, [tau_q], params, n_max=n_max)
     assert row["converged"]
     assert ground_rungs == [256 * 2**i for i in range(rungs)]
     assert resolvents == [256, 256, 512, 512]
-    assert ladders == []
+    assert len(records) == 1 and ladders == []
     assert [e0.hex() for e0 in e0s] == [standalone.hex()]
 
 
+@pytest.mark.parametrize("frac,tau_max,top,bound,climbed", [
+    (0.99, math.inf, 512, 9.272e-4, []),  # chi_3 and E_0 both hold at 512 rows
+    (1 - 1e-6, 100.0, 512, 3.142e-8, [1024 * 2**i for i in range(5)]),  # impulsive
+    (1 - 1e-7, math.inf, 16_384, math.inf, [32_768]),  # unconverged at the ceiling
+])
+def test_each_way_chi_3_settles_gives_the_standalone_e0(monkeypatch, frac, tau_max, top, bound,
+                                                      climbed):
+    # chi_3's resolvents run two solves a rung up to the rung whose verdict is set, and
+    # none above it; E_0 climbs on from there on ground pairs alone until it holds, and
+    # is bitwise the standalone E_0 ladder's
+    params = ModelParams(delta=DELTA_C, g=frac * G_C, r=R)
+    standalone = ed.ground_state_block(params, 256, quench._E0_TOL, quench._E0_CEILING)[0]
+    resolvents = _count_resolvents(monkeypatch)
+    ground_rungs = _count_calls(monkeypatch, quench, "_ground_rung")
+    start = quench.abrupt_start_bound(params, tau_max)
+    rows = [256 * 2**i for i in range(top.bit_length() - 8)]
+    assert resolvents[::2] == resolvents[1::2] == rows
+    assert [n for _, n, _ in ground_rungs] == climbed
+    assert start.e0.hex() == standalone.hex()
+    assert start.bound == pytest.approx(bound, rel=1e-3)
+    assert math.isnan(start.chi_3) == math.isinf(bound)
+
+
+def test_adiabatic_reference_is_the_records_end_point_term():
+    g_f, tau_q = 0.99 * G_C, 1e4
+    final = ModelParams(delta=DELTA_C, g=g_f, r=R)
+    ref = adiabatic_reference(g_f, tau_q, ModelParams(delta=DELTA_C, g=0.0, r=R))
+    assert ref == (g_f / tau_q) ** 2 * quench.abrupt_start_bound(final).chi_3
+
+
+def test_a_resolvent_off_its_residual_gate_leaves_chi_3_unconverged(monkeypatch):
+    # the 512-row chi_3 solve misses _ground_resolvent's residual gate: chi_3's verdict
+    # there is unconverged (B = inf), no resolvent runs above it, and E_0 takes that rung's
+    # ground pair, which holds at 0.99 g_c, bitwise the standalone ladder's
+    g_f = 0.99 * G_C
+    params = ModelParams(delta=DELTA_C, g=g_f, r=R)
+    standalone = ed.ground_state_block(params, 256, quench._E0_TOL, quench._E0_CEILING)[0]
+    rows = []
+    ground_resolvent = ed._ground_resolvent
+
+    def forged(block, *args):
+        rows.append(n := len(block.diag))
+        if n == 512:
+            raise ConvergenceError("resolvent residual above the gate (forged)")
+        return ground_resolvent(block, *args)
+
+    monkeypatch.setattr(ed, "_ground_resolvent", forged)
+    start = quench.abrupt_start_bound(params)
+    assert rows == [256, 256, 512]
+    assert start.bound == math.inf and math.isnan(start.chi_3) and math.isnan(start.gap_f)
+    assert start.e0.hex() == standalone.hex()
+    with pytest.raises(ConvergenceError,
+                       match="^chi_3 not stable to 1e-06 at truncation ceiling 16384$"):
+        adiabatic_reference(g_f, 1e4, params)
+
+
+def test_a_start_that_excites_nothing_has_a_zero_bound():
+    # at r = 0 the block's ground state couples to nothing (T01 = C_0 = 0): chi_3 = 0,
+    # and B = 0 rather than 0/0
+    g_c, delta_c = critical_params(0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        start = quench.abrupt_start_bound(ModelParams(delta=delta_c, g=0.5 * g_c, r=0.0))
+    assert (start.bound, start.chi_3) == (0.0, 0.0)
+    assert start.e0 == pytest.approx(-0.5, abs=1e-12)
+
+
 def test_a_sweep_with_a_given_dt_solves_e0_once(monkeypatch):
-    # no record: E_0 depends on g_f and n_max alone, so one ladder serves every tau_q
+    # a given dt still takes E_0 from the record: one serves every tau_q, and no other
+    # ground ladder runs
     params = ModelParams(delta=DELTA_C, g=0.5 * G_C, r=R)
     taus = [5.0, 10.0, 20.0]
     alone = [propagate(QuenchProtocol(g_f=0.5 * G_C, tau_q=tau_q, r=R, n_max=32, dt=0.05),
                        check_truncation=True).residual_energy for tau_q in taus]
-    ladders = _count_ground_ladders(monkeypatch)
+    records = _count_calls(monkeypatch, quench, "abrupt_start_bound")
+    ladders = _count_calls(monkeypatch, ed, "ground_state_block")
     table = kz_sweep(0.5 * G_C, taus, params, n_max=32, dt=0.05)
-    assert len(ladders) == 1
+    assert len(records) == 1 and ladders == []
     assert [row["e_r"] for row in table] == alone
 
 
-def test_an_e0_that_does_not_hold_on_chi_3s_rungs_runs_the_ground_ladder(monkeypatch):
-    # forge the chi_3 ladder's last E_0 move to the gate itself: the record drops its
-    # E_0, and the sweep falls back to ground_state_block's ladder, which at 0.99 g_c
-    # gives the same E_0, so the same E_r
+def test_an_e0_not_held_where_chi_3_holds_climbs_the_same_ladder(monkeypatch):
+    # at 0.99 g_c chi_3 and E_0 both hold at 512 rows.  With the E_0 gate set to E_0's own
+    # move at 512 rows, E_0 no longer holds there: the ladder climbs to 1,024 rows on the
+    # ground pair alone, with no new resolvent solve; chi_3 and B are those of the
+    # held rung, E_0 is the standalone ladder's at the same gate, and E_r does not move
     g_f = 0.99 * G_C
     params = ModelParams(delta=DELTA_C, g=g_f, r=R)
     (held,) = kz_sweep(g_f, [1000.0], params, n_max=256)
-    response_sum = quench._response_sum
+    unforged = quench.abrupt_start_bound(params)
+    move = ed.ground_state_block(params, 256, quench._E0_TOL, 512)[2]
+    assert 0.0 < move < quench._E0_TOL
+    monkeypatch.setattr(quench, "_E0_TOL", move)
+    standalone = ed.ground_state_block(params, 256, move, quench._E0_CEILING)
+    assert standalone[3] == 1024
+    ground_rungs = []
+    ground_rung = quench._ground_rung
 
-    def forged(*args, **kwargs):
-        chi_3, v0, e0, _, converged = response_sum(*args, **kwargs)
-        return chi_3, v0, e0, quench._E0_TOL, converged
+    def counting(params, n, previous):
+        ground_rungs.append(n)
+        return ground_rung(params, n, previous)
 
-    monkeypatch.setattr(quench, "_response_sum", forged)
+    monkeypatch.setattr(quench, "_ground_rung", counting)
+    resolvents = _count_resolvents(monkeypatch)
     start = quench.abrupt_start_bound(params)
-    assert math.isnan(start.e0) and start.bound == pytest.approx(9.27e-4, rel=1e-3)
-    ladders = _count_ground_ladders(monkeypatch)
+    assert resolvents == [256, 256, 512, 512] and ground_rungs == [1024]
+    assert (start.chi_3, start.bound, start.gap_f) == (unforged.chi_3, unforged.bound,
+                                                       unforged.gap_f)
+    assert start.e0.hex() == standalone[0].hex()
+    assert start.bound == pytest.approx(9.27e-4, rel=1e-3)
     (row,) = kz_sweep(g_f, [1000.0], params, n_max=256)
-    assert len(ladders) == 1
-    assert row["converged"] and row["e_r"] == held["e_r"]
+    assert row["converged"] and row["e_r"] == pytest.approx(held["e_r"], rel=1e-9)
 
 
 def test_a_chi_3_that_falls_between_rungs_keeps_the_ladder_solving(monkeypatch):
