@@ -93,9 +93,10 @@ def _checked(convert: Callable[[str], float], ok: Callable[[float], bool], rule:
 _positive = _checked(float, lambda value: 0.0 < value < math.inf, "must be finite and positive")
 
 
-def _count(least: int):
-    """argparse type=: an integer no less than least."""
-    return _checked(int, lambda value: value >= least, f"must be >= {least}")
+def _count(least: int, most: float = math.inf):
+    """argparse type=: an integer from least to most."""
+    return _checked(_checked(int, lambda value: value >= least, f"must be >= {least}"),
+                    lambda value: value <= most, f"must be <= {most}")
 
 
 # -- flags: (flag, add_argument keywords), shared where subcommands share them --
@@ -104,7 +105,8 @@ _RUN = (("--config", dict(default=None, help="JSON config; CLI flags override"))
         ("--validate", dict(action="store_true", help="dry-run: resolve the inputs, then stop")))
 _R = ("--r", dict(type=float, default=0.6, help="anisotropy in [0, 1]"))
 _DELTA = ("--delta", dict(default="critical", help="qubit frequency, or 'critical': Delta_c(r)"))
-_N_MAX = ("--n-max", dict(type=_count(2), default=256, help="starting truncation"))
+_N_MAX = ("--n-max", dict(type=_count(2, ed.N_MAX_CEILING), default=256,  # a ladder's first rung
+                          help="starting truncation"))
 _TOL = ("--tol", dict(type=_positive, default=1e-10, help="per-level convergence target"))
 _FIT = ("--fit", dict(action="store_true", help="also fit log-log exponents"))
 _GRID = (_R, _DELTA,
@@ -193,7 +195,7 @@ def _resolve_gap_opening(ns) -> dict:
     """The |Delta - Delta_c| offsets, each with its model at g = g_c."""
     g_c, delta_c = critical_params(ns.r)
     lo, hi = ns.window
-    if not 0.0 < lo < hi:
+    if not lo < hi:  # both positive (type=)
         raise ValueError("gap-opening window needs 0 < DLO < DHI")
     offsets = np.linspace(lo, hi, ns.points)
     return {"delta_c": delta_c,
@@ -410,7 +412,8 @@ class Command(NamedTuple):
 
 COMMANDS = {
     "spectrum": Command("level diagram vs coupling, both parities, AA alongside", _RUN + _GRID + (
-        _N_MAX, _TOL, ("--levels", dict(type=_count(1), default=8, help="levels per parity block")),
+        _N_MAX, _TOL, ("--levels", dict(type=_count(1, ed.N_MAX_CEILING // 2), default=8,
+                                        help="levels per parity block")),  # a first rung of 2x
     ), _resolve_grid, run_spectrum),
     "gap-scan": Command("soft-mode and parity gaps vs coupling",
                         _RUN + _GRID + (_N_MAX, _TOL, _FIT),
@@ -434,7 +437,7 @@ COMMANDS = {
     ), _resolve_wigner, run_wigner),
     "quench": Command("linear quench residual energy vs quench time", _RUN + (
         _R, _DELTA, _FIT,
-        ("--n-max", dict(_N_MAX[1],
+        ("--n-max", dict(type=_count(2), default=256,
                          help="the propagation basis climbs from min(n_max, 64) rows to at most "
                               "4 n_max until it stops leaking; the CSV's n_max is the basis used")),
         ("--gf", dict(default="0.99", help="final coupling over g_c; accepts '1-1e-6'")),
@@ -454,7 +457,7 @@ COMMANDS = {
     "collapse1d": Command("collapse-point 1D bound-state ladder", _RUN + (
         ("--delta", dict(default="critical",
                          help="qubit frequency, or 'critical' for the isotropic Delta_c = 0")),
-        ("--n-max", dict(_N_MAX[1], default=16384,
+        ("--n-max", dict(type=_count(2), default=16384,
                          help="ceiling of --check-hc's truncation ladder")),
         ("--L", dict(type=float, default=400.0, help="half width of the Dirichlet box")),
         ("--h", dict(type=float, default=0.05,
@@ -469,7 +472,7 @@ COMMANDS = {
     ), _resolve_fit, run_fit),
     "gap-opening": Command("parity gap at g = g_c against (Delta - Delta_c)^2", _RUN + (
         _R,
-        ("--window", dict(type=float, nargs=2, default=[0.06, 0.11], metavar=("DLO", "DHI"),
+        ("--window", dict(type=_positive, nargs=2, default=[0.06, 0.11], metavar=("DLO", "DHI"),
                           help="|Delta - Delta_c| fit window")),
         ("--points", dict(type=_count(analysis.MIN_FIT_POINTS), default=6)),
         ("--n-max-final", dict(type=_count(4), default=65536,

@@ -266,12 +266,11 @@ def collapse_hamiltonian_check(delta: float, n_max: int = 16384) -> CollapseChec
         m = min(3, len(targets))
 
         def still(new, old):  # the first m levels moved by at most 1e-6 of their kappa^2
-            return min(len(new), len(old)) >= m and bool(np.all(
+            return old is not None and min(len(new), len(old)) >= m and bool(np.all(
                 np.abs(new[:m] - old[:m]) <= 1e-6 * (CONTINUUM_EDGE - new[:m])))
 
-        levels, previous, n_used[xpar] = ed.converge(
+        levels, _, n_used[xpar], held[xpar] = ed.converge(
             lambda n, _: _collapse_levels(delta, n, q), min(1024, n_max), n_max, still)
-        held[xpar] = previous is not None and still(levels, previous)
         for e_block, e_map in zip(levels[:m], targets):
             k2_block, k2_map = CONTINUUM_EDGE - e_block, CONTINUUM_EDGE - e_map
             rel = abs(k2_block - k2_map) / abs(k2_map)

@@ -18,8 +18,9 @@ Hamiltonian projected onto these combinations, across the parameter space.
 
 A second, independent route diagonalizes the squeezed-frame matrix
 diag[(2m+1/2) beta - 1/2] + p M_mn (couplings from aa); the two frames
-cross-validate each other.  Every truncation ladder runs on converge,
-which hands each rung the rung below's result.  Every rung takes its
+cross-validate each other.  Every truncation ladder, quench's basis and dt
+ladders too, runs on converge, which hands each rung the rung below's
+result and returns its gate's verdict.  Every rung takes its
 block's lowest eigenpairs through one door, _lowest_pairs, which picks a
 certified kernel or bisection: _ground_pair for one pair with no rung
 below (bisection up to 512 rows; above, certified inverse iteration from
@@ -41,7 +42,6 @@ projection of dH/dg |0> onto every |n; +>.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,7 +64,6 @@ _WARM_ROWS = 256  # a ladder rung above this size starts from the rung below's p
 _INVERSE_ITERATIONS = 40  # cap on the shift search, and on the iteration steps of each level
 _RESPONSE_REL_TOL = 1e-6  # doubling gate of _response_held
 _WIGNER_MAX_ENTRIES = 2**23  # doubles in each y-lattice array of wigner_grid (64 MiB)
-_ARENA = threading.local()  # _ground_pair's work rows, one set per thread
 QUBIT_COMPONENTS = {"qubit-up": 0, "qubit-down": 1}  # conditioning -> index into (psi_up, psi_dn)
 
 
@@ -150,22 +149,21 @@ def converge(solve, n_max: int, n_max_ceiling: int, held):
     """Truncation doubling: solve(n_max, None), solve(2 n_max, ...), ... until held(new, old).
 
     Each rung after the first gets the previous rung's result as its
-    second argument (None on the first), so that it can start from it.  Stops early when the
-    next rung would pass n_max_ceiling, and never solves above it: a start
-    above it raises ValueError before any solve.  Returns (new, old,
-    n_max): the last two rungs' results, old None when only one rung was
-    solved, and the truncation of new.  The caller decides whether an
-    unheld result is flagged or raised.
+    second argument (None on the first), so that it can start from it.  held
+    is asked after every rung, with old None on the first, where a gate
+    that compares two rungs is false.  Stops early when the next rung would
+    pass n_max_ceiling, and never solves above it: a start above it raises
+    ValueError before any solve.  Returns (new, old, n_max, held): the last
+    two rungs' results (old None after one rung), the truncation of new and
+    the gate's verdict.  The caller flags or raises an unheld result.
     """
     if n_max > n_max_ceiling:
         raise ValueError(f"first rung n_max={n_max} is above the ladder's ceiling {n_max_ceiling}")
     new, old = solve(n_max, None), None
-    while 2 * n_max <= n_max_ceiling:
+    while not (verdict := held(new, old)) and 2 * n_max <= n_max_ceiling:
         n_max *= 2
         new, old = solve(n_max, new), new
-        if held(new, old):
-            break
-    return new, old, n_max
+    return new, old, n_max, verdict
 
 
 def _solve_residual(v: np.ndarray, norm: float, x: np.ndarray,
@@ -212,8 +210,8 @@ def _ground_pair(diag: np.ndarray, off: np.ndarray, vector: bool = True,
 
     Above _BISECTION_ROWS the n-sized work (held and trial factors, which
     LAPACK overwrites, iterate and solve; the trial d doubles as temporary
-    between factorizations) is this thread's _ARENA rows, kept so that no
-    call faults in fresh pages; v0 is a new array.
+    between factorizations) is one six-row block a call: glibc keeps a freed
+    block of this size resident, so a later call faults nothing (measured).
     """
 
     def bisection() -> tuple[float, np.ndarray]:
@@ -223,9 +221,7 @@ def _ground_pair(diag: np.ndarray, off: np.ndarray, vector: bool = True,
     if len(diag) <= _BISECTION_ROWS:
         return bisection()
 
-    if getattr(_ARENA, "rows", np.empty((6, 0))).shape[1] < len(diag):
-        _ARENA.rows = np.empty((6, len(diag)))  # grown to the largest T yet, sliced for the rest
-    work = _ARENA.rows[:, :len(diag)]
+    work = np.empty((6, len(diag)))
     held, trial = (work[0], work[1, 1:]), (work[2], work[3, 1:])
     x, y = work[4], work[5]
 
@@ -405,11 +401,10 @@ def collapse_point_gap(
     def gap_at(n: int, _previous: float | None) -> float:
         return abs(lowest_level(params, +1, n) - lowest_level(params, -1, n))
 
-    def held(gap: float, gap_half: float) -> bool:
-        return abs(gap - gap_half) <= 0.02 * gap
-
-    gap, gap_half, n_max = converge(gap_at, n_max // 2, max(n_max, n_max_ceiling), held)
-    return gap, n_max, held(gap, gap_half)
+    gap, _, n_max, held = converge(
+        gap_at, n_max // 2, max(n_max, n_max_ceiling),
+        lambda gap, half: half is not None and abs(gap - half) <= 0.02 * gap)
+    return gap, n_max, held
 
 
 def ed_spectrum(
@@ -438,9 +433,9 @@ def ed_spectrum(
         block = build_parity_block(params, sector.parity, n, sector.q)
         return _lowest_pairs(block.diag, block.offdiag, k, previous, False)
 
-    (w, _), old, n_used = converge(
+    (w, _), old, n_used, _ = converge(
         solve, max(n_max, 2 * k, 4), n_max_ceiling,
-        lambda new, old: np.abs(new[0] - old[0]).max() < tol
+        lambda new, old: old is not None and np.abs(new[0] - old[0]).max() < tol
     )
     estimate = np.full(k, np.inf) if old is None else np.abs(w - old[0])
     return SpectrumResult(
@@ -556,9 +551,9 @@ def ground_state_block(
     """
     check_count("n_max", n_max, 2)
     check_positive(tol=tol)
-    (levels, vectors), old, n_used = converge(
+    (levels, vectors), old, n_used, _ = converge(
         lambda n, previous: _ground_rung(params, n, previous), max(n_max, 8), n_max_ceiling,
-        lambda new, old: abs(new[0][0] - old[0][0]) < tol,
+        lambda new, old: old is not None and abs(new[0][0] - old[0][0]) < tol,
     )
     energy, coeffs = float(levels[0]), vectors[:, 0]
     estimate = math.inf if old is None else abs(energy - old[0][0])
@@ -724,10 +719,10 @@ def qfi_spectral(
     is still checked, so that callers that pass it keep working.
     """
     check_count("k_states", k_states)
-    new, old, n_cur = converge(
+    new, _, n_cur, held = converge(
         lambda n, below: _response_rung(params, n, None if below is None else below[1], 2),
-        n_max, n_max_ceiling, lambda new, old: _response_held(new[0], old[0]))
-    if old is None or not _response_held(new[0], old[0]):
+        n_max, n_max_ceiling, lambda new, old: old is not None and _response_held(new[0], old[0]))
+    if not held:
         raise ConvergenceError(
             f"F_Q not stable to {_RESPONSE_REL_TOL:.0e} at truncation ceiling {n_cur}")
     _assert_cross_parity_selection_rule(params, new[1][1][:, 0])

@@ -39,8 +39,8 @@ propagated, frozen-out state ever occupies), held to 1e-10 over a
 doubling: chi_3's, whose rungs solve the same block's ground pair, and
 which climbs on with ground pairs alone once chi_3 has its verdict.  The
 propagation basis is gated by requiring the occupancy of its top 10% of
-states to stay below 1e-8: it starts at min(n_max, 64) rows and doubles
-until the gate holds, up to 4 n_max, so a row's n_max is the basis used.
+states to stay below 1e-8, on ed.converge from min(n_max, 64) rows (which
+may hold at once) to 4 n_max, so a row's n_max is the basis used.
 Runs that share a step advance in lockstep, as the blocks of one
 block-diagonal system: with the truncation check, each basis of the ladder
 runs with its double, the next basis if it leaks and the check if it holds;
@@ -243,12 +243,10 @@ def abrupt_start_bound(params: ModelParams, tau_max: float = math.inf) -> StartB
                    else "unconverged" if 2 * n > N_MAX_CEILING else None)
         return chi_3, pair, now, verdict
 
-    def e0_held(new: tuple, old: tuple | None) -> bool:
-        return old is not None and abs(new[1][0][0] - old[1][0][0]) < _E0_TOL
-
-    new, old, _ = converge(rung, 256, _E0_CEILING, lambda new, old: new[3] and e0_held(new, old))
-    chi_3, pair, _, verdict = new
-    e0 = float(pair[0][0]) if e0_held(new, old) else math.nan
+    (chi_3, pair, _, verdict), _, _, held = converge(  # chi_3 settles by N_MAX_CEILING rows,
+        rung, 256, _E0_CEILING, lambda new, old: bool(new[3]) and old is not None
+        and abs(new[1][0][0] - old[1][0][0]) < _E0_TOL)  # so held says whether E_0 held
+    e0 = float(pair[0][0]) if held else math.nan
     if verdict not in ("held", "impulsive"):
         return StartBound(math.inf, e0=e0)
     return StartBound(bound(chi_3), gap_f, chi_3, e0)
@@ -328,30 +326,29 @@ def _propagate_once(
 
 
 def propagate(protocol: QuenchProtocol, n_samples: int = 0, check_truncation: bool = False,
-              e0: float | None = None) -> QuenchResult:
+              start: StartBound | None = None) -> QuenchResult:
     """Run the quench; report E_r only once dt-halving moves it by < 1%.
 
-    The basis starts at min(n_max, 64) rows and doubles until its top
-    decile holds below 1e-8; the result's n_max is the basis it reached.
-    With check_truncation each basis of that ladder runs in lockstep with
-    its double (one block-diagonal system), which is the next basis if it
-    leaks and the truncation check's run if it holds; without it, one
-    basis runs at a time.  E_r, the trajectory and the norm drift all come
-    from the reported run.  Raises ConvergenceError on basis leakage (still
-    above 1e-8 at the last basis not above 4 n_max), on dt non-convergence
-    (three halvings), on norm drift above 1e-9, and, with check_truncation,
-    when doubling the basis reached moves E_r by more than 1% at the start
-    step (the lockstep pair).  e0 is E_0(g_f) where the caller has it
-    (kz_sweep solves it once a sweep); without it, ground_energy_final's.
-    One abrupt_start_bound record at tau_q serves both the start step
-    (without dt) and E_0 (without e0).
+    The basis ladder (converge) starts at min(n_max, 64) rows and doubles
+    until its top decile holds below 1e-8; the result's n_max is the basis
+    it reached.  With check_truncation each basis of that ladder runs in
+    lockstep with its double (one block-diagonal system), which is the next
+    basis if it leaks and the truncation check's run if it holds; without
+    it, one basis runs at a time.  E_r, the trajectory and the norm drift
+    all come from the reported run.  Raises ConvergenceError on basis
+    leakage (still above 1e-8 at the last basis not above 4 n_max), on dt
+    non-convergence (three halvings), on norm drift above 1e-9, and, with
+    check_truncation, when doubling the basis reached moves E_r by more
+    than 1% at the start step (the lockstep pair).  start is the quench
+    record, abrupt_start_bound(params_final, tau_max >= tau_q), which the
+    caller may hold (kz_sweep solves one a sweep); without it one is solved
+    at tau_q.  It serves both the start step (without dt) and E_0.
     """
-    start = (abrupt_start_bound(protocol.params_final, protocol.tau_q) if protocol.dt is None
-             else None)
-    dt = protocol.dt if start is None else protocol.default_dt(start)
+    if start is None:
+        start = abrupt_start_bound(protocol.params_final, protocol.tau_q)
+    dt = protocol.dt if protocol.dt is not None else protocol.default_dt(start)
     replace(protocol, dt=dt).check_samples(n_samples)  # with dt resolved: B is not solved again
-    if e0 is None:
-        e0 = ground_energy_final(protocol, start)
+    e0 = ground_energy_final(protocol, start)
 
     runs = {}  # (basis, dt halvings) -> (E_r, norm_drift, leak, samples), each run once
 
@@ -362,20 +359,21 @@ def propagate(protocol: QuenchProtocol, n_samples: int = 0, check_truncation: bo
                         zip(bases, _propagate_once(protocol, bases, dt / halvings, n_samples, e0)))
         return runs[n, halvings]
 
-    n_max = min(protocol.n_max, _BASIS_START)
-    while (leak := run(n_max, 1, check_truncation)[2]) > _LEAK_TARGET:
-        if 2 * n_max > 4 * protocol.n_max:
-            raise ConvergenceError(
-                f"basis leakage {leak:.2e} above {_LEAK_TARGET:.0e} at n_max={n_max}")
-        n_max *= 2
+    (_, _, leak, _), _, n_max, held = converge(
+        lambda n, _previous: run(n, 1, check_truncation), min(protocol.n_max, _BASIS_START),
+        4 * protocol.n_max, lambda new, _old: not new[2] > _LEAK_TARGET)
+    if not held:
+        raise ConvergenceError(
+            f"basis leakage {leak:.2e} above {_LEAK_TARGET:.0e} at n_max={n_max}")
 
-    def held(new: float, old: float) -> bool:
+    def stable(new: float, old: float) -> bool:
         return abs(new - old) <= _ER_REL_TOL * max(abs(new), 1e-300)
 
     # E_r, its drift and the trajectory all come from the coarser rung of the held pair
-    (e_r_fine, *_), (e_r, drift, _, samples), halvings = converge(
-        lambda h, _previous: run(n_max, h), 1, 8, lambda new, old: held(new[0], old[0]))
-    if not held(e_r_fine, e_r):
+    _, (e_r, drift, _, samples), halvings, held = converge(
+        lambda h, _previous: run(n_max, h), 1, 8,
+        lambda new, old: old is not None and stable(new[0], old[0]))
+    if not held:
         raise ConvergenceError(
             f"E_r not stable to {_ER_REL_TOL:.0%} under dt halving (last dt={dt / halvings:.2e})"
         )
@@ -384,7 +382,7 @@ def propagate(protocol: QuenchProtocol, n_samples: int = 0, check_truncation: bo
 
     if check_truncation:  # n_max and its double at the start step: the leakage ladder's pair
         e_r_start, e_r_dbl = run(n_max, 1)[0], run(2 * n_max, 1)[0]
-        if not held(e_r_dbl, e_r_start):
+        if not stable(e_r_dbl, e_r_start):
             raise ConvergenceError(
                 f"E_r moves by {abs(e_r_dbl - e_r_start):.2e} (> 1%) when doubling n_max={n_max}")
 
@@ -454,8 +452,8 @@ def kz_sweep(
     tau_max the largest tau_q: without dt each point starts at its
     default_dt, the adiabatic or impulsive branch chosen per tau_q.
     n_samples must fit every point's start step; a count one point's step
-    count cannot give raises ValueError before any point runs.  E_0(g_f)
-    is the record's; where it holds none, every row is unconverged.
+    count cannot give raises ValueError before any point runs.  propagate
+    takes the record; where it holds no E_0(g_f), every row is unconverged.
     """
     protocols = [QuenchProtocol(g_f=g_f, tau_q=float(t), r=params.r, delta=params.delta,
                                 n_max=n_max, dt=dt) for t in tau_list]
@@ -474,14 +472,12 @@ def kz_sweep(
             "e_r": math.nan,
             "norm_drift": math.nan,
             "n_max": protocol.n_max,
-            "dt": protocol.start_dt(),
+            "dt": protocol.dt,
             "converged": False,
             "samples": None,
         }
-        if math.isnan(start.e0):
-            return row
         try:
-            res = propagate(protocol, n_samples=n_samples, check_truncation=True, e0=start.e0)
+            res = propagate(protocol, n_samples=n_samples, check_truncation=True, start=start)
         except ConvergenceError:
             return row
         row.update(

@@ -344,9 +344,30 @@ def test_a_negative_value_in_exponent_form_is_a_value(tmp_path, config):
     (["wigner", "--g-over-gc", "0.5", "--half-width", "1000"],
      "--grid-points=161 with --half-width=1000.0 needs a y-lattice of 2.05e+08 entries per "
      "array, above 8388608"),
+    (["gap-opening", "--window", "0.06", "inf"],
+     "argument --window: inf must be finite and positive"),
 ])
 def test_bad_lengths_are_rejected_by_name(tmp_path, capsys, args, message):
     _rejected_alike(tmp_path, capsys, args, message)
+
+
+@pytest.mark.parametrize("args,message", [
+    *[([name, "--n-max", "16385", "--points", "2"], "argument --n-max: 16385 must be <= 16384")
+      for name in ("spectrum", "gap-scan", "observables", "qfi")],
+    (["wigner", "--g-over-gc", "0.5", "--n-max", "16385"],
+     "argument --n-max: 16385 must be <= 16384"),
+    (["spectrum", "--levels", "8193", "--points", "2"],
+     "argument --levels: 8193 must be <= 8192"),
+], ids=["spectrum", "gap-scan", "observables", "qfi", "wigner", "levels"])
+def test_a_first_rung_above_the_ladder_ceiling_is_rejected_by_its_flag(tmp_path, capsys, args,
+                                                                        message):
+    _rejected_alike(tmp_path, capsys, args, message)
+
+
+@pytest.mark.parametrize("args", [["quench", "--gf", "0.5", "--tau-list", "5"], ["collapse1d"]])
+def test_an_n_max_that_is_no_first_rung_takes_no_ceiling(tmp_path, args):
+    # quench's --n-max scales its propagation basis and collapse1d's is a ceiling
+    assert run_cli([*args, "--n-max", "16385", "--validate"], tmp_path) == cli.EXIT_OK
 
 
 @pytest.mark.parametrize("args,flag,bad", [
@@ -614,6 +635,13 @@ def test_every_n_max_flag_rejects_a_truncation_below_two_rows(capsys, name):
     # both couplings, and neither
     ["wigner", "--g", "0.1", "--g-over-gc", "0.5"],
     ["wigner"],
+    # a first rung above the ladder's ceiling, by --n-max or by spectrum's --levels
+    *[[name, "--n-max", "20000", "--points", "2"]
+      for name in ("spectrum", "gap-scan", "observables", "qfi")],
+    ["wigner", "--g-over-gc", "0.5", "--n-max", "20000"],
+    ["spectrum", "--levels", "9000", "--points", "2"],
+    # a gap-opening window bound that is not finite
+    ["gap-opening", "--window", "0.06", "inf"],
 ])
 def test_validate_agrees_with_the_run(tmp_path, capsys, args):
     u = np.geomspace(1e-3, 1e-1, 6)

@@ -324,19 +324,21 @@ def _collapse_block(parity: int, n: int, off: float = 0.06) -> ed.ParityBlock:
 
 
 @pytest.mark.parametrize("parity", [+1, -1])
-def test_a_warm_lowest_level_allocates_little_more_than_its_block(parity):
-    # the arena outlives each call, so a second 65536-row call allocates the
-    # block's three arrays and nothing n-sized of its own (fresh work arrays: 9 n)
+def test_a_lowest_level_keeps_nothing_n_sized_after_it_returns(parity):
+    # each 65536-row call allocates the block's three arrays and its own six
+    # work rows (9 n doubles at the peak) and frees all of them on return: no
+    # work block is kept from one call to the next
     n, (g_c, delta_c) = 65536, critical_params(0.6)
     p = ModelParams(delta=delta_c - 0.06, g=g_c, r=0.6)
     ed.lowest_level(p, parity, n)
     tracemalloc.start()
     try:
         ed.lowest_level(p, parity, n)
-        peak = tracemalloc.get_traced_memory()[1]
+        current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 4 * n * 8
+    assert current < n * 8
+    assert 8 * n * 8 < peak < 10 * n * 8
 
 
 def test_a_ground_vector_belongs_to_the_caller(monkeypatch):
@@ -345,17 +347,17 @@ def test_a_ground_vector_belongs_to_the_caller(monkeypatch):
     block = _collapse_block(-1, 4096)
     vector = ed._ground_pair(block.diag, block.offdiag)[1]
     kept = vector.copy()
-    assert not np.shares_memory(vector, ed._ARENA.rows)
+    assert vector.flags.owndata
     calls = len(solved)
     other = _collapse_block(+1, 8192, off=0.11)
     ed._ground_pair(other.diag, other.offdiag)
-    assert calls and len(solved) > calls  # both calls iterated in the arena
+    assert calls and len(solved) > calls  # both calls iterated
     assert np.array_equal(vector.view(np.uint64), kept.view(np.uint64))
 
 
 def test_ground_pairs_do_not_depend_on_the_arena_size():
-    # a new thread starts with an empty arena: it grows to 1024 rows, then to
-    # 65536, then serves 1024 rows as a slice; every pair is the main thread's
+    # a second thread solves the same blocks, 1024 rows after 65536 rows as
+    # well as before them: every pair is bitwise the main thread's
     blocks = [_collapse_block(parity, n) for n in (1024, 65536, 1024) for parity in (+1, -1)]
     main = [ed._ground_pair(b.diag, b.offdiag) for b in blocks]
     found = []
@@ -493,12 +495,27 @@ def test_converge_climbs_rungs_until_held():
         rungs.append(n)
         return 1.0 / n
 
-    def held(new: float, old: float) -> bool:
-        return abs(new - old) < 1e-3
+    def held(new: float, old: float | None) -> bool:
+        return old is not None and abs(new - old) < 1e-3
 
     # |1/n - 2/n| = 1/n < 1e-3 first holds at n = 1024
-    assert ed.converge(solve, 8, 1 << 20, held) == (1 / 1024, 1 / 512, 1024)
+    assert ed.converge(solve, 8, 1 << 20, held) == (1 / 1024, 1 / 512, 1024, True)
     assert rungs == [8 << i for i in range(8)]
+
+
+def test_converge_asks_its_gate_from_the_first_rung():
+    asked = []
+
+    def held(new: int, old: int | None) -> bool:
+        asked.append((new, old))
+        return new >= 32
+
+    assert ed.converge(lambda n, _: n, 8, 1 << 20, held) == (32, 16, 32, True)
+    assert asked == [(8, None), (16, 8), (32, 16)]
+    rungs = []  # a gate that holds on the first rung stops the ladder there
+    assert ed.converge(lambda n, _: rungs.append(n) or n, 64, 1 << 20, held) == (
+        64, None, 64, True)
+    assert rungs == [64]
 
 
 def test_converge_never_solves_above_the_ceiling():
@@ -508,17 +525,19 @@ def test_converge_never_solves_above_the_ceiling():
         rungs.append(n)
         return 1.0 / n
 
-    new, old, n_max = ed.converge(solve, 8, 100, lambda new, old: False)
-    assert rungs == [8, 16, 32, 64] and (new, old, n_max) == (1 / 64, 1 / 32, 64)
+    new, old, n_max, held = ed.converge(solve, 8, 100, lambda new, old: False)
+    assert rungs == [8, 16, 32, 64] and (new, old, n_max, held) == (1 / 64, 1 / 32, 64, False)
     rungs.clear()
-    assert ed.converge(solve, 50, 100, lambda new, old: False) == (1 / 100, 1 / 50, 100)
+    assert ed.converge(solve, 50, 100, lambda new, old: False) == (1 / 100, 1 / 50, 100, False)
     assert rungs == [50, 100]
 
 
 def test_converge_reports_no_old_when_one_rung_fits():
+    # a gate that compares two rungs cannot hold on a one-rung ladder
     rungs = []
-    new, old, n_max = ed.converge(lambda n, _: rungs.append(n) or n, 64, 127, lambda *_: True)
-    assert (new, old, n_max) == (64, None, 64) and rungs == [64]
+    new, old, n_max, held = ed.converge(lambda n, _: rungs.append(n) or n, 64, 127,
+                                        lambda new, old: old is not None)
+    assert (new, old, n_max, held) == (64, None, 64, False) and rungs == [64]
 
 
 def test_converge_rejects_a_first_rung_above_its_ceiling(monkeypatch):
