@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, check_count, check_parity, geometry
+from .model import ModelParams, check_budget, check_count, check_parity, geometry
 from .specfun import _BLOCK_ENTRIES, squeeze_matrix
 
 
@@ -97,9 +97,12 @@ def aa_matrix(params: ModelParams, n_max: int) -> np.ndarray:
     r0:r1 of M need only rows r0:r1 of S, and land at flat offsets
     [r0 n_max, r1 n_max), below where row r1 of S starts (r1 (n_max+1)).
     The result is the buffer's leading n_max^2 entries, C-contiguous.
+    An S past the entry budget (model.check_budget) is rejected by its
+    n_max before it is allocated.
     """
     check_count("n_max", n_max)
     _beta_of(params)  # rejects the collapse point
+    check_budget(f"n_max={n_max}", (n_max + 1) ** 2)  # S, then M, in one buffer
     s = squeeze_matrix(geometry(params).theta, n_max + 1).entries
     flat = s.reshape(-1)
     n = np.arange(n_max)

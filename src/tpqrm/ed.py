@@ -53,9 +53,9 @@ from scipy.special import eval_genlaguerre, gammaln, xlogy  # noqa: F401
 
 from .aa import GroundStateObservables, _bare_level, aa_matrix
 from .errors import ConvergenceError
-from .model import (CONTINUUM_EDGE, ModelParams, SectorSpec, check_count, check_finite,
-                    check_parity, check_positive, geometry)
-from .specfun import _BLOCK_ENTRIES, _LOG_RESCALE, _RESCALE
+from .model import (CONTINUUM_EDGE, ModelParams, SectorSpec, check_budget, check_count,
+                    check_finite, check_parity, check_positive, geometry)
+from .specfun import _BLOCK_ENTRIES, _LOG_RESCALE, _RESCALE, _SLACK
 
 N_MAX_CEILING = 16384
 _RESOLVENT_RES_TOL = 1e-7  # |(H - E_0) x - rhs| / |rhs|; see _ground_resolvent
@@ -63,7 +63,6 @@ _BISECTION_ROWS = 512  # _ground_pair bisects blocks up to this size, never iter
 _WARM_ROWS = 256  # a ladder rung above this size starts from the rung below's pairs
 _INVERSE_ITERATIONS = 40  # cap on the shift search, and on the iteration steps of each level
 _RESPONSE_REL_TOL = 1e-6  # doubling gate of _response_held
-_WIGNER_MAX_ENTRIES = 2**23  # doubles in each y-lattice array of wigner_grid (64 MiB)
 QUBIT_COMPONENTS = {"qubit-up": 0, "qubit-down": 1}  # conditioning -> index into (psi_up, psi_dn)
 
 
@@ -493,7 +492,8 @@ def squeezed_frame_spectrum(
     Near collapse the basis absorbs the squeezing, so this frame reaches
     moderate accuracy (2e-2) at much smaller n_max than bare Fock, but not
     high accuracy: at beta = 0.1 it is still 1.9e-2 off at 240 rows.
-    Parity, k and n_max are rejected by name before M is built, and
+    Parity, k and n_max are rejected by name before M is built, an n_max
+    whose S would pass the entry budget (model.check_budget) too, and
     g = g_c by aa_matrix before it builds S.
     """
     check_parity("parity", parity)
@@ -501,6 +501,7 @@ def squeezed_frame_spectrum(
     check_count("n_max", n_max)
     if n_max < max(2 * k, 4):
         raise ValueError(f"n_max={n_max} too small for k={k} levels")
+    check_budget(f"n_max={n_max}", (n_max + 1) ** 2)  # aa_matrix's one buffer
     m = aa_matrix(params, n_max)
     beta = geometry(params).beta
     step = max(1, _BLOCK_ENTRIES // n_max)
@@ -793,26 +794,52 @@ def _hermite_sum(coeffs: np.ndarray, q: np.ndarray) -> np.ndarray:
     the recurrence carries the Gaussian as a per-point log scale and
     renormalizes wherever it passes _RESCALE, every row's sum with it: one
     recurrence, and each row bitwise what a recurrence of its own gives.
+    The test |psi_n| > _RESCALE runs only where a growth bound lets it
+    pass.  With |psi_(n-1)| <= b and |psi_(n-2)| <= b_prev at every point,
+    psi_n = sqrt(2/n) q psi_(n-1) - sqrt((n-1)/n) psi_(n-2) gives
+    |psi_n| <= (sqrt(2/n) max|q| b + b_prev) (1 + 1e-12) <= (sqrt(2/n)
+    max|q| + 1) max(b, b_prev) (1 + 1e-12), the factor covering the
+    step's roundings; a test resets both to the maxima it reads.  While
+    b <= _RESCALE the test is false, so skipping it leaves every rescaled
+    point and bit the per-degree test's.
     """
     log_scale = -0.5 * q * q - 0.25 * math.log(math.pi)
-    prev, cur = np.zeros_like(q), np.ones_like(q)
+    prev, cur, tmp = np.zeros_like(q), np.ones_like(q), np.empty_like(q)
     totals = coeffs[:, :1] * cur
+    terms = np.empty_like(totals)
+    nonzero = coeffs != 0.0
+    every, some = nonzero.all(axis=0).tolist(), nonzero.any(axis=0).tolist()
+    q_max = float(np.abs(q).max(initial=0.0))
+    bound, bound_prev = 1.0, 0.0
     for n in range(1, coeffs.shape[1]):
-        prev, cur = cur, math.sqrt(2.0 / n) * q * cur - math.sqrt((n - 1) / n) * prev
-        for i in np.flatnonzero(coeffs[:, n]):
-            totals[i] += coeffs[i, n] * cur
-        big = np.nonzero(np.abs(cur) > _RESCALE)[0]
-        if big.size:
-            for arr in (prev, cur, totals.T):  # totals.T[big]: every row at those points
-                arr[big] /= _RESCALE
-            log_scale[big] += _LOG_RESCALE
+        a = math.sqrt(2.0 / n)
+        np.multiply(a, q, tmp)
+        np.multiply(tmp, cur, tmp)
+        np.multiply(math.sqrt((n - 1) / n), prev, prev)
+        np.subtract(tmp, prev, prev)
+        prev, cur = cur, prev
+        if every[n]:
+            np.multiply(coeffs[:, n : n + 1], cur, terms)
+            totals += terms
+        elif some[n]:
+            for i in np.flatnonzero(nonzero[:, n]):
+                np.multiply(coeffs[i, n], cur, tmp)
+                totals[i] += tmp
+        bound, bound_prev = (a * q_max * bound + bound_prev) * _SLACK, bound
+        if bound > _RESCALE:
+            big = np.flatnonzero(np.abs(cur) > _RESCALE)
+            if big.size:
+                for arr in (prev, cur, totals.T):  # totals.T[big]: every row at those points
+                    arr[big] /= _RESCALE
+                log_scale[big] += _LOG_RESCALE
+            bound, bound_prev = float(np.abs(cur).max()), float(np.abs(prev).max())
     return totals * np.exp(log_scale)
 
 
 def check_wigner_lattice(
     half_width: float | None, points: int, names: tuple[str, str] = ("half_width", "points")
 ) -> None:
-    """Reject a grid whose y-lattice arrays would pass _WIGNER_MAX_ENTRIES, naming its sizes.
+    """Reject a grid whose y-lattice arrays would pass the entry budget (check_budget), naming its sizes.
 
     wigner_grid's two largest arrays hold points (2 refine (points - 1) + 1)
     doubles each, refine = ceil(2 half_width^2 / (pi (points - 1))).  The
@@ -822,11 +849,9 @@ def check_wigner_lattice(
     refine = 1.0
     if half_width is not None:
         refine = max(refine, 2.0 * half_width * half_width / (math.pi * (points - 1)))
-    entries = points * (2.0 * refine * (points - 1) + 1.0)
-    if entries > _WIGNER_MAX_ENTRIES:
-        where = "" if half_width is None else f" with {names[0]}={half_width}"
-        raise ValueError(f"{names[1]}={points}{where} needs a y-lattice of {entries:.3g} "
-                         f"entries per array, above {_WIGNER_MAX_ENTRIES}")
+    where = "" if half_width is None else f" with {names[0]}={half_width}"
+    check_budget(f"{names[1]}={points}{where}", points * (2.0 * refine * (points - 1) + 1.0),
+                 "a y-lattice of {:.3g} entries per array")
 
 
 def _wigner_from_components(

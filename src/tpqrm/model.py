@@ -27,6 +27,7 @@ import numbers
 from dataclasses import dataclass
 
 CONTINUUM_EDGE = -0.5  # E_c: at g = g_c the spectrum above it is a continuum
+MAX_ENTRIES = 2**23  # doubles in the largest array one call may allocate (64 MiB)
 
 
 @dataclass(frozen=True)
@@ -112,6 +113,16 @@ def check_count(name: str, value: int, least: int = 1) -> None:
         raise ValueError(f"{name}={value} must be an integer")
     if value < least:
         raise ValueError(f"{name}={value} must be >= {least}")
+
+
+def check_budget(name: str, entries: float, array: str = "an array of {:.3g} entries") -> None:
+    """Reject an input whose largest array would pass MAX_ENTRIES doubles, before it is allocated.
+
+    name states the input ("n_max=4096"), and array describes the array
+    with a {} for its size.  A float count that overflows is rejected too.
+    """
+    if entries > MAX_ENTRIES:
+        raise ValueError(f"{name} needs {array.format(entries)}, above {MAX_ENTRIES}")
 
 
 def check_parity(name: str, value: int) -> None:

@@ -31,6 +31,20 @@ the same float additions).  The logs of what it stored are then taken
 in one vectorized np.log pass, the same in both routes, and magnitudes
 are only exponentiated after all log factors have been combined.
 
+The sweep tests max|P| > _RESCALE only where a growth bound lets it
+pass.  An order k advanced at degree l has l - k >= 1 and
+l + k - 1 <= 2l - 2, so with b_j bounding the advanced orders at degree j
+
+    |P_l^k| <= b_l = ((2l - 1) beta b_(l-1) + (2l - 2) b_(l-2)) (1 + 1e-12),
+
+the factor covering the step's roundings: at most max(1, (2l - 1) beta +
+2l - 2)-fold growth a degree.  A test resets b to the maxima it reads.
+While b <= _RESCALE the test is false, so the rescales are the per-degree
+test's bit for bit.  A 481-row sweep at the frame's beta = 0.3 tests at
+14 of its 961 degrees, and a 120-row one at criterion 08(d)'s angles at
+1 or 2 of 239; none of them rescales.  ed._hermite_sum gates its test
+the same way.
+
 theta is rejected by name where it is not finite or cosh(2 theta)
 overflows a double.
 
@@ -47,10 +61,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .model import check_count, check_finite, check_parity
+from .model import check_budget, check_count, check_finite, check_parity
 
 _RESCALE = 1e250
 _LOG_RESCALE = math.log(_RESCALE)
+_SLACK = 1.0 + 1e-12  # a growth bound's allowance for the roundings of one recurrence step
 
 _LOG2 = math.log(2.0)
 
@@ -167,7 +182,7 @@ class SqueezeMatrix:
 _BLOCK_ENTRIES = 2**14  # entries per assembly block: its temporaries stay small beside n_max^2
 
 
-def _legendre_sweep(beta: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+def _legendre_sweep(beta: float, n_max: int) -> tuple[np.ndarray, np.ndarray | None]:
     """Renormalized P_(m+n)^(m-n)(beta) and their rescale counts, on the lower triangle m >= n.
 
     One upward sweep over the degree l advances the recurrence of every
@@ -178,36 +193,61 @@ def _legendre_sweep(beta: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     degrees.  Every order's float shift starts at 0.0 and adds _LOG_RESCALE
     once a rescale, so an entry stores only its count c of rescales: at
     most one a degree, 2 n_max - 1 in all, in the smallest unsigned type
-    that holds that.  The upper triangles stay zero.
+    that holds that.  The counts are allocated at the first rescale, and
+    are None when there is none.  The upper triangles stay zero.
+
+    The rescale test max|P| > _RESCALE runs only once the growth bound
+    b_l = ((2l - 1) beta b_(l-1) + (2l - 2) b_(l-2)) (1 + 1e-12) of the
+    module docstring (with b >= 1, a seed's value) passes it, and resets
+    b to the maxima it reads.  While b <= _RESCALE the test is false, so
+    every rescale degree, count and bit is the per-degree test's.
     """
-    p_prev = np.zeros(n_max)  # P_(k-1)^k = 0 relative to the seed
-    p_cur = np.ones(n_max)  # P_k^k = seed
-    count = np.zeros(n_max, dtype=np.min_scalar_type(2 * n_max - 1))
+    prev, cur, tmp = np.empty((3, n_max))  # rotated as the degree rises; each order seeds its own
+    cur[0], prev[0] = 1.0, 0.0  # order 0 starts at l = 0
+    counts = count = counts_flat = None
     up = np.arange(3 * n_max, dtype=float)  # (l + k - 1) is a slice of it,
     down = up[::-1]  # and (l - k) of its reverse
+    factor = np.empty(())  # (2l - 1) beta; a 0-d array multiplies with less dispatch than a float
     p = np.zeros((n_max, n_max))
-    counts = np.zeros((n_max, n_max), dtype=count.dtype)
-    p_flat, counts_flat = p.reshape(-1), counts.reshape(-1)
+    p_flat = p.reshape(-1)
+    p_flat[0] = 1.0
     stride = max(n_max - 1, 1)  # the flat step from (m, n) to (m + 1, n - 1)
-    for ell in range(2 * n_max - 1):
-        top = min(ell, 2 * n_max - 2 - ell)  # orders still needed at this degree
-        width = min(ell - 1, top) + 1  # orders 0..width-1 advance; order ell is only seeded
-        if width:
-            cur, prev = p_cur[:width], p_prev[:width]
-            p_next = (((2 * ell - 1) * beta * cur - up[ell - 1 : ell - 1 + width] * prev)
-                      / down[3 * n_max - 1 - ell : 3 * n_max - 1 - ell + width])
-            prev[:] = cur
-            cur[:] = p_next
-            if np.abs(cur).max() > _RESCALE:  # prev passed this test one degree earlier
-                big = np.nonzero(np.maximum(np.abs(cur), np.abs(prev)) > _RESCALE)[0]
-                cur[big] /= _RESCALE
-                prev[big] /= _RESCALE
+    bound = bound_prev = 1.0  # of |cur| and |prev| over the advanced orders
+    for ell in range(1, 2 * n_max - 1):
+        # orders 0..width-1 advance; below n_max order ell starts, above it the orders past top retire
+        top = ell if ell < n_max else 2 * n_max - 2 - ell
+        width = ell if ell < n_max else top + 1
+        c, pv, t = cur[:width], prev[:width], tmp[:width]
+        factor[()] = f = (2 * ell - 1) * beta
+        np.multiply(factor, c, t)
+        np.multiply(up[ell - 1 : ell - 1 + width], pv, pv)
+        np.subtract(t, pv, pv)
+        np.divide(pv, down[3 * n_max - 1 - ell : 3 * n_max - 1 - ell + width], pv)
+        prev, cur = cur, prev
+        bound, bound_prev = (f * bound + (2 * ell - 2) * bound_prev) * _SLACK, bound
+        if bound > _RESCALE:  # prev passed this test one degree earlier
+            c, pv = cur[:width], prev[:width]
+            mag = np.abs(c)
+            bound, bound_prev = float(mag.max()), float(np.abs(pv).max())
+            if bound > _RESCALE:
+                big = np.flatnonzero(mag > _RESCALE)
+                c[big] /= _RESCALE
+                pv[big] /= _RESCALE
+                if count is None:
+                    count = np.zeros(n_max, dtype=np.min_scalar_type(2 * n_max - 1))
+                    counts = np.zeros((n_max, n_max), dtype=count.dtype)
+                    counts_flat = counts.reshape(-1)
                 count[big] += 1
-        k0 = ell % 2  # m + n = ell needs k = m - n of ell's parity
+                bound = float(np.abs(c).max())
+        if ell < n_max:  # order ell starts: P_ell^ell = 1, P_(ell-1)^ell = 0
+            cur[ell], prev[ell] = 1.0, 0.0
+            bound = max(bound, 1.0)
+        k0 = ell & 1  # m + n = ell needs k = m - n of ell's parity
         start = (ell + k0) // 2 * n_max + (ell - k0) // 2
         stop = start + (top - k0) // 2 * stride + 1
-        p_flat[start:stop:stride] = p_cur[k0 : top + 1 : 2]
-        counts_flat[start:stop:stride] = count[k0 : top + 1 : 2]
+        p_flat[start:stop:stride] = cur[k0 : top + 1 : 2]
+        if count is not None:
+            counts_flat[start:stop:stride] = count[k0 : top + 1 : 2]
     return p, counts
 
 
@@ -220,8 +260,16 @@ def squeeze_matrix(theta: float, n_max: int, sign: int = +1) -> SqueezeMatrix:
     passes: log|P| + shift + log seed in the np.log of legendre_log_table,
     with the shift read from a table t[c] summed as each order sums its
     own, then the factorial ratio, exp and the sign, so the result is
-    bitwise the per-order assembly from legendre_log_table.  The memory
-    peak is the n_max^2 values, their counts and one block's temporaries.
+    bitwise the per-order assembly from legendre_log_table.  With no
+    rescale there are no counts, and the shift (t[0] = 0.0; log|P| is
+    never -0.0) is not added.  The log seeds come from one table of
+    math.lgamma, in log_double_factorial's float operations and order.
+    The memory peak is the n_max^2 values, their counts (when the sweep
+    rescaled) and one block's temporaries; an n_max past the entry budget
+    (model.check_budget) is rejected before any of them is allocated.
+    The sweep tests for rescale only once its growth bound
+    b_l = ((2l - 1) beta b_(l-1) + (2l - 2) b_(l-2)) (1 + 1e-12) passes
+    _RESCALE (module docstring), so it is bitwise a per-degree test.
     The upper triangle is <2n|S(2t)|2m> = (-1)^(m-n) <2m|S(2t)|2n>,
     written by assignment so that underflowed -0.0 entries keep their
     sign, and sign = -1 is the transpose: entries(S(2t)) ==
@@ -230,17 +278,23 @@ def squeeze_matrix(theta: float, n_max: int, sign: int = +1) -> SqueezeMatrix:
     """
     check_count("n_max", n_max)
     check_parity("sign", sign)
+    check_budget(f"n_max={n_max}", n_max * n_max)
     beta, tanh2 = _squeeze_angle(theta)
     if tanh2 == 0.0:
         return SqueezeMatrix(theta=theta, n_max=n_max, sign=sign, entries=np.eye(n_max))
 
     entries, counts = _legendre_sweep(beta, n_max)  # entries is assembled in place
-    shifts = np.cumsum(np.r_[0.0, np.full(int(counts.max()), _LOG_RESCALE)])  # t[c], 0.0 + L + L ...
     orders = np.arange(n_max)
     log_fact = gammaln(2.0 * orders + 1.0)
-    log_seed = np.array([log_double_factorial(2 * k - 1) + 0.5 * k * math.log(tanh2)
-                         for k in range(n_max)])
+    # log_double_factorial(2k - 1) from one lgamma table, in its float operations and order
+    lgamma = np.array([0.0, *map(math.lgamma, range(1, 2 * n_max))])  # [0] is only read for k = 0
+    log_dfact = lgamma[2 * orders] - (orders - 1) * _LOG2 - lgamma[orders]
+    log_dfact[:2] = 0.0  # (-1)!! = 1!! = 1
+    log_seed = log_dfact + 0.5 * orders * math.log(tanh2)
     half_log_beta = 0.5 * math.log(beta)
+    mirror = np.where(orders % 2 == 1, -1.0, 1.0)  # (-1)^k, read by k
+    if counts is not None:  # t[c] = 0.0 + L + L ..., summed as each order sums its own shift
+        shifts = np.cumsum(np.r_[0.0, np.full(int(counts.max()), _LOG_RESCALE)])
     s_eff = sign if theta >= 0.0 else -sign
     rows = max(1, _BLOCK_ENTRIES // n_max)
     for r0 in range(0, n_max, rows):
@@ -250,10 +304,11 @@ def squeeze_matrix(theta: float, n_max: int, sign: int = +1) -> SqueezeMatrix:
         p = entries[r0:r1, :r1]
         with np.errstate(divide="ignore"):
             log_p = np.log(np.abs(p))
-        log_p += shifts[counts[r0:r1, :r1]]
+        if counts is not None:  # else every shift is t[0] = 0.0, and log|p| is never -0.0
+            log_p += shifts[counts[r0:r1, :r1]]
         log_p += log_seed[k]
         vals = np.sign(p) * np.exp(half_log_beta + 0.5 * (log_fact[:r1] - log_fact[m]) + log_p)
-        mirrored = np.where(k % 2 == 1, -1.0, 1.0) * vals
+        mirrored = mirror[k] * vals
         lower, upper = (vals, mirrored) if s_eff == 1 else (mirrored, vals)
         entries[r0:r1, :r0] = lower[:, :r0]
         entries[:r0, r0:r1] = upper[:, :r0].T

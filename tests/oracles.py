@@ -1,4 +1,4 @@
-"""Per-element forms of the squeeze elements and the manifold coupling.
+"""Per-element forms of the squeeze elements and the manifold coupling, and a Hermite sum.
 
 The package computes S and M as whole matrices (specfun.squeeze_matrix,
 aa.aa_matrix, the only route to M).  These are the element-at-a-time
@@ -19,16 +19,20 @@ beta << 1, M_mn has the small-beta expansion of the aa module docstring,
     delta    = Delta - Delta_c,
 
 which agrees with the exact M_mn to relative O(beta^2) as beta -> 0.
+
+hermite_sum is ed._hermite_sum's recurrence with its rescale test at
+every degree, the reference for the kernel's bound-gated test.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
 from scipy.special import gammaln
 
 from tpqrm.model import ModelParams, geometry
-from tpqrm.specfun import legendre_log_table, log_double_factorial
+from tpqrm.specfun import _LOG_RESCALE, _RESCALE, legendre_log_table, log_double_factorial
 
 
 def legendre_pk_log(
@@ -111,3 +115,25 @@ def m_element_small_beta(m: int, n: int, params: ModelParams) -> float:
     alpha = alpha_coefficient(m, n, params.delta, params.delta_c)
     return ((-1.0) ** (m + n) * 0.5 * math.sqrt(beta) * k_factor(m, n, beta)
             * (detuning + alpha * beta * beta))
+
+
+def hermite_sum(coeffs: np.ndarray, q: np.ndarray, rescaled: list[int] | None = None) -> np.ndarray:
+    """ed._hermite_sum as a recurrence that tests for rescale at every degree.
+
+    Degrees where some point was renormalized are appended to rescaled when given.
+    """
+    log_scale = -0.5 * q * q - 0.25 * math.log(math.pi)
+    prev, cur = np.zeros_like(q), np.ones_like(q)
+    totals = coeffs[:, :1] * cur
+    for n in range(1, coeffs.shape[1]):
+        prev, cur = cur, math.sqrt(2.0 / n) * q * cur - math.sqrt((n - 1) / n) * prev
+        for i in np.flatnonzero(coeffs[:, n]):
+            totals[i] += coeffs[i, n] * cur
+        big = np.nonzero(np.abs(cur) > _RESCALE)[0]
+        if big.size:
+            for arr in (prev, cur, totals.T):  # totals.T[big]: every row at those points
+                arr[big] /= _RESCALE
+            log_scale[big] += _LOG_RESCALE
+            if rescaled is not None:
+                rescaled.append(n)
+    return totals * np.exp(log_scale)

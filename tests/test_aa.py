@@ -138,7 +138,8 @@ def test_aa_matrix_is_bitwise_the_whole_array_expression(r, beta, delta, n_max):
 
 
 def test_aa_matrix_memory_is_one_squeeze_matrix():
-    # S, its rescale counts and one assembly block (3.22e6 bytes); M reuses S's buffer
+    # S and one assembly block (2.77e6 bytes); M reuses S's buffer.  The sweep never
+    # rescales at beta = 0.3, so it allocates no rescale counts (2 bytes an entry)
     p = at_beta(0.6, 0.3)
     aa_matrix(p, 16)  # lazy imports and caches stay out of the count
     tracemalloc.start()

@@ -12,7 +12,8 @@ from scipy.linalg import eig, eigh_tridiagonal
 from scipy.optimize import minimize_scalar
 from scipy.special import eval_genlaguerre, gammaln
 
-from tpqrm import ed
+import oracles
+from tpqrm import aa, ed, specfun
 from tpqrm.aa import aa_energy, aa_observables, aa_qfi_leading
 from tpqrm.analysis import make_grid
 from tpqrm.errors import ConvergenceError
@@ -214,6 +215,17 @@ def test_collapse_point_gap_doubles_until_gate_holds():
     # a ceiling below the needed truncation reports the gate as failed
     gap, n_max, converged = ed.collapse_point_gap(p, 256, 2048)
     assert not converged and n_max == 2048
+
+
+@pytest.mark.parametrize("move,held", [(0.019, True), (0.021, False)])
+def test_collapse_point_gap_holds_only_within_two_percent(monkeypatch, move, held):
+    # forged rungs: the gap at 8 rows is 1.0 and was 1 + move at 4 rows, and the
+    # 16-row rung moves 10%; only a move within 2% of the gap holds the gate
+    gaps = {4: 1.0 + move, 8: 1.0, 16: 1.1}
+    monkeypatch.setattr(ed, "lowest_level", lambda params, parity, n: gaps[n] if parity == +1 else 0.0)
+    g_c, delta_c = critical_params(0.25)
+    p = ModelParams(delta=delta_c - 0.2, g=g_c, r=0.25)
+    assert ed.collapse_point_gap(p, 8, 16) == ((1.0, 8, True) if held else (1.1, 16, False))
 
 
 def _block_levels(block: ed.ParityBlock, k: int) -> np.ndarray:
@@ -1052,8 +1064,9 @@ def test_frame_equivalence(beta):
 @pytest.mark.parametrize("parity", [+1, -1])
 def test_squeezed_frame_memory_is_set_by_its_n_max_squared_arrays(parity):
     # one (n_max+1)^2 buffer holds S, then M, then the full solve's workspace;
-    # the peak is the squeeze matrix's sweep (values, rescale counts and one
-    # assembly block, 3.22e6 bytes at n_max = 480), not a second full matrix
+    # the peak is the squeeze matrix's sweep (values and one assembly block,
+    # 2.77e6 bytes at n_max = 480; at beta = 0.3 it never rescales, so it
+    # allocates no rescale counts), not a second full matrix
     g_c, delta_c = critical_params(0.6)
     p = ModelParams(delta=delta_c, g=g_c * math.sqrt(1 - 0.3**2), r=0.6)  # beta = 0.3
     ed.squeezed_frame_spectrum(p, parity, 16, k=6)  # lazy imports and caches stay out of the count
@@ -1164,6 +1177,36 @@ def test_frame_levels_match_the_general_eigensolver(beta, parity):
     general = np.sort(eig(a, right=False).real)[:6]
     frame = ed.squeezed_frame_spectrum(p, parity, 480, k=6)
     assert np.abs(frame.energies - general).max() <= 1e-12
+
+
+@pytest.mark.parametrize("estimate,converged", [(0.9e-8, True), (1.1e-8, False)])
+def test_frame_levels_converge_only_below_a_1e_8_estimate(monkeypatch, estimate, converged):
+    # forged solves: the half-size one (first) sits `estimate` above the full one
+    levels = np.array([-0.4, 0.1, 0.6])
+    solves = iter([levels + estimate, levels])
+    monkeypatch.setattr(ed, "_squeezed_frame_eigs", lambda m, parity, beta, k: next(solves))
+    frame = ed.squeezed_frame_spectrum(at_beta(0.6, 0.5), -1, 16, k=3)
+    assert np.array_equal(frame.energies, levels)
+    assert frame.convergence_estimate == pytest.approx(np.full(3, estimate), rel=1e-6)
+    assert frame.converged.tolist() == [converged] * 3
+
+
+@pytest.mark.parametrize("build", ["squeeze_matrix", "aa_matrix", "squeezed_frame_spectrum"])
+def test_an_s_past_the_entry_budget_is_rejected_by_its_n_max(monkeypatch, build):
+    # (2^20)^2 doubles are 8.8 TB: each entry point rejects its n_max before the sweep
+    # (or, for the frame, aa_matrix) could allocate; aa_matrix's S would be 2^20 + 1 wide
+    def unreachable(*args):
+        raise AssertionError("allocating past the entry budget")
+
+    monkeypatch.setattr(specfun, "_legendre_sweep", unreachable)
+    monkeypatch.setattr(ed, "aa_matrix", unreachable)
+    p = at_beta(0.6, 0.3)
+    calls = {"squeeze_matrix": lambda: specfun.squeeze_matrix(0.94, 2**20),
+             "aa_matrix": lambda: aa.aa_matrix(p, 2**20),
+             "squeezed_frame_spectrum": lambda: ed.squeezed_frame_spectrum(p, -1, 2**20, k=6)}
+    message = "n_max=1048576 needs an array of 1.1e+12 entries, above 8388608"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        calls[build]()
 
 
 def test_asymmetric_frame_matrix_flags_every_level(monkeypatch):
@@ -1573,6 +1616,28 @@ def test_joint_hermite_sum_is_bitwise_the_per_component_sums():
     for row, total in zip(rows, joint):
         assert np.array_equal(total, ed._hermite_sum(row[None, :], q)[0])
     assert np.abs(joint[2]).max() > 0.0 and np.isfinite(joint).all()
+
+
+@pytest.mark.parametrize("reach,points,least", [(40.0, 2001, 100), (60.0, 1201, 250)])
+def test_hermite_sum_is_bitwise_the_per_degree_rescale_oracle(reach, points, least):
+    # the kernel tests for rescale only where its growth bound lets it pass, the oracle
+    # at every degree; both lattices rescale at `least` degrees or more.  The rows' zero
+    # patterns differ (the ground state's odd entries vanish, `other` has every third
+    # zero, `sparse` every fifth nonzero), so some degrees have every row nonzero,
+    # some a few rows and some none
+    g_c, delta_c = critical_params(0.25)
+    up, dn = ed.block_to_spinfock(
+        ed.ground_state_block(ModelParams(delta=delta_c, g=0.95 * g_c, r=0.25), 256)[1], -1)
+    other = np.random.default_rng(7).normal(size=len(up))
+    other[::3] = 0.0
+    sparse = np.zeros(len(up))
+    sparse[1::5] = 1.0 / np.arange(1.0, len(sparse[1::5]) + 1.0)
+    rows = np.array([up, dn, other, sparse])
+    q = np.linspace(-reach, reach, points)
+    rescaled = []
+    want = oracles.hermite_sum(rows, q, rescaled)
+    assert np.array_equal(ed._hermite_sum(rows, q).view(np.uint64), want.view(np.uint64))
+    assert len(rescaled) >= least
 
 
 def test_wigner_narrow_grid_rejected():

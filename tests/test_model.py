@@ -5,7 +5,7 @@ import pytest
 
 from tpqrm import ed
 from tpqrm.aa import aa_energy
-from tpqrm.model import ModelParams, SectorSpec, critical_params, geometry
+from tpqrm.model import MAX_ENTRIES, ModelParams, SectorSpec, check_budget, critical_params, geometry
 from tpqrm.specfun import squeeze_element, squeeze_matrix
 
 
@@ -122,3 +122,14 @@ def test_a_parity_must_be_the_integer_plus_or_minus_one(call):
             entry(bad)
     for good in (+1, -1, np.int64(-1), np.int8(1)):
         entry(good)
+
+
+def test_the_entry_budget_admits_the_pinned_sizes():
+    # the frame's S (481^2) and the budget itself pass; one more row past 2896^2 does not
+    assert MAX_ENTRIES == 2**23
+    for entries in (481**2, 2896**2, 2**23, float(2**23)):
+        check_budget("n_max=2896", entries)
+    with pytest.raises(ValueError, match=r"^n_max=2897 needs an array of 8.39e\+06 entries, above 8388608$"):
+        check_budget("n_max=2897", 2897**2)
+    with pytest.raises(ValueError, match=r"^points=9 needs a lattice of inf entries, above 8388608$"):
+        check_budget("points=9", math.inf, "a lattice of {:.3g} entries")

@@ -277,6 +277,22 @@ def test_squeeze_matrix_sweep_is_bitwise_the_per_order_tables(theta):
             assert np.array_equal(got, oracle[sign])
 
 
+@pytest.mark.parametrize("theta", [1e-4, 3.0])
+def test_the_sweeps_rescale_gate_is_bitwise_the_per_order_tables_at_a_low_threshold(
+        monkeypatch, theta):
+    # at a threshold of 1e20 every order rescales again and again (counts up to 14 at
+    # theta = 1e-4 and 7 at theta = 3, n_max = 481), so the growth bound must let the
+    # test run at each of them.  At beta = 0.005 (theta = 3) its (2l - 2) b_(l-2) term
+    # carries the bound.  A degree grows the rows by less than 1e4, far below 1e20
+    monkeypatch.setattr(specfun, "_RESCALE", 1e20)
+    monkeypatch.setattr(specfun, "_LOG_RESCALE", math.log(1e20))
+    for n_max in (120, 481):
+        oracle = _squeeze_matrices_per_order(theta, n_max)
+        for sign in (+1, -1):
+            got = squeeze_matrix(theta, n_max, sign).entries
+            assert np.array_equal(got.view(np.uint64), oracle[sign].view(np.uint64))
+
+
 @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
 def test_squeeze_rejects_a_non_finite_theta_by_name(theta):
     with pytest.raises(ValueError, match=f"^theta={theta} must be finite$"):
@@ -307,8 +323,9 @@ def test_squeeze_matrix_rejects_a_bad_n_max_by_name(n_max, reason):
 
 
 def test_squeeze_matrix_memory_stays_below_three_matrices():
-    # the sweep's values, its rescale counts (2 bytes each at n_max = 481) and
-    # one row block of the assembly: 3.22e6 bytes
+    # the sweep's values and one row block of the assembly: 2.77e6 bytes.  theta =
+    # 0.94 never rescales, so no rescale counts (2 bytes an entry) are allocated;
+    # theta = 1e-4, which rescales, peaks at 3.23e6
     squeeze_matrix(0.94, 8)  # lazy imports and caches stay out of the count
     tracemalloc.start()
     try:
